@@ -43,7 +43,7 @@ from .pipeline import (
     preprocess_corpus,
 )
 from .synth import SynthSpec, generate_corpus
-from .trees import ModelError
+from .trees import STRATEGIES, VARIANTS, ModelError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,20 +59,6 @@ _DATA_ERRORS = (
     ModelError,
     evaluation.EvaluationError,
 )
-
-COMMANDS = (
-    "preprocess",
-    "anonymize",
-    "entities",
-    "featurize",
-    "train",
-    "evaluate",
-    "gridsearch",
-    "explain",
-    "export-tree",
-    "synth",
-)
-
 
 class UsageError(Exception):
     pass
@@ -105,8 +91,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--corpus", help="corpus file (overrides config)")
         p.add_argument("--lexica-dir", help="lexica directory (overrides config)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--strategy", choices=("bts", "mts"))
-        p.add_argument("--model", choices=("dt", "etc", "eetc", "rf"))
+        p.add_argument("--strategy", choices=STRATEGIES)
+        p.add_argument("--model", choices=VARIANTS)
         p.add_argument("--folds", type=int)
         p.add_argument("--out", help="output path")
         if name == "explain":
@@ -129,21 +115,11 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> PipelineConfig:
     config = config_from_json(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    if args.corpus:
-        overrides["corpus"] = args.corpus
-    if getattr(args, "lexica_dir", None):
-        overrides["lexica_dir"] = args.lexica_dir
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.strategy:
-        overrides["strategy"] = args.strategy
-    if args.model:
-        overrides["model"] = args.model
-    if args.folds is not None:
-        overrides["folds"] = args.folds
-    if args.out:
-        overrides["out"] = args.out
+    overrides = {
+        name: getattr(args, name)
+        for name in ("corpus", "lexica_dir", "seed", "strategy", "model", "folds", "out")
+        if getattr(args, name) not in (None, "")
+    }
     return config.with_overrides(overrides)
 
 
@@ -164,7 +140,7 @@ def _per_document(doc_id: str, fn):
         raise type(exc)(f"document {doc_id!r}: {exc}") from None
 
 
-def _cmd_preprocess(config: PipelineConfig) -> int:
+def _cmd_preprocess(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     prep = preprocess_corpus(corpus, lexica)
@@ -178,7 +154,7 @@ def _cmd_preprocess(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_anonymize(config: PipelineConfig) -> int:
+def _cmd_anonymize(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     out_docs = []
@@ -200,7 +176,7 @@ def _cmd_anonymize(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_entities(config: PipelineConfig) -> int:
+def _cmd_entities(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     lines = ["\t".join(("id",) + CATEGORICAL_FIELDS)]
@@ -213,7 +189,7 @@ def _cmd_entities(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_featurize(config: PipelineConfig) -> int:
+def _cmd_featurize(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     prep = preprocess_corpus(corpus, lexica)
@@ -229,18 +205,18 @@ def _cmd_featurize(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_train(config: PipelineConfig, model_file: str | None) -> int:
+def _cmd_train(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     fitted = fit_pipeline(corpus, config, lexica)
-    path = model_file or _out_path(config, "model.json")
+    path = args.model_file or _out_path(config, "model.json")
     _write_atomic(path, pipeline_to_json(fitted))
     n_trees = len(fitted.model.trees)
     print(f"trained {config.strategy}/{config.model} ({n_trees} trees) -> {path}")
     return EXIT_OK
 
 
-def _cmd_evaluate(config: PipelineConfig) -> int:
+def _cmd_evaluate(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     report = evaluation.cross_validate(
@@ -255,7 +231,7 @@ def _cmd_evaluate(config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_gridsearch(config: PipelineConfig) -> int:
+def _cmd_gridsearch(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     if not config.grid:
@@ -295,35 +271,25 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
         _write_atomic(config.out, text)
     print(text, end="")
     if args.graph:
-        model = fitted.model
-        trees = model.trees
-        if not 0 <= args.tree < len(trees):
-            raise ConfigError(f"tree index out of range [0,{len(trees)}): {args.tree}")
-        forest_index = args.tree // max(1, len(trees) // len(model.class_forests))
-        dot = export_tree_graph(
-            trees[args.tree],
-            args.graph_depth,
-            model.feature_names,
-            class_display_names(model, min(forest_index, len(model.class_forests) - 1)),
-        )
-        _write_atomic(args.graph, dot)
+        _write_atomic(args.graph, _tree_graph(fitted.model, args.tree, args.graph_depth))
         print(f"wrote tree graph to {args.graph}")
     return EXIT_OK
 
 
+def _tree_graph(model, index: int, max_depth: int | None) -> str:
+    """DOT graph of model.trees[index], its leaves named after the classes
+    of the forest that holds the tree."""
+    offset = index
+    for forest_index, forest in enumerate(model.class_forests):
+        if 0 <= offset < len(forest):
+            names = class_display_names(model, forest_index)
+            return export_tree_graph(forest[offset], max_depth, model.feature_names, names)
+        offset -= len(forest)
+    raise ConfigError(f"tree index out of range [0,{len(model.trees)}): {index}")
+
+
 def _cmd_export_tree(config: PipelineConfig, args) -> int:
-    fitted = load_pipeline(args.model_file)
-    model = fitted.model
-    trees = model.trees
-    if not 0 <= args.tree < len(trees):
-        raise ConfigError(f"tree index out of range [0,{len(trees)}): {args.tree}")
-    forest_index = args.tree // max(1, len(trees) // len(model.class_forests))
-    dot = export_tree_graph(
-        trees[args.tree],
-        args.max_depth,
-        model.feature_names,
-        class_display_names(model, min(forest_index, len(model.class_forests) - 1)),
-    )
+    dot = _tree_graph(load_pipeline(args.model_file).model, args.tree, args.max_depth)
     path = _out_path(config, "tree.dot")
     _write_atomic(path, dot)
     print(f"wrote tree graph to {path}")
@@ -352,34 +318,27 @@ def _cmd_synth(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "preprocess": _cmd_preprocess,
+    "anonymize": _cmd_anonymize,
+    "entities": _cmd_entities,
+    "featurize": _cmd_featurize,
+    "train": _cmd_train,
+    "evaluate": _cmd_evaluate,
+    "gridsearch": _cmd_gridsearch,
+    "explain": _cmd_explain,
+    "export-tree": _cmd_export_tree,
+    "synth": _cmd_synth,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("missing command")
-        config = _load_config(args)
-        if args.command == "preprocess":
-            return _cmd_preprocess(config)
-        if args.command == "anonymize":
-            return _cmd_anonymize(config)
-        if args.command == "entities":
-            return _cmd_entities(config)
-        if args.command == "featurize":
-            return _cmd_featurize(config)
-        if args.command == "train":
-            return _cmd_train(config, args.model_file)
-        if args.command == "evaluate":
-            return _cmd_evaluate(config)
-        if args.command == "gridsearch":
-            return _cmd_gridsearch(config)
-        if args.command == "explain":
-            return _cmd_explain(config, args)
-        if args.command == "export-tree":
-            return _cmd_export_tree(config, args)
-        if args.command == "synth":
-            return _cmd_synth(config, args)
-        raise UsageError(f"unknown command: {args.command}")
+        return COMMANDS[args.command](_load_config(args), args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

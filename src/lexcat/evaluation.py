@@ -10,6 +10,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import lexica as lx
+from . import pipeline as pl
 from .corpus import Corpus
 from .labels import build_class_catalog, canonicalize, mts_encode
 
@@ -222,15 +224,20 @@ def cross_validate(corpus: Corpus, config, k: int = 10, seed: int = 0, lexica=No
     deterministic per document and computed once. Metrics use the
     whole-corpus class catalog so test labels are always in range.
     """
-    from . import pipeline as pl
+    return _cross_validate(corpus, config, k, seed, *_prepare(corpus, config, lexica))
 
+
+def _prepare(corpus: Corpus, config, lexica):
+    """The lexica (loaded from config.lexica_dir unless given) and the
+    corpus preprocessed with them."""
+    if lexica is None:
+        lexica = lx.load_lexica(config.lexica_dir)
+    return lexica, pl.preprocess_corpus(corpus, lexica)
+
+
+def _cross_validate(corpus: Corpus, config, k: int, seed: int, lexica, prep) -> MetricsReport:
     if corpus.n < k:
         raise EvaluationError(f"need at least k={k} documents, corpus has {corpus.n}")
-    if lexica is None:
-        from .lexica import load_lexica
-
-        lexica = load_lexica(config.lexica_dir)
-    prep = pl.preprocess_corpus(corpus, lexica)
     label_sets = [canonicalize(d.annotations) for d in corpus.documents]
     _, alphas = mts_encode(label_sets)
     catalog = build_class_catalog(corpus)
@@ -248,7 +255,7 @@ def cross_validate(corpus: Corpus, config, k: int = 10, seed: int = 0, lexica=No
         if missing:
             warnings.warn(
                 f"fold {fold}: {len(missing)} test class(es) absent from training split",
-                stacklevel=2,
+                stacklevel=3,
             )
         t0 = time.perf_counter()
         fitted = pl.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=train_idx)
@@ -266,20 +273,6 @@ class GridSearchResult:
     scores: list[tuple[dict, float]]
 
 
-_SCORING = {
-    "exact_match": "exact_match",
-    "accuracy": "accuracy",
-    "precision": "precision",
-    "recall": "recall",
-    "micro_precision": "micro_precision",
-    "micro_recall": "micro_recall",
-    "micro_f": "micro_f",
-    "macro_precision": "macro_precision",
-    "macro_recall": "macro_recall",
-    "macro_f": "macro_f",
-}
-
-
 def grid_search(
     corpus: Corpus,
     param_grid: dict,
@@ -291,19 +284,24 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive cross-validated evaluation of the grid's cartesian
     product; the best combination is the maximal mean score, ties resolved
-    by grid order."""
+    by grid order. The corpus is preprocessed once per lexica used."""
     if not param_grid:
         raise EvaluationError("empty parameter grid")
-    if scoring not in _SCORING:
-        raise EvaluationError(f"unknown scoring metric: {scoring!r}")
+    # the search maximises, so a loss (hamming_loss) cannot be the score
+    if scoring not in metric_names() or scoring == "hamming_loss":
+        raise EvaluationError(f"unknown or lower-is-better scoring metric: {scoring!r}")
     names = list(param_grid)
     scores: list[tuple[dict, float]] = []
     best: tuple[dict, float] | None = None
+    prepared = {}  # lexica_dir -> (lexica, PreparedCorpus); given lexica serve every point
     for values in itertools.product(*(param_grid[n] for n in names)):
         params = dict(zip(names, values))
         config = base_config.with_overrides(params)
-        report = cross_validate(corpus, config, k=k, seed=seed, lexica=lexica)
-        score = getattr(report.means, _SCORING[scoring])
+        key = None if lexica is not None else config.lexica_dir
+        if key not in prepared:
+            prepared[key] = _prepare(corpus, config, lexica)
+        report = _cross_validate(corpus, config, k, seed, *prepared[key])
+        score = getattr(report.means, scoring)
         scores.append((params, score))
         if best is None or score > best[1]:
             best = (params, score)

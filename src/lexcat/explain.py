@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import LabelAssignment
 from .entities import extract_entities
 from .textproc import to_token_stream
-from .trees import EnsembleModel, Tree, predict_proba, predict_proba_batch, predict
+from .trees import EnsembleModel, Tree, decode_row, predict_proba_batch
 
 
 class ExplainError(ValueError):
@@ -72,6 +73,28 @@ def aggregate_terms(paths, textual_names) -> list[str]:
     return sorted(counts, key=lambda t: (-counts[t], t))
 
 
+class Decision(NamedTuple):
+    """One row's prediction: class probabilities, decoded label set and the
+    explained class indices (the MTS argmax, or the BTS positives)."""
+
+    probs: np.ndarray
+    assignments: tuple[LabelAssignment, ...]
+    class_indices: list[int]
+
+    @property
+    def confidence(self) -> int:
+        """Rounded percentage of the mean probability of the explained classes."""
+        return int(round(100 * float(np.mean(self.probs[self.class_indices]))))
+
+
+def _decide(model: EnsembleModel, row: np.ndarray, threshold: float) -> Decision:
+    probs = predict_proba_batch(model, row[None, :])[0]
+    assignments = decode_row(model, probs, threshold)
+    if model.strategy == "mts":
+        return Decision(probs, assignments, [int(np.argmax(probs))])
+    return Decision(probs, assignments, [model.class_catalog.index(a) for a in assignments])
+
+
 def _surrogate_coefficients(
     model: EnsembleModel,
     row: np.ndarray,
@@ -112,8 +135,8 @@ def perturbation_relevance(
     proximity-weighted linear surrogate is fitted on presence indicators.
 
     Returns absolute surrogate coefficients; the signed values are exposed
-    through signed_relevance(). For multi-label predictions each predicted
-    assignment is explained separately and the coefficients are averaged.
+    through signed_relevance(). Under BTS each predicted class is explained
+    separately and the coefficients are averaged.
     """
     rel, _ = signed_relevance(model, row, n_samples, seed, textual_indices, threshold)
     return {t: abs(v) for t, v in rel.items()}
@@ -126,7 +149,9 @@ def signed_relevance(
     seed: int = 0,
     textual_indices=None,
     threshold: float = 0.5,
-) -> tuple[dict[str, float], tuple[LabelAssignment, ...]]:
+) -> tuple[dict[str, float], Decision]:
+    """Signed surrogate coefficients of the row's active terms, and the
+    decision they explain."""
     if n_samples < 10:
         raise ExplainError("n_samples must be >= 10")
     row = np.asarray(row, dtype=float)
@@ -134,20 +159,15 @@ def signed_relevance(
         textual_indices = range(len(row))
     textual_indices = np.asarray(sorted(textual_indices), dtype=np.int64)
     active = textual_indices[row[textual_indices] != 0]
-    predicted = predict(model, row, threshold)
+    decision = _decide(model, row, threshold)
     if len(active) == 0:
-        return {}, predicted
-    probs = predict_proba(model, row)
-    if model.strategy == "mts":
-        class_indices = [int(np.argmax(probs))]
-    else:
-        class_indices = [model.class_catalog.index(a) for a in predicted]
+        return {}, decision
     coefs = np.zeros(len(active))
-    for ci in class_indices:
+    for ci in decision.class_indices:
         coefs += _surrogate_coefficients(model, row, active, ci, n_samples, seed)
-    coefs /= len(class_indices)
+    coefs /= len(decision.class_indices)
     names = [model.feature_names[i] for i in active]
-    return dict(zip(names, coefs)), predicted
+    return dict(zip(names, coefs)), decision
 
 
 def select_top_terms(freq_ordered, relevances, limit: int = 7) -> list[tuple[str, float]]:
@@ -160,15 +180,7 @@ def select_top_terms(freq_ordered, relevances, limit: int = 7) -> list[tuple[str
 def confidence(model: EnsembleModel, row, threshold: float = 0.5) -> int:
     """Rounded percentage of the mean class probability behind the
     prediction (mean over assignments for multi-positive BTS output)."""
-    row = np.asarray(row, dtype=float)
-    probs = predict_proba(model, row)
-    if model.strategy == "mts":
-        value = probs[int(np.argmax(probs))]
-    else:
-        predicted = predict(model, row, threshold)
-        idx = [model.class_catalog.index(a) for a in predicted]
-        value = float(np.mean(probs[idx]))
-    return int(round(100 * value))
+    return _decide(model, np.asarray(row, dtype=float), threshold).confidence
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,7 @@ def build_explanation(fitted, doc, lexica, n_samples: int | None = None, seed: i
     textual_idx = [i for i, k in enumerate(fitted.kept_kinds) if k == "textual"]
     textual_names = {fitted.kept_names[i] for i in textual_idx}
 
-    signed, predicted = signed_relevance(
+    signed, decision = signed_relevance(
         model, row, n_samples, seed, textual_idx, config.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
@@ -293,8 +305,8 @@ def build_explanation(fitted, doc, lexica, n_samples: int | None = None, seed: i
         instance_type=display[4],
         jurisdiction=display[5],
         resolution_type=display[6],
-        assignments=tuple(predicted),
-        confidence=confidence(model, row, config.bts_threshold),
+        assignments=tuple(decision.assignments),
+        confidence=decision.confidence,
         top_terms=tuple(top),
         paths=paths,
         signed_relevance=signed,

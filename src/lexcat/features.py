@@ -128,9 +128,6 @@ class FeatureMatrix:
         if not (len(self.names) == len(self.kinds) == self.X.shape[1]):
             raise FeatureError("names, kinds and matrix width must agree")
 
-    def indices_of_kind(self, kind: str) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == kind]
-
     def subset(self, names: list[str]) -> "FeatureMatrix":
         pos = {n: i for i, n in enumerate(self.names)}
         idx = [pos[n] for n in names]

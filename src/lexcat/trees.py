@@ -12,7 +12,7 @@ are reproducible and trees could be grown in parallel.
 Variant behaviour:
   rf    bootstrap resampling, sqrt(d) feature subsampling, best splits
   eetc  full sample, sqrt(d) feature subsampling, random splits
-  etc   single tree, all features, splitter from the hyperparameters
+  etc   one extremely randomised tree: eetc with a single tree
   dt    single tree, all features, splitter from the hyperparameters
 """
 
@@ -73,24 +73,15 @@ class Hyperparams:
             raise ModelError("max_depth must be None or >= 0")
 
 
-def gini(class_counts) -> float:
-    """1 - sum(p_k^2) over the class proportions."""
+def impurity(class_counts, criterion: str) -> float:
+    """Impurity of one node's class counts: gini 1 - sum(p_k^2), entropy
+    -sum(p_k log2 p_k) with 0 log 0 = 0."""
     counts = np.asarray(class_counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
+    if criterion not in CRITERIA:
+        raise ModelError(f"criterion must be one of {CRITERIA}: {criterion!r}")
+    if counts.sum() <= 0:
         raise ModelError("impurity of an empty node is undefined")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
-
-
-def entropy(class_counts) -> float:
-    """-sum(p_k log2 p_k) with 0 log 0 = 0."""
-    counts = np.asarray(class_counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise ModelError("impurity of an empty node is undefined")
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(_impurity_rows(counts[None, :], criterion)[0])
 
 
 def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -227,9 +218,6 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] < 0
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -355,27 +343,29 @@ class EnsembleModel:
         return self.mts_catalog.p if self.strategy == "mts" else self.class_catalog.m
 
 
+# variant -> (splitter it forces, None to keep the hyperparameter; default
+# bootstrap; sqrt(d) candidate features by default; n_estimators trees, else one)
+_VARIANT_KNOBS = {
+    "dt": (None, False, False, False),
+    "etc": ("random", False, True, False),
+    "eetc": ("random", False, True, True),
+    "rf": ("best", True, True, True),
+}
+
+
 def _variant_knobs(variant: str, hp: Hyperparams, d: int, bootstrap, max_features):
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant: {variant!r}")
-    sqrt_d = max(1, int(math.sqrt(d)))
-    if variant == "rf":
-        hp = replace(hp, splitter="best")
-        boot = True if bootstrap is None else bootstrap
-        mf = sqrt_d if max_features is None else max_features
-        n_trees = hp.n_estimators
-    elif variant == "eetc":
-        hp = replace(hp, splitter="random")
-        boot = False if bootstrap is None else bootstrap
-        mf = sqrt_d if max_features is None else max_features
-        n_trees = hp.n_estimators
-    else:  # single-tree variants
-        boot = False if bootstrap is None else bootstrap
-        mf = None if max_features is None else max_features
-        n_trees = 1
-    if mf is not None and mf >= d:
-        mf = None
-    return hp, boot, mf, n_trees
+    splitter, default_bootstrap, sqrt_features, ensemble = _VARIANT_KNOBS[variant]
+    if splitter is not None:
+        hp = replace(hp, splitter=splitter)
+    if bootstrap is None:
+        bootstrap = default_bootstrap
+    if max_features is None and sqrt_features:
+        max_features = max(1, int(math.sqrt(d)))
+    if max_features is not None and max_features >= d:
+        max_features = None
+    return hp, bootstrap, max_features, hp.n_estimators if ensemble else 1
 
 
 def _fit_forest(
@@ -487,60 +477,38 @@ def _leaf_distributions(tree: Tree, weights: np.ndarray, X: np.ndarray) -> np.nd
     return weighted / totals
 
 
-def _check_row(model: EnsembleModel, row) -> np.ndarray:
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or len(row) != len(model.feature_names):
-        raise ModelError(
-            f"row has {row.shape} values, model expects {len(model.feature_names)} columns"
-        )
-    return row
-
-
 def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """MTS: (n, p) class probabilities (rows sum to 1). BTS: (n, m) per-class
     positive probabilities. Mean of the trees' leaf distributions."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != len(model.feature_names):
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ModelError(
-            f"matrix has {X.shape[1]} columns, model expects {len(model.feature_names)}"
+            f"matrix has shape {X.shape}, model expects {len(model.feature_names)} columns"
         )
+    means = []
+    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
+        acc = np.zeros((len(X), len(weights)))
+        for tree in forest:
+            acc += _leaf_distributions(tree, weights, X)
+        means.append(acc / len(forest))
     if model.strategy == "mts":
-        forest = model.class_forests[0]
-        weights = model.class_weight_vectors[0]
-        acc = np.zeros((len(X), model.mts_catalog.p))
-        for tree in forest:
-            acc += _leaf_distributions(tree, weights, X)
-        return acc / len(forest)
-    out = np.zeros((len(X), model.class_catalog.m))
-    for j, forest in enumerate(model.class_forests):
-        weights = model.class_weight_vectors[j]
-        acc = np.zeros((len(X), 2))
-        for tree in forest:
-            acc += _leaf_distributions(tree, weights, X)
-        out[:, j] = acc[:, 1] / len(forest)
-    return out
+        return means[0]
+    return np.column_stack([m[:, 1] for m in means])
 
 
-def predict_proba(model: EnsembleModel, row) -> np.ndarray:
-    return predict_proba_batch(model, _check_row(model, row)[None, :])[0]
+def decode_row(
+    model: EnsembleModel, probs: np.ndarray, threshold: float = 0.5
+) -> tuple[LabelAssignment, ...]:
+    """Label set of one row of predict_proba_batch: MTS argmax decoded
+    through the combination catalog, BTS positives above the threshold
+    with abstention repair."""
+    if model.strategy == "mts":
+        return mts_decode(int(np.argmax(probs)) + 1, model.mts_catalog)
+    return bts_decode(probs, model.class_catalog, threshold)
 
 
 def predict_batch(model: EnsembleModel, X: np.ndarray, threshold: float = 0.5):
-    probs = predict_proba_batch(model, X)
-    out = []
-    if model.strategy == "mts":
-        for p in probs:
-            out.append(mts_decode(int(np.argmax(p)) + 1, model.mts_catalog))
-    else:
-        for p in probs:
-            out.append(bts_decode(p, model.class_catalog, threshold))
-    return out
-
-
-def predict(model: EnsembleModel, row, threshold: float = 0.5) -> tuple[LabelAssignment, ...]:
-    """Predicted label set: MTS argmax decoded through the combination
-    catalog, BTS positives above the threshold with abstention repair."""
-    return predict_batch(model, _check_row(model, row)[None, :], threshold)[0]
+    return [decode_row(model, p, threshold) for p in predict_proba_batch(model, X)]
 
 
 def _forest_importances(class_forests, weight_vectors, criterion: str, d: int) -> np.ndarray:
@@ -605,8 +573,11 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
-def _tree_from_obj(obj) -> Tree:
-    return Tree(
+def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
+    """Rebuild one tree, rejecting arrays that could not come from fit_tree:
+    children must follow their split node in preorder, which also makes
+    every root-to-leaf walk end."""
+    tree = Tree(
         feature=np.asarray(obj["feature"], dtype=np.int32),
         threshold=np.asarray(obj["threshold"], dtype=float),
         left=np.asarray(obj["left"], dtype=np.int32),
@@ -614,6 +585,19 @@ def _tree_from_obj(obj) -> Tree:
         depth=np.asarray(obj["depth"], dtype=np.int32),
         counts=np.asarray(obj["counts"], dtype=float),
     )
+    n = tree.n_nodes
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.depth)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
+    if tree.counts.shape != (n, n_outputs):
+        raise ModelError(f"malformed tree: counts must have shape ({n}, {n_outputs})")
+    split = np.nonzero(tree.feature >= 0)[0]
+    for child in (tree.left[split], tree.right[split]):
+        if ((child <= split) | (child >= n)).any():
+            raise ModelError("malformed tree: each child must follow its node in preorder")
+    if (tree.feature[split] >= n_features).any():
+        raise ModelError(f"malformed tree: feature index beyond the {n_features} features")
+    return tree
 
 
 def model_to_json(model: EnsembleModel) -> str:
@@ -651,6 +635,11 @@ def model_from_json(text: str) -> EnsembleModel:
     classes = tuple(_assignment_from_obj(o) for o in obj["classes"])
     class_catalog = ClassCatalog(classes)
     combos = tuple(tuple(classes[i] for i in combo) for combo in obj["combos"])
+    weight_vectors = [np.asarray(w, dtype=float) for w in obj["class_weight_vectors"]]
+    forests = obj["forests"]
+    if not forests or not all(forests) or len(weight_vectors) != len(forests):
+        raise ModelError("model needs nonempty forests with one class-weight vector each")
+    n_features = len(obj["feature_names"])
     return EnsembleModel(
         variant=obj["variant"],
         strategy=obj["strategy"],
@@ -658,8 +647,11 @@ def model_from_json(text: str) -> EnsembleModel:
         feature_names=tuple(obj["feature_names"]),
         class_catalog=class_catalog,
         mts_catalog=MtsCatalog(combos),
-        class_forests=[[_tree_from_obj(t) for t in forest] for forest in obj["forests"]],
-        class_weight_vectors=[np.asarray(w, dtype=float) for w in obj["class_weight_vectors"]],
+        class_forests=[
+            [_tree_from_obj(t, n_features, len(w)) for t in forest]
+            for forest, w in zip(forests, weight_vectors)
+        ],
+        class_weight_vectors=weight_vectors,
     )
 
 

@@ -27,13 +27,12 @@ from lexcat.pipeline import PipelineConfig, fit_pipeline, preprocess_corpus
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.trees import (
     Hyperparams,
-    entropy,
     fit_ensemble,
     fit_tree,
-    gini,
+    impurity,
     model_to_json,
-    predict,
-    predict_proba,
+    predict_batch,
+    predict_proba_batch,
 )
 
 from test_evaluation import oracle_all, random_instance
@@ -136,12 +135,12 @@ def test_criterion_04_tree_correctness():
     leaves = tree.apply(X)
     assert (tree.counts[leaves].argmax(axis=1) == y).all()
 
-    assert gini([4, 0]) == 0.0
-    assert gini([1, 1]) == 0.5
-    assert gini([2, 1, 1]) == 0.625
-    assert entropy([4, 0]) == 0.0
-    assert entropy([1, 1]) == 1.0
-    assert entropy([2, 1, 1]) == 1.5
+    assert impurity([4, 0], "gini") == 0.0
+    assert impurity([1, 1], "gini") == 0.5
+    assert impurity([2, 1, 1], "gini") == 0.625
+    assert impurity([4, 0], "entropy") == 0.0
+    assert impurity([1, 1], "entropy") == 1.0
+    assert impurity([2, 1, 1], "entropy") == 1.5
 
     classes = _assignments(3)
     sets = [(classes[v],) for v in y]
@@ -179,8 +178,8 @@ def test_criterion_05_explanation_faithfulness(lexica):
             agg += leaf_counts / leaf_counts.sum()
         agg /= len(forest)
         k = int(np.argmax(agg))
-        assert predict(model, row) == mts_decode(k + 1, model.mts_catalog)
-        assert np.allclose(predict_proba(model, row), agg, atol=1e-12)
+        assert predict_batch(model, row[None, :])[0] == mts_decode(k + 1, model.mts_catalog)
+        assert np.allclose(predict_proba_batch(model, row[None, :])[0], agg, atol=1e-12)
         assert confidence(model, row) == int(round(100 * agg[k]))
     assert time.perf_counter() - t0 < 30.0
 

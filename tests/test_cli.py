@@ -1,9 +1,14 @@
 import json
+import re
 
 import pytest
 
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
+from lexcat.explain import class_display_names
+from lexcat.pipeline import load_pipeline
+
+from test_trees import MALFORMATIONS, malformed_model_obj, within_seconds
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +175,45 @@ def test_train_twice_byte_identical(fast_config_path, tmp_path):
     assert main(["train", "--config", str(fast_config_path), "--model-file", str(m1)]) == EXIT_OK
     assert main(["train", "--config", str(fast_config_path), "--model-file", str(m2)]) == EXIT_OK
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_export_tree_bts_labels_follow_forest(fast_config_path, tmp_path):
+    model_file = tmp_path / "bts.json"
+    rc = main(["train", "--config", str(fast_config_path), "--strategy", "bts",
+               "--model-file", str(model_file)])
+    assert rc == EXIT_OK
+    model = load_pipeline(model_file).model
+    assert [len(f) for f in model.class_forests] == [5, 5, 5]
+    dot = tmp_path / "t.dot"
+    for index, forest_index in ((0, 0), (7, 1), (14, 2)):
+        rc = main(["export-tree", "--model-file", str(model_file), "--tree", str(index),
+                   "--out", str(dot)])
+        assert rc == EXIT_OK
+        nodes = re.findall(r'^  n\d+ \[label="([^"]*)"\];$', dot.read_text(encoding="utf-8"), re.M)
+        leaf_labels = {label for label in nodes if "≤" not in label}
+        assert leaf_labels
+        assert leaf_labels <= set(class_display_names(model, forest_index))
+    for index in ("15", "-1"):
+        rc = main(["export-tree", "--model-file", str(model_file), "--tree", index,
+                   "--out", str(dot)])
+        assert rc == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def dt_model_path(tmp_path_factory, fast_config_path):
+    path = tmp_path_factory.mktemp("cli") / "dt.json"
+    rc = main(["train", "--config", str(fast_config_path), "--model", "dt",
+               "--model-file", str(path)])
+    assert rc == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMATIONS))
+def test_malformed_model_file_is_data_error(dt_model_path, tmp_path, name):
+    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
+    obj["model"] = malformed_model_obj(obj["model"], name)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    with within_seconds(10):
+        rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
+    assert rc == EXIT_DATA

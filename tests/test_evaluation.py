@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lexcat import evaluation as ev
+from lexcat import pipeline
 from lexcat.pipeline import PipelineConfig
 from lexcat.synth import SynthSpec, generate_corpus
 
@@ -275,3 +276,33 @@ def test_report_row_shape():
     assert cells[1] == "RF"
     assert len(cells) == len(ev.REPORT_HEADER.split("\t"))
     assert cells[2] == "50.00"
+
+
+def test_grid_search_preprocesses_once(lexica, monkeypatch):
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=6))
+    base = _fast_config()
+    grid = {"criterion": ["gini", "entropy"]}
+    manual = [
+        ev.cross_validate(corpus, base.with_overrides({"criterion": c}), k=3, seed=1, lexica=lexica)
+        .means.micro_f
+        for c in grid["criterion"]
+    ]
+    calls = []
+    original = pipeline.preprocess_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "preprocess_corpus", counting)
+    result = ev.grid_search(corpus, grid, k=3, base_config=base, seed=1, lexica=lexica)
+    assert len(calls) == 1
+    assert [s for _, s in result.scores] == manual
+
+
+def test_grid_search_rejects_loss_scoring(lexica):
+    corpus = generate_corpus(SynthSpec(n_docs=20, n_classes=2, seed=8))
+    for scoring in ("hamming_loss", "nonsense"):
+        with pytest.raises(ev.EvaluationError):
+            ev.grid_search(corpus, {"criterion": ["gini"]}, k=2, base_config=_fast_config(),
+                           scoring=scoring, lexica=lexica)

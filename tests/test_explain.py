@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lexcat import explain, trees
 from lexcat.corpus import LabelAssignment
 from lexcat.explain import (
     ExplainError,
@@ -21,7 +22,7 @@ from lexcat.explain import (
 from lexcat.labels import ClassCatalog, MtsCatalog
 from lexcat.pipeline import PipelineConfig, fit_pipeline
 from lexcat.synth import SynthSpec, generate_corpus
-from lexcat.trees import EnsembleModel, Hyperparams, Tree, fit_ensemble
+from lexcat.trees import EnsembleModel, Hyperparams, Tree, fit_ensemble, predict_proba_batch
 
 
 def make_tree(feature, threshold, left, right, depth, counts):
@@ -345,3 +346,27 @@ def test_build_explanation_end_to_end(lexica):
     assert len(e1.top_terms) <= 7
     rels = [r for _, r in e1.top_terms]
     assert rels == sorted(rels, reverse=True)
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
+    # one evaluation of the explained row, plus one surrogate batch per
+    # explained class: the MTS argmax, or each BTS positive
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
+    config = PipelineConfig(
+        strategy=strategy, n_estimators=4, min_samples_leaf=1, seed=21, relevance_samples=60
+    )
+    fitted = fit_pipeline(corpus, config, lexica)
+    calls = []
+
+    def counting(model, X):
+        calls.append(len(X))
+        return predict_proba_batch(model, X)
+
+    # explain may also reach the forest through the trees module's helpers
+    monkeypatch.setattr(explain, "predict_proba_batch", counting)
+    monkeypatch.setattr(trees, "predict_proba_batch", counting)
+    e = build_explanation(fitted, corpus.documents[4], lexica)
+    k = 1 if strategy == "mts" else len(e.assignments)
+    assert len(e.assignments) == 2 and e.signed_relevance
+    assert calls == [1] + [60] * k

@@ -1,4 +1,7 @@
+import json
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,17 +14,16 @@ from lexcat.trees import (
     ModelError,
     Tree,
     compute_class_weights,
-    entropy,
     feature_importances,
     find_split,
     fit_ensemble,
     fit_tree,
-    gini,
+    impurity,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
-    predict_proba,
+    predict_batch,
+    predict_proba_batch,
     save_model,
 )
 
@@ -31,19 +33,24 @@ def las(n):
 
 
 def test_gini_values():
-    assert gini([4, 0]) == 0.0
-    assert gini([5, 5]) == 0.5
-    assert math.isclose(gini([2, 1, 1]), 0.625, abs_tol=1e-15)
+    assert impurity([4, 0], "gini") == 0.0
+    assert impurity([5, 5], "gini") == 0.5
+    assert math.isclose(impurity([2, 1, 1], "gini"), 0.625, abs_tol=1e-15)
     with pytest.raises(ModelError):
-        gini([0, 0])
+        impurity([0, 0], "gini")
+
+
+def test_impurity_unknown_criterion():
+    with pytest.raises(ModelError):
+        impurity([1, 1], "mse")
 
 
 def test_entropy_values():
-    assert entropy([4, 0]) == 0.0
-    assert entropy([5, 5]) == 1.0
-    assert math.isclose(entropy([2, 1, 1]), 1.5, abs_tol=1e-15)
+    assert impurity([4, 0], "entropy") == 0.0
+    assert impurity([5, 5], "entropy") == 1.0
+    assert math.isclose(impurity([2, 1, 1], "entropy"), 1.5, abs_tol=1e-15)
     with pytest.raises(ModelError):
-        entropy([])
+        impurity([], "entropy")
 
 
 def test_hyperparams_validation():
@@ -67,8 +74,8 @@ def test_find_split_separable():
     assert 2.0 < thr < 3.0
     left = y[X[:, 0] <= thr]
     right = y[X[:, 0] > thr]
-    assert gini(np.bincount(left)) == 0.0
-    assert gini(np.bincount(right, minlength=2)) == 0.0
+    assert impurity(np.bincount(left), "gini") == 0.0
+    assert impurity(np.bincount(right, minlength=2), "gini") == 0.0
 
 
 def test_find_split_none_cases():
@@ -166,6 +173,18 @@ def test_fit_ensemble_rf_reduces_to_dt():
     assert model_to_json(rf).replace('"variant":"rf"', '"variant":"dt"') == model_to_json(dt)
 
 
+def test_fit_ensemble_etc_is_one_extra_tree():
+    # etc is a single extremely randomised tree: eetc grown with one tree
+    X, y = _separable_data(80)
+    sets = _label_sets_for(y, las(3))
+    hp = Hyperparams(n_estimators=1, seed=4)
+    etc = fit_ensemble(X, sets, hp, "etc", "mts")
+    eetc = fit_ensemble(X, sets, hp, "eetc", "mts")
+    assert model_to_json(etc).replace('"variant":"etc"', '"variant":"eetc"') == model_to_json(eetc)
+    dt = fit_ensemble(X, sets, hp, "dt", "mts")
+    assert model_to_json(etc).replace('"variant":"etc"', '"variant":"dt"') != model_to_json(dt)
+
+
 def test_fit_ensemble_bts_forest_count():
     X, y = _separable_data(60)
     classes = las(3)
@@ -186,7 +205,7 @@ def test_predict_proba_single_tree_one_hot():
     X, y = _separable_data(100)
     sets = _label_sets_for(y, las(3))
     model = fit_ensemble(X, sets, Hyperparams(seed=0), "dt", "mts")
-    probs = predict_proba(model, X[0])
+    probs = predict_proba_batch(model, X[:1])[0]
     assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
     assert probs.max() == 1.0  # separable data grows pure leaves
 
@@ -213,10 +232,10 @@ def test_predict_proba_two_trees_mean():
         class_forests=[[t1, t2]],
         class_weight_vectors=[np.ones(2)],
     )
-    probs = predict_proba(model, np.array([0.0]))
+    probs = predict_proba_batch(model, np.array([[0.0]]))[0]
     assert probs.tolist() == [0.5, 0.5]
     # argmax tie resolves to the lowest class index
-    assert predict(model, np.array([0.0])) == (classes[0],)
+    assert predict_batch(model, np.array([[0.0]]))[0] == (classes[0],)
 
 
 def test_predict_consistency_with_decode():
@@ -224,8 +243,9 @@ def test_predict_consistency_with_decode():
     sets = _label_sets_for(y, las(3))
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=7, seed=2), "rf", "mts")
     for row in X[:20]:
-        probs = predict_proba(model, row)
-        assert predict(model, row) == mts_decode(int(np.argmax(probs)) + 1, model.mts_catalog)
+        probs = predict_proba_batch(model, row[None, :])[0]
+        decoded = predict_batch(model, row[None, :])[0]
+        assert decoded == mts_decode(int(np.argmax(probs)) + 1, model.mts_catalog)
 
 
 def test_predict_bts_fallback():
@@ -233,8 +253,8 @@ def test_predict_bts_fallback():
     sets = _label_sets_for(y, las(3))
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=5, seed=0), "rf", "bts")
     row = X[0]
-    probs = predict_proba(model, row)
-    decoded = predict(model, row)
+    probs = predict_proba_batch(model, row[None, :])[0]
+    decoded = predict_batch(model, row[None, :])[0]
     if (probs <= 0.5).all():
         assert len(decoded) == 1
     assert len(decoded) >= 1
@@ -244,7 +264,7 @@ def test_predict_row_shape_errors():
     X, y = _separable_data(40)
     model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(seed=0), "dt", "mts")
     with pytest.raises(ModelError):
-        predict_proba(model, np.zeros(5))
+        predict_proba_batch(model, np.zeros((1, 5)))
 
 
 def test_feature_importances():
@@ -272,7 +292,7 @@ def test_serialization_round_trip(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert model_to_json(loaded) == text
-    assert (predict_proba(loaded, X[0]) == predict_proba(model, X[0])).all()
+    assert (predict_proba_batch(loaded, X[:1]) == predict_proba_batch(model, X[:1])).all()
 
 
 def test_same_seed_same_serialized_model():
@@ -295,3 +315,56 @@ def test_split_semantics_left_is_lte():
     left_leaf = tree.left[0]
     assert tree.counts[left_leaf].argmax() == 0  # value <= threshold goes left
     assert tree.apply(np.array([[thr]]))[0] == left_leaf
+
+
+class DeadlineExceeded(BaseException):
+    """Not an Exception, so no handler under test can swallow it."""
+
+
+@contextmanager
+def within_seconds(seconds: float):
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _set(key, node, value):
+    def mutate(tree):
+        tree[key][node] = value
+
+    return mutate
+
+
+# Mutations of a serialized tree. Left unchecked, "cycle" makes Tree.apply
+# loop forever and the out-of-range ids escape as IndexError.
+MALFORMATIONS = {
+    "cycle": _set("left", 0, 0),
+    "child_out_of_range": _set("right", 0, 10_000),
+    "feature_out_of_range": _set("feature", 0, 99),
+    "short_depth": lambda tree: tree["depth"].pop(),
+    "missing_counts_row": lambda tree: tree["counts"].pop(),
+    "counts_width": lambda tree: [row.append(0.0) for row in tree["counts"]],
+}
+
+
+def malformed_model_obj(obj: dict, name: str) -> dict:
+    """`obj` (a parsed model) with MALFORMATIONS[name] applied to its first tree."""
+    MALFORMATIONS[name](obj["forests"][0][0])
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMATIONS))
+def test_malformed_model_rejected(name):
+    X, y = _separable_data(60)
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(seed=0), "dt", "mts")
+    assert model.trees[0].n_nodes > 1
+    bad = json.dumps(malformed_model_obj(json.loads(model_to_json(model)), name))
+    with within_seconds(5), pytest.raises(ModelError):
+        predict_proba_batch(model_from_json(bad), X)
