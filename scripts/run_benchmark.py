@@ -8,11 +8,12 @@ longer because the binary strategy trains one forest per class.
 """
 
 import argparse
+import itertools
 import sys
 import time
 import warnings
 
-from lexcat import evaluation
+from lexcat import evaluation, trees
 from lexcat.lexica import load_lexica
 from lexcat.pipeline import PipelineConfig
 from lexcat.synth import SynthSpec, generate_corpus
@@ -35,11 +36,7 @@ def main() -> int:
     print(f"corpus: {corpus.n} documents, {args.classes} combination classes")
     print(evaluation.REPORT_HEADER)
 
-    pairs = (
-        [(s, m) for s in ("bts", "mts") for m in ("etc", "eetc", "dt", "rf")]
-        if args.all
-        else [("mts", "rf")]
-    )
+    pairs = itertools.product(trees.STRATEGIES, trees.VARIANTS) if args.all else [("mts", "rf")]
     for strategy, model in pairs:
         config = PipelineConfig(
             strategy=strategy,

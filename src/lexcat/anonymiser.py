@@ -11,6 +11,12 @@ Trigger logic:
   * a corporate legal form swallows the capitalised run before it;
   * capitalised tokens from the name lexicon are swallowed by adjacent
     spans, or become standalone @Person spans.
+
+`anonymize` makes one pass over a document: it tokenises the text once,
+scans it once for triggers (`detect_references`), grows the spans over
+adjacent names (`expand_names`) and upgrades standalone names after a role
+noun. Every span carries the indices of its first and last token, so the
+later steps find a span's neighbours and the role noun before it by index.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .lexica import AnonymiserLexica
 
@@ -29,17 +36,22 @@ _TOKEN = re.compile(r"\S+")
 _LEAD = "(«¡¿[\"'"
 _TRAIL = ",;:)»]\"'"
 
-_MAX_PHRASE = 5
 _CONTEXT_WINDOW = 2
+_CORPORATE_RUN = 4
 
 
 @dataclass
 class ReferenceSpan:
+    """Characters [start, end) of the text, made of tokens first_token to
+    last_token (inclusive) of the text's tokenisation."""
+
     start: int
     end: int
     tag: str
     surface: str
     names: list[str] = field(default_factory=list)
+    first_token: int | None = None
+    last_token: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
@@ -54,12 +66,8 @@ class AnonymisationReport:
     replaced_names: list[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class _Token:
-    start: int
-    end: int
-    text: str
-    core: str
+class _Token(NamedTuple):
+    core: str  # the token without its leading and trailing punctuation
     core_start: int
     core_end: int
 
@@ -67,198 +75,150 @@ class _Token:
 def _tokens(text: str) -> list[_Token]:
     out = []
     for m in _TOKEN.finditer(text):
-        tok = m.group(0)
-        lead = len(tok) - len(tok.lstrip(_LEAD))
-        stripped = tok.lstrip(_LEAD).rstrip(_TRAIL)
-        out.append(
-            _Token(
-                start=m.start(),
-                end=m.end(),
-                text=tok,
-                core=stripped,
-                core_start=m.start() + lead,
-                core_end=m.start() + lead + len(stripped),
-            )
-        )
+        led = m.group(0).lstrip(_LEAD)
+        core = led.rstrip(_TRAIL)
+        start = m.end() - len(led)
+        out.append(_Token(core, start, start + len(core)))
     return out
 
 
-def _is_name(tok: _Token, lexica: AnonymiserLexica) -> tuple[bool, int]:
-    """Whether the token is a capitalised lexicon name; returns the core end
-    offset of the matched form (a trailing period is not part of a name)."""
+def _name(tok: _Token, names: frozenset[str]) -> tuple[str, int] | None:
+    """The lexicon name a capitalised token holds and the offset where that
+    name ends (a trailing period is not part of a name), or None."""
     core = tok.core
-    if not core or not core[0].isupper():
-        return False, tok.core_end
-    names = lexica.first_names | lexica.surnames
+    if not core[:1].isupper():
+        return None
     if core.casefold() in names:
-        return True, tok.core_end
+        return core, tok.core_end
     trimmed = core.rstrip(".")
-    if trimmed and trimmed.casefold() in names:
-        return True, tok.core_start + len(trimmed)
-    return False, tok.core_end
+    if trimmed.casefold() in names:
+        return trimmed, tok.core_start + len(trimmed)
+    return None
 
 
-def _name_core(tok: _Token, lexica: AnonymiserLexica) -> str:
-    core = tok.core
-    if core.casefold() in (lexica.first_names | lexica.surnames):
-        return core
-    return core.rstrip(".")
+def _role_before(context: dict[int, str], first: int) -> str | None:
+    """Role of the nearest role noun that ends at most _CONTEXT_WINDOW tokens
+    before token `first`."""
+    for k in range(first - 1, first - 1 - _CONTEXT_WINDOW, -1):
+        if k in context:
+            return context[k]
+    return None
+
+
+def _span(text: str, toks: list[_Token], first: int, last: int, tag: str) -> ReferenceSpan:
+    start, end = toks[first].core_start, toks[last].core_end
+    return ReferenceSpan(start, end, tag, text[start:end], [], first, last)
 
 
 def _scan_triggers(
-    text: str, lexica: AnonymiserLexica
-) -> tuple[list[_Token], dict[int, str], list[ReferenceSpan], list[bool]]:
-    toks = _tokens(text)
+    text: str, toks: list[_Token], lexica: AnonymiserLexica
+) -> tuple[list[ReferenceSpan], dict[int, str]]:
+    """One left-to-right pass: the trigger spans in text order, and the role
+    of each role noun keyed by its last token."""
+    titles, implicit = lexica.titles, lexica.implicit_refs
+    forms = set(lexica.corporate_forms)
+    widest = max((key.count(" ") + 1 for key in (*titles, *implicit)), default=0)
+    folded = [tok.core.casefold() for tok in toks]
     n = len(toks)
-    claimed = [False] * n
     context: dict[int, str] = {}
     spans: list[ReferenceSpan] = []
-    form_set = set(lexica.corporate_forms)
-    lex_words = set(lexica.titles) | set(lexica.implicit_refs)
-
+    free = 0  # no token from here on belongs to a span
     i = 0
     while i < n:
-        if claimed[i]:
-            i += 1
-            continue
-        matched = False
         # titles / implicit references, longest phrase first
-        for width in range(min(_MAX_PHRASE, n - i), 0, -1):
-            if any(claimed[i + k] for k in range(width)):
-                continue
-            phrase = " ".join(toks[i + k].core.casefold() for k in range(width))
-            if phrase in lexica.titles:
-                tag = lexica.titles[phrase]
-                last = i + width - 1
-                if tag == "@Person":
-                    # honorific: replaceable, role comes from nearby context
-                    for back in range(1, _CONTEXT_WINDOW + 1):
-                        if i - back in context:
-                            tag = context[i - back]
-                            break
-                    spans.append(
-                        ReferenceSpan(
-                            toks[i].core_start,
-                            toks[last].core_end,
-                            tag,
-                            text[toks[i].core_start : toks[last].core_end],
-                        )
-                    )
-                    for k in range(width):
-                        claimed[i + k] = True
-                else:
+        for width in range(min(widest, n - i), 0, -1):
+            phrase = " ".join(folded[i : i + width])
+            last = i + width - 1
+            if phrase in titles:
+                tag = titles[phrase]
+                if tag != "@Person":
                     context[last] = tag
-                i += width
-                matched = True
-                break
-            if phrase in lexica.implicit_refs:
-                last = i + width - 1
-                spans.append(
-                    ReferenceSpan(
-                        toks[i].core_start,
-                        toks[last].core_end,
-                        lexica.implicit_refs[phrase],
-                        text[toks[i].core_start : toks[last].core_end],
-                    )
-                )
-                for k in range(width):
-                    claimed[i + k] = True
-                i += width
-                matched = True
-                break
-        if matched:
-            continue
-        # corporate legal form: swallow the capitalised run before it
-        if toks[i].core in form_set:
-            first = i
-            j = i - 1
-            taken = 0
-            while j >= 0 and taken < 4 and not claimed[j]:
-                core = toks[j].core
-                if not core or not core[0].isupper():
                     break
-                if core.casefold() in lex_words:
-                    break
-                first = j
-                taken += 1
-                j -= 1
-            spans.append(
-                ReferenceSpan(
-                    toks[first].core_start,
-                    toks[i].core_end,
-                    "@Corporate",
-                    text[toks[first].core_start : toks[i].core_end],
-                )
-            )
-            for k in range(first, i + 1):
-                claimed[k] = True
-        i += 1
-    return toks, context, spans, claimed
+                # honorific: replaceable, role comes from nearby context
+                tag = _role_before(context, i) or tag
+            elif phrase in implicit:
+                tag = implicit[phrase]
+            else:
+                continue
+            spans.append(_span(text, toks, i, last, tag))
+            free = last + 1
+            break
+        else:
+            width = 1
+            # corporate legal form: swallow the capitalised run before it
+            if toks[i].core in forms:
+                first = i
+                while (
+                    first > max(free, i - _CORPORATE_RUN)
+                    and toks[first - 1].core[:1].isupper()
+                    and folded[first - 1] not in titles
+                    and folded[first - 1] not in implicit
+                ):
+                    first -= 1
+                spans.append(_span(text, toks, first, i, "@Corporate"))
+                free = i + 1
+        i += width
+    return spans, context
 
 
 def detect_references(text: str, lexica: AnonymiserLexica) -> list[ReferenceSpan]:
-    """Left-to-right, longest-match trigger detection; spans never overlap."""
-    _, _, spans, _ = _scan_triggers(text, lexica)
-    return sorted(spans, key=lambda s: s.start)
+    """Left-to-right, longest-match trigger detection; spans never overlap
+    and come in text order."""
+    return _scan_triggers(text, _tokens(text), lexica)[0]
+
+
+def _expand_names(
+    text: str, toks: list[_Token], spans: list[ReferenceSpan], lexica: AnonymiserLexica
+) -> list[ReferenceSpan]:
+    names = lexica.first_names | lexica.surnames
+    found = [_name(tok, names) for tok in toks]
+    n = len(toks)
+    claimed = [False] * n
+    for span in spans:
+        for k in range(span.first_token, span.last_token + 1):
+            claimed[k] = True
+
+    def grow(span: ReferenceSpan) -> None:
+        k = span.last_token + 1
+        while k < n and not claimed[k] and found[k]:
+            name, span.end = found[k]
+            span.names.append(name)
+            claimed[k] = True
+            span.last_token = k
+            k += 1
+        k = span.first_token - 1
+        while k >= 0 and not claimed[k] and found[k]:
+            span.names.insert(0, found[k][0])
+            span.start = toks[k].core_start
+            claimed[k] = True
+            span.first_token = k
+            k -= 1
+        span.surface = text[span.start : span.end]
+
+    out = [replace(s, names=list(s.names)) for s in sorted(spans, key=lambda s: s.start)]
+    for span in out:
+        grow(span)
+    for k in range(n):
+        if claimed[k] or not found[k]:
+            continue
+        name, end = found[k]
+        claimed[k] = True
+        span = ReferenceSpan(toks[k].core_start, end, "@Person", "", [name], k, k)
+        grow(span)
+        out.append(span)
+    out.sort(key=lambda s: s.start)
+    return out
 
 
 def expand_names(
     text: str, spans: list[ReferenceSpan], lexica: AnonymiserLexica
 ) -> list[ReferenceSpan]:
     """Grow each span over adjacent capitalised lexicon names (rightward then
-    leftward); leftover lexicon names become standalone @Person spans."""
-    toks = _tokens(text)
-    n = len(toks)
-    claimed = [False] * n
-    for span in spans:
-        for k, tok in enumerate(toks):
-            if tok.start < span.end and tok.end > span.start:
-                claimed[k] = True
-
-    out = [ReferenceSpan(s.start, s.end, s.tag, s.surface, list(s.names)) for s in spans]
-    out.sort(key=lambda s: s.start)
-    for span in out:
-        right = next((k for k, t in enumerate(toks) if t.start >= span.end), n)
-        while right < n and not claimed[right]:
-            ok, core_end = _is_name(toks[right], lexica)
-            if not ok:
-                break
-            span.end = core_end
-            span.names.append(_name_core(toks[right], lexica))
-            claimed[right] = True
-            right += 1
-        left = next((k for k in range(n - 1, -1, -1) if toks[k].end <= span.start), -1)
-        while left >= 0 and not claimed[left]:
-            ok, _ = _is_name(toks[left], lexica)
-            if not ok:
-                break
-            span.start = toks[left].core_start
-            span.names.insert(0, _name_core(toks[left], lexica))
-            claimed[left] = True
-            left -= 1
-        span.surface = text[span.start : span.end]
-
-    for k in range(n):
-        if claimed[k]:
-            continue
-        ok, end = _is_name(toks[k], lexica)
-        if not ok:
-            continue
-        names = [_name_core(toks[k], lexica)]
-        start = toks[k].core_start
-        claimed[k] = True
-        j = k + 1
-        while j < n and not claimed[j]:
-            ok, core_end = _is_name(toks[j], lexica)
-            if not ok:
-                break
-            names.append(_name_core(toks[j], lexica))
-            end = core_end
-            claimed[j] = True
-            j += 1
-        out.append(ReferenceSpan(start, end, "@Person", text[start:end], names))
-    out.sort(key=lambda s: s.start)
-    return out
+    leftward); leftover lexicon names become standalone @Person spans. The
+    spans must carry their token range, as those of `detect_references` do."""
+    if any(s.first_token is None or s.last_token is None for s in spans):
+        raise ValueError("spans must carry their token range (see detect_references)")
+    return _expand_names(text, _tokens(text), spans, lexica)
 
 
 def jaro(a: str, b: str) -> float:
@@ -343,43 +303,25 @@ def anonymize(
     Standalone @Person spans preceded by a role noun are upgraded to its
     role; the local role registry overrides tags per verified name.
     """
-    toks, context, _, _ = _scan_triggers(text, lexica)
-    spans = detect_references(text, lexica)
-    spans = expand_names(text, spans, lexica)
-
-    tok_before: dict[int, int] = {}
+    toks = _tokens(text)
+    spans, context = _scan_triggers(text, toks, lexica)
+    spans = _expand_names(text, toks, spans, lexica)
     for span in spans:
-        idx = -1
-        for k, t in enumerate(toks):
-            if t.end <= span.start:
-                idx = k
-            else:
-                break
-        tok_before[id(span)] = idx
-
-    for span in spans:
-        base = tok_before[id(span)]
         if span.tag == "@Person":
-            for back in range(_CONTEXT_WINDOW):
-                k = base - back
-                if k in context:
-                    if _PRECEDENCE[context[k]] < _PRECEDENCE[span.tag]:
-                        span.tag = context[k]
-                    break
+            role = _role_before(context, span.first_token)
+            if role and _PRECEDENCE[role] < _PRECEDENCE[span.tag]:
+                span.tag = role
         full_name = " ".join(span.names).casefold()
         if full_name and full_name in lexica.role_registry:
             span.tag = lexica.role_registry[full_name]
 
-    counts: Counter = Counter()
-    replaced: set[tuple[str, str]] = set()
-    all_names = [" ".join(s.names) for s in spans if s.names]
-    mapping = unify_names(all_names, threshold)
-    result = text
-    for span in sorted(spans, key=lambda s: s.start, reverse=True):
-        result = result[: span.start] + span.tag + result[span.end :]
-        counts[span.tag] += 1
-        if span.names:
-            original = " ".join(span.names)
-            replaced.add((original, mapping[original]))
-    report = AnonymisationReport(dict(counts), sorted(replaced))
-    return result, report
+    full_names = [" ".join(s.names) for s in spans if s.names]
+    mapping = unify_names(full_names, threshold)
+    pieces, pos = [], 0
+    for span in spans:
+        pieces += (text[pos : span.start], span.tag)
+        pos = span.end
+    pieces.append(text[pos:])
+    counts = Counter(span.tag for span in reversed(spans))  # tags in order of last occurrence
+    replaced = sorted({(name, mapping[name]) for name in full_names})
+    return "".join(pieces), AnonymisationReport(dict(counts), replaced)

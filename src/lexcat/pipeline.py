@@ -270,23 +270,31 @@ def pipeline_to_json(fp: FittedPipeline) -> str:
 
 
 def pipeline_from_json(text: str) -> FittedPipeline:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"pipeline file is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError("pipeline file must hold a JSON object")
     if obj.get("format") != _PIPELINE_FORMAT:
         raise ConfigError(f"unsupported pipeline format: {obj.get('format')!r}")
-    vec = obj["vectorizer"]
-    return FittedPipeline(
-        config=PipelineConfig().with_overrides(obj["config"]),
-        vectorizer=VectorizerModel(
-            vocabulary=dict(vec["vocabulary"]),
-            max_df=vec["max_df"],
-            min_df=vec["min_df"],
-            ngram_range=tuple(vec["ngram_range"]),
-        ),
-        encoder=CategoricalEncoder(tables=obj["encoder"]),
-        kept_names=list(obj["kept_names"]),
-        kept_kinds=list(obj["kept_kinds"]),
-        model=model_from_json(json.dumps(obj["model"])),
-    )
+    try:
+        vec = obj["vectorizer"]
+        return FittedPipeline(
+            config=PipelineConfig().with_overrides(obj["config"]),
+            vectorizer=VectorizerModel(
+                vocabulary=dict(vec["vocabulary"]),
+                max_df=vec["max_df"],
+                min_df=vec["min_df"],
+                ngram_range=tuple(vec["ngram_range"]),
+            ),
+            encoder=CategoricalEncoder(tables=obj["encoder"]),
+            kept_names=list(obj["kept_names"]),
+            kept_kinds=list(obj["kept_kinds"]),
+            model=model_from_json(json.dumps(obj["model"])),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"pipeline file lacks field {exc}") from None
 
 
 def save_pipeline(fp: FittedPipeline, path) -> None:

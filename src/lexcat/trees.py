@@ -597,6 +597,8 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
             raise ModelError("malformed tree: each child must follow its node in preorder")
     if (tree.feature[split] >= n_features).any():
         raise ModelError(f"malformed tree: feature index beyond the {n_features} features")
+    if not np.isfinite(tree.threshold[split]).all():
+        raise ModelError("malformed tree: split thresholds must be finite")
     return tree
 
 

@@ -1,9 +1,12 @@
 import math
+import shutil
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcat import anonymiser
 from lexcat.anonymiser import (
     ReferenceSpan,
     anonymize,
@@ -12,6 +15,7 @@ from lexcat.anonymiser import (
     jaro,
     unify_names,
 )
+from lexcat.lexica import default_data_dir, load_anonymiser_lexica
 
 
 def jaro_oracle(a, b):
@@ -127,6 +131,12 @@ def test_expand_names_standalone_person(lexica):
     assert spans[0].surface == "María García"
 
 
+def test_expand_names_needs_token_ranges(lexica):
+    text = "el demandante Juan"
+    with pytest.raises(ValueError):
+        expand_names(text, [ReferenceSpan(3, 13, "@Person", "demandante")], lexica.anonymiser)
+
+
 def test_reference_span_validation():
     with pytest.raises(ValueError):
         ReferenceSpan(5, 5, "@Person", "")
@@ -182,3 +192,31 @@ def test_no_lexicon_name_survives(lexica):
         first, last = name.split()
         assert first not in out
         assert last not in out
+
+
+def test_anonymize_tokenises_and_scans_once(lexica, monkeypatch):
+    calls = Counter()
+    for name in ("_tokens", "_scan_triggers"):
+
+        def counted(*args, _original=getattr(anonymiser, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(anonymiser, name, counted)
+    text = "el Magistrado D. Juan Pérez y la demandante María García, de Vega, S.A., declaró Luis Romero"
+    out, report = anonymize(text, lexica.anonymiser)
+    assert out == "el Magistrado @Judge y la @Person, de @Corporate, declaró @Person"
+    assert calls == {"_tokens": 1, "_scan_triggers": 1}
+
+
+def test_title_longer_than_five_words(lexica, tmp_path):
+    for path in default_data_dir().iterdir():
+        shutil.copy(path, tmp_path)
+    with open(tmp_path / "titles.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\nilustrísimo señor magistrado de esta sala\t@Judge\n")
+    text = "el ilustrísimo señor magistrado de esta sala D. Juan Pérez falló"
+    out, _ = anonymize(text, load_anonymiser_lexica(tmp_path))
+    assert out == "el ilustrísimo señor magistrado de esta sala @Judge falló"
+    # the bundled lexica only know "magistrado", four tokens before the honorific
+    out, _ = anonymize(text, lexica.anonymiser)
+    assert out == "el ilustrísimo señor magistrado de esta sala @Person falló"

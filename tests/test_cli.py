@@ -217,3 +217,15 @@ def test_malformed_model_file_is_data_error(dt_model_path, tmp_path, name):
     with within_seconds(10):
         rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["not json", '{"format": "lexcat-pipeline-v1"}', "[]"],
+    ids=["not_json", "missing_vectorizer", "not_an_object"],
+)
+def test_malformed_pipeline_file_is_data_error(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
+    assert rc == EXIT_DATA

@@ -1,14 +1,17 @@
-"""Golden digests of the serialized artifacts on a small synthetic corpus.
+"""Golden digests of the serialized artifacts on a small synthetic corpus,
+and of the anonymiser's output on a fixed text set.
 
-Any change to how models are fitted, serialized or explained shows up here
-as a changed SHA-256. A deliberate change must update the digest and say
-why in CHANGES.md.
+Any change to how models are fitted, serialized or explained, or to how
+references are found and replaced, shows up here as a changed SHA-256. A
+deliberate change must update the digest and say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from lexcat.anonymiser import anonymize
 from lexcat.explain import build_explanation, render_explanation
 from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, preprocess_corpus
 from lexcat.synth import SynthSpec, generate_corpus
@@ -70,3 +73,65 @@ def test_explanation_digest(setting, lexica, strategy):
     for i in (4, 11):
         text = render_explanation(build_explanation(fitted, corpus.documents[i], lexica))
         assert _sha(text) == EXPLANATION_DIGESTS[(strategy, i)], i
+
+
+# Each case exercises one trigger rule of the anonymiser on the bundled
+# lexica; "lexicon_sweep" runs every title, implicit reference and corporate
+# form of the lexica once.
+ANONYMISER_TEXTS = {
+    "honorific_role_one_back": "el Magistrado D. Juan Pérez falló",
+    "honorific_role_two_back": "la Letrada ilustre Dña. Carmen López alegó; el Juez, D. Luis Romero, calló",
+    "two_word_title": (
+        "el Magistrado Ponente D. Antonio Martínez redactó; el magistrado ponente señor "
+        "D. Luis Gil y el Magistrado Ponente Rosa Díaz votaron"
+    ),
+    "implicit_references": "el demandante recurrió y la recurrida, apelante en la instancia, contestó",
+    "corporate_run": (
+        "La demanda de Construcciones Vega Norte, S.L. y de Hermanos Ruiz S.A. fue admitida; "
+        "D. Juan Vega S.L. y el Magistrado Gil SA firmaron. S.L.U. y «Obras Sur, S.A.»"
+    ),
+    "standalone_and_adjacent": (
+        "declaró María García en la vista; la Procuradora Luis Romero y el Juez Antonio "
+        "Sánchez López firmaron; (D. José Juan Martínez) y Juan Pérez, demandante, contra "
+        "la recurrida Carmen Díaz Moreno"
+    ),
+    "trailing_period": "compareció ante la sala Juan Pérez. Luego la Sra. Rosa Gil. habló",
+    "accent_variants": "Dña. María García declaró. Después Dña. Maria Garcia firmó. Luego María García calló.",
+    "role_registry": "declara Emilio Garrido en la sala y la Procuradora Concepción Vidal asiste",
+}
+ANONYMISER_DIGESTS = {
+    "accent_variants": "2b1b588ec8c93613bc4bf48f978e99e33bb04d344815d33764824a6e939d9747",
+    "corporate_run": "9d43f0627cd2f3fe1a2a8ebfda5f9b3d8675d6e63f4ccdc2e0a811d75becd883",
+    "honorific_role_one_back": "0abebbfeeaad5eda761ff289aa1867ea4d4356b072302f56ed0e96dbbd8462bd",
+    "honorific_role_two_back": "2bd835fd50c9ec5b56cb27ece1bc75d80d2f5b1141a9affb23ec711e51259ea6",
+    "implicit_references": "578d793941ecfdb7df54ba35bc6d5ead0c16f3b9344dcd51a4d442cbf899ce49",
+    "role_registry": "608fcc06c796daab39eb35646b5723074640b68864a821dbf08edc36ccbdf4dd",
+    "standalone_and_adjacent": "2b17ac931deaea588fce81ef69a0fb4bfcc44f94cefc728dde0640bc4487ddc4",
+    "trailing_period": "9c7bc2f7c84a1e13d88405191507025a36403695c6084509f436c447cc5aa48c",
+    "two_word_title": "5afdaf6d13b1fff45623e485e13f6dd0b32524e04d1019f1d14e4404d4c7b303",
+    "lexicon_sweep": "06cd948444ea8e5468341e5b79e5e540662c1b742090b69d7e0384187fc65652",
+}
+
+
+def _lexicon_sweep(lex):
+    firsts = sorted(n.capitalize() for n in lex.first_names)
+    lasts = sorted(n.capitalize() for n in lex.surnames)
+    keys = sorted(lex.titles) + sorted(lex.implicit_refs) + list(lex.corporate_forms)
+    lines = []
+    for i, key in enumerate(keys):
+        f, l = firsts[i % len(firsts)], lasts[(3 * i) % len(lasts)]
+        lines.append(f"el {key} {f} {l} y {key.capitalize()} {l}, Hijos {key} {firsts[-1 - i % len(firsts)]}.")
+    return "\n".join(lines)
+
+
+def _anonymised_digest(text, lex):
+    out, report = anonymize(text, lex)
+    record = json.dumps([list(report.counts.items()), report.replaced_names], ensure_ascii=False)
+    return _sha(out + "\n" + record)
+
+
+@pytest.mark.parametrize("case", sorted(ANONYMISER_TEXTS) + ["lexicon_sweep"])
+def test_anonymiser_digest(lexica, case):
+    lex = lexica.anonymiser
+    text = _lexicon_sweep(lex) if case == "lexicon_sweep" else ANONYMISER_TEXTS[case]
+    assert _anonymised_digest(text, lex) == ANONYMISER_DIGESTS[case]

@@ -343,9 +343,12 @@ def _set(key, node, value):
 
 
 # Mutations of a serialized tree. Left unchecked, "cycle" makes Tree.apply
-# loop forever and the out-of-range ids escape as IndexError.
+# loop forever, the out-of-range ids escape as IndexError and a null (NaN)
+# threshold sends every row right.
 MALFORMATIONS = {
     "cycle": _set("left", 0, 0),
+    "null_threshold": _set("threshold", 0, None),
+    "infinite_threshold": _set("threshold", 0, float("inf")),
     "child_out_of_range": _set("right", 0, 10_000),
     "feature_out_of_range": _set("feature", 0, 99),
     "short_depth": lambda tree: tree["depth"].pop(),
