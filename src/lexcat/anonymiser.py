@@ -27,9 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .lexica import AnonymiserLexica
+from .lexica import TAGS, AnonymiserLexica
 
-TAGS = ("@Judge", "@Attorney", "@Lawyer", "@Corporate", "@Person")
 _PRECEDENCE = {tag: i for i, tag in enumerate(TAGS)}
 
 _TOKEN = re.compile(r"\S+")

@@ -13,6 +13,10 @@ from importlib import resources
 from pathlib import Path
 
 
+# replacement tags of the anonymiser, in precedence order
+TAGS = ("@Judge", "@Attorney", "@Lawyer", "@Corporate", "@Person")
+
+
 class ConfigurationError(RuntimeError):
     """A required lexicon or resource file is missing or malformed."""
 
@@ -44,6 +48,16 @@ def _pairs(path: Path) -> list[tuple[str, str]]:
             raise ConfigurationError(f"{path}: expected 'key<TAB>value', got {line!r}")
         entries.append((parts[0], parts[1]))
     return entries
+
+
+def _tagged(path: Path) -> dict[str, str]:
+    """Casefolded key -> anonymiser tag, rejecting tags outside TAGS."""
+    table = {}
+    for key, tag in _pairs(path):
+        if tag not in TAGS:
+            raise ConfigurationError(f"{path}: unknown tag {tag!r} for {key!r}; tags: {TAGS}")
+        table[key.casefold()] = tag
+    return table
 
 
 def _optional_pairs(path: Path) -> list[tuple[str, str | None]]:
@@ -121,17 +135,13 @@ def load_entity_lexica(data_dir: Path | None = None) -> EntityLexica:
 
 def load_anonymiser_lexica(data_dir: Path | None = None) -> AnonymiserLexica:
     d = Path(data_dir) if data_dir else default_data_dir()
-    titles = {k.casefold(): v for k, v in _pairs(d / "titles.tsv")}
-    implicit = {k.casefold(): v for k, v in _pairs(d / "implicit_refs.tsv")}
+    titles = _tagged(d / "titles.tsv")
+    implicit = _tagged(d / "implicit_refs.tsv")
     forms = tuple(_wordlist(d / "corporate_forms.txt"))
     first = frozenset(n.casefold() for n in _wordlist(d / "first_names.txt"))
     last = frozenset(n.casefold() for n in _wordlist(d / "surnames.txt"))
     registry_path = d / "roles.tsv"
-    registry = (
-        {k.casefold(): v for k, v in _pairs(registry_path)}
-        if registry_path.is_file()
-        else {}
-    )
+    registry = _tagged(registry_path) if registry_path.is_file() else {}
     return AnonymiserLexica(titles, implicit, forms, first, last, registry)
 
 

@@ -60,5 +60,5 @@ def to_token_stream(
     lands on a stop-word never reaches the vectorizer.
     """
     toks = remove_stopwords(tokenize(clean(raw_text)), stopwords)
-    lemmas = lemmatize(toks, lemma_lexicon, doc_id)
-    return TokenStream(tuple(remove_stopwords(list(lemmas.tokens), stopwords)), doc_id)
+    lemmas = [lemma_lexicon.get(t, t) for t in toks]
+    return TokenStream(tuple(remove_stopwords(lemmas, stopwords)), doc_id)

@@ -112,97 +112,64 @@ def find_split(
     hyperparams: Hyperparams,
     rng: np.random.Generator,
     sample_weight: np.ndarray | None = None,
-    candidate_features=None,
     n_classes: int | None = None,
 ):
-    """Best (feature, threshold) for the given node samples, or None.
+    """Best (column, threshold) over every column of X for the given node
+    samples, or None.
 
-    'best' scans the midpoints between consecutive distinct sorted values of
-    each candidate feature; 'random' draws one uniform threshold per
-    candidate feature and keeps the best of those. Both only allow splits
-    whose children satisfy min_samples_leaf. Ties break on the lowest
-    feature index, then the lowest threshold.
+    One stable sort orders all columns. A split may fall between neighbouring
+    distinct sorted values when both children keep min_samples_leaf samples.
+    'best' scores every such position at its midpoint; 'random' draws one
+    uniform threshold per non-constant column, in column order, and scores
+    only the position it falls at. Both splitters share one scoring step;
+    ties break on the lowest column, then the lowest threshold.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    n, d = X.shape
+    n = len(X)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    if candidate_features is None:
-        candidate_features = range(d)
-    candidate_features = sorted(int(f) for f in candidate_features)
     leaf = hyperparams.min_samples_leaf
-    criterion = hyperparams.criterion
 
-    base = np.zeros(n_classes)
-    np.add.at(base, y, w)
+    order = np.argsort(X, axis=0, kind="stable")
+    sv = np.take_along_axis(X, order, axis=0)
+    sizes = np.arange(1, n)[:, None]  # left-child size of a split after each sorted row
+    feasible = (sv[:-1] != sv[1:]) & (sizes >= leaf) & (n - sizes >= leaf)
+    if hyperparams.splitter == "random":
+        lo, hi = sv[0], sv[-1]
+        varies = lo != hi
+        thr = lo.copy()
+        thr[varies] = rng.uniform(lo[varies], hi[varies])
+        feasible &= sizes == (sv <= thr).sum(axis=0)
+    col, row = np.nonzero(feasible.T)  # column-major: lowest column, then threshold
+    if col.size == 0:
+        return None
+
+    # class weights left of each feasible position, summed in sorted order
+    sy, sw = y[order], w[order]
+    left = np.empty((col.size, n_classes))
+    for c in range(n_classes):
+        left[:, c] = np.cumsum(np.where(sy == c, sw, 0.0), axis=0)[row, col]
+    base = np.bincount(y, weights=w, minlength=n_classes)
     total_w = base.sum()
-    parent_imp = _impurity_rows(base[None, :], criterion)[0]
-
-    best_dec = -1.0
-    best: tuple[int, float] | None = None
-
-    for f in candidate_features:
-        v = X[:, f]
-        if hyperparams.splitter == "best":
-            order = np.argsort(v, kind="mergesort")
-            sv = v[order]
-            if sv[0] == sv[-1]:
-                continue
-            sy = y[order]
-            sw = w[order]
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), sy] = sw
-            cum = np.cumsum(onehot, axis=0)
-            pos = np.nonzero(sv[:-1] != sv[1:])[0]
-            sizes = pos + 1
-            feasible = (sizes >= leaf) & (n - sizes >= leaf)
-            pos = pos[feasible]
-            if pos.size == 0:
-                continue
-            left_counts = cum[pos]
-            right_counts = base - left_counts
-            wl = left_counts.sum(axis=1)
-            wr = total_w - wl
-            ok = (wl > 0) & (wr > 0)
-            if not ok.any():
-                continue
-            dec = np.full(pos.size, -np.inf)
-            dec[ok] = (
-                parent_imp
-                - (wl[ok] / total_w) * _impurity_rows(left_counts[ok], criterion)
-                - (wr[ok] / total_w) * _impurity_rows(right_counts[ok], criterion)
-            )
-            k = int(np.argmax(dec))
-            if dec[k] > best_dec:
-                best_dec = float(dec[k])
-                thr = (sv[pos[k]] + sv[pos[k] + 1]) / 2.0
-                best = (f, float(thr))
-        else:
-            lo, hi = v.min(), v.max()
-            if lo == hi:
-                continue
-            thr = float(rng.uniform(lo, hi))
-            left_mask = v <= thr
-            nl = int(left_mask.sum())
-            if nl < leaf or n - nl < leaf:
-                continue
-            lc = np.zeros(n_classes)
-            np.add.at(lc, y[left_mask], w[left_mask])
-            rc = base - lc
-            wl, wr = lc.sum(), rc.sum()
-            if wl <= 0 or wr <= 0:
-                continue
-            dec = (
-                parent_imp
-                - (wl / total_w) * _impurity_rows(lc[None, :], criterion)[0]
-                - (wr / total_w) * _impurity_rows(rc[None, :], criterion)[0]
-            )
-            if dec > best_dec:
-                best_dec = float(dec)
-                best = (f, thr)
-    return best
+    right = base - left
+    wl = left.sum(axis=1)
+    wr = total_w - wl
+    ok = (wl > 0) & (wr > 0)
+    dec = np.full(col.size, -np.inf)
+    dec[ok] = (
+        _impurity_rows(base[None, :], hyperparams.criterion)[0]
+        - (wl[ok] / total_w) * _impurity_rows(left[ok], hyperparams.criterion)
+        - (wr[ok] / total_w) * _impurity_rows(right[ok], hyperparams.criterion)
+    )
+    k = int(np.argmax(dec))
+    if not dec[k] > -1.0:
+        return None
+    f, r = int(col[k]), row[k]
+    if hyperparams.splitter == "random":
+        return f, float(thr[f])
+    return f, float((sv[r, f] + sv[r + 1, f]) / 2.0)
 
 
 @dataclass
@@ -240,8 +207,10 @@ def fit_tree(
     n_classes: int | None = None,
     class_weights: np.ndarray | None = None,
     max_features: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tree:
-    """Grow one tree on integer class labels.
+    """Grow one tree on integer class labels, over the given rows of X and
+    y (repeats allowed, as in a bootstrap sample; every row once by default).
 
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
@@ -267,7 +236,7 @@ def fit_tree(
     counts_arr: list[np.ndarray] = []
 
     # frames: (sample indices, depth, parent id, is_left_child)
-    stack = [(np.arange(n), 0, -1, False)]
+    stack = [(np.arange(n) if rows is None else np.asarray(rows), 0, -1, False)]
     while stack:
         idx, depth, parent, is_left = stack.pop()
         node_id = len(feature)
@@ -290,22 +259,20 @@ def fit_tree(
             continue
         if (counts > 0).sum() <= 1:
             continue
+        cands = np.arange(d)
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            cands = None
         split = find_split(
-            X[idx],
+            X[np.ix_(idx, cands)],
             y[idx],
             hyperparams,
             rng,
             sample_weight=w[idx],
-            candidate_features=cands,
             n_classes=n_classes,
         )
         if split is None:
             continue
-        f, thr = split
+        f, thr = int(cands[split[0]]), split[1]
         feature[node_id] = f
         threshold[node_id] = thr
         mask = X[idx, f] <= thr
@@ -383,20 +350,18 @@ def _fit_forest(
     forest = []
     for t in range(n_trees):
         rng = np.random.default_rng(base_seed + tree_offset + t)
-        if bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-            Xt, yt = X[idx], y[idx]
-        else:
-            Xt, yt = X, y
+        # a bootstrap sample is grown as rows of X, so X is never copied
+        rows = rng.integers(0, len(y), size=len(y)) if bootstrap else None
         forest.append(
             fit_tree(
-                Xt,
-                yt,
+                X,
+                y,
                 hp,
                 rng=rng,
                 n_classes=n_classes,
                 class_weights=weights,
                 max_features=max_features,
+                rows=rows,
             )
         )
     return forest, weights

@@ -1,11 +1,13 @@
 import json
 import re
+import shutil
 
 import pytest
 
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.explain import class_display_names
+from lexcat.lexica import default_data_dir
 from lexcat.pipeline import load_pipeline
 
 from test_trees import MALFORMATIONS, malformed_model_obj, within_seconds
@@ -93,6 +95,25 @@ def test_anonymize_command(tmp_path):
     assert "Juan" not in anonymized.documents[0].raw_text
     report = (tmp_path / "anon.jsonl.report.tsv").read_text(encoding="utf-8")
     assert "@Judge\t1" in report
+
+
+@pytest.mark.parametrize("table", ["titles.tsv", "implicit_refs.tsv", "roles.tsv"])
+def test_unknown_anonymiser_tag_is_data_error(table, tmp_path, capsys):
+    lexica_dir = tmp_path / "lexica"
+    shutil.copytree(default_data_dir(), lexica_dir)
+    with open(lexica_dir / table, "a", encoding="utf-8") as fh:
+        fh.write("juez\t@Boss\n")
+    corpus = tmp_path / "c.jsonl"
+    record = {
+        "id": "a",
+        "text": "el juez D. Juan Pérez falló",
+        "labels": [{"order": "civil", "categories": ["a", "b", "c"]}],
+    }
+    corpus.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    rc = main(["anonymize", "--corpus", str(corpus), "--out", str(tmp_path / "anon.jsonl"),
+               "--lexica-dir", str(lexica_dir)])
+    assert rc == EXIT_DATA
+    assert "unknown tag '@Boss'" in capsys.readouterr().err
 
 
 def test_train_evaluate_explain_export(fast_config_path, synth_corpus_path, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import signal
@@ -6,6 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from lexcat import trees
 from lexcat.corpus import LabelAssignment
 from lexcat.labels import ClassCatalog, MtsCatalog, mts_decode
 from lexcat.trees import (
@@ -13,6 +15,7 @@ from lexcat.trees import (
     Hyperparams,
     ModelError,
     Tree,
+    _impurity_rows,
     compute_class_weights,
     feature_importances,
     find_split,
@@ -104,6 +107,143 @@ def test_find_split_tie_breaks_lowest_feature():
     assert thr == 0.5
 
 
+def reference_find_split(X, y, hyperparams, rng, sample_weight=None, n_classes=None):
+    """The per-feature split search find_split replaced, kept as an oracle:
+    each column is sorted and scored on its own, and the random splitter
+    sums the left child's weights in sample order."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    leaf = hyperparams.min_samples_leaf
+    criterion = hyperparams.criterion
+
+    base = np.zeros(n_classes)
+    np.add.at(base, y, w)
+    total_w = base.sum()
+    parent_imp = _impurity_rows(base[None, :], criterion)[0]
+
+    best_dec = -1.0
+    best = None
+    for f in range(d):
+        v = X[:, f]
+        if hyperparams.splitter == "best":
+            order = np.argsort(v, kind="mergesort")
+            sv = v[order]
+            if sv[0] == sv[-1]:
+                continue
+            onehot = np.zeros((n, n_classes))
+            onehot[np.arange(n), y[order]] = w[order]
+            cum = np.cumsum(onehot, axis=0)
+            pos = np.nonzero(sv[:-1] != sv[1:])[0]
+            sizes = pos + 1
+            pos = pos[(sizes >= leaf) & (n - sizes >= leaf)]
+            if pos.size == 0:
+                continue
+            left_counts = cum[pos]
+            right_counts = base - left_counts
+            wl = left_counts.sum(axis=1)
+            wr = total_w - wl
+            ok = (wl > 0) & (wr > 0)
+            if not ok.any():
+                continue
+            dec = np.full(pos.size, -np.inf)
+            dec[ok] = (
+                parent_imp
+                - (wl[ok] / total_w) * _impurity_rows(left_counts[ok], criterion)
+                - (wr[ok] / total_w) * _impurity_rows(right_counts[ok], criterion)
+            )
+            k = int(np.argmax(dec))
+            if dec[k] > best_dec:
+                best_dec = float(dec[k])
+                best = (f, float((sv[pos[k]] + sv[pos[k] + 1]) / 2.0))
+        else:
+            lo, hi = v.min(), v.max()
+            if lo == hi:
+                continue
+            thr = float(rng.uniform(lo, hi))
+            left_mask = v <= thr
+            nl = int(left_mask.sum())
+            if nl < leaf or n - nl < leaf:
+                continue
+            lc = np.zeros(n_classes)
+            np.add.at(lc, y[left_mask], w[left_mask])
+            rc = base - lc
+            wl, wr = lc.sum(), rc.sum()
+            if wl <= 0 or wr <= 0:
+                continue
+            dec = (
+                parent_imp
+                - (wl / total_w) * _impurity_rows(lc[None, :], criterion)[0]
+                - (wr / total_w) * _impurity_rows(rc[None, :], criterion)[0]
+            )
+            if dec > best_dec:
+                best_dec = float(dec)
+                best = (f, thr)
+    return best
+
+
+def _split_decrease(X, y, w, n_classes, split, criterion):
+    f, thr = split
+    go_left = X[:, f] <= thr
+    counts = [np.bincount(y[m], weights=w[m], minlength=n_classes) for m in (go_left, ~go_left)]
+    parent = sum(counts)
+    return impurity(parent, criterion) - sum(
+        c.sum() / parent.sum() * impurity(c, criterion) for c in counts
+    )
+
+
+def _oracle_case(seed):
+    rng = np.random.default_rng(seed)
+    n, d, n_classes = int(rng.integers(2, 60)), int(rng.integers(1, 8)), int(rng.integers(2, 6))
+    if seed % 2:
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    return X, rng.integers(0, n_classes, size=n), n_classes
+
+
+def test_find_split_matches_per_feature_reference():
+    flips = []
+    for seed in range(150):
+        X, y, n_classes = _oracle_case(seed)
+        for splitter, criterion, leaf, class_weight in itertools.product(
+            ("best", "random"), ("gini", "entropy"), (1, 2, 3), (None, "balanced")
+        ):
+            hp = Hyperparams(splitter=splitter, criterion=criterion, min_samples_leaf=leaf)
+            w = compute_class_weights(y, n_classes, class_weight)[y]
+            got = find_split(X, y, hp, np.random.default_rng(seed), w, n_classes)
+            want = reference_find_split(X, y, hp, np.random.default_rng(seed), w, n_classes)
+            if splitter == "random" and class_weight == "balanced" and got != want:
+                # left weights summed in sorted rather than sample order can
+                # flip an exact tie between two equally good splits
+                assert abs(
+                    _split_decrease(X, y, w, n_classes, got, criterion)
+                    - _split_decrease(X, y, w, n_classes, want, criterion)
+                ) <= 1e-12
+                flips.append((seed, criterion, leaf))
+            else:
+                assert got == want, (seed, splitter, criterion, leaf, class_weight)
+    assert flips == [(148, "gini", 1), (148, "gini", 2), (148, "entropy", 1), (148, "entropy", 2)]
+
+
+@pytest.mark.parametrize("variant", ["rf", "eetc"])
+def test_fit_tree_passes_only_candidate_columns(variant, monkeypatch):
+    widths = []
+
+    def counting_find_split(X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return find_split(X, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "find_split", counting_find_split)
+    rng = np.random.default_rng(1)
+    X = rng.integers(0, 5, size=(90, 16)).astype(float)
+    y = (X[:, 3] + X[:, 11] > 4).astype(int) + (X[:, 7] > 2)
+    fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(n_estimators=3, seed=2), variant, "mts")
+    assert len(widths) > 3 and set(widths) == {4}
+
+
 def _separable_data(n=120, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, 2))
@@ -144,6 +284,19 @@ def test_fit_tree_invariant_to_document_order():
     assert (t1.feature == t2.feature).all()
     assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
     assert (t1.counts == t2.counts).all()
+
+
+@pytest.mark.parametrize("splitter", ["best", "random"])
+def test_fit_tree_on_rows_equals_fit_on_copied_rows(splitter):
+    X, y = _separable_data()
+    rows = np.random.default_rng(5).integers(0, len(y), size=len(y))
+    hp = Hyperparams(splitter=splitter, class_weight="balanced", min_samples_leaf=2)
+    weights = compute_class_weights(y, 3, "balanced")
+    on_rows, on_copy = (
+        fit_tree(*data, hp, np.random.default_rng(2), 3, weights, max_features=1, rows=r)
+        for data, r in (((X, y), rows), ((X[rows], y[rows]), None))
+    )
+    assert json.dumps(trees._tree_to_obj(on_rows)) == json.dumps(trees._tree_to_obj(on_copy))
 
 
 def test_fit_tree_empty_errors():
