@@ -1,13 +1,14 @@
 """Rule-based extraction of the seven judicial features from raw judgement text.
 
 Detectors operate on NFC-normalised text, match case-insensitively and are
-pure functions of (text, lexica). Section markers: the heading ends at the
-first pleas-of-fact marker, the decision section starts after the last
-ruling marker.
+pure functions of (text, lexica), compiling each lexicon's patterns once.
+Section markers: the heading ends at the first pleas-of-fact marker, the
+decision section starts after the last ruling marker.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -19,9 +20,13 @@ MULTIPLE_DECISION = "multiple decision"
 
 JURISDICTIONS = ("civil", "contentious-administrative", "penal", "social")
 RESOLUTION_TYPES = ("sentencia", "orden", "decreto")
+# the decision type each resolution type implies
+DECISION_TYPES = {"sentencia": "substantive", "orden": "procedural", "decreto": "procedural"}
 
 _HEADING_END = re.compile(r"ANTECEDENTES\s+DE\s+HECHO", re.IGNORECASE)
 _DECISION_START = re.compile(r"\b(?:FALLAMOS|FALLO|PARTE\s+DISPOSITIVA)\b", re.IGNORECASE)
+# one group per resolution keyword; whole keywords never overlap
+_RESOLUTION = re.compile(r"\b(?:(" + ")|(".join(RESOLUTION_TYPES) + r"))\b", re.IGNORECASE)
 
 # Spanish display forms used by the explanation template.
 SPANISH_DISPLAY = {
@@ -75,10 +80,9 @@ class EntityRecord:
     resolution_type: str
 
     def __post_init__(self) -> None:
-        if self.resolution_type == "sentencia" and self.decision_type != "substantive":
-            raise ValueError("sentencia resolutions must be substantive decisions")
-        if self.resolution_type in ("orden", "decreto") and self.decision_type != "procedural":
-            raise ValueError("orden/decreto resolutions must be procedural decisions")
+        implied = DECISION_TYPES.get(self.resolution_type)
+        if implied is not None and self.decision_type != implied:
+            raise ValueError(f"{self.resolution_type} resolutions must be {implied} decisions")
 
     def values(self) -> tuple[str, ...]:
         return (
@@ -99,25 +103,29 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def _phrase_pattern(phrase: str) -> re.Pattern:
-    words = [re.escape(w) for w in phrase.split()]
-    return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
+@functools.cache
+def _patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, ...], re.Pattern]:
+    """One pattern per phrase (its words apart by any whitespace, whole words,
+    any case) and their alternation, which finds where the first one starts;
+    for an empty lexicon that is "(?!)", which never matches."""
+    sources = [r"\b" + r"\s+".join(map(re.escape, p.split())) + r"\b" for p in phrases]
+    patterns = tuple(re.compile(s, re.IGNORECASE) for s in sources)
+    return patterns, re.compile("|".join(sources) or "(?!)", re.IGNORECASE)
 
 
-def _first_match(text: str, phrases: list[str]) -> str | None:
+def _first_match(text: str, phrases: tuple[str, ...]) -> str | None:
     """Earliest occurrence wins; at equal position the longest phrase wins;
     remaining ties go to lexicon order."""
-    best: tuple[int, int, int] | None = None
-    best_phrase = None
-    for order, phrase in enumerate(phrases):
-        m = _phrase_pattern(phrase).search(text)
-        if m is None:
-            continue
-        rank = (m.start(), -(m.end() - m.start()), order)
-        if best is None or rank < best:
-            best = rank
-            best_phrase = phrase
-    return best_phrase
+    patterns, any_phrase = _patterns(phrases)
+    first = any_phrase.search(text)
+    if first is None:
+        return None
+    best_end, best = -1, None
+    for phrase, pattern in zip(phrases, patterns):
+        m = pattern.match(text, first.start())
+        if m is not None and m.end() > best_end:
+            best_end, best = m.end(), phrase
+    return best
 
 
 def detect_case_type(text: str, lexicon) -> str:
@@ -126,13 +134,12 @@ def detect_case_type(text: str, lexicon) -> str:
     The case number pattern that usually trails the type name (digits and a
     /year suffix) is irrelevant to the match and simply ignored.
     """
-    names = [e.name for e in lexicon]
-    hit = _first_match(_nfc(text), names)
+    hit = _first_match(_nfc(text), tuple(e.name for e in lexicon))
     return hit if hit is not None else UNKNOWN
 
 
 def detect_court(text: str, court_lexicon) -> str:
-    hit = _first_match(_nfc(text), list(court_lexicon))
+    hit = _first_match(_nfc(text), tuple(court_lexicon))
     return hit if hit is not None else UNKNOWN
 
 
@@ -140,12 +147,13 @@ def detect_decision(decision_section: str, decision_lexicon) -> str:
     """Exactly one keyword in the ruling section names the decision; two or
     more distinct keywords make it a multiple decision."""
     text = _nfc(decision_section)
-    found = [kw for kw in decision_lexicon if _phrase_pattern(kw).search(text)]
+    keywords = tuple(decision_lexicon)
+    found = {kw for kw, p in zip(keywords, _patterns(keywords)[0]) if p.search(text)}
     if not found:
         return UNKNOWN
-    if len(set(found)) > 1:
+    if len(found) > 1:
         return MULTIPLE_DECISION
-    return found[0]
+    return found.pop()
 
 
 def derive_instance_type(case_type: str) -> str:
@@ -165,7 +173,7 @@ def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica) -> str
     """Three detection routes in decreasing reliability: judicial-division
     phrase, GIN jurisdiction digit, case-type lexicon mapping."""
     nfc_text = _nfc(text)
-    hit = _first_match(nfc_text, list(lexica.divisions))
+    hit = _first_match(nfc_text, tuple(lexica.divisions))
     if hit is not None:
         return lexica.divisions[hit]
     if gin is not None:
@@ -190,15 +198,10 @@ def detect_resolution_type(heading_tail: str) -> str:
     style used in judgement headings (S E N T E N C I A).
     """
     text = _nfc(heading_tail)
-    best_end = -1
-    best = None
-    for kw in RESOLUTION_TYPES:
-        matches = list(re.finditer(r"\b" + kw + r"\b", text, re.IGNORECASE))
-        if matches and matches[-1].end() > best_end:
-            best_end = matches[-1].end()
-            best = kw
-    if best is not None:
-        return best
+    matches = list(_RESOLUTION.finditer(text))
+    if matches:
+        return RESOLUTION_TYPES[matches[-1].lastindex - 1]
+    best_end, best = -1, None
     compact = re.sub(r"\s+", "", text).casefold()
     for kw in RESOLUTION_TYPES:
         pos = compact.rfind(kw)
@@ -230,12 +233,7 @@ def extract_entities(judgement, lexica: EntityLexica) -> EntityRecord:
     court = detect_court(heading, lexica.courts)
     decision = detect_decision(decision_section, lexica.decisions)
     resolution = detect_resolution_type(heading)
-    if resolution == "sentencia":
-        decision_type = "substantive"
-    elif resolution in ("orden", "decreto"):
-        decision_type = "procedural"
-    else:
-        decision_type = UNKNOWN
+    decision_type = DECISION_TYPES.get(resolution, UNKNOWN)
     instance = UNKNOWN if case_type == UNKNOWN else derive_instance_type(case_type)
     jurisdiction = detect_jurisdiction(heading, judgement.gin, lexica)
     return EntityRecord(

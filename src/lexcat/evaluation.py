@@ -102,11 +102,11 @@ class MicroMacro:
     macro_f: float
 
 
-def micro_macro_prf(L, Z, catalog, skip_absent: bool = True) -> MicroMacro:
+def micro_macro_prf(L, Z, catalog) -> MicroMacro:
     """Per-class TP/FP/FN aggregation. Micro pools the counts before the
     ratio; macro averages per-class ratios. Classes that appear in neither
-    annotations nor predictions are skipped by default (configurable);
-    per-class ratios with an empty denominator count as 0.
+    annotations nor predictions are skipped; per-class ratios with an empty
+    denominator count as 0.
     """
     ls, zs = _check_lengths(L, Z)
     classes = [_key(c) for c in _catalog_classes(catalog)]
@@ -132,7 +132,7 @@ def micro_macro_prf(L, Z, catalog, skip_absent: bool = True) -> MicroMacro:
 
     per_p, per_r, per_f = [], [], []
     for c in classes:
-        if skip_absent and tp[c] + fp[c] + fn[c] == 0:
+        if tp[c] + fp[c] + fn[c] == 0:
             continue
         p = ratio(tp[c], tp[c] + fp[c])
         r = ratio(tp[c], tp[c] + fn[c])

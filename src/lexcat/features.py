@@ -49,7 +49,8 @@ def fit_vectorizer(token_streams, max_df: float, min_df: float, ngram_range) -> 
     """Vocabulary of contiguous word n-grams whose document-frequency
     proportion lies in [min_df, max_df]; strictly higher frequencies are
     corpus-specific stop words, strictly lower ones fall to the cut-off.
-    Columns are ordered lexicographically.
+    An n-gram spelled like a CATEGORICAL_FIELDS name is left out, since
+    columns are known by name. Columns are ordered lexicographically.
     """
     lo, hi = int(ngram_range[0]), int(ngram_range[1])
     if not (0 <= min_df < max_df <= 1):
@@ -63,7 +64,9 @@ def fit_vectorizer(token_streams, max_df: float, min_df: float, ngram_range) -> 
     for stream in streams:
         df.update(set(_ngrams(stream.tokens, lo, hi)))
     n = len(streams)
-    kept = sorted(g for g, c in df.items() if min_df <= c / n <= max_df)
+    kept = sorted(
+        g for g, c in df.items() if min_df <= c / n <= max_df and g not in CATEGORICAL_FIELDS
+    )
     if not kept:
         raise FeatureError("vocabulary is empty after document-frequency pruning")
     return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, (lo, hi))
@@ -241,16 +244,13 @@ def select_by_importance(
     matrix: FeatureMatrix,
     labels,
     n_estimators: int = 20,
-    threshold_rule: str = "mean",
     seed: int = 0,
 ) -> tuple[list[str], np.ndarray]:
     """Columns whose impurity-decrease importance under a small random
-    forest reaches the rule's threshold (default: the mean importance)."""
+    forest reaches the mean importance."""
     y = np.asarray(labels, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise FeatureError("importance selection needs at least two label classes")
-    if threshold_rule != "mean":
-        raise FeatureError(f"unknown threshold rule: {threshold_rule!r}")
     hp = Hyperparams(criterion="gini", n_estimators=n_estimators, seed=seed)
     y0 = y - y.min()
     n_classes = int(y0.max()) + 1

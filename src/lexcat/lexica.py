@@ -36,10 +36,6 @@ def _lines(path: Path) -> list[str]:
     return out
 
 
-def _wordlist(path: Path) -> list[str]:
-    return _lines(path)
-
-
 def _pairs(path: Path) -> list[tuple[str, str]]:
     entries = []
     for line in _lines(path):
@@ -112,7 +108,7 @@ class Lexica:
 
 def load_text_resources(data_dir: Path | None = None) -> TextResources:
     d = Path(data_dir) if data_dir else default_data_dir()
-    stop = frozenset(_wordlist(d / "stopwords.txt"))
+    stop = frozenset(_lines(d / "stopwords.txt"))
     lemmas = {}
     for form, lemma in _pairs(d / "lemmas.tsv"):
         if any(ch.isspace() for ch in form + lemma):
@@ -126,8 +122,8 @@ def load_entity_lexica(data_dir: Path | None = None) -> EntityLexica:
     case_types = tuple(
         CaseTypeEntry(name, juris) for name, juris in _optional_pairs(d / "case_types.tsv")
     )
-    courts = tuple(_wordlist(d / "courts.txt"))
-    decisions = tuple(_wordlist(d / "decisions.txt"))
+    courts = tuple(_lines(d / "courts.txt"))
+    decisions = tuple(_lines(d / "decisions.txt"))
     divisions = dict(_pairs(d / "divisions.tsv"))
     gin_map = dict(_pairs(d / "gin_jurisdiction.tsv"))
     return EntityLexica(case_types, courts, decisions, divisions, gin_map)
@@ -137,9 +133,9 @@ def load_anonymiser_lexica(data_dir: Path | None = None) -> AnonymiserLexica:
     d = Path(data_dir) if data_dir else default_data_dir()
     titles = _tagged(d / "titles.tsv")
     implicit = _tagged(d / "implicit_refs.tsv")
-    forms = tuple(_wordlist(d / "corporate_forms.txt"))
-    first = frozenset(n.casefold() for n in _wordlist(d / "first_names.txt"))
-    last = frozenset(n.casefold() for n in _wordlist(d / "surnames.txt"))
+    forms = tuple(_lines(d / "corporate_forms.txt"))
+    first = frozenset(n.casefold() for n in _lines(d / "first_names.txt"))
+    last = frozenset(n.casefold() for n in _lines(d / "surnames.txt"))
     registry_path = d / "roles.tsv"
     registry = _tagged(registry_path) if registry_path.is_file() else {}
     return AnonymiserLexica(titles, implicit, forms, first, last, registry)

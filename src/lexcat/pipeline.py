@@ -4,8 +4,10 @@ by the CLI, cross-validation and grid search."""
 from __future__ import annotations
 
 import json
+import types
+import typing
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .trees import (
     VARIANTS,
     fit_ensemble,
     model_from_json,
-    model_to_json,
+    model_to_obj,
     predict_batch,
 )
 
@@ -73,12 +75,20 @@ class PipelineConfig:
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _FIELD_TYPES[f.name]):
+                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}: {self.strategy!r}")
         if self.model not in VARIANTS:
             raise ConfigError(f"model must be one of {VARIANTS}: {self.model!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if self.relevance_samples < 10:
+            raise ConfigError(
+                f"config field 'relevance_samples' must be >= 10, got {self.relevance_samples}"
+            )
 
     def hyperparams(self) -> Hyperparams:
         try:
@@ -109,6 +119,19 @@ class PipelineConfig:
             return replace(self, **overrides)
         except (TypeError, ModelError) as exc:
             raise ConfigError(str(exc)) from None
+
+
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field's declared type, where an int is a float
+    but a bool is neither an int nor a float."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def config_from_json(path) -> PipelineConfig:
@@ -264,7 +287,7 @@ def pipeline_to_json(fp: FittedPipeline) -> str:
         "encoder": fp.encoder.tables,
         "kept_names": fp.kept_names,
         "kept_kinds": fp.kept_kinds,
-        "model": json.loads(model_to_json(fp.model)),
+        "model": model_to_obj(fp.model),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

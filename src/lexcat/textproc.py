@@ -16,7 +16,7 @@ class TokenStream:
 
     def __post_init__(self) -> None:
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if tok.split() != [tok]:
                 raise ValueError(f"invalid token in stream: {tok!r}")
 
 

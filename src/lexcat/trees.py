@@ -567,9 +567,11 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
     return tree
 
 
-def model_to_json(model: EnsembleModel) -> str:
+def model_to_obj(model: EnsembleModel) -> dict:
+    """The JSON object of a model, as model_to_json writes it and pipeline
+    files embed it."""
     hp = model.hyperparams
-    obj = {
+    return {
         "format": _FORMAT,
         "variant": model.variant,
         "strategy": model.strategy,
@@ -592,7 +594,10 @@ def model_to_json(model: EnsembleModel) -> str:
         "class_weight_vectors": [w.tolist() for w in model.class_weight_vectors],
         "forests": [[_tree_to_obj(t) for t in forest] for forest in model.class_forests],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def model_to_json(model: EnsembleModel) -> str:
+    return json.dumps(model_to_obj(model), sort_keys=True, separators=(",", ":"))
 
 
 def model_from_json(text: str) -> EnsembleModel:

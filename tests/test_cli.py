@@ -8,7 +8,7 @@ from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.explain import class_display_names
 from lexcat.lexica import default_data_dir
-from lexcat.pipeline import load_pipeline
+from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline
 
 from test_trees import MALFORMATIONS, malformed_model_obj, within_seconds
 
@@ -56,6 +56,60 @@ def test_bad_config_is_data_error(tmp_path):
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
     cfg.write_text("not json", encoding="utf-8")
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "bad,command",
+    [
+        ({"relevance_samples": 5}, ["explain", "--sample", "synth-00000"]),
+        ({"bts_threshold": "x"}, ["evaluate", "--strategy", "bts"]),
+        ({"seed": "abc"}, ["train"]),
+    ],
+    ids=["relevance_samples", "bts_threshold", "seed"],
+)
+def test_bad_config_value_is_data_error(fast_config_path, tmp_path, capsys, bad, command):
+    cfg = json.loads(fast_config_path.read_text(encoding="utf-8"))
+    cfg.update(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    field = next(iter(bad))
+    assert f"config field {field!r}" in capsys.readouterr().err
+
+
+def test_config_value_types():
+    PipelineConfig(max_df=1, max_depth=None, class_weight=None)  # an int is a float
+    for bad in (
+        {"seed": 1.0},
+        {"seed": True},
+        {"max_df": False},
+        {"max_df": None},
+        {"corpus": None},
+        {"importance_selection": 1},
+        {"grid": []},
+        {"relevance_samples": 9},
+    ):
+        with pytest.raises(ConfigError, match=repr(next(iter(bad)))):
+            PipelineConfig(**bad)
+
+
+@pytest.mark.parametrize("word", ["court", "decision", "jurisdiction"])
+def test_ngram_spelled_like_entity_field_trains(tmp_path, word):
+    corpus = tmp_path / "corpus.jsonl"
+    rc = main(["synth", "--docs", "60", "--classes", "3", "--seed", "1", "--out", str(corpus)])
+    assert rc == EXIT_OK
+    docs = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    for doc in docs[::3]:
+        doc["text"] += " " + word
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": str(corpus), "n_estimators": 5}), encoding="utf-8")
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--config", str(cfg), "--model-file", str(model_file)]) == EXIT_OK
+    fitted = load_pipeline(model_file)
+    assert word not in fitted.vectorizer.vocabulary
+    assert fitted.kept_names.count(word) <= 1
 
 
 def test_synth_corpus_loads(synth_corpus_path):

@@ -1,12 +1,18 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcat.corpus import Judgement, LabelAssignment
 from lexcat.entities import (
+    EntityRecord,
     GinParseError,
     MULTIPLE_DECISION,
+    RESOLUTION_TYPES,
     UNKNOWN,
+    _first_match,
     derive_instance_type,
     detect_case_type,
     detect_court,
@@ -17,7 +23,7 @@ from lexcat.entities import (
     parse_gin,
     split_sections,
 )
-from lexcat.lexica import CaseTypeEntry
+from lexcat.lexica import CaseTypeEntry, load_entity_lexica
 
 
 def test_parse_gin_positions():
@@ -192,3 +198,159 @@ def test_detectors_deterministic(lexica):
     r1 = extract_entities(_doc(LISTING_DOC), lexica.entities)
     r2 = extract_entities(_doc(LISTING_DOC), lexica.entities)
     assert r1 == r2
+
+
+def test_entity_record_rejects_contradicting_decision_type():
+    fields = dict(case_type=UNKNOWN, court=UNKNOWN, decision=UNKNOWN, instance_type=UNKNOWN,
+                  jurisdiction=UNKNOWN)
+    for resolution, wrong in (("sentencia", "procedural"), ("orden", "substantive"),
+                              ("decreto", UNKNOWN)):
+        with pytest.raises(ValueError, match=f"{resolution} resolutions"):
+            EntityRecord(**fields, decision_type=wrong, resolution_type=resolution)
+    # an unknown resolution type implies no decision type
+    EntityRecord(**fields, decision_type="procedural", resolution_type=UNKNOWN)
+
+
+# The matchers as they were when every call compiled one regex per phrase,
+# kept only as an oracle for the compiled-once versions.
+def _ref_phrase_pattern(phrase):
+    words = [re.escape(w) for w in phrase.split()]
+    return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
+
+
+def _ref_first_match(text, phrases):
+    best = None
+    best_phrase = None
+    for order, phrase in enumerate(phrases):
+        m = _ref_phrase_pattern(phrase).search(text)
+        if m is None:
+            continue
+        rank = (m.start(), -(m.end() - m.start()), order)
+        if best is None or rank < best:
+            best = rank
+            best_phrase = phrase
+    return best_phrase
+
+
+def _ref_detect_decision(decision_section, decision_lexicon):
+    text = unicodedata.normalize("NFC", decision_section)
+    found = [kw for kw in decision_lexicon if _ref_phrase_pattern(kw).search(text)]
+    if not found:
+        return UNKNOWN
+    if len(set(found)) > 1:
+        return MULTIPLE_DECISION
+    return found[0]
+
+
+def _ref_detect_resolution_type(heading_tail):
+    text = unicodedata.normalize("NFC", heading_tail)
+    best_end = -1
+    best = None
+    for kw in RESOLUTION_TYPES:
+        matches = list(re.finditer(r"\b" + kw + r"\b", text, re.IGNORECASE))
+        if matches and matches[-1].end() > best_end:
+            best_end = matches[-1].end()
+            best = kw
+    if best is not None:
+        return best
+    compact = re.sub(r"\s+", "", text).casefold()
+    for kw in RESOLUTION_TYPES:
+        pos = compact.rfind(kw)
+        if pos >= 0 and pos + len(kw) > best_end:
+            best_end = pos + len(kw)
+            best = kw
+    return best if best is not None else UNKNOWN
+
+
+_BUNDLED = load_entity_lexica()
+_PHRASES = sorted(
+    {e.name for e in _BUNDLED.case_types}
+    | set(_BUNDLED.courts)
+    | set(_BUNDLED.decisions)
+    | set(_BUNDLED.divisions)
+    | {"parcialmente estimatorio", "sala", "de lo"}
+)
+_WORDS = sorted({w for p in _PHRASES for w in re.split(r"[\s-]+", p)} | set(RESOLUTION_TYPES))
+_CASES = (str.lower, str.upper, str.title, str.swapcase, lambda w: w)
+_SEPARATORS = (" ", "  ", "\n", "\t", "-", "", ", ", ". ", "ſ", " ſ", "s ")
+
+_cased = st.builds(lambda f, w: f(w), st.sampled_from(_CASES), st.sampled_from(_WORDS))
+_spaced = st.sampled_from(RESOLUTION_TYPES).map(lambda kw: " ".join(kw.upper()))
+_texts = st.lists(
+    st.tuples(st.one_of(_cased, _cased, _spaced), st.sampled_from(_SEPARATORS)), max_size=30
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+_heading_words = RESOLUTION_TYPES + ("la", "presente", "sentencias", "ordenes", "ordenado")
+_headings = st.lists(
+    st.tuples(
+        st.one_of(
+            st.builds(lambda f, w: f(w), st.sampled_from(_CASES), st.sampled_from(_heading_words)),
+            _spaced,
+        ),
+        st.sampled_from(_SEPARATORS),
+    ),
+    max_size=12,
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+_lexicons = st.lists(
+    st.builds(lambda f, p: f(p), st.sampled_from(_CASES), st.sampled_from(_PHRASES)), max_size=8
+).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts, _lexicons)
+def test_first_match_equals_per_phrase_search(text, lexicon):
+    assert _first_match(text, lexicon) == _ref_first_match(text, lexicon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, _lexicons)
+def test_detect_decision_equals_per_keyword_search(text, lexicon):
+    assert detect_decision(text, lexicon) == _ref_detect_decision(text, lexicon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_texts, _headings))
+def test_detect_resolution_type_equals_per_keyword_scan(text):
+    assert detect_resolution_type(text) == _ref_detect_resolution_type(text)
+
+
+def test_detect_resolution_type_last_keyword_wins():
+    assert detect_resolution_type("ORDEN de la presente SENTENCIA") == "sentencia"
+    assert detect_resolution_type("sentencia, decreto y orden.") == "orden"
+    assert detect_resolution_type("sentencia, orden-decreto") == "decreto"
+    assert detect_resolution_type("S E N T E N C I A y D E C R E T O") == "decreto"
+
+
+@pytest.mark.parametrize(
+    "text,lexicon",
+    [
+        # a phrase that is a prefix of a longer one at the same position
+        ("ante la Sala de lo Contencioso-Administrativo del TSJ",
+         ("sala de lo contencioso", "sala de lo contencioso-administrativo")),
+        ("ante la sala de lo contencioso\nadministrativo", ("sala de lo contencioso",
+                                                             "sala de lo contencioso-administrativo")),
+        # entries that differ only in case: lexicon order decides
+        ("JUZGADO DE LO SOCIAL", ("Juzgado de lo Social", "juzgado de lo social")),
+        ("JUZGADO DE LO SOCIAL", ("juzgado de lo social", "Juzgado de lo Social")),
+        # a later entry that matches earlier in the text
+        ("juzgado de lo penal y tribunal supremo", ("Tribunal Supremo", "Juzgado de lo Penal")),
+        # an empty lexicon, and an empty text
+        ("Tribunal Supremo", ()),
+        ("", ("Tribunal Supremo",)),
+    ],
+)
+def test_first_match_cases(text, lexicon):
+    assert _first_match(text, lexicon) == _ref_first_match(text, lexicon)
+
+
+def test_first_match_hits():
+    both = ("sala de lo contencioso", "sala de lo contencioso-administrativo")
+    assert _first_match("la Sala de lo Contencioso-Administrativo", both) == both[1]
+    assert _first_match("la Sala de lo Contencioso y otra", both) == both[0]
+    cased = ("Juzgado de lo Social", "juzgado de lo social")
+    assert _first_match("JUZGADO DE LO SOCIAL", cased) == "Juzgado de lo Social"
+    assert _first_match("Tribunal Supremo", ()) is None
+    # a decision keyword inside a longer one still counts
+    nested = ("estimatorio", "parcialmente estimatorio")
+    assert detect_decision("parcialmente estimatorio", nested) == MULTIPLE_DECISION
+    assert detect_decision("ESTIMATORIO", ("estimatorio", "Estimatorio")) == MULTIPLE_DECISION
+    assert detect_decision("estimatorio", ()) == UNKNOWN

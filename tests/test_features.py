@@ -80,6 +80,17 @@ def test_fit_vectorizer_errors():
         fit_vectorizer([ts("a"), ts("a")], max_df=0.4, min_df=0.0, ngram_range=(1, 1))
 
 
+def test_fit_vectorizer_leaves_out_categorical_field_names():
+    streams = [ts("court", "a", *CATEGORICAL_FIELDS), ts("decision", "a", "jurisdiction")]
+    vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
+    assert not set(CATEGORICAL_FIELDS) & set(vec.vocabulary)
+    assert {"a", "court a", "decision a", "a jurisdiction"} <= set(vec.vocabulary)
+    # so the full matrix has one column per name
+    counts = transform(vec, streams)
+    codes, _ = encode_categoricals([_record(), _record()])
+    build_feature_matrix(counts, vec.names, codes)
+
+
 def test_transform_counts():
     streams = [ts("a", "b", "a")]
     vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))

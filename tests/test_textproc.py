@@ -68,6 +68,9 @@ def test_token_stream_rejects_whitespace_tokens():
         TokenStream(("a b",))
     with pytest.raises(ValueError):
         TokenStream(("",))
+    for tok in ("a\u2003b", " a", "a\n"):
+        with pytest.raises(ValueError, match="invalid token in stream"):
+            TokenStream(("ok", tok))
 
 
 def test_full_pipeline_order_and_stopwords(lexica):
