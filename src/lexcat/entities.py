@@ -169,9 +169,13 @@ def derive_instance_type(case_type: str) -> str:
     return "higher"
 
 
-def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica) -> str:
+def detect_jurisdiction(
+    text: str, gin: str | None, lexica: EntityLexica, case_type: str | None = None
+) -> str:
     """Three detection routes in decreasing reliability: judicial-division
-    phrase, GIN jurisdiction digit, case-type lexicon mapping."""
+    phrase, GIN jurisdiction digit, case-type lexicon mapping. The last
+    route maps the text's case type; a caller that has already detected it
+    passes it as case_type."""
     nfc_text = _nfc(text)
     hit = _first_match(nfc_text, tuple(lexica.divisions))
     if hit is not None:
@@ -183,7 +187,8 @@ def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica) -> str
             digit = None
         if digit is not None and digit in lexica.gin_jurisdiction:
             return lexica.gin_jurisdiction[digit]
-    case_type = detect_case_type(nfc_text, lexica.case_types)
+    if case_type is None:
+        case_type = detect_case_type(nfc_text, lexica.case_types)
     if case_type != UNKNOWN:
         for entry in lexica.case_types:
             if entry.name == case_type and entry.jurisdiction:
@@ -235,7 +240,7 @@ def extract_entities(judgement, lexica: EntityLexica) -> EntityRecord:
     resolution = detect_resolution_type(heading)
     decision_type = DECISION_TYPES.get(resolution, UNKNOWN)
     instance = UNKNOWN if case_type == UNKNOWN else derive_instance_type(case_type)
-    jurisdiction = detect_jurisdiction(heading, judgement.gin, lexica)
+    jurisdiction = detect_jurisdiction(heading, judgement.gin, lexica, case_type)
     return EntityRecord(
         case_type=case_type,
         court=court,

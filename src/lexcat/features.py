@@ -195,8 +195,6 @@ def discretize_ranks(values) -> np.ndarray:
 @dataclass
 class SpearmanReport:
     correlations: dict[str, float] = field(default_factory=dict)
-    rank_vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    target_ranks: np.ndarray | None = None
 
 
 def spearman(x, y) -> float:
@@ -221,7 +219,7 @@ def select_by_correlation(
     """Columns whose 10-step-discretised ranks correlate with the target at
     |r_s| >= threshold. Constant columns are always dropped."""
     target = np.asarray(target, dtype=float)
-    report = SpearmanReport(target_ranks=_ranks(target))
+    report = SpearmanReport()
     kept = []
     for i, name in enumerate(matrix.names):
         col = matrix.X[:, i]
@@ -234,7 +232,6 @@ def select_by_correlation(
             continue
         r = spearman(disc, target)
         report.correlations[name] = r
-        report.rank_vectors[name] = _ranks(disc)
         if abs(r) >= threshold:
             kept.append(name)
     return kept, report

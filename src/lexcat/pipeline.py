@@ -14,6 +14,7 @@ import numpy as np
 from .corpus import Corpus, Judgement
 from .entities import extract_entities
 from .features import (
+    CATEGORICAL_FIELDS,
     CategoricalEncoder,
     VectorizerModel,
     build_feature_matrix,
@@ -303,7 +304,7 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         raise ConfigError(f"unsupported pipeline format: {obj.get('format')!r}")
     try:
         vec = obj["vectorizer"]
-        return FittedPipeline(
+        fitted = FittedPipeline(
             config=PipelineConfig().with_overrides(obj["config"]),
             vectorizer=VectorizerModel(
                 vocabulary=dict(vec["vocabulary"]),
@@ -318,6 +319,21 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None
+    _check_kept_columns(fitted)
+    return fitted
+
+
+def _check_kept_columns(fp: FittedPipeline) -> None:
+    """The kept columns are the model's, each a vocabulary n-gram of kind
+    textual or an entity field of kind categorical."""
+    if fp.kept_names != list(fp.model.feature_names) or len(fp.kept_kinds) != len(fp.kept_names):
+        raise ConfigError("pipeline kept_names and kept_kinds must match the model's columns")
+    known = {"textual": fp.vectorizer.vocabulary, "categorical": CATEGORICAL_FIELDS}
+    for name, kind in zip(fp.kept_names, fp.kept_kinds):
+        if kind not in known:
+            raise ConfigError(f"unknown kept column kind: {kind!r}")
+        if name not in known[kind]:
+            raise ConfigError(f"kept column {name!r} is not a {kind} feature")
 
 
 def save_pipeline(fp: FittedPipeline, path) -> None:

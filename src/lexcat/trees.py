@@ -5,6 +5,11 @@ depth, class counts) so decision paths can be replayed and models can be
 serialized without touching live objects. Split semantics are fixed
 everywhere: value <= threshold goes left, value > threshold goes right.
 
+Splits are searched on binned columns: each forest maps every column to its
+distinct values once (bin_columns), and each node scores its candidate
+columns from one histogram of (column, bin, class) counts. Thresholds are
+midpoints between present values, as a sorted search would place them.
+
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
 are reproducible and trees could be grown in parallel.
@@ -106,52 +111,79 @@ def compute_class_weights(y: np.ndarray, n_classes: int, mode: str | None) -> np
     return weights
 
 
+def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values) of a finite training matrix. Row j of values holds
+    column j's distinct values in ascending order, NaN-padded to the widest
+    column; codes[i, j] is the index of X[i, j] in that row, in the
+    narrowest unsigned dtype that holds every index."""
+    if not np.isfinite(X).all():
+        raise ModelError("training matrix must be finite: it holds NaN or infinity")
+    uniques = [np.unique(col) for col in X.T]
+    width = max(map(len, uniques), default=1)
+    values = np.full((X.shape[1], width), np.nan)
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(width - 1))
+    for j, u in enumerate(uniques):
+        values[j, : len(u)] = u
+        codes[:, j] = np.searchsorted(u, X[:, j])
+    return codes, values
+
+
+def weight_table(class_weights: np.ndarray, n: int) -> np.ndarray:
+    """table[c, k] is the weight of k samples of class c, added one at a
+    time, so a node's class weights are exact lookups by class count."""
+    table = np.zeros((len(class_weights), n + 1))
+    table[:, 1:] = np.cumsum(np.repeat(class_weights[:, None], n, axis=1), axis=1)
+    return table
+
+
 def find_split(
-    X: np.ndarray,
+    codes: np.ndarray,
+    values: np.ndarray,
     y: np.ndarray,
     hyperparams: Hyperparams,
     rng: np.random.Generator,
-    sample_weight: np.ndarray | None = None,
-    n_classes: int | None = None,
+    table: np.ndarray,
+    n_classes: int,
 ):
-    """Best (column, threshold) over every column of X for the given node
-    samples, or None.
+    """Best (column, threshold) over the candidate columns of one node, or
+    None.
 
-    One stable sort orders all columns. A split may fall between neighbouring
-    distinct sorted values when both children keep min_samples_leaf samples.
-    'best' scores every such position at its midpoint; 'random' draws one
-    uniform threshold per non-constant column, in column order, and scores
-    only the position it falls at. Both splitters share one scoring step;
-    ties break on the lowest column, then the lowest threshold.
+    codes holds the node rows' bin codes of each candidate column and values
+    the candidates' rows of bin_columns' values; table is weight_table's.
+    One bincount over (column, bin, class) gives every column's class
+    histogram. A split may fall after any bin present in the node when both
+    children keep min_samples_leaf rows. 'best' scores every such split at
+    the midpoint to the next present value; 'random' draws one uniform
+    threshold per non-constant column, in column order, and scores only the
+    split after the last present value at or below it. Both splitters share
+    one scoring step; ties break on the lowest column, then the lowest
+    threshold.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    n = len(X)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    n, m = codes.shape
+    width = values.shape[1]
+    key = (codes + np.arange(0, m * width, width)) * n_classes + y[:, None]
+    hist = np.bincount(key.ravel(), minlength=m * width * n_classes)
+    hist = hist.reshape(m, width, n_classes)
+    cum = hist.cumsum(axis=1)  # class counts left of a split after each bin
+    sizes = cum.sum(axis=2)
+    present = hist.any(axis=2)
     leaf = hyperparams.min_samples_leaf
-
-    order = np.argsort(X, axis=0, kind="stable")
-    sv = np.take_along_axis(X, order, axis=0)
-    sizes = np.arange(1, n)[:, None]  # left-child size of a split after each sorted row
-    feasible = (sv[:-1] != sv[1:]) & (sizes >= leaf) & (n - sizes >= leaf)
+    feasible = present & (sizes >= leaf) & (n - sizes >= leaf)
     if hyperparams.splitter == "random":
-        lo, hi = sv[0], sv[-1]
+        lo = np.where(present, values, np.inf).min(axis=1)
+        hi = np.where(present, values, -np.inf).max(axis=1)
         varies = lo != hi
         thr = lo.copy()
         thr[varies] = rng.uniform(lo[varies], hi[varies])
-        feasible &= sizes == (sv <= thr).sum(axis=0)
-    col, row = np.nonzero(feasible.T)  # column-major: lowest column, then threshold
+        below = np.where(values <= thr[:, None], sizes, 0).max(axis=1)
+        feasible &= sizes == below[:, None]
+    col, b = np.nonzero(feasible)  # lowest column, then lowest threshold
     if col.size == 0:
         return None
 
-    # class weights left of each feasible position, summed in sorted order
-    sy, sw = y[order], w[order]
-    left = np.empty((col.size, n_classes))
-    for c in range(n_classes):
-        left[:, c] = np.cumsum(np.where(sy == c, sw, 0.0), axis=0)[row, col]
-    base = np.bincount(y, weights=w, minlength=n_classes)
+    classes = np.arange(n_classes)
+    left = table[classes, cum[col, b]]
+    base = table[classes, cum[0, -1]]
     total_w = base.sum()
     right = base - left
     wl = left.sum(axis=1)
@@ -166,10 +198,11 @@ def find_split(
     k = int(np.argmax(dec))
     if not dec[k] > -1.0:
         return None
-    f, r = int(col[k]), row[k]
+    f, bk = int(col[k]), b[k]
     if hyperparams.splitter == "random":
         return f, float(thr[f])
-    return f, float((sv[r, f] + sv[r + 1, f]) / 2.0)
+    nxt = bk + 1 + int(np.argmax(present[f, bk + 1 :]))
+    return f, float((values[f, bk] + values[f, nxt]) / 2.0)
 
 
 @dataclass
@@ -208,10 +241,14 @@ def fit_tree(
     class_weights: np.ndarray | None = None,
     max_features: int | None = None,
     rows: np.ndarray | None = None,
+    bins: tuple[np.ndarray, np.ndarray] | None = None,
+    table: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree on integer class labels, over the given rows of X and
     y (repeats allowed, as in a bootstrap sample; every row once by default).
 
+    bins is bin_columns(X) and table is weight_table(class_weights, n) for
+    at least the n rows grown; both are built here when not given.
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
@@ -225,8 +262,11 @@ def fit_tree(
         n_classes = int(y.max()) + 1
     if class_weights is None:
         class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
-    w = class_weights[y]
-    n, d = X.shape
+    root = np.arange(len(X)) if rows is None else np.asarray(rows)
+    codes, values = bin_columns(X) if bins is None else bins
+    if table is None:
+        table = weight_table(class_weights, len(root))
+    d = X.shape[1]
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -236,7 +276,7 @@ def fit_tree(
     counts_arr: list[np.ndarray] = []
 
     # frames: (sample indices, depth, parent id, is_left_child)
-    stack = [(np.arange(n) if rows is None else np.asarray(rows), 0, -1, False)]
+    stack = [(root, 0, -1, False)]
     while stack:
         idx, depth, parent, is_left = stack.pop()
         node_id = len(feature)
@@ -263,12 +303,7 @@ def fit_tree(
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
         split = find_split(
-            X[np.ix_(idx, cands)],
-            y[idx],
-            hyperparams,
-            rng,
-            sample_weight=w[idx],
-            n_classes=n_classes,
+            codes[np.ix_(idx, cands)], values[cands], y[idx], hyperparams, rng, table, n_classes
         )
         if split is None:
             continue
@@ -347,6 +382,8 @@ def _fit_forest(
     tree_offset: int,
 ) -> tuple[list[Tree], np.ndarray]:
     weights = compute_class_weights(y, n_classes, hp.class_weight)
+    bins = bin_columns(X)
+    table = weight_table(weights, len(y))
     forest = []
     for t in range(n_trees):
         rng = np.random.default_rng(base_seed + tree_offset + t)
@@ -362,6 +399,8 @@ def _fit_forest(
                 class_weights=weights,
                 max_features=max_features,
                 rows=rows,
+                bins=bins,
+                table=table,
             )
         )
     return forest, weights
@@ -381,7 +420,8 @@ def fit_ensemble(
 
     BTS trains one forest per catalog class on its binary indicator column;
     MTS trains a single forest on the integer combination labels. Per-tree
-    seeds are hyperparams.seed + global tree index.
+    seeds are hyperparams.seed + global tree index. A matrix holding NaN or
+    infinity is refused with ModelError.
     """
     X = np.asarray(X, dtype=float)
     if strategy not in STRATEGIES:
@@ -524,6 +564,8 @@ def _assignment_to_obj(a: LabelAssignment) -> list:
 
 
 def _assignment_from_obj(obj) -> LabelAssignment:
+    if not (isinstance(obj, list) and len(obj) == 2 and isinstance(obj[1], list)):
+        raise ModelError(f"malformed class: expected [order, [categories]], got {obj!r}")
     return LabelAssignment(obj[0], tuple(obj[1]))
 
 
@@ -541,7 +583,7 @@ def _tree_to_obj(tree: Tree) -> dict:
 def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
     """Rebuild one tree, rejecting arrays that could not come from fit_tree:
     children must follow their split node in preorder, which also makes
-    every root-to-leaf walk end."""
+    every root-to-leaf walk end, one level deeper than their node."""
     tree = Tree(
         feature=np.asarray(obj["feature"], dtype=np.int32),
         threshold=np.asarray(obj["threshold"], dtype=float),
@@ -556,10 +598,14 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
         raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
     if tree.counts.shape != (n, n_outputs):
         raise ModelError(f"malformed tree: counts must have shape ({n}, {n_outputs})")
+    if tree.depth[0] != 0:
+        raise ModelError("malformed tree: the root must have depth 0")
     split = np.nonzero(tree.feature >= 0)[0]
     for child in (tree.left[split], tree.right[split]):
         if ((child <= split) | (child >= n)).any():
             raise ModelError("malformed tree: each child must follow its node in preorder")
+        if (tree.depth[child] != tree.depth[split] + 1).any():
+            raise ModelError("malformed tree: a child's depth must be its node's plus 1")
     if (tree.feature[split] >= n_features).any():
         raise ModelError(f"malformed tree: feature index beyond the {n_features} features")
     if not np.isfinite(tree.threshold[split]).all():
@@ -606,6 +652,11 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ModelError(f"unsupported model format: {obj.get('format')!r}")
     classes = tuple(_assignment_from_obj(o) for o in obj["classes"])
     class_catalog = ClassCatalog(classes)
+    if not all(
+        isinstance(combo, list) and all(type(i) is int and 0 <= i < len(classes) for i in combo)
+        for combo in obj["combos"]
+    ):
+        raise ModelError(f"combos must index the model's {len(classes)} classes")
     combos = tuple(tuple(classes[i] for i in combo) for combo in obj["combos"])
     weight_vectors = [np.asarray(w, dtype=float) for w in obj["class_weight_vectors"]]
     forests = obj["forests"]

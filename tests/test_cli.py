@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import re
 import shutil
 
@@ -9,6 +11,7 @@ from lexcat.corpus import load_corpus
 from lexcat.explain import class_display_names
 from lexcat.lexica import default_data_dir
 from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline
+from lexcat.trees import ModelError
 
 from test_trees import MALFORMATIONS, malformed_model_obj, within_seconds
 
@@ -303,4 +306,46 @@ def test_malformed_pipeline_file_is_data_error(tmp_path, content):
     bad = tmp_path / "bad.json"
     bad.write_text(content, encoding="utf-8")
     rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
+    assert rc == EXIT_DATA
+
+
+def _set(path, value):
+    """A mutation that sets the field at `path` of a parsed pipeline file."""
+
+    def mutate(obj):
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, obj)[last] = value
+
+    return mutate
+
+
+# Mutations of a trained pipeline file that used to escape as IndexError or
+# KeyError (exit 3) or be accepted (exit 0) by `explain --model-file`.
+PIPELINE_MALFORMATIONS = {
+    "combos_index_out_of_range": _set(("model", "combos", 0, 0), 10_000),
+    "combos_entry_not_a_list": _set(("model", "combos", 0), 0),
+    "one_element_class_entry": _set(("model", "classes", 0), ["civil"]),
+    "kept_name_not_in_vocabulary": _set(("kept_names", 0), "no such ngram"),
+    "model_column_not_in_vocabulary": lambda obj: [
+        _set(path, "no such ngram")(obj)
+        for path in (("kept_names", 0), ("model", "feature_names", 0))
+    ],
+    "unknown_kept_kind": _set(("kept_kinds", 0), "visual"),
+    # node 1 is the root's left child, at depth 1
+    "child_depth_not_parent_plus_one": _set(("model", "forests", 0, 0, "depth", 1), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_MALFORMATIONS))
+def test_malformed_pipeline_rejected_at_load(dt_model_path, fast_config_path, tmp_path, name):
+    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
+    assert len(obj["model"]["forests"][0][0]["feature"]) > 1
+    PIPELINE_MALFORMATIONS[name](obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises((ConfigError, ModelError)):
+        load_pipeline(bad)
+    with within_seconds(10):
+        rc = main(["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
+                   "--model-file", str(bad), "--out", str(tmp_path / "e.txt")])
     assert rc == EXIT_DATA

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcat import entities
 from lexcat.corpus import Judgement, LabelAssignment
 from lexcat.entities import (
     EntityRecord,
@@ -118,6 +119,9 @@ def test_detect_jurisdiction_route_order(lexica):
     # case-type lexicon as the last resort
     assert detect_jurisdiction("visto el recurso de suplicación 1/1", None, lx) == "social"
     assert detect_jurisdiction("nada", None, lx) == UNKNOWN
+    # a case type the caller already found is mapped without a new search
+    assert detect_jurisdiction("nada", None, lx, "recurso de suplicación") == "social"
+    assert detect_jurisdiction("recurso de suplicación", None, lx, UNKNOWN) == UNKNOWN
 
 
 def test_detect_resolution_type():
@@ -192,6 +196,21 @@ def test_extract_entities_decision_type_coupling(lexica):
     record2 = extract_entities(decreto, lexica.entities)
     assert record2.resolution_type == "decreto"
     assert record2.decision_type == "procedural"
+
+
+def test_extract_entities_searches_case_type_once(lexica, monkeypatch):
+    calls = []
+
+    def counting_detect_case_type(text, lexicon):
+        calls.append(text)
+        return detect_case_type(text, lexicon)
+
+    monkeypatch.setattr(entities, "detect_case_type", counting_detect_case_type)
+    # no division phrase and no GIN: jurisdiction falls to the case type
+    record = extract_entities(_doc("visto el recurso de suplicación 1/1"), lexica.entities)
+    assert record.case_type == "recurso de suplicación"
+    assert record.jurisdiction == "social"
+    assert len(calls) == 1
 
 
 def test_detectors_deterministic(lexica):

@@ -16,6 +16,7 @@ from lexcat.trees import (
     ModelError,
     Tree,
     _impurity_rows,
+    bin_columns,
     compute_class_weights,
     feature_importances,
     find_split,
@@ -28,6 +29,7 @@ from lexcat.trees import (
     predict_batch,
     predict_proba_batch,
     save_model,
+    weight_table,
 )
 
 
@@ -69,10 +71,23 @@ def test_hyperparams_validation():
         Hyperparams(class_weight="auto")
 
 
+def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None):
+    """find_split over every column of X at a node holding every row once."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    if class_weights is None:
+        class_weights = np.ones(n_classes)
+    codes, values = bin_columns(X)
+    table = weight_table(class_weights, len(y))
+    return find_split(codes, values, y, hyperparams, rng, table, n_classes)
+
+
 def test_find_split_separable():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
-    f, thr = find_split(X, y, Hyperparams(), np.random.default_rng(0))
+    f, thr = binned_find_split(X, y, Hyperparams(), np.random.default_rng(0))
     assert f == 0
     assert 2.0 < thr < 3.0
     left = y[X[:, 0] <= thr]
@@ -83,12 +98,14 @@ def test_find_split_separable():
 
 def test_find_split_none_cases():
     rng = np.random.default_rng(0)
-    pure = find_split(np.array([[1.0], [2.0]]), np.array([1, 1]), Hyperparams(), rng)
+    pure = binned_find_split(np.array([[1.0], [2.0]]), np.array([1, 1]), Hyperparams(), rng)
     # pure nodes are filtered before find_split in fit_tree; a zero-gain split
     # may still be reported, so only the constant-feature case must be None
-    constant = find_split(np.array([[3.0], [3.0]]), np.array([0, 1]), Hyperparams(), rng)
+    constant = binned_find_split(
+        np.array([[3.0], [3.0]]), np.array([0, 1]), Hyperparams(), rng
+    )
     assert constant is None
-    infeasible = find_split(
+    infeasible = binned_find_split(
         np.array([[1.0], [2.0]]),
         np.array([0, 1]),
         Hyperparams(min_samples_leaf=2),
@@ -102,7 +119,7 @@ def test_find_split_tie_breaks_lowest_feature():
     # both features separate the classes perfectly; feature 0 must win
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    f, thr = find_split(X, y, Hyperparams(), np.random.default_rng(0))
+    f, thr = binned_find_split(X, y, Hyperparams(), np.random.default_rng(0))
     assert f == 0
     assert thr == 0.5
 
@@ -204,28 +221,104 @@ def _oracle_case(seed):
     return X, rng.integers(0, n_classes, size=n), n_classes
 
 
-def test_find_split_matches_per_feature_reference():
+def _compare_with_reference(cases):
+    """(case, criterion, leaf) of each random-splitter, balanced-weight
+    result that differs from the reference by an exact tie; every other
+    result must equal the reference's."""
     flips = []
-    for seed in range(150):
-        X, y, n_classes = _oracle_case(seed)
+    for case, (X, y, n_classes) in cases:
         for splitter, criterion, leaf, class_weight in itertools.product(
             ("best", "random"), ("gini", "entropy"), (1, 2, 3), (None, "balanced")
         ):
             hp = Hyperparams(splitter=splitter, criterion=criterion, min_samples_leaf=leaf)
-            w = compute_class_weights(y, n_classes, class_weight)[y]
-            got = find_split(X, y, hp, np.random.default_rng(seed), w, n_classes)
-            want = reference_find_split(X, y, hp, np.random.default_rng(seed), w, n_classes)
+            weights = compute_class_weights(y, n_classes, class_weight)
+            w = weights[y]
+            got = binned_find_split(X, y, hp, np.random.default_rng(case), weights, n_classes)
+            want = reference_find_split(X, y, hp, np.random.default_rng(case), w, n_classes)
             if splitter == "random" and class_weight == "balanced" and got != want:
-                # left weights summed in sorted rather than sample order can
-                # flip an exact tie between two equally good splits
+                # find_split takes the right child's weight as the total
+                # minus the left's, the reference sums it over classes; the
+                # last-bit difference can flip an exact tie between two
+                # equally good splits
                 assert abs(
                     _split_decrease(X, y, w, n_classes, got, criterion)
                     - _split_decrease(X, y, w, n_classes, want, criterion)
                 ) <= 1e-12
-                flips.append((seed, criterion, leaf))
+                flips.append((case, criterion, leaf))
             else:
-                assert got == want, (seed, splitter, criterion, leaf, class_weight)
+                assert got == want, (case, splitter, criterion, leaf, class_weight)
+    return flips
+
+
+def test_find_split_matches_per_feature_reference():
+    flips = _compare_with_reference((seed, _oracle_case(seed)) for seed in range(150))
     assert flips == [(148, "gini", 1), (148, "gini", 2), (148, "entropy", 1), (148, "entropy", 2)]
+
+
+def _count_case(seed):
+    """Heavily tied count columns of very different widths, as n-gram
+    counts and entity codes are: a constant column, rare and common
+    Poisson counts, and one real-valued column as wide as the node."""
+    rng = np.random.default_rng(seed)
+    n, n_classes = int(rng.integers(2, 80)), int(rng.integers(2, 6))
+    y = rng.integers(0, n_classes, size=n)
+    X = np.column_stack(
+        [
+            np.full(n, 2.0),
+            rng.poisson(0.1, size=n),
+            rng.poisson(0.7, size=n) + y * (seed % 3 == 0),
+            rng.poisson(6.0, size=n),
+            rng.integers(0, 3, size=n),
+            rng.normal(size=n),
+        ]
+    ).astype(float)
+    return X, y, n_classes
+
+
+def test_find_split_matches_reference_on_tied_counts():
+    flips = _compare_with_reference((seed, _count_case(seed)) for seed in range(80))
+    assert flips == [(42, "entropy", 3)]
+
+
+def test_weight_table_is_sequential_sum_of_class_weights():
+    y = np.random.default_rng(4).integers(0, 5, size=97)
+    weights = compute_class_weights(y, 6, "balanced")  # class 5 absent: weight 0
+    table = weight_table(weights, len(y))
+    assert table.shape == (6, len(y) + 1)
+    for c, w_c in enumerate(weights):
+        total = 0.0
+        assert table[c, 0] == 0.0
+        for k in range(1, len(y) + 1):
+            total += w_c
+            assert table[c, k] == total, (c, k)
+
+
+def test_bin_columns_codes_and_padding():
+    rng = np.random.default_rng(0)
+    for width, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+        wide = rng.permutation(width).astype(float) / 7.0
+        X = np.column_stack([np.resize(wide, 300), np.full(300, -1.5), np.resize(wide[:3], 300)])
+        codes, values = bin_columns(X)
+        assert codes.dtype == dtype and codes.shape == X.shape
+        assert values.shape == (3, width)
+        for j in range(3):
+            row = values[j]
+            present = row[~np.isnan(row)]
+            assert present.tolist() == np.unique(X[:, j]).tolist()
+            assert np.isnan(row[len(present) :]).all()
+            assert (row[codes[:, j]] == X[:, j]).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_training_matrix_rejected(bad):
+    # (1 + inf) / 2 = inf would send every row left and split the same node
+    # forever, so a non-finite matrix must be refused before any split
+    X = np.tile([0.0, 1.0, bad, bad], 5)[:, None]
+    y = np.arange(20) % 2
+    with within_seconds(5), pytest.raises(ModelError, match="finite"):
+        fit_ensemble(X, _label_sets_for(y, las(2)), Hyperparams(), "dt", "mts")
+    with within_seconds(5), pytest.raises(ModelError, match="finite"):
+        fit_tree(X, y, Hyperparams())
 
 
 @pytest.mark.parametrize("variant", ["rf", "eetc"])
