@@ -169,15 +169,11 @@ def derive_instance_type(case_type: str) -> str:
     return "higher"
 
 
-def detect_jurisdiction(
-    text: str, gin: str | None, lexica: EntityLexica, case_type: str | None = None
-) -> str:
+def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica, case_type: str) -> str:
     """Three detection routes in decreasing reliability: judicial-division
     phrase, GIN jurisdiction digit, case-type lexicon mapping. The last
-    route maps the text's case type; a caller that has already detected it
-    passes it as case_type."""
-    nfc_text = _nfc(text)
-    hit = _first_match(nfc_text, tuple(lexica.divisions))
+    route maps case_type, the case type detect_case_type found in text."""
+    hit = _first_match(_nfc(text), tuple(lexica.divisions))
     if hit is not None:
         return lexica.divisions[hit]
     if gin is not None:
@@ -187,8 +183,6 @@ def detect_jurisdiction(
             digit = None
         if digit is not None and digit in lexica.gin_jurisdiction:
             return lexica.gin_jurisdiction[digit]
-    if case_type is None:
-        case_type = detect_case_type(nfc_text, lexica.case_types)
     if case_type != UNKNOWN:
         for entry in lexica.case_types:
             if entry.name == case_type and entry.jurisdiction:

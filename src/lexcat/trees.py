@@ -111,21 +111,20 @@ def compute_class_weights(y: np.ndarray, n_classes: int, mode: str | None) -> np
     return weights
 
 
-def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, values) of a finite training matrix. Row j of values holds
-    column j's distinct values in ascending order, NaN-padded to the widest
-    column; codes[i, j] is the index of X[i, j] in that row, in the
-    narrowest unsigned dtype that holds every index."""
+def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, values, widths) of a finite training matrix. values holds
+    each column's distinct values in ascending order, one column after the
+    other, and widths[j] is how many column j has; codes[i, j] is the index
+    of X[i, j] among column j's values, in the narrowest unsigned dtype that
+    holds every index."""
     if not np.isfinite(X).all():
         raise ModelError("training matrix must be finite: it holds NaN or infinity")
     uniques = [np.unique(col) for col in X.T]
-    width = max(map(len, uniques), default=1)
-    values = np.full((X.shape[1], width), np.nan)
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(width - 1))
+    widths = np.array([len(u) for u in uniques], dtype=np.intp)
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(int(max(widths, default=1)) - 1))
     for j, u in enumerate(uniques):
-        values[j, : len(u)] = u
         codes[:, j] = np.searchsorted(u, X[:, j])
-    return codes, values
+    return codes, np.concatenate(uniques or [np.empty(0)]), widths
 
 
 def weight_table(class_weights: np.ndarray, n: int) -> np.ndarray:
@@ -139,6 +138,7 @@ def weight_table(class_weights: np.ndarray, n: int) -> np.ndarray:
 def find_split(
     codes: np.ndarray,
     values: np.ndarray,
+    widths: np.ndarray,
     y: np.ndarray,
     hyperparams: Hyperparams,
     rng: np.random.Generator,
@@ -148,48 +148,54 @@ def find_split(
     """Best (column, threshold) over the candidate columns of one node, or
     None.
 
-    codes holds the node rows' bin codes of each candidate column and values
-    the candidates' rows of bin_columns' values; table is weight_table's.
-    One bincount over (column, bin, class) gives every column's class
-    histogram. A split may fall after any bin present in the node when both
-    children keep min_samples_leaf rows. 'best' scores every such split at
-    the midpoint to the next present value; 'random' draws one uniform
-    threshold per non-constant column, in column order, and scores only the
-    split after the last present value at or below it. Both splitters share
-    one scoring step; ties break on the lowest column, then the lowest
-    threshold.
+    codes holds the node rows' bin codes of each candidate column; values
+    and widths are the candidates' part of bin_columns' values and widths;
+    table is weight_table's. Each candidate gets as many bins as it has
+    distinct values, so one bincount over (column, bin, class) gives every
+    column's class histogram. A split may fall after any bin present in the
+    node when both children keep min_samples_leaf rows. 'best' scores every
+    such split at the midpoint to the next present value; 'random' draws one
+    uniform threshold per non-constant column, in column order, and scores
+    only the split after the last present value at or below it. Both
+    splitters share one scoring step; ties break on the lowest column, then
+    the lowest threshold.
     """
     n, m = codes.shape
-    width = values.shape[1]
-    key = (codes + np.arange(0, m * width, width)) * n_classes + y[:, None]
-    hist = np.bincount(key.ravel(), minlength=m * width * n_classes)
-    hist = hist.reshape(m, width, n_classes)
-    cum = hist.cumsum(axis=1)  # class counts left of a split after each bin
-    sizes = cum.sum(axis=2)
-    present = hist.any(axis=2)
+    starts = np.cumsum(widths) - widths
+    column = np.repeat(np.arange(m), widths)  # candidate of each bin
+    key = (codes + starts) * n_classes + y[:, None]
+    hist = np.bincount(key.ravel(), minlength=len(values) * n_classes)
+    hist = hist.reshape(len(values), n_classes)
+    in_bin = hist.sum(axis=1)
+    present = in_bin > 0
+    # rows left of a split after each bin; every column holds all n rows,
+    # so the running sum restarts at each column by subtracting the rows of
+    # the columns before it
+    sizes = in_bin.cumsum() - column * n
     leaf = hyperparams.min_samples_leaf
     feasible = present & (sizes >= leaf) & (n - sizes >= leaf)
     if hyperparams.splitter == "random":
-        lo = np.where(present, values, np.inf).min(axis=1)
-        hi = np.where(present, values, -np.inf).max(axis=1)
+        lo = np.minimum.reduceat(np.where(present, values, np.inf), starts)
+        hi = np.maximum.reduceat(np.where(present, values, -np.inf), starts)
         varies = lo != hi
         thr = lo.copy()
         thr[varies] = rng.uniform(lo[varies], hi[varies])
-        below = np.where(values <= thr[:, None], sizes, 0).max(axis=1)
-        feasible &= sizes == below[:, None]
-    col, b = np.nonzero(feasible)  # lowest column, then lowest threshold
-    if col.size == 0:
+        below = np.maximum.reduceat(np.where(values <= thr[column], sizes, 0), starts)
+        feasible &= sizes == below[column]
+    (at,) = np.nonzero(feasible)  # lowest column, then lowest threshold
+    if at.size == 0:
         return None
 
+    counts = np.bincount(y, minlength=n_classes)
     classes = np.arange(n_classes)
-    left = table[classes, cum[col, b]]
-    base = table[classes, cum[0, -1]]
+    left = table[classes, hist.cumsum(axis=0)[at] - column[at, None] * counts]
+    base = table[classes, counts]
     total_w = base.sum()
     right = base - left
     wl = left.sum(axis=1)
     wr = total_w - wl
     ok = (wl > 0) & (wr > 0)
-    dec = np.full(col.size, -np.inf)
+    dec = np.full(at.size, -np.inf)
     dec[ok] = (
         _impurity_rows(base[None, :], hyperparams.criterion)[0]
         - (wl[ok] / total_w) * _impurity_rows(left[ok], hyperparams.criterion)
@@ -198,11 +204,12 @@ def find_split(
     k = int(np.argmax(dec))
     if not dec[k] > -1.0:
         return None
-    f, bk = int(col[k]), b[k]
+    f, b = int(column[at[k]]), at[k]
     if hyperparams.splitter == "random":
         return f, float(thr[f])
-    nxt = bk + 1 + int(np.argmax(present[f, bk + 1 :]))
-    return f, float((values[f, bk] + values[f, nxt]) / 2.0)
+    # b is feasible, so a later present bin of the same column exists
+    nxt = b + 1 + int(np.argmax(present[b + 1 :]))
+    return f, float((values[b] + values[nxt]) / 2.0)
 
 
 @dataclass
@@ -241,14 +248,13 @@ def fit_tree(
     class_weights: np.ndarray | None = None,
     max_features: int | None = None,
     rows: np.ndarray | None = None,
-    bins: tuple[np.ndarray, np.ndarray] | None = None,
-    table: np.ndarray | None = None,
+    bins: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Tree:
     """Grow one tree on integer class labels, over the given rows of X and
     y (repeats allowed, as in a bootstrap sample; every row once by default).
 
-    bins is bin_columns(X) and table is weight_table(class_weights, n) for
-    at least the n rows grown; both are built here when not given.
+    bins is bin_columns(X), built here when not given, so a forest bins its
+    matrix once for all its trees.
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
@@ -263,9 +269,8 @@ def fit_tree(
     if class_weights is None:
         class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
     root = np.arange(len(X)) if rows is None else np.asarray(rows)
-    codes, values = bin_columns(X) if bins is None else bins
-    if table is None:
-        table = weight_table(class_weights, len(root))
+    codes, values, widths = bin_columns(X) if bins is None else bins
+    table = weight_table(class_weights, len(root))
     d = X.shape[1]
 
     feature: list[int] = []
@@ -302,8 +307,18 @@ def fit_tree(
         cands = np.arange(d)
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
+        # the candidates' values, in candidate order because cands is sorted
+        take = np.zeros(d, dtype=bool)
+        take[cands] = True
         split = find_split(
-            codes[np.ix_(idx, cands)], values[cands], y[idx], hyperparams, rng, table, n_classes
+            codes[np.ix_(idx, cands)],
+            values[np.repeat(take, widths)],
+            widths[cands],
+            y[idx],
+            hyperparams,
+            rng,
+            table,
+            n_classes,
         )
         if split is None:
             continue
@@ -383,7 +398,6 @@ def _fit_forest(
 ) -> tuple[list[Tree], np.ndarray]:
     weights = compute_class_weights(y, n_classes, hp.class_weight)
     bins = bin_columns(X)
-    table = weight_table(weights, len(y))
     forest = []
     for t in range(n_trees):
         rng = np.random.default_rng(base_seed + tree_offset + t)
@@ -400,7 +414,6 @@ def _fit_forest(
                 max_features=max_features,
                 rows=rows,
                 bins=bins,
-                table=table,
             )
         )
     return forest, weights

@@ -108,18 +108,19 @@ def test_derive_instance_type(case_type, expected):
 
 def test_detect_jurisdiction_route_order(lexica):
     lx = lexica.entities
-    assert detect_jurisdiction("la Sala de lo Social del tribunal", None, lx) == "social"
+
+    def jurisdiction(text, gin):
+        return detect_jurisdiction(text, gin, lx, detect_case_type(text, lx.case_types))
+
+    assert jurisdiction("la Sala de lo Social del tribunal", None) == "social"
     # no division phrase: the GIN digit decides (2 -> penal in the bundled map)
-    assert detect_jurisdiction("texto neutro", "0000000" + "2" + "20190000001", lx) == "penal"
+    assert jurisdiction("texto neutro", "0000000" + "2" + "20190000001") == "penal"
     # division beats the GIN
-    assert (
-        detect_jurisdiction("Sala de lo Civil", "0000000" + "2" + "20190000001", lx)
-        == "civil"
-    )
+    assert jurisdiction("Sala de lo Civil", "0000000" + "2" + "20190000001") == "civil"
     # case-type lexicon as the last resort
-    assert detect_jurisdiction("visto el recurso de suplicación 1/1", None, lx) == "social"
-    assert detect_jurisdiction("nada", None, lx) == UNKNOWN
-    # a case type the caller already found is mapped without a new search
+    assert jurisdiction("visto el recurso de suplicación 1/1", None) == "social"
+    assert jurisdiction("nada", None) == UNKNOWN
+    # the case type is the caller's: it is mapped, never searched again
     assert detect_jurisdiction("nada", None, lx, "recurso de suplicación") == "social"
     assert detect_jurisdiction("recurso de suplicación", None, lx, UNKNOWN) == UNKNOWN
 

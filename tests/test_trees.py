@@ -79,9 +79,9 @@ def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None
         n_classes = int(y.max()) + 1
     if class_weights is None:
         class_weights = np.ones(n_classes)
-    codes, values = bin_columns(X)
+    codes, values, widths = bin_columns(X)
     table = weight_table(class_weights, len(y))
-    return find_split(codes, values, y, hyperparams, rng, table, n_classes)
+    return find_split(codes, values, widths, y, hyperparams, rng, table, n_classes)
 
 
 def test_find_split_separable():
@@ -293,20 +293,20 @@ def test_weight_table_is_sequential_sum_of_class_weights():
             assert table[c, k] == total, (c, k)
 
 
-def test_bin_columns_codes_and_padding():
+def test_bin_columns_codes_and_widths():
     rng = np.random.default_rng(0)
     for width, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
         wide = rng.permutation(width).astype(float) / 7.0
         X = np.column_stack([np.resize(wide, 300), np.full(300, -1.5), np.resize(wide[:3], 300)])
-        codes, values = bin_columns(X)
+        codes, values, widths = bin_columns(X)
         assert codes.dtype == dtype and codes.shape == X.shape
-        assert values.shape == (3, width)
-        for j in range(3):
-            row = values[j]
-            present = row[~np.isnan(row)]
-            assert present.tolist() == np.unique(X[:, j]).tolist()
-            assert np.isnan(row[len(present) :]).all()
-            assert (row[codes[:, j]] == X[:, j]).all()
+        # each column takes only as many bins as it has distinct values
+        assert widths.tolist() == [width, 1, min(width, 3)]
+        assert len(values) == widths.sum()
+        for j, start in enumerate(np.cumsum(widths) - widths):
+            column = values[start : start + widths[j]]
+            assert column.tolist() == np.unique(X[:, j]).tolist()
+            assert (column[codes[:, j]] == X[:, j]).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
