@@ -24,9 +24,9 @@ from .explain import (
 )
 from .features import (
     CATEGORICAL_FIELDS,
+    CategoricalEncoder,
     FeatureError,
     build_feature_matrix,
-    encode_categoricals,
     feature_matrix_to_text,
     fit_vectorizer,
     transform,
@@ -197,7 +197,7 @@ def _cmd_featurize(config: PipelineConfig, args) -> int:
         prep.streams, config.max_df, config.min_df, (config.ngram_lo, config.ngram_hi)
     )
     counts = transform(vec, prep.streams)
-    codes, _ = encode_categoricals(prep.records)
+    codes = CategoricalEncoder().fit(prep.records).transform(prep.records)
     matrix = build_feature_matrix(counts, vec.names, codes)
     path = _out_path(config, "features.tsv")
     _write_atomic(path, feature_matrix_to_text(matrix, [d.id for d in corpus.documents]))

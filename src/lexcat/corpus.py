@@ -181,12 +181,6 @@ def corpus_to_text(corpus: Corpus) -> str:
     )
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Write one document per line; inverse of load_corpus on valid corpora."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corpus_to_text(corpus))
-
-
 def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Label-set size histogram, mean label cardinality and distinct class count."""
     sizes = [len(d.annotations) for d in corpus.documents]

@@ -13,7 +13,7 @@ import numpy as np
 from . import lexica as lx
 from . import pipeline as pl
 from .corpus import Corpus
-from .labels import build_class_catalog, canonicalize, mts_encode
+from .labels import build_class_catalog, mts_encode
 
 
 class EvaluationError(ValueError):
@@ -238,7 +238,7 @@ def _prepare(corpus: Corpus, config, lexica):
 def _cross_validate(corpus: Corpus, config, k: int, seed: int, lexica, prep) -> MetricsReport:
     if corpus.n < k:
         raise EvaluationError(f"need at least k={k} documents, corpus has {corpus.n}")
-    label_sets = [canonicalize(d.annotations) for d in corpus.documents]
+    label_sets = prep.label_sets
     _, alphas = mts_encode(label_sets)
     catalog = build_class_catalog(corpus)
     fold_of = np.array(stratified_folds(alphas, k, seed))

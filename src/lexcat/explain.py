@@ -87,7 +87,8 @@ class Decision(NamedTuple):
         return int(round(100 * float(np.mean(self.probs[self.class_indices]))))
 
 
-def _decide(model: EnsembleModel, row: np.ndarray, threshold: float) -> Decision:
+def decide(model: EnsembleModel, row: np.ndarray, threshold: float) -> Decision:
+    """The model's decision on one row, from one probability evaluation."""
     probs = predict_proba_batch(model, row[None, :])[0]
     assignments = decode_row(model, probs, threshold)
     if model.strategy == "mts":
@@ -99,47 +100,29 @@ def _surrogate_coefficients(
     model: EnsembleModel,
     row: np.ndarray,
     active: np.ndarray,
-    class_index: int,
+    class_indices: list[int],
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
-    """Proximity-weighted least-squares fit of the explained class
-    probability on term-presence indicators."""
+    """Proximity-weighted least-squares fit of each explained class
+    probability on term-presence indicators, averaged over the classes.
+    The perturbed rows are drawn and predicted once for all classes."""
     k = len(active)
     rng = np.random.default_rng(seed)
     keep = rng.random((n_samples, k)) >= 0.5
     X = np.tile(row, (n_samples, 1))
     X[:, active] = row[active] * keep
-    y = predict_proba_batch(model, X)[:, class_index]
+    probs = predict_proba_batch(model, X)
     distances = k - keep.sum(axis=1)
     sigma = 0.75 * np.sqrt(k)
     w = np.exp(-(distances.astype(float) ** 2) / sigma**2)
     sqrt_w = np.sqrt(w)[:, None]
     A = np.hstack([np.ones((n_samples, 1)), keep.astype(float)]) * sqrt_w
-    b = y * sqrt_w[:, 0]
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return coef[1:]
-
-
-def perturbation_relevance(
-    model: EnsembleModel,
-    row,
-    n_samples: int = 500,
-    seed: int = 0,
-    textual_indices=None,
-    threshold: float = 0.5,
-) -> dict[str, float]:
-    """Term relevance from random perturbations of the document's n-gram
-    counts: each nonzero count is zeroed with probability 0.5, the explained
-    class probability of every perturbed copy is queried, and a
-    proximity-weighted linear surrogate is fitted on presence indicators.
-
-    Returns absolute surrogate coefficients; the signed values are exposed
-    through signed_relevance(). Under BTS each predicted class is explained
-    separately and the coefficients are averaged.
-    """
-    rel, _ = signed_relevance(model, row, n_samples, seed, textual_indices, threshold)
-    return {t: abs(v) for t, v in rel.items()}
+    coefs = np.zeros(k)
+    for ci in class_indices:
+        coef, *_ = np.linalg.lstsq(A, probs[:, ci] * sqrt_w[:, 0], rcond=None)
+        coefs += coef[1:]
+    return coefs / len(class_indices)
 
 
 def signed_relevance(
@@ -150,8 +133,15 @@ def signed_relevance(
     textual_indices=None,
     threshold: float = 0.5,
 ) -> tuple[dict[str, float], Decision]:
-    """Signed surrogate coefficients of the row's active terms, and the
-    decision they explain."""
+    """Term relevance from random perturbations of the document's n-gram
+    counts: each nonzero count is zeroed with probability 0.5, the explained
+    class probability of every perturbed copy is queried, and a
+    proximity-weighted linear surrogate is fitted on presence indicators.
+
+    Returns the signed surrogate coefficients of the row's active terms, and
+    the decision they explain. Under BTS each predicted class is explained
+    separately and the coefficients are averaged.
+    """
     if n_samples < 10:
         raise ExplainError("n_samples must be >= 10")
     row = np.asarray(row, dtype=float)
@@ -159,13 +149,12 @@ def signed_relevance(
         textual_indices = range(len(row))
     textual_indices = np.asarray(sorted(textual_indices), dtype=np.int64)
     active = textual_indices[row[textual_indices] != 0]
-    decision = _decide(model, row, threshold)
+    decision = decide(model, row, threshold)
     if len(active) == 0:
         return {}, decision
-    coefs = np.zeros(len(active))
-    for ci in decision.class_indices:
-        coefs += _surrogate_coefficients(model, row, active, ci, n_samples, seed)
-    coefs /= len(decision.class_indices)
+    coefs = _surrogate_coefficients(
+        model, row, active, decision.class_indices, n_samples, seed
+    )
     names = [model.feature_names[i] for i in active]
     return dict(zip(names, coefs)), decision
 
@@ -175,12 +164,6 @@ def select_top_terms(freq_ordered, relevances, limit: int = 7) -> list[tuple[str
     sorted by relevance descending."""
     chosen = [t for t in freq_ordered if t in relevances][:limit]
     return sorted(((t, relevances[t]) for t in chosen), key=lambda kv: (-kv[1], kv[0]))
-
-
-def confidence(model: EnsembleModel, row, threshold: float = 0.5) -> int:
-    """Rounded percentage of the mean class probability behind the
-    prediction (mean over assignments for multi-positive BTS output)."""
-    return _decide(model, np.asarray(row, dtype=float), threshold).confidence
 
 
 @dataclass(frozen=True)
@@ -274,13 +257,11 @@ def render_explanation(explanation: Explanation, template: ExplanationTemplate =
     return "".join(parts)
 
 
-def build_explanation(fitted, doc, lexica, n_samples: int | None = None, seed: int | None = None) -> Explanation:
+def build_explanation(fitted, doc, lexica) -> Explanation:
     """Assemble the full explanation of one document under a fitted
     pipeline: entities, prediction, confidence, decision paths and the
     top relevance-bearing terms."""
     config = fitted.config
-    n_samples = config.relevance_samples if n_samples is None else n_samples
-    seed = config.seed if seed is None else seed
     stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
     record = extract_entities(doc, lexica.entities)
     row = fitted.row_for(stream, record)
@@ -289,7 +270,7 @@ def build_explanation(fitted, doc, lexica, n_samples: int | None = None, seed: i
     textual_names = {fitted.kept_names[i] for i in textual_idx}
 
     signed, decision = signed_relevance(
-        model, row, n_samples, seed, textual_idx, config.bts_threshold
+        model, row, config.relevance_samples, config.seed, textual_idx, config.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
     paths = tuple(extract_path(t, row, model.feature_names) for t in model.trees)

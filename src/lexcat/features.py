@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entities import EntityRecord, UNKNOWN
-from .trees import Hyperparams, _fit_forest, _forest_importances
+from .trees import Hyperparams, feature_importances, fit_ensemble
 
 CATEGORICAL_FIELDS = (
     "case_type",
@@ -34,9 +34,25 @@ class VectorizerModel:
     min_df: float
     ngram_range: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        _ngram_bounds(self.ngram_range)
+        indices = sorted(i for i in self.vocabulary.values() if isinstance(i, int))
+        if indices != list(range(len(self.vocabulary))):
+            raise FeatureError("vocabulary indices must be 0..n-1, each used once")
+
     @property
     def names(self) -> list[str]:
         return sorted(self.vocabulary, key=self.vocabulary.get)
+
+
+def _ngram_bounds(ngram_range) -> tuple[int, int]:
+    """The n-gram range as (lo, hi): two integers with 1 <= lo <= hi."""
+    bounds = tuple(ngram_range)
+    if not (
+        len(bounds) == 2 and all(isinstance(b, int) for b in bounds) and 1 <= bounds[0] <= bounds[1]
+    ):
+        raise FeatureError(f"need two integers 1 <= lo <= hi in ngram_range, got {bounds}")
+    return bounds
 
 
 def _ngrams(tokens, lo: int, hi: int):
@@ -52,11 +68,9 @@ def fit_vectorizer(token_streams, max_df: float, min_df: float, ngram_range) -> 
     An n-gram spelled like a CATEGORICAL_FIELDS name is left out, since
     columns are known by name. Columns are ordered lexicographically.
     """
-    lo, hi = int(ngram_range[0]), int(ngram_range[1])
+    lo, hi = _ngram_bounds(ngram_range)
     if not (0 <= min_df < max_df <= 1):
         raise FeatureError(f"need 0 <= min_df < max_df <= 1, got ({min_df}, {max_df})")
-    if not 1 <= lo <= hi:
-        raise FeatureError(f"need 1 <= lo <= hi in ngram_range, got ({lo}, {hi})")
     streams = list(token_streams)
     if not streams:
         raise FeatureError("no documents to fit on")
@@ -113,11 +127,6 @@ class CategoricalEncoder:
         return X
 
 
-def encode_categoricals(records: list[EntityRecord]) -> tuple[np.ndarray, CategoricalEncoder]:
-    encoder = CategoricalEncoder().fit(records)
-    return encoder.transform(records), encoder
-
-
 @dataclass
 class FeatureMatrix:
     names: list[str]
@@ -156,11 +165,6 @@ def feature_matrix_to_text(matrix: FeatureMatrix, doc_ids) -> str:
     for doc_id, row in zip(doc_ids, matrix.X):
         lines.append("\t".join([doc_id] + [f"{v:g}" for v in row]))
     return "\n".join(lines) + "\n"
-
-
-def export_feature_matrix(matrix: FeatureMatrix, doc_ids, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(feature_matrix_to_text(matrix, doc_ids))
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -239,23 +243,16 @@ def select_by_correlation(
 
 def select_by_importance(
     matrix: FeatureMatrix,
-    labels,
+    label_sets,
     n_estimators: int = 20,
     seed: int = 0,
 ) -> tuple[list[str], np.ndarray]:
-    """Columns whose impurity-decrease importance under a small random
+    """Columns whose impurity-decrease importance under a small mts random
     forest reaches the mean importance."""
-    y = np.asarray(labels, dtype=np.int64)
-    if len(np.unique(y)) < 2:
+    hp = Hyperparams(n_estimators=n_estimators, seed=seed)
+    model = fit_ensemble(matrix.X, label_sets, hp, "rf", "mts")
+    if model.mts_catalog.p < 2:
         raise FeatureError("importance selection needs at least two label classes")
-    hp = Hyperparams(criterion="gini", n_estimators=n_estimators, seed=seed)
-    y0 = y - y.min()
-    n_classes = int(y0.max()) + 1
-    d = matrix.X.shape[1]
-    max_features = max(1, int(np.sqrt(d))) if d > 1 else None
-    forest, weights = _fit_forest(
-        matrix.X, y0, n_classes, hp, n_estimators, True, max_features, seed, 0
-    )
-    importances = _forest_importances([forest], [weights], hp.criterion, d)
+    importances = feature_importances(model)
     kept = [n for n, imp in zip(matrix.names, importances) if imp >= importances.mean()]
     return kept, importances

@@ -16,6 +16,7 @@ from .entities import extract_entities
 from .features import (
     CATEGORICAL_FIELDS,
     CategoricalEncoder,
+    FeatureError,
     VectorizerModel,
     build_feature_matrix,
     fit_vectorizer,
@@ -243,7 +244,7 @@ def fit_pipeline(
         kept_cat = []
     if config.importance_selection and multiclass:
         kept_text, _ = select_by_importance(
-            textual, target, config.importance_estimators, seed=config.seed
+            textual, label_sets, config.importance_estimators, seed=config.seed
         )
     else:
         if config.importance_selection and not multiclass:
@@ -319,6 +320,8 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None
+    except FeatureError as exc:
+        raise ConfigError(f"malformed vectorizer: {exc}") from None
     _check_kept_columns(fitted)
     return fitted
 

@@ -43,11 +43,6 @@ def remove_stopwords(tokens: list[str], stoplist) -> list[str]:
     return [t for t in tokens if t not in stoplist]
 
 
-def lemmatize(tokens: list[str], lemma_lexicon: dict[str, str], source_id: str = "") -> TokenStream:
-    """Replace each token by its lexicon lemma; unknown forms pass through."""
-    return TokenStream(tuple(lemma_lexicon.get(t, t) for t in tokens), source_id)
-
-
 def to_token_stream(
     doc_id: str,
     raw_text: str,

@@ -355,13 +355,9 @@ class EnsembleModel:
     def trees(self) -> list[Tree]:
         return [t for forest in self.class_forests for t in forest]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.mts_catalog.p if self.strategy == "mts" else self.class_catalog.m
 
-
-# variant -> (splitter it forces, None to keep the hyperparameter; default
-# bootstrap; sqrt(d) candidate features by default; n_estimators trees, else one)
+# variant -> (splitter it forces, None to keep the hyperparameter; bootstrap;
+# sqrt(d) candidate features; n_estimators trees, else one)
 _VARIANT_KNOBS = {
     "dt": (None, False, False, False),
     "etc": ("random", False, True, False),
@@ -370,18 +366,13 @@ _VARIANT_KNOBS = {
 }
 
 
-def _variant_knobs(variant: str, hp: Hyperparams, d: int, bootstrap, max_features):
+def _variant_knobs(variant: str, hp: Hyperparams, d: int):
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant: {variant!r}")
-    splitter, default_bootstrap, sqrt_features, ensemble = _VARIANT_KNOBS[variant]
+    splitter, bootstrap, sqrt_features, ensemble = _VARIANT_KNOBS[variant]
     if splitter is not None:
         hp = replace(hp, splitter=splitter)
-    if bootstrap is None:
-        bootstrap = default_bootstrap
-    if max_features is None and sqrt_features:
-        max_features = max(1, int(math.sqrt(d)))
-    if max_features is not None and max_features >= d:
-        max_features = None
+    max_features = max(1, int(math.sqrt(d))) if sqrt_features else None
     return hp, bootstrap, max_features, hp.n_estimators if ensemble else 1
 
 
@@ -393,14 +384,13 @@ def _fit_forest(
     n_trees: int,
     bootstrap: bool,
     max_features: int | None,
-    base_seed: int,
     tree_offset: int,
 ) -> tuple[list[Tree], np.ndarray]:
     weights = compute_class_weights(y, n_classes, hp.class_weight)
     bins = bin_columns(X)
     forest = []
     for t in range(n_trees):
-        rng = np.random.default_rng(base_seed + tree_offset + t)
+        rng = np.random.default_rng(hp.seed + tree_offset + t)
         # a bootstrap sample is grown as rows of X, so X is never copied
         rows = rng.integers(0, len(y), size=len(y)) if bootstrap else None
         forest.append(
@@ -426,8 +416,6 @@ def fit_ensemble(
     variant: str,
     strategy: str,
     feature_names=None,
-    bootstrap: bool | None = None,
-    max_features: int | None = None,
 ) -> EnsembleModel:
     """Fit the requested model variant under the BTS or MTS strategy.
 
@@ -445,9 +433,7 @@ def fit_ensemble(
     if len(feature_names) != X.shape[1]:
         raise ModelError("feature_names length must match the matrix width")
 
-    hp, boot, mf, n_trees = _variant_knobs(
-        variant, hyperparams, X.shape[1], bootstrap, max_features
-    )
+    hp, boot, mf, n_trees = _variant_knobs(variant, hyperparams, X.shape[1])
     class_catalog = build_class_catalog(label_sets)
     mts_catalog, alphas = mts_encode(label_sets)
 
@@ -456,7 +442,7 @@ def fit_ensemble(
     if strategy == "mts":
         y = np.asarray(alphas, dtype=np.int64) - 1
         forest, weights = _fit_forest(
-            X, y, mts_catalog.p, hp, n_trees, boot, mf, hp.seed, 0
+            X, y, mts_catalog.p, hp, n_trees, boot, mf, 0
         )
         forests.append(forest)
         weight_vectors.append(weights)
@@ -471,7 +457,6 @@ def fit_ensemble(
                 n_trees,
                 boot,
                 mf,
-                hp.seed,
                 j * n_trees,
             )
             forests.append(forest)
@@ -529,42 +514,29 @@ def predict_batch(model: EnsembleModel, X: np.ndarray, threshold: float = 0.5):
     return [decode_row(model, p, threshold) for p in predict_proba_batch(model, X)]
 
 
-def _forest_importances(class_forests, weight_vectors, criterion: str, d: int) -> np.ndarray:
+def feature_importances(model: EnsembleModel) -> np.ndarray:
+    """Normalized total impurity decrease per feature, averaged over trees."""
+    d = len(model.feature_names)
     per_tree = []
-    for forest, weights in zip(class_forests, weight_vectors):
+    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
         for tree in forest:
-            contrib = np.zeros(d)
             weighted = tree.counts * weights
             node_w = weighted.sum(axis=1)
             imp = _impurity_rows(
-                np.where(weighted.sum(axis=1, keepdims=True) > 0, weighted, 1.0),
-                criterion,
+                np.where(node_w[:, None] > 0, weighted, 1.0), model.hyperparams.criterion
             )
-            for node in range(tree.n_nodes):
-                f = tree.feature[node]
-                if f < 0:
-                    continue
-                l, r = tree.left[node], tree.right[node]
-                contrib[f] += (
-                    node_w[node] * imp[node]
-                    - node_w[l] * imp[l]
-                    - node_w[r] * imp[r]
-                )
+            (split,) = np.nonzero(tree.feature >= 0)
+            left, right = tree.left[split], tree.right[split]
+            gain = (
+                node_w[split] * imp[split] - node_w[left] * imp[left] - node_w[right] * imp[right]
+            )
+            # bincount adds each feature's gains in node order, as a loop would
+            contrib = np.bincount(tree.feature[split], weights=gain, minlength=d)
             total = contrib.sum()
             per_tree.append(contrib / total if total > 0 else contrib)
     mean = np.mean(per_tree, axis=0)
     total = mean.sum()
     return mean / total if total > 0 else mean
-
-
-def feature_importances(model: EnsembleModel) -> np.ndarray:
-    """Normalized total impurity decrease per feature, averaged over trees."""
-    return _forest_importances(
-        model.class_forests,
-        model.class_weight_vectors,
-        model.hyperparams.criterion,
-        len(model.feature_names),
-    )
 
 
 # --- serialization ---------------------------------------------------------
@@ -671,15 +643,32 @@ def model_from_json(text: str) -> EnsembleModel:
     ):
         raise ModelError(f"combos must index the model's {len(classes)} classes")
     combos = tuple(tuple(classes[i] for i in combo) for combo in obj["combos"])
+    if obj["variant"] not in VARIANTS or obj["strategy"] not in STRATEGIES:
+        raise ModelError(f"unknown variant or strategy: {obj['variant']!r}, {obj['strategy']!r}")
+    try:
+        hyperparams = Hyperparams(**obj["hyperparams"])
+    except TypeError as exc:
+        raise ModelError(f"malformed hyperparams: {exc}") from None
+    # mts: one forest over the combinations; bts: one 2-output forest per class
+    widths = [len(combos)] if obj["strategy"] == "mts" else [2] * len(classes)
     weight_vectors = [np.asarray(w, dtype=float) for w in obj["class_weight_vectors"]]
     forests = obj["forests"]
-    if not forests or not all(forests) or len(weight_vectors) != len(forests):
-        raise ModelError("model needs nonempty forests with one class-weight vector each")
+    if (
+        not forests
+        or not all(forests)
+        or not all(widths)
+        or len(forests) != len(widths)
+        or [w.shape for w in weight_vectors] != [(k,) for k in widths]
+    ):
+        raise ModelError(
+            f"a {obj['strategy']} model needs nonempty forests of output widths {widths}, "
+            "each with its class-weight vector"
+        )
     n_features = len(obj["feature_names"])
     return EnsembleModel(
         variant=obj["variant"],
         strategy=obj["strategy"],
-        hyperparams=Hyperparams(**obj["hyperparams"]),
+        hyperparams=hyperparams,
         feature_names=tuple(obj["feature_names"]),
         class_catalog=class_catalog,
         mts_catalog=MtsCatalog(combos),
@@ -689,13 +678,3 @@ def model_from_json(text: str) -> EnsembleModel:
         ],
         class_weight_vectors=weight_vectors,
     )
-
-
-def save_model(model: EnsembleModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-
-
-def load_model(path) -> EnsembleModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(fh.read())

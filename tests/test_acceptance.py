@@ -13,7 +13,7 @@ from lexcat import evaluation as ev
 from lexcat.anonymiser import anonymize, jaro
 from lexcat.corpus import Judgement, LabelAssignment, SUBSTANTIVE_ORDERS
 from lexcat.entities import extract_entities, parse_gin
-from lexcat.explain import confidence, extract_path, render_explanation
+from lexcat.explain import decide, extract_path, render_explanation
 from lexcat.features import spearman
 from lexcat.labels import (
     bts_decode,
@@ -180,7 +180,7 @@ def test_criterion_05_explanation_faithfulness(lexica):
         k = int(np.argmax(agg))
         assert predict_batch(model, row[None, :])[0] == mts_decode(k + 1, model.mts_catalog)
         assert np.allclose(predict_proba_batch(model, row[None, :])[0], agg, atol=1e-12)
-        assert confidence(model, row) == int(round(100 * agg[k]))
+        assert decide(model, row, 0.5).confidence == int(round(100 * agg[k]))
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -333,7 +333,28 @@ PIPELINE_MALFORMATIONS = {
     "unknown_kept_kind": _set(("kept_kinds", 0), "visual"),
     # node 1 is the root's left child, at depth 1
     "child_depth_not_parent_plus_one": _set(("model", "forests", 0, 0, "depth", 1), 2),
+    "unknown_variant": _set(("model", "variant"), "xyz"),
+    "unknown_strategy": _set(("model", "strategy"), "xyz"),
+    "unknown_hyperparam": _set(("model", "hyperparams", "bogus"), 1),
+    "hyperparam_of_wrong_type": _set(("model", "hyperparams", "max_depth"), "x"),
+    "forest_narrower_than_combos": lambda obj: _drop_last_output(obj["model"]),
+    # an mts forest read as bts, which needs one 2-output forest per class
+    "mts_forest_read_as_bts": _set(("model", "strategy"), "bts"),
+    "vocabulary_index_out_of_range": lambda obj: _set(
+        ("vectorizer", "vocabulary", min(obj["vectorizer"]["vocabulary"])), 1_000_000
+    )(obj),
+    "reversed_ngram_range": _set(("vectorizer", "ngram_range"), [2, 1]),
+    "three_ngram_bounds": _set(("vectorizer", "ngram_range"), [1, 2, 3]),
+    "fractional_ngram_bound": _set(("vectorizer", "ngram_range"), [1.5, 2]),
 }
+
+
+def _drop_last_output(model):
+    """One output fewer in the first forest's weights and leaf counts."""
+    model["class_weight_vectors"][0].pop()
+    for tree in model["forests"][0]:
+        for row in tree["counts"]:
+            row.pop()
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_MALFORMATIONS))

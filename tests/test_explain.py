@@ -12,12 +12,12 @@ from lexcat.explain import (
     aggregate_terms,
     build_explanation,
     class_display_names,
-    confidence,
+    decide,
     export_tree_graph,
     extract_path,
-    perturbation_relevance,
     render_explanation,
     select_top_terms,
+    signed_relevance,
 )
 from lexcat.labels import ClassCatalog, MtsCatalog
 from lexcat.pipeline import PipelineConfig, fit_pipeline
@@ -102,6 +102,12 @@ def _las(n):
     return [LabelAssignment("civil", (f"c{i}", "x", "y")) for i in range(n)]
 
 
+def _relevance(model, row, n_samples, seed):
+    """Absolute surrogate coefficients, as explanations rank terms."""
+    signed, _ = signed_relevance(model, row, n_samples=n_samples, seed=seed)
+    return {t: abs(v) for t, v in signed.items()}
+
+
 def test_perturbation_relevance_dominant_term():
     rng = np.random.default_rng(0)
     n = 300
@@ -113,10 +119,10 @@ def test_perturbation_relevance_dominant_term():
         X, sets, Hyperparams(seed=0), "dt", "mts", feature_names=("f0", "f1", "f2", "f3")
     )
     row = np.array([1.0, 1.0, 1.0, 0.0])
-    rel = perturbation_relevance(model, row, n_samples=400, seed=1)
+    rel = _relevance(model, row, n_samples=400, seed=1)
     assert set(rel) == {"f0", "f1", "f2"}  # only active terms get a relevance
     assert rel["f1"] > 5 * max(rel["f0"], rel["f2"])
-    again = perturbation_relevance(model, row, n_samples=400, seed=1)
+    again = _relevance(model, row, n_samples=400, seed=1)
     assert rel == again  # deterministic under a fixed seed
 
 
@@ -125,9 +131,9 @@ def test_perturbation_relevance_no_active_terms():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     sets = [(classes[0],), (classes[1],), (classes[0],), (classes[1],)]
     model = fit_ensemble(X, sets, Hyperparams(seed=0), "dt", "mts")
-    assert perturbation_relevance(model, np.zeros(2), n_samples=50, seed=0) == {}
+    assert _relevance(model, np.zeros(2), n_samples=50, seed=0) == {}
     with pytest.raises(ExplainError):
-        perturbation_relevance(model, np.ones(2), n_samples=5, seed=0)
+        _relevance(model, np.ones(2), n_samples=5, seed=0)
 
 
 def test_select_top_terms():
@@ -161,9 +167,9 @@ def test_confidence_values():
             class_weight_vectors=[np.ones(2)],
         )
 
-    assert confidence(model_with([[7.0, 0.0]]), np.zeros(1)) == 100
-    assert confidence(model_with([[12.0, 88.0]]), np.zeros(1)) == 88
-    assert confidence(model_with([[1.0, 1.0]]), np.zeros(1)) == 50
+    assert decide(model_with([[7.0, 0.0]]), np.zeros(1), 0.5).confidence == 100
+    assert decide(model_with([[12.0, 88.0]]), np.zeros(1), 0.5).confidence == 88
+    assert decide(model_with([[1.0, 1.0]]), np.zeros(1), 0.5).confidence == 50
 
 
 LISTING_EXPECTED = """For sample 10 the features' values and model decision are:
@@ -350,8 +356,8 @@ def test_build_explanation_end_to_end(lexica):
 
 @pytest.mark.parametrize("strategy", ["mts", "bts"])
 def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
-    # one evaluation of the explained row, plus one surrogate batch per
-    # explained class: the MTS argmax, or each BTS positive
+    # one evaluation of the explained row, plus one surrogate batch shared
+    # by the explained classes: the MTS argmax, or each BTS positive
     corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
     config = PipelineConfig(
         strategy=strategy, n_estimators=4, min_samples_leaf=1, seed=21, relevance_samples=60
@@ -367,6 +373,5 @@ def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
     monkeypatch.setattr(explain, "predict_proba_batch", counting)
     monkeypatch.setattr(trees, "predict_proba_batch", counting)
     e = build_explanation(fitted, corpus.documents[4], lexica)
-    k = 1 if strategy == "mts" else len(e.assignments)
     assert len(e.assignments) == 2 and e.signed_relevance
-    assert calls == [1] + [60] * k
+    assert calls == [1, 60]

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcat.corpus import LabelAssignment
 from lexcat.entities import EntityRecord, UNKNOWN
 from lexcat.features import (
     CATEGORICAL_FIELDS,
+    CategoricalEncoder,
     FeatureError,
     FeatureMatrix,
     build_feature_matrix,
     discretize_ranks,
-    encode_categoricals,
-    export_feature_matrix,
+    feature_matrix_to_text,
     fit_vectorizer,
     select_by_correlation,
     select_by_importance,
@@ -87,7 +88,8 @@ def test_fit_vectorizer_leaves_out_categorical_field_names():
     assert {"a", "court a", "decision a", "a jurisdiction"} <= set(vec.vocabulary)
     # so the full matrix has one column per name
     counts = transform(vec, streams)
-    codes, _ = encode_categoricals([_record(), _record()])
+    records = [_record(), _record()]
+    codes = CategoricalEncoder().fit(records).transform(records)
     build_feature_matrix(counts, vec.names, codes)
 
 
@@ -132,7 +134,8 @@ def test_encode_categoricals():
         _record(court="Tribunal Supremo", decision="desestimatorio"),
         _record(court="Audiencia Provincial", decision="nulidad"),
     ]
-    X, encoder = encode_categoricals(records)
+    encoder = CategoricalEncoder().fit(records)
+    X = encoder.transform(records)
     assert X.shape == (3, 7)
     court_col = CATEGORICAL_FIELDS.index("court")
     assert X[0, court_col] == X[1, court_col]  # same court, same code
@@ -227,6 +230,11 @@ def test_select_by_correlation_monotone_in_threshold():
     assert set(kept_high) <= set(kept_low)
 
 
+def _label_sets(labels):
+    classes = [LabelAssignment("civil", (f"c{i}", "x", "y")) for i in range(2)]
+    return [(classes[v],) for v in labels]
+
+
 def test_select_by_importance_informative_feature():
     rng = np.random.default_rng(2)
     n = 200
@@ -236,7 +244,9 @@ def test_select_by_importance_informative_feature():
     matrix = _matrix(
         {"informative": informative, **noise_cols}, kinds=["textual"] * 6
     )
-    kept, importances = select_by_importance(matrix, labels, n_estimators=20, seed=3)
+    kept, importances = select_by_importance(
+        matrix, _label_sets(labels), n_estimators=20, seed=3
+    )
     assert "informative" in kept
     by_name = dict(zip(matrix.names, importances))
     assert by_name["informative"] > importances.mean()
@@ -245,18 +255,16 @@ def test_select_by_importance_informative_feature():
 def test_select_by_importance_single_class_errors():
     matrix = _matrix({"a": [1.0, 2.0, 3.0]})
     with pytest.raises(FeatureError):
-        select_by_importance(matrix, [1, 1, 1])
+        select_by_importance(matrix, _label_sets([1, 1, 1]))
 
 
-def test_feature_matrix_unique_names_and_export(tmp_path):
+def test_feature_matrix_unique_names_and_export():
     with pytest.raises(FeatureError, match="duplicate column"):
         FeatureMatrix(["a", "a"], ["textual", "textual"], np.zeros((1, 2)))
     counts = np.array([[1.0, 0.0], [0.0, 2.0]])
     codes = np.zeros((2, 7))
     matrix = build_feature_matrix(counts, ["alfa", "beta"], codes)
-    path = tmp_path / "features.tsv"
-    export_feature_matrix(matrix, ["d1", "d2"], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = feature_matrix_to_text(matrix, ["d1", "d2"]).splitlines()
     assert lines[0].split("\t")[:3] == ["id", "textual:alfa", "textual:beta"]
     assert lines[1].split("\t")[0] == "d1"
     assert len(lines) == 3

@@ -1,6 +1,6 @@
 import pytest
 
-from lexcat.corpus import corpus_stats, save_corpus, load_corpus
+from lexcat.corpus import corpus_stats, corpus_to_text, load_corpus
 from lexcat.labels import mts_encode
 from lexcat.synth import SynthSpec, generate_corpus
 
@@ -27,7 +27,7 @@ def test_deterministic_and_round_trips(tmp_path):
     c = generate_corpus(SynthSpec(n_docs=50, seed=8))
     assert a != c
     path = tmp_path / "synth.jsonl"
-    save_corpus(a, path)
+    path.write_text(corpus_to_text(a), encoding="utf-8")
     assert load_corpus(path) == a
 
 

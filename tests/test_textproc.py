@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcat.textproc import TokenStream, clean, lemmatize, remove_stopwords, to_token_stream, tokenize
+from lexcat.textproc import TokenStream, clean, remove_stopwords, to_token_stream, tokenize
 
 
 def test_clean_empty():
@@ -58,9 +58,9 @@ def test_remove_stopwords():
 
 def test_lemmatize():
     lexicon = {"trabajadores": "trabajador"}
-    assert lemmatize(["trabajadores"], lexicon).tokens == ("trabajador",)
-    assert lemmatize(["inédito"], lexicon).tokens == ("inédito",)
-    assert lemmatize([], lexicon).tokens == ()
+    assert to_token_stream("", "trabajadores", set(), lexicon).tokens == ("trabajador",)
+    assert to_token_stream("", "inédito", set(), lexicon).tokens == ("inédito",)
+    assert to_token_stream("", "", set(), lexicon).tokens == ()
 
 
 def test_token_stream_rejects_whitespace_tokens():

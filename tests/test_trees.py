@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -23,12 +24,10 @@ from lexcat.trees import (
     fit_ensemble,
     fit_tree,
     impurity,
-    load_model,
     model_from_json,
     model_to_json,
     predict_batch,
     predict_proba_batch,
-    save_model,
     weight_table,
 )
 
@@ -414,8 +413,14 @@ def test_fit_ensemble_rf_reduces_to_dt():
     classes = las(3)
     sets = _label_sets_for(y, classes)
     hp = Hyperparams(n_estimators=1, seed=4)
-    rf = fit_ensemble(X, sets, hp, "rf", "mts", bootstrap=False, max_features=len(X[0]))
     dt = fit_ensemble(X, sets, hp, "dt", "mts")
+    # rf's recipe with its bootstrap and column sampling switched off
+    rf_hp, bootstrap, max_features, n_trees = trees._variant_knobs("rf", hp, X.shape[1])
+    assert (bootstrap, max_features, n_trees) == (True, 1, 1)
+    forest, weights = trees._fit_forest(X, y, 3, rf_hp, n_trees, False, None, 0)
+    rf = dataclasses.replace(
+        dt, variant="rf", hyperparams=rf_hp, class_forests=[forest], class_weight_vectors=[weights]
+    )
     assert model_to_json(rf).replace('"variant":"rf"', '"variant":"dt"') == model_to_json(dt)
 
 
@@ -535,8 +540,8 @@ def test_serialization_round_trip(tmp_path):
     again = model_to_json(model_from_json(text))
     assert text == again
     path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    path.write_text(text, encoding="utf-8")
+    loaded = model_from_json(path.read_text(encoding="utf-8"))
     assert model_to_json(loaded) == text
     assert (predict_proba_batch(loaded, X[:1]) == predict_proba_batch(model, X[:1])).all()
 
