@@ -85,12 +85,22 @@ class PipelineConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}: {self.strategy!r}")
         if self.model not in VARIANTS:
             raise ConfigError(f"model must be one of {VARIANTS}: {self.model!r}")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.relevance_samples < 10:
-            raise ConfigError(
-                f"config field 'relevance_samples' must be >= 10, got {self.relevance_samples}"
-            )
+        # value ranges are checked here, before any corpus is read
+        ranges = {
+            "max_df": (0 < self.max_df <= 1, "in (0, 1]"),
+            "min_df": (0 <= self.min_df < self.max_df, "in [0, max_df)"),
+            "ngram_lo": (1 <= self.ngram_lo <= self.ngram_hi, "in [1, ngram_hi]"),
+            "correlation_threshold": (0 <= self.correlation_threshold <= 1, "in [0, 1]"),
+            "bts_threshold": (0 <= self.bts_threshold <= 1, "in [0, 1]"),
+            "importance_estimators": (self.importance_estimators >= 1, ">= 1"),
+            "folds": (self.folds >= 2, ">= 2"),
+            "relevance_samples": (self.relevance_samples >= 10, ">= 10"),
+        }
+        for name, (ok, rule) in ranges.items():
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigError(f"config field {name!r} must be {rule}, got {value}")
+        self.hyperparams()
 
     def hyperparams(self) -> Hyperparams:
         try:
@@ -104,22 +114,23 @@ class PipelineConfig:
                 n_estimators=self.n_estimators,
                 seed=self.seed,
             )
-        except ModelError as exc:
-            raise ConfigError(str(exc)) from None
+        except ModelError as exc:  # its messages start with the field's name
+            raise ConfigError(f"config field {exc}") from None
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
         overrides = dict(overrides)
         if "ngram_range" in overrides:
-            lo, hi = overrides.pop("ngram_range")
-            overrides["ngram_lo"] = int(lo)
-            overrides["ngram_hi"] = int(hi)
+            bounds = overrides.pop("ngram_range")
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+                raise ConfigError(f"config field 'ngram_range' must be [lo, hi], got {bounds!r}")
+            overrides["ngram_lo"], overrides["ngram_hi"] = bounds
         known = set(asdict(self))
         bad = [k for k in overrides if k not in known]
         if bad:
             raise ConfigError(f"unknown config field: {bad[0]!r}")
         try:
             return replace(self, **overrides)
-        except (TypeError, ModelError) as exc:
+        except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
 

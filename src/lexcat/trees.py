@@ -10,6 +10,10 @@ distinct values once (bin_columns), and each node scores its candidate
 columns from one histogram of (column, bin, class) counts. Thresholds are
 midpoints between present values, as a sorted search would place them.
 
+For prediction, each forest's trees are packed into one flat node table
+(ForestTable) when the model is built, and predict_proba_batch walks every
+tree of the forest at once, one level per step.
+
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
 are reproducible and trees could be grown in parallel.
@@ -25,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,20 +67,24 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.class_weight not in (None, "balanced"):
-            raise ModelError(f"class_weight must be None or 'balanced': {self.class_weight!r}")
-        if self.min_samples_split < 2:
-            raise ModelError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ModelError("min_samples_leaf must be >= 1")
-        if self.criterion not in CRITERIA:
-            raise ModelError(f"criterion must be one of {CRITERIA}: {self.criterion!r}")
-        if self.splitter not in SPLITTERS:
-            raise ModelError(f"splitter must be one of {SPLITTERS}: {self.splitter!r}")
-        if self.n_estimators < 1:
-            raise ModelError("n_estimators must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ModelError("max_depth must be None or >= 0")
+        # every message starts with the quoted field name
+        choices = {"class_weight": (None, "balanced"), "criterion": CRITERIA, "splitter": SPLITTERS}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ModelError(f"{name!r} must be one of {allowed}, got {getattr(self, name)!r}")
+        least = {
+            "max_depth": 0,
+            "min_samples_split": 2,
+            "min_samples_leaf": 1,
+            "n_estimators": 1,
+            "seed": 0,
+        }
+        for name, low in least.items():
+            value = getattr(self, name)
+            if name == "max_depth" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ModelError(f"{name!r} must be an integer >= {low}, got {value!r}")
 
 
 def impurity(class_counts, criterion: str) -> float:
@@ -225,19 +234,6 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        idx = np.zeros(len(X), dtype=np.int64)
-        active = self.feature[idx] >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            nid = idx[rows]
-            go_left = X[rows, self.feature[nid]] <= self.threshold[nid]
-            idx[rows] = np.where(go_left, self.left[nid], self.right[nid])
-            active[rows] = self.feature[idx[rows]] >= 0
-        return idx
-
 
 def fit_tree(
     X: np.ndarray,
@@ -340,6 +336,42 @@ def fit_tree(
     )
 
 
+class ForestTable(NamedTuple):
+    """All trees of one forest as one flat node table, so prediction walks
+    every tree at once. A leaf splits on column 0 at +inf and both its
+    children are itself, so a walk that reaches it stays there."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray  # table offsets: node i's right child at 2i, left at 2i + 1
+    roots: np.ndarray  # table offset of each tree's root
+    dist: np.ndarray  # (nodes, outputs) normalised class-weighted counts
+
+
+def _pack_forest(forest: list[Tree], weights: np.ndarray) -> ForestTable:
+    sizes = [tree.n_nodes for tree in forest]
+    roots = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in forest])
+    leaf = feature < 0
+    own = np.arange(len(feature))
+    offset = np.repeat(roots, sizes)
+    right, left = (
+        np.where(leaf, own, np.concatenate([getattr(tree, side) for tree in forest]) + offset)
+        for side in ("right", "left")
+    )
+    weighted = np.concatenate([tree.counts for tree in forest]) * weights
+    totals = weighted.sum(axis=1, keepdims=True)
+    if not (totals > 0).all():
+        raise ModelError("every node needs a positive class-weighted sample count")
+    return ForestTable(
+        feature=np.where(leaf, 0, feature).astype(np.intp),
+        threshold=np.where(leaf, np.inf, np.concatenate([tree.threshold for tree in forest])),
+        children=np.column_stack([right, left]).ravel().astype(np.intp),
+        roots=roots.astype(np.intp),
+        dist=weighted / totals,
+    )
+
+
 @dataclass
 class EnsembleModel:
     variant: str
@@ -350,6 +382,14 @@ class EnsembleModel:
     mts_catalog: MtsCatalog
     class_forests: list[list[Tree]]
     class_weight_vectors: list[np.ndarray]
+    # derived from the two fields above once, when the model is built
+    tables: list[ForestTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tables = [
+            _pack_forest(forest, weights)
+            for forest, weights in zip(self.class_forests, self.class_weight_vectors)
+        ]
 
     @property
     def trees(self) -> list[Tree]:
@@ -473,27 +513,37 @@ def fit_ensemble(
     )
 
 
-def _leaf_distributions(tree: Tree, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
-    leaves = tree.apply(X)
-    weighted = tree.counts[leaves] * weights
-    totals = weighted.sum(axis=1, keepdims=True)
-    return weighted / totals
+def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
+    """Mean leaf distribution of one forest's trees for every row of a
+    C-contiguous X. All trees advance one level per step, from one
+    (rows, trees) matrix of table offsets, until a step moves none; value <=
+    threshold goes left and NaN goes right."""
+    values = X.ravel()
+    row_start = np.arange(0, X.size, X.shape[1])[:, None]
+    node = np.tile(table.roots, (len(X), 1))
+    while True:
+        go_left = values.take(row_start + table.feature.take(node)) <= table.threshold.take(node)
+        step = table.children.take(2 * node + go_left)
+        # children follow their split node, so only leaves stay put
+        if (step == node).all():
+            break
+        node = step
+    acc = np.zeros((len(X), table.dist.shape[1]))
+    dist = np.empty_like(acc)
+    for leaves in node.T:  # in tree order, so the sums are a loop's
+        acc += table.dist.take(leaves, axis=0, out=dist)
+    return acc / node.shape[1]
 
 
 def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """MTS: (n, p) class probabilities (rows sum to 1). BTS: (n, m) per-class
     positive probabilities. Mean of the trees' leaf distributions."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ModelError(
             f"matrix has shape {X.shape}, model expects {len(model.feature_names)} columns"
         )
-    means = []
-    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
-        acc = np.zeros((len(X), len(weights)))
-        for tree in forest:
-            acc += _leaf_distributions(tree, weights, X)
-        means.append(acc / len(forest))
+    means = [_forest_mean(table, X) for table in model.tables]
     if model.strategy == "mts":
         return means[0]
     return np.column_stack([m[:, 1] for m in means])
@@ -565,34 +615,49 @@ def _tree_to_obj(tree: Tree) -> dict:
     }
 
 
+def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
+    """value as a numeric array; anything else a JSON array may hold
+    (strings, nulls, booleans, ragged nesting) is a ModelError."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise ModelError(f"malformed {what}: a ragged array") from None
+    if array.size and array.dtype.kind not in ("iu" if integral else "iuf"):
+        raise ModelError(f"malformed {what}: {'integers' if integral else 'numbers'} expected")
+    return array
+
+
 def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
     """Rebuild one tree, rejecting arrays that could not come from fit_tree:
     children must follow their split node in preorder, which also makes
     every root-to-leaf walk end, one level deeper than their node."""
-    tree = Tree(
-        feature=np.asarray(obj["feature"], dtype=np.int32),
-        threshold=np.asarray(obj["threshold"], dtype=float),
-        left=np.asarray(obj["left"], dtype=np.int32),
-        right=np.asarray(obj["right"], dtype=np.int32),
-        depth=np.asarray(obj["depth"], dtype=np.int32),
-        counts=np.asarray(obj["counts"], dtype=float),
-    )
-    n = tree.n_nodes
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.depth)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
+    if not isinstance(obj, dict):
+        raise ModelError("malformed tree: an object of node arrays expected")
+    keys = ("feature", "left", "right", "depth")
+    ids = _numbers([obj[key] for key in keys], "tree node ids", integral=True)
+    threshold = _numbers(obj["threshold"], "tree threshold")
+    counts = _numbers(obj["counts"], "tree counts")
+    n = ids.shape[1] if ids.ndim == 2 else 0
+    if n == 0 or threshold.shape != (n,):
         raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
-    if tree.counts.shape != (n, n_outputs):
+    # the ids a fitted tree holds, where -1 marks a leaf's feature and children
+    low, high = np.array([[-1], [-1], [-1], [0]]), np.array([[n_features], [n], [n], [n]])
+    if ((ids < low) | (ids >= high)).any():
+        raise ModelError("malformed tree: a feature, child or depth id is out of range")
+    if counts.shape != (n, n_outputs):
         raise ModelError(f"malformed tree: counts must have shape ({n}, {n_outputs})")
+    if not (np.isfinite(counts) & (counts >= 0)).all():
+        raise ModelError("malformed tree: counts must be finite and nonnegative")
+    feature, left, right, depth = ids.astype(np.int32)
+    tree = Tree(feature, threshold.astype(float), left, right, depth, counts.astype(float))
     if tree.depth[0] != 0:
         raise ModelError("malformed tree: the root must have depth 0")
     split = np.nonzero(tree.feature >= 0)[0]
     for child in (tree.left[split], tree.right[split]):
-        if ((child <= split) | (child >= n)).any():
+        if (child <= split).any():
             raise ModelError("malformed tree: each child must follow its node in preorder")
         if (tree.depth[child] != tree.depth[split] + 1).any():
             raise ModelError("malformed tree: a child's depth must be its node's plus 1")
-    if (tree.feature[split] >= n_features).any():
-        raise ModelError(f"malformed tree: feature index beyond the {n_features} features")
     if not np.isfinite(tree.threshold[split]).all():
         raise ModelError("malformed tree: split thresholds must be finite")
     return tree
@@ -633,8 +698,14 @@ def model_to_json(model: EnsembleModel) -> str:
 
 def model_from_json(text: str) -> EnsembleModel:
     obj = json.loads(text)
-    if obj.get("format") != _FORMAT:
-        raise ModelError(f"unsupported model format: {obj.get('format')!r}")
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != _FORMAT:
+        raise ModelError(f"unsupported model format: {fmt!r}")
+    for key in ("feature_names", "classes", "combos", "class_weight_vectors", "forests"):
+        if not isinstance(obj[key], list):
+            raise ModelError(f"model field {key!r} must be a list")
+    if not all(isinstance(name, str) for name in obj["feature_names"]):
+        raise ModelError("feature_names must be strings")
     classes = tuple(_assignment_from_obj(o) for o in obj["classes"])
     class_catalog = ClassCatalog(classes)
     if not all(
@@ -651,11 +722,13 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ModelError(f"malformed hyperparams: {exc}") from None
     # mts: one forest over the combinations; bts: one 2-output forest per class
     widths = [len(combos)] if obj["strategy"] == "mts" else [2] * len(classes)
-    weight_vectors = [np.asarray(w, dtype=float) for w in obj["class_weight_vectors"]]
+    weight_vectors = [
+        _numbers(w, "class-weight vector").astype(float) for w in obj["class_weight_vectors"]
+    ]
     forests = obj["forests"]
     if (
         not forests
-        or not all(forests)
+        or not all(isinstance(forest, list) and forest for forest in forests)
         or not all(widths)
         or len(forests) != len(widths)
         or [w.shape for w in weight_vectors] != [(k,) for k in widths]
@@ -664,6 +737,8 @@ def model_from_json(text: str) -> EnsembleModel:
             f"a {obj['strategy']} model needs nonempty forests of output widths {widths}, "
             "each with its class-weight vector"
         )
+    if not all((np.isfinite(w) & (w >= 0)).all() for w in weight_vectors):
+        raise ModelError("class weights must be finite and nonnegative")
     n_features = len(obj["feature_names"])
     return EnsembleModel(
         variant=obj["variant"],

@@ -38,6 +38,7 @@ from lexcat.trees import (
 from test_evaluation import oracle_all, random_instance
 from test_explain import LISTING_EXPECTED, reference_explanation
 from test_features import spearman_oracle
+from test_trees import reference_apply
 
 
 def _assignments(m):
@@ -132,7 +133,7 @@ def test_criterion_04_tree_correctness():
     X = rng.uniform(-1, 1, size=(200, 2))
     y = np.where(X[:, 0] < 0, 0, np.where(X[:, 1] < 0, 1, 2))
     tree = fit_tree(X, y, Hyperparams(max_depth=None, seed=0))
-    leaves = tree.apply(X)
+    leaves = reference_apply(tree, X)
     assert (tree.counts[leaves].argmax(axis=1) == y).all()
 
     assert impurity([4, 0], "gini") == 0.0
@@ -173,7 +174,7 @@ def test_criterion_05_explanation_faithfulness(lexica):
                 f = name_index[step.feature]
                 assert (row[f] <= step.threshold) == (step.direction == "less")
                 node = int(tree.left[node] if step.direction == "less" else tree.right[node])
-            assert node == int(tree.apply(row[None, :])[0])
+            assert node == int(reference_apply(tree, row[None, :])[0])
             leaf_counts = tree.counts[node] * weights
             agg += leaf_counts / leaf_counts.sum()
         agg /= len(forest)

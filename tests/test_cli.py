@@ -1,6 +1,4 @@
-import functools
 import json
-import operator
 import re
 import shutil
 
@@ -13,7 +11,7 @@ from lexcat.lexica import default_data_dir
 from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline
 from lexcat.trees import ModelError
 
-from test_trees import MALFORMATIONS, malformed_model_obj, within_seconds
+from test_trees import MALFORMATIONS, _set, malformed_model_obj, within_seconds
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +65,31 @@ def test_bad_config_is_data_error(tmp_path):
         ({"relevance_samples": 5}, ["explain", "--sample", "synth-00000"]),
         ({"bts_threshold": "x"}, ["evaluate", "--strategy", "bts"]),
         ({"seed": "abc"}, ["train"]),
+        # value ranges, rejected when the config is built, before any corpus is read
+        ({"correlation_threshold": -5}, ["train"]),
+        ({"bts_threshold": 7}, ["evaluate", "--strategy", "bts"]),
+        ({"max_df": 0}, ["train"]),
+        ({"min_df": 0.6}, ["train"]),
+        ({"ngram_lo": 0}, ["train"]),
+        ({"n_estimators": 0}, ["train"]),
+        ({"importance_estimators": 0}, ["train"]),
+        ({"seed": -1}, ["train"]),
+        ({"ngram_range": 5}, ["train"]),
     ],
-    ids=["relevance_samples", "bts_threshold", "seed"],
+    ids=[
+        "relevance_samples",
+        "bts_threshold",
+        "seed",
+        "correlation_threshold_range",
+        "bts_threshold_range",
+        "max_df_range",
+        "min_df_above_max_df",
+        "ngram_lo_range",
+        "n_estimators_range",
+        "importance_estimators_range",
+        "seed_range",
+        "ngram_range_not_a_pair",
+    ],
 )
 def test_bad_config_value_is_data_error(fast_config_path, tmp_path, capsys, bad, command):
     cfg = json.loads(fast_config_path.read_text(encoding="utf-8"))
@@ -92,6 +113,10 @@ def test_config_value_types():
         {"importance_selection": 1},
         {"grid": []},
         {"relevance_samples": 9},
+        {"correlation_threshold": 1.5},
+        {"max_df": float("nan")},
+        {"n_estimators": 0},
+        {"max_depth": -1},
     ):
         with pytest.raises(ConfigError, match=repr(next(iter(bad)))):
             PipelineConfig(**bad)
@@ -309,16 +334,6 @@ def test_malformed_pipeline_file_is_data_error(tmp_path, content):
     assert rc == EXIT_DATA
 
 
-def _set(path, value):
-    """A mutation that sets the field at `path` of a parsed pipeline file."""
-
-    def mutate(obj):
-        *parents, last = path
-        functools.reduce(operator.getitem, parents, obj)[last] = value
-
-    return mutate
-
-
 # Mutations of a trained pipeline file that used to escape as IndexError or
 # KeyError (exit 3) or be accepted (exit 0) by `explain --model-file`.
 PIPELINE_MALFORMATIONS = {
@@ -346,6 +361,18 @@ PIPELINE_MALFORMATIONS = {
     "reversed_ngram_range": _set(("vectorizer", "ngram_range"), [2, 1]),
     "three_ngram_bounds": _set(("vectorizer", "ngram_range"), [1, 2, 3]),
     "fractional_ngram_bound": _set(("vectorizer", "ngram_range"), [1.5, 2]),
+    # values no fitted model holds, which used to load and explain (exit 0)
+    "fractional_n_estimators": _set(("model", "hyperparams", "n_estimators"), 2.5),
+    "fractional_max_depth": _set(("model", "hyperparams", "max_depth"), 1.5),
+    "fractional_min_samples_split": _set(("model", "hyperparams", "min_samples_split"), 2.5),
+    "fractional_min_samples_leaf": _set(("model", "hyperparams", "min_samples_leaf"), 1.5),
+    "fractional_seed": _set(("model", "hyperparams", "seed"), 5.5),
+    "negative_class_weight": _set(("model", "class_weight_vectors", 0, 0), -1.0),
+    "infinite_class_weight": _set(("model", "class_weight_vectors", 0, 0), float("inf")),
+    "zero_class_weights": lambda obj: [
+        _set(("model", "class_weight_vectors", 0, i), 0.0)(obj)
+        for i in range(len(obj["model"]["class_weight_vectors"][0]))
+    ],
 }
 
 

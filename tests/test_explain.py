@@ -20,9 +20,11 @@ from lexcat.explain import (
     signed_relevance,
 )
 from lexcat.labels import ClassCatalog, MtsCatalog
-from lexcat.pipeline import PipelineConfig, fit_pipeline
+from lexcat.pipeline import PipelineConfig, fit_pipeline, load_pipeline, save_pipeline
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.trees import EnsembleModel, Hyperparams, Tree, fit_ensemble, predict_proba_batch
+
+from test_trees import reference_apply
 
 
 def make_tree(feature, threshold, left, right, depth, counts):
@@ -72,8 +74,8 @@ def test_extract_path_depth3_hand_trace():
         PathStep("f1", 0.4, "more", 0.25),
         PathStep("f2", 0.9, "more", 0.75),
     ]
-    # the replayed walk ends at the same leaf apply() reaches
-    assert int(tree.apply(row[None, :])[0]) == 6
+    # the replayed walk ends at the same leaf the reference walk reaches
+    assert int(reference_apply(tree, row[None, :])[0]) == 6
 
 
 def test_extract_path_malformed_tree():
@@ -375,3 +377,28 @@ def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
     e = build_explanation(fitted, corpus.documents[4], lexica)
     assert len(e.assignments) == 2 and e.signed_relevance
     assert calls == [1, 60]
+
+
+def test_loaded_pipeline_packs_each_forest_once(lexica, monkeypatch, tmp_path):
+    # the flat node tables are built when the pipeline loads; explaining and
+    # predicting documents reuse them
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
+    config = PipelineConfig(
+        strategy="bts", n_estimators=4, min_samples_leaf=1, seed=21, relevance_samples=60
+    )
+    save_pipeline(fit_pipeline(corpus, config, lexica), tmp_path / "pipeline.json")
+    packed = []
+    pack_forest = trees._pack_forest
+
+    def counting(forest, weights):
+        packed.append(len(forest))
+        return pack_forest(forest, weights)
+
+    monkeypatch.setattr(trees, "_pack_forest", counting)
+    fitted = load_pipeline(tmp_path / "pipeline.json")
+    once = [4] * len(fitted.model.class_forests)  # one table per BTS class forest
+    assert len(once) > 1 and packed == once
+    for doc in corpus.documents[:3]:
+        build_explanation(fitted, doc, lexica)
+        fitted.predict_document(doc, lexica)
+    assert packed == once

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import signal
 from contextlib import contextmanager
 
@@ -200,6 +202,38 @@ def reference_find_split(X, y, hyperparams, rng, sample_weight=None, n_classes=N
     return best
 
 
+def reference_apply(tree, X):
+    """Leaf index each row of X reaches in one tree, walked one tree at a
+    time and one level at a time; kept as the oracle of predict_proba_batch's
+    packed walk. value <= threshold goes left, so NaN goes right."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    idx = np.zeros(len(X), dtype=np.int64)
+    active = tree.feature[idx] >= 0
+    while active.any():
+        rows = np.nonzero(active)[0]
+        nid = idx[rows]
+        go_left = X[rows, tree.feature[nid]] <= tree.threshold[nid]
+        idx[rows] = np.where(go_left, tree.left[nid], tree.right[nid])
+        active[rows] = tree.feature[idx[rows]] >= 0
+    return idx
+
+
+def reference_predict_proba(model, X):
+    """The per-tree loop predict_proba_batch replaced: each tree's weighted
+    leaf distribution, added in tree order and divided by the tree count."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    means = []
+    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
+        acc = np.zeros((len(X), len(weights)))
+        for tree in forest:
+            weighted = tree.counts[reference_apply(tree, X)] * weights
+            acc += weighted / weighted.sum(axis=1, keepdims=True)
+        means.append(acc / len(forest))
+    if model.strategy == "mts":
+        return means[0]
+    return np.column_stack([m[:, 1] for m in means])
+
+
 def _split_decrease(X, y, w, n_classes, split, criterion):
     f, thr = split
     go_left = X[:, f] <= thr
@@ -346,7 +380,7 @@ def _separable_data(n=120, seed=0):
 def test_fit_tree_fits_separable_data():
     X, y = _separable_data()
     tree = fit_tree(X, y, Hyperparams(max_depth=None, seed=1))
-    leaves = tree.apply(X)
+    leaves = reference_apply(tree, X)
     preds = tree.counts[leaves].argmax(axis=1)
     assert (preds == y).all()
 
@@ -450,6 +484,60 @@ def test_single_tree_variants_ignore_estimators():
     sets = _label_sets_for(y, las(3))
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=50, seed=0), "dt", "mts")
     assert len(model.trees) == 1
+
+
+def _query_rows(model, X, n, rng):
+    """n rows drawn from X, each with one value set exactly on one of the
+    model's split thresholds (ties go left) and every third with one value
+    set to NaN (NaN goes right)."""
+    rows = X[rng.integers(0, len(X), size=n)].copy()
+    splits = [
+        (f, thr) for tree in model.trees for f, thr in zip(tree.feature, tree.threshold) if f >= 0
+    ]
+    for i in range(n):
+        f, thr = splits[rng.integers(len(splits))]
+        rows[i, f] = thr
+        if i % 3 == 0:
+            rows[i, rng.integers(X.shape[1])] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+@pytest.mark.parametrize("variant", ["dt", "etc", "eetc", "rf"])
+def test_predict_proba_batch_bytes_equal_reference(strategy, variant):
+    rng = np.random.default_rng(8)
+    X = rng.poisson(1.0, size=(150, 6)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 2] + X[:, 4] > 2)
+    hp = Hyperparams(n_estimators=15, seed=3, class_weight="balanced")
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, variant, strategy)
+    for n in (1, 500):
+        rows = _query_rows(model, X, n, rng)
+        assert np.isnan(rows).any()
+        got = predict_proba_batch(model, rows)
+        assert got.tobytes() == reference_predict_proba(model, rows).tobytes()
+        loaded = model_from_json(model_to_json(model))
+        assert predict_proba_batch(loaded, rows).tobytes() == got.tobytes()
+
+
+def _one_tree_model(tree):
+    classes = las(tree.counts.shape[1])
+    return EnsembleModel(
+        variant="dt",
+        strategy="mts",
+        hyperparams=Hyperparams(),
+        feature_names=tuple(f"f{i}" for i in range(int(tree.feature.max()) + 1)),
+        class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
+        mts_catalog=MtsCatalog(tuple((c,) for c in classes)),
+        class_forests=[[tree]],
+        class_weight_vectors=[np.ones(len(classes))],
+    )
+
+
+def test_predict_proba_nan_goes_right():
+    X = np.array([[0.0], [1.0]])
+    tree = fit_tree(X, np.array([0, 1]), Hyperparams(seed=0))
+    probs = predict_proba_batch(_one_tree_model(tree), np.array([[np.nan], [0.0], [np.inf]]))
+    assert probs.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_predict_proba_single_tree_one_hot():
@@ -565,7 +653,8 @@ def test_split_semantics_left_is_lte():
     assert tree.feature[0] == 0
     left_leaf = tree.left[0]
     assert tree.counts[left_leaf].argmax() == 0  # value <= threshold goes left
-    assert tree.apply(np.array([[thr]]))[0] == left_leaf
+    assert reference_apply(tree, np.array([[thr]]))[0] == left_leaf
+    assert (predict_proba_batch(_one_tree_model(tree), np.array([[thr]])) == [[1.0, 0.0]]).all()
 
 
 class DeadlineExceeded(BaseException):
@@ -586,31 +675,43 @@ def within_seconds(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _set(key, node, value):
-    def mutate(tree):
-        tree[key][node] = value
+def _set(path, value):
+    """A mutation that sets the field at `path` of a parsed model or
+    pipeline file."""
+
+    def mutate(obj):
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, obj)[last] = value
 
     return mutate
 
 
-# Mutations of a serialized tree. Left unchecked, "cycle" makes Tree.apply
-# loop forever, the out-of-range ids escape as IndexError and a null (NaN)
-# threshold sends every row right.
+TREE = ("forests", 0, 0)  # the first tree of a parsed model
+
+# Mutations of a serialized model. Left unchecked, "cycle" makes prediction
+# loop forever, the out-of-range ids escape as IndexError, a null (NaN)
+# threshold sends every row right and the strings and the non-list escape
+# as ValueError or TypeError.
 MALFORMATIONS = {
-    "cycle": _set("left", 0, 0),
-    "null_threshold": _set("threshold", 0, None),
-    "infinite_threshold": _set("threshold", 0, float("inf")),
-    "child_out_of_range": _set("right", 0, 10_000),
-    "feature_out_of_range": _set("feature", 0, 99),
-    "short_depth": lambda tree: tree["depth"].pop(),
-    "missing_counts_row": lambda tree: tree["counts"].pop(),
-    "counts_width": lambda tree: [row.append(0.0) for row in tree["counts"]],
+    "cycle": _set((*TREE, "left", 0), 0),
+    "null_threshold": _set((*TREE, "threshold", 0), None),
+    "infinite_threshold": _set((*TREE, "threshold", 0), float("inf")),
+    "child_out_of_range": _set((*TREE, "right", 0), 10_000),
+    "feature_out_of_range": _set((*TREE, "feature", 0), 99),
+    "short_depth": lambda model: model["forests"][0][0]["depth"].pop(),
+    "missing_counts_row": lambda model: model["forests"][0][0]["counts"].pop(),
+    "counts_width": lambda model: [row.append(0.0) for row in model["forests"][0][0]["counts"]],
+    "string_threshold": _set((*TREE, "threshold", 0), "x"),
+    "string_count": _set((*TREE, "counts", 0, 0), "x"),
+    "negative_count": _set((*TREE, "counts", 0, 0), -1.0),
+    "string_class_weight": _set(("class_weight_vectors", 0, 0), "x"),
+    "feature_names_not_a_list": _set(("feature_names",), 5),
 }
 
 
 def malformed_model_obj(obj: dict, name: str) -> dict:
-    """`obj` (a parsed model) with MALFORMATIONS[name] applied to its first tree."""
-    MALFORMATIONS[name](obj["forests"][0][0])
+    """`obj` (a parsed model) with MALFORMATIONS[name] applied."""
+    MALFORMATIONS[name](obj)
     return obj
 
 
