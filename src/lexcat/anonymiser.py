@@ -47,7 +47,6 @@ class ReferenceSpan:
     start: int
     end: int
     tag: str
-    surface: str
     names: list[str] = field(default_factory=list)
     first_token: int | None = None
     last_token: int | None = None
@@ -104,13 +103,13 @@ def _role_before(context: dict[int, str], first: int) -> str | None:
     return None
 
 
-def _span(text: str, toks: list[_Token], first: int, last: int, tag: str) -> ReferenceSpan:
+def _span(toks: list[_Token], first: int, last: int, tag: str) -> ReferenceSpan:
     start, end = toks[first].core_start, toks[last].core_end
-    return ReferenceSpan(start, end, tag, text[start:end], [], first, last)
+    return ReferenceSpan(start, end, tag, [], first, last)
 
 
 def _scan_triggers(
-    text: str, toks: list[_Token], lexica: AnonymiserLexica
+    toks: list[_Token], lexica: AnonymiserLexica
 ) -> tuple[list[ReferenceSpan], dict[int, str]]:
     """One left-to-right pass: the trigger spans in text order, and the role
     of each role noun keyed by its last token."""
@@ -139,7 +138,7 @@ def _scan_triggers(
                 tag = implicit[phrase]
             else:
                 continue
-            spans.append(_span(text, toks, i, last, tag))
+            spans.append(_span(toks, i, last, tag))
             free = last + 1
             break
         else:
@@ -154,7 +153,7 @@ def _scan_triggers(
                     and folded[first - 1] not in implicit
                 ):
                     first -= 1
-                spans.append(_span(text, toks, first, i, "@Corporate"))
+                spans.append(_span(toks, first, i, "@Corporate"))
                 free = i + 1
         i += width
     return spans, context
@@ -163,11 +162,11 @@ def _scan_triggers(
 def detect_references(text: str, lexica: AnonymiserLexica) -> list[ReferenceSpan]:
     """Left-to-right, longest-match trigger detection; spans never overlap
     and come in text order."""
-    return _scan_triggers(text, _tokens(text), lexica)[0]
+    return _scan_triggers(_tokens(text), lexica)[0]
 
 
 def _expand_names(
-    text: str, toks: list[_Token], spans: list[ReferenceSpan], lexica: AnonymiserLexica
+    toks: list[_Token], spans: list[ReferenceSpan], lexica: AnonymiserLexica
 ) -> list[ReferenceSpan]:
     names = lexica.first_names | lexica.surnames
     found = [_name(tok, names) for tok in toks]
@@ -192,7 +191,6 @@ def _expand_names(
             claimed[k] = True
             span.first_token = k
             k -= 1
-        span.surface = text[span.start : span.end]
 
     out = [replace(s, names=list(s.names)) for s in sorted(spans, key=lambda s: s.start)]
     for span in out:
@@ -202,7 +200,7 @@ def _expand_names(
             continue
         name, end = found[k]
         claimed[k] = True
-        span = ReferenceSpan(toks[k].core_start, end, "@Person", "", [name], k, k)
+        span = ReferenceSpan(toks[k].core_start, end, "@Person", [name], k, k)
         grow(span)
         out.append(span)
     out.sort(key=lambda s: s.start)
@@ -217,7 +215,7 @@ def expand_names(
     spans must carry their token range, as those of `detect_references` do."""
     if any(s.first_token is None or s.last_token is None for s in spans):
         raise ValueError("spans must carry their token range (see detect_references)")
-    return _expand_names(text, _tokens(text), spans, lexica)
+    return _expand_names(_tokens(text), spans, lexica)
 
 
 def jaro(a: str, b: str) -> float:
@@ -303,8 +301,8 @@ def anonymize(
     role; the local role registry overrides tags per verified name.
     """
     toks = _tokens(text)
-    spans, context = _scan_triggers(text, toks, lexica)
-    spans = _expand_names(text, toks, spans, lexica)
+    spans, context = _scan_triggers(toks, lexica)
+    spans = _expand_names(toks, spans, lexica)
     for span in spans:
         if span.tag == "@Person":
             role = _role_before(context, span.first_token)

@@ -15,7 +15,7 @@ import tempfile
 from . import evaluation
 from .anonymiser import anonymize
 from .corpus import Corpus, CorpusError, corpus_stats, corpus_to_text, load_corpus
-from .entities import extract_entities
+from .entities import CATEGORICAL_FIELDS, extract_entities
 from .explain import (
     build_explanation,
     class_display_names,
@@ -23,7 +23,6 @@ from .explain import (
     render_explanation,
 )
 from .features import (
-    CATEGORICAL_FIELDS,
     CategoricalEncoder,
     FeatureError,
     build_feature_matrix,
@@ -42,7 +41,7 @@ from .pipeline import (
     pipeline_to_json,
     preprocess_corpus,
 )
-from .synth import SynthSpec, generate_corpus
+from .synth import SynthError, SynthSpec, generate_corpus
 from .trees import STRATEGIES, VARIANTS, ModelError
 
 EXIT_OK = 0
@@ -305,7 +304,7 @@ def _cmd_synth(config: PipelineConfig, args) -> int:
     params.setdefault("seed", config.seed)
     try:
         spec = SynthSpec(**params)
-    except TypeError as exc:
+    except (TypeError, SynthError) as exc:
         raise ConfigError(f"bad synth parameters: {exc}") from None
     corpus = generate_corpus(spec)
     path = _out_path(config, "synthetic.jsonl")

@@ -9,9 +9,10 @@ decision section starts after the last ruling marker.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .lexica import EntityLexica
 
@@ -28,7 +29,7 @@ _DECISION_START = re.compile(r"\b(?:FALLAMOS|FALLO|PARTE\s+DISPOSITIVA)\b", re.I
 # one group per resolution keyword; whole keywords never overlap
 _RESOLUTION = re.compile(r"\b(?:(" + ")|(".join(RESOLUTION_TYPES) + r"))\b", re.IGNORECASE)
 
-# Spanish display forms used by the explanation template.
+# Spanish display forms shown in the rendered explanation.
 SPANISH_DISPLAY = {
     "substantive": "sustantivo",
     "procedural": "procesal",
@@ -85,18 +86,17 @@ class EntityRecord:
             raise ValueError(f"{self.resolution_type} resolutions must be {implied} decisions")
 
     def values(self) -> tuple[str, ...]:
-        return (
-            self.case_type,
-            self.court,
-            self.decision,
-            self.decision_type,
-            self.instance_type,
-            self.jurisdiction,
-            self.resolution_type,
-        )
+        """The field values, in CATEGORICAL_FIELDS order."""
+        return _field_values(self)
 
     def display_values(self) -> tuple[str, ...]:
         return tuple(SPANISH_DISPLAY.get(v, v) for v in self.values())
+
+
+# the seven entity fields, in declaration order: the categorical feature
+# columns, the entities report's columns and the explanation's entity lines
+CATEGORICAL_FIELDS = tuple(f.name for f in fields(EntityRecord))
+_field_values = operator.attrgetter(*CATEGORICAL_FIELDS)
 
 
 def _nfc(text: str) -> str:
@@ -236,11 +236,5 @@ def extract_entities(judgement, lexica: EntityLexica) -> EntityRecord:
     instance = UNKNOWN if case_type == UNKNOWN else derive_instance_type(case_type)
     jurisdiction = detect_jurisdiction(heading, judgement.gin, lexica, case_type)
     return EntityRecord(
-        case_type=case_type,
-        court=court,
-        decision=decision,
-        decision_type=decision_type,
-        instance_type=instance,
-        jurisdiction=jurisdiction,
-        resolution_type=resolution,
+        case_type, court, decision, decision_type, instance, jurisdiction, resolution
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -161,19 +161,13 @@ class FoldMetrics:
 
 
 def compute_fold_metrics(L, Z, catalog) -> FoldMetrics:
-    mm = micro_macro_prf(L, Z, catalog)
     return FoldMetrics(
         exact_match=exact_match(L, Z),
         accuracy=ml_accuracy(L, Z),
         precision=ml_precision(L, Z),
         recall=ml_recall(L, Z),
         hamming_loss=hamming_loss(L, Z, catalog),
-        micro_precision=mm.micro_precision,
-        micro_recall=mm.micro_recall,
-        micro_f=mm.micro_f,
-        macro_precision=mm.macro_precision,
-        macro_recall=mm.macro_recall,
-        macro_f=mm.macro_f,
+        **asdict(micro_macro_prf(L, Z, catalog)),
     )
 
 
@@ -287,6 +281,9 @@ def grid_search(
     by grid order. The corpus is preprocessed once per lexica used."""
     if not param_grid:
         raise EvaluationError("empty parameter grid")
+    for name, values in param_grid.items():
+        if not (isinstance(values, (list, tuple)) and values):
+            raise EvaluationError(f"grid values of {name!r} must be a nonempty list: {values!r}")
     # the search maximises, so a loss (hamming_loss) cannot be the score
     if scoring not in metric_names() or scoring == "hamming_loss":
         raise EvaluationError(f"unknown or lower-is-better scoring metric: {scoring!r}")
@@ -308,40 +305,29 @@ def grid_search(
     return GridSearchResult(best[0], best[1], scores)
 
 
+# the report's metric columns, each a FoldMetrics field shown in percent
+_REPORT_METRICS = (
+    "exact_match",
+    "accuracy",
+    "macro_precision",
+    "micro_precision",
+    "macro_recall",
+    "micro_recall",
+    "macro_f",
+    "micro_f",
+    "hamming_loss",
+)
+REPORT_HEADER = "\t".join(["strategy", "model", *_REPORT_METRICS, "train_seconds"])
+
+
 def report_row(strategy: str, model: str, report: MetricsReport) -> str:
-    """One tab-separated result row: strategy, model, the eight headline
-    metric columns (percent) and training time in seconds."""
+    """One tab-separated result row under REPORT_HEADER: strategy, model,
+    the metric columns (percent) and training time in seconds."""
     m = report.means
     cells = [
         strategy.upper(),
         model.upper(),
-        f"{100 * m.exact_match:.2f}",
-        f"{100 * m.accuracy:.2f}",
-        f"{100 * m.macro_precision:.2f}",
-        f"{100 * m.micro_precision:.2f}",
-        f"{100 * m.macro_recall:.2f}",
-        f"{100 * m.micro_recall:.2f}",
-        f"{100 * m.macro_f:.2f}",
-        f"{100 * m.micro_f:.2f}",
-        f"{100 * m.hamming_loss:.2f}",
+        *(f"{100 * getattr(m, name):.2f}" for name in _REPORT_METRICS),
         f"{report.train_seconds:.2f}",
     ]
     return "\t".join(cells)
-
-
-REPORT_HEADER = "\t".join(
-    [
-        "strategy",
-        "model",
-        "exact_match",
-        "accuracy",
-        "macro_precision",
-        "micro_precision",
-        "macro_recall",
-        "micro_recall",
-        "macro_f",
-        "micro_f",
-        "hamming_loss",
-        "train_seconds",
-    ]
-)

@@ -10,16 +10,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import LabelAssignment
-from .entities import extract_entities
+from .entities import CATEGORICAL_FIELDS, extract_entities
 from .textproc import to_token_stream
 from .trees import EnsembleModel, Tree, decode_row, predict_proba_batch
 
 
 class ExplainError(ValueError):
-    pass
-
-
-class TemplateError(KeyError):
     pass
 
 
@@ -169,13 +165,7 @@ def select_top_terms(freq_ordered, relevances, limit: int = 7) -> list[tuple[str
 @dataclass(frozen=True)
 class Explanation:
     sample_id: str
-    case_type: str
-    court: str
-    decision: str
-    decision_type: str
-    instance_type: str
-    jurisdiction: str
-    resolution_type: str
+    entities: tuple[str, ...]  # display values, in CATEGORICAL_FIELDS order
     assignments: tuple[LabelAssignment, ...]
     confidence: int
     top_terms: tuple[tuple[str, float], ...]
@@ -183,77 +173,34 @@ class Explanation:
     signed_relevance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if len(self.entities) != len(CATEGORICAL_FIELDS):
+            raise ExplainError(f"need {len(CATEGORICAL_FIELDS)} entity values")
         if len(self.top_terms) > 7:
             raise ExplainError("at most 7 top terms")
         if not 0 <= self.confidence <= 100:
             raise ExplainError("confidence must be a percentage")
 
 
-@dataclass(frozen=True)
-class ExplanationTemplate:
-    header: str = "For sample {id} the features' values and model decision are:\n"
-    entity_block: str = (
-        "- Case type: {case_type}\n"
-        "- Court: {court}\n"
-        "- Decision: {decision}\n"
-        "- Decision type: {decision_type}\n"
-        "- Instance type: {instance_type}\n"
-        "- Jurisdiction: {jurisdiction}\n"
-        "- Resolution type: {resolution_type}\n"
-    )
-    assignment_block: str = (
-        "- Substantive order: {order}\n- Law categories: {cat1}, {cat2} y {cat3}\n"
-    )
-    confidence_line: str = "This decision has a confidence of {pct}\n"
-    terms_header: str = "The most representative terms (ngrams) and their relevance are:\n"
-    term_line: str = "- {term} -- {relevance:.3f}\n"
-
-
-DEFAULT_TEMPLATE = ExplanationTemplate()
-
-
-def _fmt(template: str, **fields) -> str:
-    try:
-        return template.format(**fields)
-    except (KeyError, IndexError) as exc:
-        raise TemplateError(f"missing template field: {exc}") from None
-
-
-def render_explanation(explanation: Explanation, template: ExplanationTemplate = DEFAULT_TEMPLATE) -> str:
-    """Deterministic natural-language rendering; identical explanations
-    produce identical bytes."""
+def render_explanation(explanation: Explanation) -> str:
+    """Deterministic natural-language rendering in the paper's fixed
+    format; identical explanations produce identical bytes."""
     e = explanation
-    parts = [_fmt(template.header, id=e.sample_id), "\n"]
-    parts.append(
-        _fmt(
-            template.entity_block,
-            case_type=e.case_type,
-            court=e.court,
-            decision=e.decision,
-            decision_type=e.decision_type,
-            instance_type=e.instance_type,
-            jurisdiction=e.jurisdiction,
-            resolution_type=e.resolution_type,
-        )
-    )
+    parts = [f"For sample {e.sample_id} the features' values and model decision are:\n\n"]
+    # "resolution_type" is shown as "Resolution type"
+    for name, value in zip(CATEGORICAL_FIELDS, e.entities):
+        parts.append(f"- {name.replace('_', ' ').capitalize()}: {value}\n")
     parts.append("\n")
     blocks = [
-        _fmt(
-            template.assignment_block,
-            order=a.substantive_order,
-            cat1=a.law_categories[0],
-            cat2=a.law_categories[1],
-            cat3=a.law_categories[2],
+        "- Substantive order: {}\n- Law categories: {}, {} y {}\n".format(
+            a.substantive_order, *a.law_categories
         )
         for a in e.assignments
     ]
     parts.append("\n".join(blocks))
-    parts.append("\n")
-    parts.append(_fmt(template.confidence_line, pct=e.confidence))
-    parts.append("\n")
-    parts.append(template.terms_header)
+    parts.append(f"\nThis decision has a confidence of {e.confidence}\n\n")
+    parts.append("The most representative terms (ngrams) and their relevance are:\n")
     for term, rel in e.top_terms:
-        parts.append(_fmt(template.term_line, term=term, relevance=rel))
+        parts.append(f"- {term} -- {rel:.3f}\n")
     return "".join(parts)
 
 
@@ -276,16 +223,9 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     paths = tuple(extract_path(t, row, model.feature_names) for t in model.trees)
     freq_ordered = aggregate_terms(paths, textual_names)
     top = select_top_terms(freq_ordered, relevances)
-    display = record.display_values()
     return Explanation(
         sample_id=doc.id,
-        case_type=display[0],
-        court=display[1],
-        decision=display[2],
-        decision_type=display[3],
-        instance_type=display[4],
-        jurisdiction=display[5],
-        resolution_type=display[6],
+        entities=record.display_values(),
         assignments=tuple(decision.assignments),
         confidence=decision.confidence,
         top_terms=tuple(top),

@@ -9,18 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entities import EntityRecord, UNKNOWN
+from .entities import CATEGORICAL_FIELDS, EntityRecord, UNKNOWN
 from .trees import Hyperparams, feature_importances, fit_ensemble
-
-CATEGORICAL_FIELDS = (
-    "case_type",
-    "court",
-    "decision",
-    "decision_type",
-    "instance_type",
-    "jurisdiction",
-    "resolution_type",
-)
 
 
 class FeatureError(ValueError):
@@ -36,6 +26,7 @@ class VectorizerModel:
 
     def __post_init__(self) -> None:
         _ngram_bounds(self.ngram_range)
+        _df_bounds(self.min_df, self.max_df)
         indices = sorted(i for i in self.vocabulary.values() if isinstance(i, int))
         if indices != list(range(len(self.vocabulary))):
             raise FeatureError("vocabulary indices must be 0..n-1, each used once")
@@ -55,6 +46,13 @@ def _ngram_bounds(ngram_range) -> tuple[int, int]:
     return bounds
 
 
+def _df_bounds(min_df, max_df) -> None:
+    """Document-frequency bounds are two numbers with 0 <= min_df < max_df <= 1."""
+    numbers = all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in (min_df, max_df))
+    if not (numbers and 0 <= min_df < max_df <= 1):
+        raise FeatureError(f"need numbers 0 <= min_df < max_df <= 1, got ({min_df!r}, {max_df!r})")
+
+
 def _ngrams(tokens, lo: int, hi: int):
     for size in range(lo, hi + 1):
         for i in range(len(tokens) - size + 1):
@@ -69,8 +67,7 @@ def fit_vectorizer(token_streams, max_df: float, min_df: float, ngram_range) -> 
     columns are known by name. Columns are ordered lexicographically.
     """
     lo, hi = _ngram_bounds(ngram_range)
-    if not (0 <= min_df < max_df <= 1):
-        raise FeatureError(f"need 0 <= min_df < max_df <= 1, got ({min_df}, {max_df})")
+    _df_bounds(min_df, max_df)
     streams = list(token_streams)
     if not streams:
         raise FeatureError("no documents to fit on")
@@ -122,8 +119,8 @@ class CategoricalEncoder:
             raise FeatureError("encoder not fitted")
         X = np.zeros((len(records), len(CATEGORICAL_FIELDS)))
         for i, rec in enumerate(records):
-            for col, name in enumerate(CATEGORICAL_FIELDS):
-                X[i, col] = self.tables[name].get(rec.values()[col], 0)
+            for col, (name, value) in enumerate(zip(CATEGORICAL_FIELDS, rec.values())):
+                X[i, col] = self.tables[name].get(value, 0)
         return X
 
 

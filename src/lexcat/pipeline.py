@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .corpus import Corpus, Judgement
-from .entities import extract_entities
+from .entities import CATEGORICAL_FIELDS, extract_entities
 from .features import (
-    CATEGORICAL_FIELDS,
     CategoricalEncoder,
     FeatureError,
     VectorizerModel,
@@ -104,16 +103,7 @@ class PipelineConfig:
 
     def hyperparams(self) -> Hyperparams:
         try:
-            return Hyperparams(
-                class_weight=self.class_weight,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                criterion=self.criterion,
-                splitter=self.splitter,
-                n_estimators=self.n_estimators,
-                seed=self.seed,
-            )
+            return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
         except ModelError as exc:  # its messages start with the field's name
             raise ConfigError(f"config field {exc}") from None
 
@@ -291,12 +281,7 @@ def pipeline_to_json(fp: FittedPipeline) -> str:
     obj = {
         "format": _PIPELINE_FORMAT,
         "config": asdict(fp.config),
-        "vectorizer": {
-            "vocabulary": fp.vectorizer.vocabulary,
-            "max_df": fp.vectorizer.max_df,
-            "min_df": fp.vectorizer.min_df,
-            "ngram_range": list(fp.vectorizer.ngram_range),
-        },
+        "vectorizer": asdict(fp.vectorizer),
         "encoder": fp.encoder.tables,
         "kept_names": fp.kept_names,
         "kept_kinds": fp.kept_kinds,
@@ -315,18 +300,19 @@ def pipeline_from_json(text: str) -> FittedPipeline:
     if obj.get("format") != _PIPELINE_FORMAT:
         raise ConfigError(f"unsupported pipeline format: {obj.get('format')!r}")
     try:
+        _check_envelope(obj)
         vec = obj["vectorizer"]
         fitted = FittedPipeline(
             config=PipelineConfig().with_overrides(obj["config"]),
             vectorizer=VectorizerModel(
-                vocabulary=dict(vec["vocabulary"]),
+                vocabulary=vec["vocabulary"],
                 max_df=vec["max_df"],
                 min_df=vec["min_df"],
                 ngram_range=tuple(vec["ngram_range"]),
             ),
             encoder=CategoricalEncoder(tables=obj["encoder"]),
-            kept_names=list(obj["kept_names"]),
-            kept_kinds=list(obj["kept_kinds"]),
+            kept_names=obj["kept_names"],
+            kept_kinds=obj["kept_kinds"],
             model=model_from_json(json.dumps(obj["model"])),
         )
     except KeyError as exc:
@@ -335,6 +321,34 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         raise ConfigError(f"malformed vectorizer: {exc}") from None
     _check_kept_columns(fitted)
     return fitted
+
+
+def _check_envelope(obj: dict) -> None:
+    """The pipeline file's parts outside the model have the JSON types the
+    constructors take; the constructors check their values."""
+    vec, tables = obj["vectorizer"], obj["encoder"]
+    shapes = {
+        "config": isinstance(obj["config"], dict),
+        "vectorizer": isinstance(vec, dict)
+        and isinstance(vec["vocabulary"], dict)
+        and isinstance(vec["ngram_range"], list),
+        # one table of integer codes per entity field
+        "encoder": isinstance(tables, dict)
+        and set(tables) == set(CATEGORICAL_FIELDS)
+        and all(
+            isinstance(t, dict) and all(type(code) is int for code in t.values())
+            for t in tables.values()
+        ),
+        "kept_names": _strings(obj["kept_names"]),
+        "kept_kinds": _strings(obj["kept_kinds"]),
+    }
+    for name, ok in shapes.items():
+        if not ok:
+            raise ConfigError(f"malformed pipeline field {name!r}")
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _check_kept_columns(fp: FittedPipeline) -> None:

@@ -50,6 +50,10 @@ _NOISE_WORDS = (
 )
 
 
+class SynthError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     n_docs: int = 2000
@@ -60,6 +64,31 @@ class SynthSpec:
     keywords_per_class: int = 8
     tokens_lo: int = 40
     tokens_hi: int = 80
+
+    def __post_init__(self) -> None:
+        # field -> (type, least value, greatest value or None); a float field
+        # takes an int, and no field takes a bool
+        rules = {
+            "n_docs": (int, 1, None),
+            "n_classes": (int, 2, None),
+            "seed": (int, 0, None),
+            "noise": (float, 0, 1),
+            "contamination": (float, 0, 1),
+            "keywords_per_class": (int, 1, None),
+            "tokens_lo": (int, 1, None),
+            "tokens_hi": (int, self.tokens_lo, None),
+        }
+        for name, (kind, low, high) in rules.items():
+            value = getattr(self, name)
+            typed = isinstance(value, (int, float) if kind is float else int)
+            if (
+                isinstance(value, bool)
+                or not typed
+                or not (low <= value and (high is None or value <= high))
+            ):
+                what = "a number" if kind is float else "an integer"
+                span = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise SynthError(f"{name!r} must be {what} {span}, got {value!r}")
 
 
 def _pseudo_word(rng: np.random.Generator, used: set[str]) -> str:
@@ -97,13 +126,12 @@ def _base_assignments(rng: np.random.Generator, count: int, used: set[str]) -> l
 
 def generate_corpus(spec: SynthSpec = SynthSpec()) -> Corpus:
     """Deterministic synthetic corpus for the given spec."""
-    if spec.n_docs < 1 or spec.n_classes < 2:
-        raise ValueError("need at least 1 document and 2 classes")
     rng = np.random.default_rng(spec.seed)
     used: set[str] = set()
 
     sizes = _combo_sizes(spec.n_classes)
-    pool = _base_assignments(rng, max(6, max(sizes) * 2), used)
+    # enough assignments for every singleton combination to be distinct
+    pool = _base_assignments(rng, max(6, max(sizes) * 2, sizes.count(1)), used)
     combos: list[tuple[LabelAssignment, ...]] = []
     seen_keys: set[tuple[str, ...]] = set()
     for size in sizes:

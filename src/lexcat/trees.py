@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -426,6 +426,7 @@ def _fit_forest(
     max_features: int | None,
     tree_offset: int,
 ) -> tuple[list[Tree], np.ndarray]:
+    y = np.asarray(y, dtype=np.int64)
     weights = compute_class_weights(y, n_classes, hp.class_weight)
     bins = bin_columns(X)
     forest = []
@@ -477,30 +478,17 @@ def fit_ensemble(
     class_catalog = build_class_catalog(label_sets)
     mts_catalog, alphas = mts_encode(label_sets)
 
-    forests: list[list[Tree]] = []
-    weight_vectors: list[np.ndarray] = []
+    # (labels, output width) of each forest; bts labels are views of beta,
+    # which _fit_forest copies to int64 only while it grows that forest
     if strategy == "mts":
-        y = np.asarray(alphas, dtype=np.int64) - 1
-        forest, weights = _fit_forest(
-            X, y, mts_catalog.p, hp, n_trees, boot, mf, 0
-        )
-        forests.append(forest)
-        weight_vectors.append(weights)
+        targets = [(np.asarray(alphas, dtype=np.int64) - 1, mts_catalog.p)]
     else:
         beta = bts_encode(label_sets, class_catalog)
-        for j in range(class_catalog.m):
-            forest, weights = _fit_forest(
-                X,
-                beta[:, j].astype(np.int64),
-                2,
-                hp,
-                n_trees,
-                boot,
-                mf,
-                j * n_trees,
-            )
-            forests.append(forest)
-            weight_vectors.append(weights)
+        targets = [(beta[:, j], 2) for j in range(class_catalog.m)]
+    fits = [
+        _fit_forest(X, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
+        for j, (y, n_classes) in enumerate(targets)
+    ]
     return EnsembleModel(
         variant=variant,
         strategy=strategy,
@@ -508,8 +496,8 @@ def fit_ensemble(
         feature_names=feature_names,
         class_catalog=class_catalog,
         mts_catalog=mts_catalog,
-        class_forests=forests,
-        class_weight_vectors=weight_vectors,
+        class_forests=[forest for forest, _ in fits],
+        class_weight_vectors=[weights for _, weights in fits],
     )
 
 
@@ -605,14 +593,7 @@ def _assignment_from_obj(obj) -> LabelAssignment:
 
 
 def _tree_to_obj(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "depth": tree.depth.tolist(),
-        "counts": tree.counts.tolist(),
-    }
+    return {f.name: getattr(tree, f.name).tolist() for f in fields(Tree)}
 
 
 def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
@@ -666,21 +647,11 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
 def model_to_obj(model: EnsembleModel) -> dict:
     """The JSON object of a model, as model_to_json writes it and pipeline
     files embed it."""
-    hp = model.hyperparams
     return {
         "format": _FORMAT,
         "variant": model.variant,
         "strategy": model.strategy,
-        "hyperparams": {
-            "class_weight": hp.class_weight,
-            "max_depth": hp.max_depth,
-            "min_samples_split": hp.min_samples_split,
-            "min_samples_leaf": hp.min_samples_leaf,
-            "criterion": hp.criterion,
-            "splitter": hp.splitter,
-            "n_estimators": hp.n_estimators,
-            "seed": hp.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "feature_names": list(model.feature_names),
         "classes": [_assignment_to_obj(a) for a in model.class_catalog.classes],
         "combos": [

@@ -1,14 +1,22 @@
 """The benchmark under perfbench/ reaches lexcat through module attributes:
 the tracer wraps them by name and the workloads call them. A lexcat name
 either one relies on must keep resolving, or `perfbench/run.py --trace 1`
-breaks; these tests make that a tier-1 failure."""
+breaks; these tests make that a tier-1 failure. The workloads also read
+fields of what lexcat returns (`Explanation.assignments`, `model.trees`,
+`MetricsReport.means`), so each workload runs once at its self-test's
+tiny sizes."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import re
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _tracer():
@@ -64,3 +72,19 @@ def test_workload_lexcat_names_resolve():
     ]
     assert modules
     assert missing == []
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_runs_once_at_tiny_size(name, tmp_path, monkeypatch):
+    # perfbench's modules import each other by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    sizes = importlib.import_module("test_perfbench").TINY[name]
+    workload = workloads.WORKLOADS[name](seed=3, workdir=tmp_path, **sizes)
+    state = workload.setup()
+    measurement = workloads.Measurement([workload.run_pass(state)], workload.docs_per_pass)
+    checks = workloads.Checks()
+    digest = workload.verify(state, measurement, checks)
+    assert checks.attempted >= 1
+    assert checks.failures == []
+    assert re.fullmatch("[0-9a-f]{64}", digest)

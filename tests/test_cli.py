@@ -261,6 +261,50 @@ def test_gridsearch_command(synth_corpus_path, tmp_path):
     assert lines[-1].startswith("best\t")
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"criterion": []}, {"criterion": 0.5}, {"out": "ab"}],
+    ids=["empty_list", "scalar", "string_read_letter_by_letter"],
+)
+def test_gridsearch_grid_value_not_a_nonempty_list(synth_corpus_path, tmp_path, capsys, grid):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"corpus": str(synth_corpus_path), "grid": grid}), encoding="utf-8")
+    rc = main(["gridsearch", "--config", str(cfg), "--out", str(tmp_path / "grid.tsv")])
+    assert rc == EXIT_DATA
+    assert repr(next(iter(grid))) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,synth,field",
+    [
+        (["--docs", "0"], {}, "n_docs"),
+        (["--classes", "1"], {}, "n_classes"),
+        ([], {"n_docs": "x"}, "n_docs"),
+        ([], {"noise": "x"}, "noise"),
+        ([], {"contamination": 2}, "contamination"),
+        ([], {"seed": -1}, "seed"),
+        ([], {"keywords_per_class": 0}, "keywords_per_class"),
+        ([], {"tokens_hi": 3}, "tokens_hi"),
+    ],
+    ids=[
+        "zero_docs",
+        "one_class",
+        "docs_not_a_number",
+        "noise_not_a_number",
+        "contamination_range",
+        "negative_seed",
+        "no_keywords",
+        "tokens_hi_below_tokens_lo",
+    ],
+)
+def test_bad_synth_spec_is_data_error(tmp_path, capsys, args, synth, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": synth}), encoding="utf-8")
+    rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl"), *args])
+    assert rc == EXIT_DATA
+    assert repr(field) in capsys.readouterr().err
+
+
 def test_evaluate_deterministic_artifacts(fast_config_path, tmp_path):
     a = tmp_path / "a.tsv"
     b = tmp_path / "b.tsv"
@@ -373,6 +417,18 @@ PIPELINE_MALFORMATIONS = {
         _set(("model", "class_weight_vectors", 0, i), 0.0)(obj)
         for i in range(len(obj["model"]["class_weight_vectors"][0]))
     ],
+    # the envelope outside the model, which used to escape as TypeError
+    # (exit 3) or load and fail only when a row was encoded
+    "kept_names_not_a_list": _set(("kept_names",), 5),
+    "kept_kind_not_a_string": _set(("kept_kinds", 0), [1]),
+    "config_not_an_object": _set(("config",), [1]),
+    "vocabulary_not_an_object": _set(("vectorizer", "vocabulary"), [1, 2]),
+    "ngram_range_not_a_list": _set(("vectorizer", "ngram_range"), 5),
+    "max_df_not_a_number": _set(("vectorizer", "max_df"), "x"),
+    "encoder_not_an_object": _set(("encoder",), 5),
+    "encoder_table_not_an_object": _set(("encoder", "court"), 5),
+    "encoder_code_not_an_integer": _set(("encoder", "court", "x"), "1"),
+    "encoder_field_missing": lambda obj: obj["encoder"].pop("court"),
 }
 
 
@@ -396,4 +452,6 @@ def test_malformed_pipeline_rejected_at_load(dt_model_path, fast_config_path, tm
     with within_seconds(10):
         rc = main(["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
                    "--model-file", str(bad), "--out", str(tmp_path / "e.txt")])
+    assert rc == EXIT_DATA
+    rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
     assert rc == EXIT_DATA

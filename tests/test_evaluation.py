@@ -268,14 +268,20 @@ def test_grid_search_single_combo(lexica):
 
 
 def test_report_row_shape():
-    fm = ev.FoldMetrics(*([0.5] * 11))
+    # a distinct value per metric, so every cell is checked against its column
+    names = ev.metric_names()
+    fm = ev.FoldMetrics(*(i / 100 for i in range(1, len(names) + 1)))
     report = ev.MetricsReport([fm], train_seconds=1.23)
-    row = ev.report_row("mts", "rf", report)
-    cells = row.split("\t")
-    assert cells[0] == "MTS"
-    assert cells[1] == "RF"
-    assert len(cells) == len(ev.REPORT_HEADER.split("\t"))
-    assert cells[2] == "50.00"
+    cells = ev.report_row("mts", "rf", report).split("\t")
+    header = ev.REPORT_HEADER.split("\t")
+    assert header == [
+        "strategy", "model", "exact_match", "accuracy", "macro_precision", "micro_precision",
+        "macro_recall", "micro_recall", "macro_f", "micro_f", "hamming_loss", "train_seconds",
+    ]
+    assert len(cells) == len(header)
+    assert cells[:2] == ["MTS", "RF"] and cells[-1] == "1.23"
+    for column, cell in zip(header[2:-1], cells[2:-1]):
+        assert cell == f"{names.index(column) + 1:.2f}", column
 
 
 def test_grid_search_preprocesses_once(lexica, monkeypatch):

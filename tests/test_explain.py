@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,7 @@ from lexcat.corpus import LabelAssignment
 from lexcat.explain import (
     ExplainError,
     Explanation,
-    ExplanationTemplate,
     PathStep,
-    TemplateError,
     aggregate_terms,
     build_explanation,
     class_display_names,
@@ -202,13 +202,15 @@ The most representative terms (ngrams) and their relevance are:
 def reference_explanation():
     return Explanation(
         sample_id="10",
-        case_type="recurso de suplicación",
-        court="Tribunal Superior de Justicia",
-        decision="desestimatorio",
-        decision_type="sustantivo",
-        instance_type="segunda",
-        jurisdiction="social",
-        resolution_type="sentencia",
+        entities=(
+            "recurso de suplicación",
+            "Tribunal Superior de Justicia",
+            "desestimatorio",
+            "sustantivo",
+            "segunda",
+            "social",
+            "sentencia",
+        ),
         assignments=(
             LabelAssignment(
                 "social",
@@ -239,10 +241,7 @@ def test_render_deterministic_and_empty_terms():
     e = reference_explanation()
     assert render_explanation(e) == render_explanation(e)
     bare = Explanation(
-        sample_id="1",
-        case_type="x", court="x", decision="x", decision_type="x",
-        instance_type="x", jurisdiction="x", resolution_type="x",
-        assignments=e.assignments, confidence=50, top_terms=(),
+        sample_id="1", entities=("x",) * 7, assignments=e.assignments, confidence=50, top_terms=()
     )
     text = render_explanation(bare)
     assert text.endswith("The most representative terms (ngrams) and their relevance are:\n")
@@ -251,41 +250,20 @@ def test_render_deterministic_and_empty_terms():
 def test_render_two_assignments_two_blocks():
     e = reference_explanation()
     second = LabelAssignment("mercantile", ("a", "b", "c"))
-    two = Explanation(
-        **{
-            **{f: getattr(e, f) for f in (
-                "sample_id", "case_type", "court", "decision", "decision_type",
-                "instance_type", "jurisdiction", "resolution_type", "confidence",
-                "top_terms",
-            )},
-            "assignments": (e.assignments[0], second),
-        }
-    )
+    two = dataclasses.replace(e, assignments=(e.assignments[0], second))
     text = render_explanation(two)
     assert text.count("- Substantive order:") == 2
     assert "- Substantive order: social\n- Law categories: derecho del trabajo" in text
     assert "\n\n- Substantive order: mercantile\n- Law categories: a, b y c\n" in text
 
 
-def test_render_missing_field_errors():
-    broken = ExplanationTemplate(header="For sample {sample} ...\n")
-    with pytest.raises(TemplateError):
-        render_explanation(reference_explanation(), broken)
-
-
 def test_explanation_invariants():
     e = reference_explanation()
     with pytest.raises(ExplainError):
-        Explanation(
-            **{
-                **{f: getattr(e, f) for f in (
-                    "sample_id", "case_type", "court", "decision", "decision_type",
-                    "instance_type", "jurisdiction", "resolution_type", "assignments",
-                    "top_terms",
-                )},
-                "confidence": 104,
-            }
-        )
+        dataclasses.replace(e, confidence=104)
+    for entities in (e.entities[:6], e.entities + ("x",)):
+        with pytest.raises(ExplainError):
+            dataclasses.replace(e, entities=entities)
 
 
 def test_export_tree_graph_single_leaf():

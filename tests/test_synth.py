@@ -4,6 +4,8 @@ from lexcat.corpus import corpus_stats, corpus_to_text, load_corpus
 from lexcat.labels import mts_encode
 from lexcat.synth import SynthSpec, generate_corpus
 
+from test_trees import within_seconds
+
 
 def test_corpus_shape_and_classes():
     corpus = generate_corpus(SynthSpec(n_docs=500, n_classes=8, seed=0))
@@ -42,3 +44,12 @@ def test_bad_spec():
         generate_corpus(SynthSpec(n_docs=0))
     with pytest.raises(ValueError):
         generate_corpus(SynthSpec(n_classes=1))
+
+
+def test_many_classes_do_not_hang():
+    # more singleton combinations than the six base assignments once searched
+    # forever for a seventh distinct singleton
+    with within_seconds(10):
+        corpus = generate_corpus(SynthSpec(n_docs=300, n_classes=14, seed=2))
+    catalog, _ = mts_encode([d.annotations for d in corpus.documents])
+    assert catalog.p == 14
