@@ -13,8 +13,8 @@ Trigger logic:
     spans, or become standalone @Person spans.
 
 `anonymize` makes one pass over a document: it tokenises the text once,
-scans it once for triggers (`detect_references`), grows the spans over
-adjacent names (`expand_names`) and upgrades standalone names after a role
+scans it once for triggers (`_scan_triggers`), grows the spans over
+adjacent names (`_expand_names`) and upgrades standalone names after a role
 noun. Every span carries the indices of its first and last token, so the
 later steps find a span's neighbours and the role noun before it by index.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lexica import TAGS, AnonymiserLexica
@@ -37,6 +37,7 @@ _TRAIL = ",;:)»]\"'"
 
 _CONTEXT_WINDOW = 2
 _CORPORATE_RUN = 4
+_UNIFY_THRESHOLD = 0.9  # Jaro similarity at which two names are one person
 
 
 @dataclass
@@ -47,9 +48,9 @@ class ReferenceSpan:
     start: int
     end: int
     tag: str
-    names: list[str] = field(default_factory=list)
-    first_token: int | None = None
-    last_token: int | None = None
+    names: list[str]
+    first_token: int
+    last_token: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
@@ -159,15 +160,13 @@ def _scan_triggers(
     return spans, context
 
 
-def detect_references(text: str, lexica: AnonymiserLexica) -> list[ReferenceSpan]:
-    """Left-to-right, longest-match trigger detection; spans never overlap
-    and come in text order."""
-    return _scan_triggers(_tokens(text), lexica)[0]
-
-
 def _expand_names(
     toks: list[_Token], spans: list[ReferenceSpan], lexica: AnonymiserLexica
 ) -> list[ReferenceSpan]:
+    """Grow each span (given in text order) in place over adjacent
+    capitalised lexicon names, rightward then leftward; leftover lexicon
+    names become standalone @Person spans, added to the list, which is
+    returned in text order."""
     names = lexica.first_names | lexica.surnames
     found = [_name(tok, names) for tok in toks]
     n = len(toks)
@@ -192,8 +191,7 @@ def _expand_names(
             span.first_token = k
             k -= 1
 
-    out = [replace(s, names=list(s.names)) for s in sorted(spans, key=lambda s: s.start)]
-    for span in out:
+    for span in spans:
         grow(span)
     for k in range(n):
         if claimed[k] or not found[k]:
@@ -202,20 +200,9 @@ def _expand_names(
         claimed[k] = True
         span = ReferenceSpan(toks[k].core_start, end, "@Person", [name], k, k)
         grow(span)
-        out.append(span)
-    out.sort(key=lambda s: s.start)
-    return out
-
-
-def expand_names(
-    text: str, spans: list[ReferenceSpan], lexica: AnonymiserLexica
-) -> list[ReferenceSpan]:
-    """Grow each span over adjacent capitalised lexicon names (rightward then
-    leftward); leftover lexicon names become standalone @Person spans. The
-    spans must carry their token range, as those of `detect_references` do."""
-    if any(s.first_token is None or s.last_token is None for s in spans):
-        raise ValueError("spans must carry their token range (see detect_references)")
-    return _expand_names(_tokens(text), spans, lexica)
+        spans.append(span)
+    spans.sort(key=lambda s: s.start)
+    return spans
 
 
 def jaro(a: str, b: str) -> float:
@@ -292,9 +279,7 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     return mapping
 
 
-def anonymize(
-    text: str, lexica: AnonymiserLexica, threshold: float = 0.9
-) -> tuple[str, AnonymisationReport]:
+def anonymize(text: str, lexica: AnonymiserLexica) -> tuple[str, AnonymisationReport]:
     """Replace every detected reference span with its role tag.
 
     Standalone @Person spans preceded by a role noun are upgraded to its
@@ -313,7 +298,7 @@ def anonymize(
             span.tag = lexica.role_registry[full_name]
 
     full_names = [" ".join(s.names) for s in spans if s.names]
-    mapping = unify_names(full_names, threshold)
+    mapping = unify_names(full_names, _UNIFY_THRESHOLD)
     pieces, pos = [], 0
     for span in spans:
         pieces += (text[pos : span.start], span.tag)

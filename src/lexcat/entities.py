@@ -53,15 +53,6 @@ class GinFields:
     year: str
     sequence: str
 
-    def concat(self) -> str:
-        return (
-            self.province
-            + self.court_code
-            + self.jurisdiction_digit
-            + self.year
-            + self.sequence
-        )
-
 
 def parse_gin(gin: str) -> GinFields:
     """Slice a 19-digit General Identification Number into its fixed fields."""

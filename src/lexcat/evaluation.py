@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import lexica as lx
 from . import pipeline as pl
 from .corpus import Corpus
 from .labels import build_class_catalog, mts_encode
@@ -71,25 +70,25 @@ def ml_recall(L, Z) -> float:
     return total / len(ls)
 
 
+def _catalog_keys(catalog, ls, zs) -> list:
+    """The catalog's class keys, after checking that it is nonempty and
+    holds every annotated and predicted label."""
+    classes = [_key(c) for c in (catalog.classes if hasattr(catalog, "classes") else catalog)]
+    if not classes:
+        raise EvaluationError("catalog must contain at least one class")
+    outside = set().union(*ls, *zs).difference(classes)
+    if outside:
+        raise EvaluationError(f"label outside catalog: {sorted(outside)[0]!r}")
+    return classes
+
+
 def hamming_loss(L, Z, catalog) -> float:
     """Symmetric-difference errors over the indicator view, normalised by
     catalog size times document count."""
     ls, zs = _check_lengths(L, Z)
-    classes = [_key(c) for c in _catalog_classes(catalog)]
-    class_set = set(classes)
-    m = len(classes)
-    if m < 1:
-        raise EvaluationError("catalog must contain at least one class")
-    for s in itertools.chain(ls, zs):
-        outside = s - class_set
-        if outside:
-            raise EvaluationError(f"label outside catalog: {sorted(outside)[0]!r}")
+    m = len(_catalog_keys(catalog, ls, zs))
     errors = sum(len(a ^ b) for a, b in zip(ls, zs))
     return errors / (m * len(ls))
-
-
-def _catalog_classes(catalog):
-    return list(catalog.classes) if hasattr(catalog, "classes") else list(catalog)
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def micro_macro_prf(L, Z, catalog) -> MicroMacro:
     denominator count as 0.
     """
     ls, zs = _check_lengths(L, Z)
-    classes = [_key(c) for c in _catalog_classes(catalog)]
+    classes = _catalog_keys(catalog, ls, zs)
     tp = {c: 0 for c in classes}
     fp = {c: 0 for c in classes}
     fn = {c: 0 for c in classes}
@@ -186,10 +185,6 @@ class MetricsReport:
         )
 
 
-def metric_names() -> list[str]:
-    return [f.name for f in fields(FoldMetrics)]
-
-
 def stratified_folds(alphas: list[int], k: int, seed: int) -> list[int]:
     """Fold id per document: members of each class are shuffled and dealt
     round-robin from a random starting fold, so every class spreads as
@@ -210,7 +205,7 @@ def stratified_folds(alphas: list[int], k: int, seed: int) -> list[int]:
     return fold_of
 
 
-def cross_validate(corpus: Corpus, config, k: int = 10, seed: int = 0, lexica=None) -> MetricsReport:
+def cross_validate(corpus: Corpus, config, lexica, k: int = 10, seed: int = 0) -> MetricsReport:
     """Stratified k-fold cross-validation of the full pipeline.
 
     Vectorizer, selection and model are fitted per fold on the training
@@ -218,15 +213,7 @@ def cross_validate(corpus: Corpus, config, k: int = 10, seed: int = 0, lexica=No
     deterministic per document and computed once. Metrics use the
     whole-corpus class catalog so test labels are always in range.
     """
-    return _cross_validate(corpus, config, k, seed, *_prepare(corpus, config, lexica))
-
-
-def _prepare(corpus: Corpus, config, lexica):
-    """The lexica (loaded from config.lexica_dir unless given) and the
-    corpus preprocessed with them."""
-    if lexica is None:
-        lexica = lx.load_lexica(config.lexica_dir)
-    return lexica, pl.preprocess_corpus(corpus, lexica)
+    return _cross_validate(corpus, config, k, seed, lexica, pl.preprocess_corpus(corpus, lexica))
 
 
 def _cross_validate(corpus: Corpus, config, k: int, seed: int, lexica, prep) -> MetricsReport:
@@ -267,38 +254,34 @@ class GridSearchResult:
     scores: list[tuple[dict, float]]
 
 
+# config fields a grid cannot vary: the search's own arguments (corpus,
+# k and lexica) fix them for every point
+_FIXED_BY_SEARCH = ("corpus", "folds", "lexica_dir")
+
+
 def grid_search(
-    corpus: Corpus,
-    param_grid: dict,
-    k: int,
-    base_config,
-    scoring: str = "micro_f",
-    seed: int = 0,
-    lexica=None,
+    corpus: Corpus, param_grid: dict, k: int, base_config, lexica, seed: int = 0
 ) -> GridSearchResult:
     """Exhaustive cross-validated evaluation of the grid's cartesian
-    product; the best combination is the maximal mean score, ties resolved
-    by grid order. The corpus is preprocessed once per lexica used."""
+    product, scored on the mean micro F1; the best combination is the
+    maximal score, ties resolved by grid order. The corpus is preprocessed
+    once."""
     if not param_grid:
         raise EvaluationError("empty parameter grid")
     for name, values in param_grid.items():
+        if name in _FIXED_BY_SEARCH:
+            raise EvaluationError(f"grid cannot vary {name!r}; set it outside the grid")
         if not (isinstance(values, (list, tuple)) and values):
             raise EvaluationError(f"grid values of {name!r} must be a nonempty list: {values!r}")
-    # the search maximises, so a loss (hamming_loss) cannot be the score
-    if scoring not in metric_names() or scoring == "hamming_loss":
-        raise EvaluationError(f"unknown or lower-is-better scoring metric: {scoring!r}")
+    prep = pl.preprocess_corpus(corpus, lexica)
     names = list(param_grid)
     scores: list[tuple[dict, float]] = []
     best: tuple[dict, float] | None = None
-    prepared = {}  # lexica_dir -> (lexica, PreparedCorpus); given lexica serve every point
     for values in itertools.product(*(param_grid[n] for n in names)):
         params = dict(zip(names, values))
         config = base_config.with_overrides(params)
-        key = None if lexica is not None else config.lexica_dir
-        if key not in prepared:
-            prepared[key] = _prepare(corpus, config, lexica)
-        report = _cross_validate(corpus, config, k, seed, *prepared[key])
-        score = getattr(report.means, scoring)
+        report = _cross_validate(corpus, config, k, seed, lexica, prep)
+        score = report.means.micro_f
         scores.append((params, score))
         if best is None or score > best[1]:
             best = (params, score)

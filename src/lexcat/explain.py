@@ -124,9 +124,9 @@ def _surrogate_coefficients(
 def signed_relevance(
     model: EnsembleModel,
     row,
+    textual_indices,
     n_samples: int = 500,
     seed: int = 0,
-    textual_indices=None,
     threshold: float = 0.5,
 ) -> tuple[dict[str, float], Decision]:
     """Term relevance from random perturbations of the document's n-gram
@@ -141,8 +141,6 @@ def signed_relevance(
     if n_samples < 10:
         raise ExplainError("n_samples must be >= 10")
     row = np.asarray(row, dtype=float)
-    if textual_indices is None:
-        textual_indices = range(len(row))
     textual_indices = np.asarray(sorted(textual_indices), dtype=np.int64)
     active = textual_indices[row[textual_indices] != 0]
     decision = decide(model, row, threshold)
@@ -155,10 +153,14 @@ def signed_relevance(
     return dict(zip(names, coefs)), decision
 
 
-def select_top_terms(freq_ordered, relevances, limit: int = 7) -> list[tuple[str, float]]:
-    """First `limit` frequency-ordered terms that carry a relevance, then
+# an explanation names at most this many terms
+_TOP_TERMS = 7
+
+
+def select_top_terms(freq_ordered, relevances) -> list[tuple[str, float]]:
+    """First _TOP_TERMS frequency-ordered terms that carry a relevance, then
     sorted by relevance descending."""
-    chosen = [t for t in freq_ordered if t in relevances][:limit]
+    chosen = [t for t in freq_ordered if t in relevances][:_TOP_TERMS]
     return sorted(((t, relevances[t]) for t in chosen), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -175,8 +177,8 @@ class Explanation:
     def __post_init__(self) -> None:
         if len(self.entities) != len(CATEGORICAL_FIELDS):
             raise ExplainError(f"need {len(CATEGORICAL_FIELDS)} entity values")
-        if len(self.top_terms) > 7:
-            raise ExplainError("at most 7 top terms")
+        if len(self.top_terms) > _TOP_TERMS:
+            raise ExplainError(f"at most {_TOP_TERMS} top terms")
         if not 0 <= self.confidence <= 100:
             raise ExplainError("confidence must be a percentage")
 
@@ -217,7 +219,7 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     textual_names = {fitted.kept_names[i] for i in textual_idx}
 
     signed, decision = signed_relevance(
-        model, row, config.relevance_samples, config.seed, textual_idx, config.bts_threshold
+        model, row, textual_idx, config.relevance_samples, config.seed, config.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
     paths = tuple(extract_path(t, row, model.feature_names) for t in model.trees)

@@ -37,11 +37,11 @@ class VectorizerModel:
 
 
 def _ngram_bounds(ngram_range) -> tuple[int, int]:
-    """The n-gram range as (lo, hi): two integers with 1 <= lo <= hi."""
+    """The n-gram range as (lo, hi): two integers (not booleans) with
+    1 <= lo <= hi."""
     bounds = tuple(ngram_range)
-    if not (
-        len(bounds) == 2 and all(isinstance(b, int) for b in bounds) and 1 <= bounds[0] <= bounds[1]
-    ):
+    integers = all(isinstance(b, int) and not isinstance(b, bool) for b in bounds)
+    if not (len(bounds) == 2 and integers and 1 <= bounds[0] <= bounds[1]):
         raise FeatureError(f"need two integers 1 <= lo <= hi in ngram_range, got {bounds}")
     return bounds
 

@@ -16,6 +16,7 @@ from .entities import CATEGORICAL_FIELDS, extract_entities
 from .features import (
     CategoricalEncoder,
     FeatureError,
+    FeatureMatrix,
     VectorizerModel,
     build_feature_matrix,
     fit_vectorizer,
@@ -24,7 +25,7 @@ from .features import (
     transform,
 )
 from .labels import canonicalize, mts_encode
-from .lexica import Lexica, load_lexica
+from .lexica import Lexica
 from .textproc import TokenStream, to_token_stream
 from .trees import (
     EnsembleModel,
@@ -206,14 +207,12 @@ class FittedPipeline:
 def fit_pipeline(
     corpus: Corpus,
     config: PipelineConfig,
-    lexica: Lexica | None = None,
+    lexica: Lexica,
     prep: PreparedCorpus | None = None,
     doc_indices=None,
 ) -> FittedPipeline:
     """Fit vectorizer, encoders, the two-stage feature selection and the
     model on the given documents (all of them by default)."""
-    if lexica is None:
-        lexica = load_lexica(config.lexica_dir)
     if prep is None:
         prep = preprocess_corpus(corpus, lexica)
     if doc_indices is None:
@@ -226,18 +225,20 @@ def fit_pipeline(
     vectorizer = fit_vectorizer(
         streams, config.max_df, config.min_df, (config.ngram_lo, config.ngram_hi)
     )
-    counts = transform(vectorizer, streams)
     encoder = CategoricalEncoder().fit(records)
-    codes = encoder.transform(records)
-    matrix = build_feature_matrix(counts, vectorizer.names, codes)
+    matrix = build_feature_matrix(
+        transform(vectorizer, streams), vectorizer.names, encoder.transform(records)
+    )
 
     _, alphas = mts_encode(label_sets)
     target = np.asarray(alphas)
     multiclass = len(set(alphas)) >= 2
 
-    textual = matrix.subset([n for n, k in zip(matrix.names, matrix.kinds) if k == "textual"])
-    categorical = matrix.subset(
-        [n for n, k in zip(matrix.names, matrix.kinds) if k == "categorical"]
+    # views of the one matrix, whose textual columns come first
+    n_text = len(vectorizer.vocabulary)
+    textual = FeatureMatrix(matrix.names[:n_text], matrix.kinds[:n_text], matrix.X[:, :n_text])
+    categorical = FeatureMatrix(
+        matrix.names[n_text:], matrix.kinds[n_text:], matrix.X[:, n_text:]
     )
     if multiclass:
         kept_cat, _ = select_by_correlation(categorical, target, config.correlation_threshold)

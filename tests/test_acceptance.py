@@ -6,6 +6,7 @@ The terminal summary (conftest) prints one PASS/FAIL line per criterion.
 import math
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 
@@ -275,7 +276,7 @@ def test_criterion_09_entity_detection(lexica):
     for _ in range(1000):
         gin = "".join(str(int(d)) for d in rng.integers(0, 10, size=19))
         fields = parse_gin(gin)
-        assert fields.concat() == gin
+        assert "".join(astuple(fields)) == gin
         assert (
             fields.province + fields.court_code + fields.jurisdiction_digit
             == gin[:8]

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcat import anonymiser
-from lexcat.anonymiser import (
-    ReferenceSpan,
-    anonymize,
-    detect_references,
-    expand_names,
-    jaro,
-    unify_names,
-)
+from lexcat.anonymiser import ReferenceSpan, anonymize, jaro, unify_names
 from lexcat.lexica import default_data_dir, load_anonymiser_lexica
 
 
@@ -84,9 +77,21 @@ def test_unify_tie_breaks_lexicographic():
     assert mapping["Martha"] == "Marta"
 
 
+def detect_references(text, lexica):
+    """The trigger spans of `anonymize`'s first stage."""
+    return anonymiser._scan_triggers(anonymiser._tokens(text), lexica.anonymiser)[0]
+
+
+def expand_names(text, lexica):
+    """The spans of `anonymize`'s second stage: triggers grown over names."""
+    toks = anonymiser._tokens(text)
+    spans, _ = anonymiser._scan_triggers(toks, lexica.anonymiser)
+    return anonymiser._expand_names(toks, spans, lexica.anonymiser)
+
+
 def test_detect_references_judge_trigger(lexica):
     text = "el Magistrado D. Juan Pérez falló"
-    spans = detect_references(text, lexica.anonymiser)
+    spans = detect_references(text, lexica)
     assert len(spans) == 1
     assert spans[0].tag == "@Judge"
     assert text[spans[0].start : spans[0].end] == "D."
@@ -94,18 +99,18 @@ def test_detect_references_judge_trigger(lexica):
 
 def test_detect_references_corporate(lexica):
     text = "La demanda de Construcciones Vega, S.L. fue admitida"
-    spans = detect_references(text, lexica.anonymiser)
+    spans = detect_references(text, lexica)
     assert [s.tag for s in spans] == ["@Corporate"]
     assert text[spans[0].start : spans[0].end] == "Construcciones Vega, S.L."
 
 
 def test_detect_references_none(lexica):
-    assert detect_references("texto neutro sin referencias", lexica.anonymiser) == []
+    assert detect_references("texto neutro sin referencias", lexica) == []
 
 
 def test_spans_non_overlapping(lexica):
     text = "el Magistrado D. Juan Pérez y la Procuradora Dña. María García, de Vega, S.A."
-    spans = detect_references(text, lexica.anonymiser)
+    spans = detect_references(text, lexica)
     ordered = sorted(spans, key=lambda s: s.start)
     for a, b in zip(ordered, ordered[1:]):
         assert a.end <= b.start
@@ -113,7 +118,7 @@ def test_spans_non_overlapping(lexica):
 
 def test_expand_names_grows_over_adjacent(lexica):
     text = "el Magistrado D. Juan Pérez falló"
-    spans = expand_names(text, detect_references(text, lexica.anonymiser), lexica.anonymiser)
+    spans = expand_names(text, lexica)
     assert len(spans) == 1
     assert text[spans[0].start : spans[0].end] == "D. Juan Pérez"
     assert spans[0].names == ["Juan", "Pérez"]
@@ -121,30 +126,25 @@ def test_expand_names_grows_over_adjacent(lexica):
 
 def test_expand_names_no_adjacent(lexica):
     text = "el Magistrado D. falló"
-    spans = expand_names(text, detect_references(text, lexica.anonymiser), lexica.anonymiser)
+    spans = expand_names(text, lexica)
     assert len(spans) == 1
     assert text[spans[0].start : spans[0].end] == "D."
 
 
 def test_expand_names_standalone_person(lexica):
     text = "declaró María García en la vista"
-    spans = expand_names(text, [], lexica.anonymiser)
+    assert detect_references(text, lexica) == []
+    spans = expand_names(text, lexica)
     assert len(spans) == 1
     assert spans[0].tag == "@Person"
     assert text[spans[0].start : spans[0].end] == "María García"
 
 
-def test_expand_names_needs_token_ranges(lexica):
-    text = "el demandante Juan"
-    with pytest.raises(ValueError):
-        expand_names(text, [ReferenceSpan(3, 13, "@Person")], lexica.anonymiser)
-
-
 def test_reference_span_validation():
     with pytest.raises(ValueError):
-        ReferenceSpan(5, 5, "@Person")
+        ReferenceSpan(5, 5, "@Person", [], 0, 0)
     with pytest.raises(ValueError):
-        ReferenceSpan(0, 2, "@Nope")
+        ReferenceSpan(0, 2, "@Nope", [], 0, 0)
 
 
 def test_anonymize_composed(lexica):

@@ -263,8 +263,19 @@ def test_gridsearch_command(synth_corpus_path, tmp_path):
 
 @pytest.mark.parametrize(
     "grid",
-    [{"criterion": []}, {"criterion": 0.5}, {"out": "ab"}],
-    ids=["empty_list", "scalar", "string_read_letter_by_letter"],
+    [
+        {"criterion": []},
+        {"criterion": 0.5},
+        {"out": "ab"},
+        # fixed outside the grid; each used to be ignored, scoring every point alike
+        {"folds": [2, 5]},
+        {"lexica_dir": ["/nonexistent"]},
+        {"corpus": ["other.jsonl"]},
+    ],
+    ids=[
+        "empty_list", "scalar", "string_read_letter_by_letter",
+        "folds_key", "lexica_dir_key", "corpus_key",
+    ],
 )
 def test_gridsearch_grid_value_not_a_nonempty_list(synth_corpus_path, tmp_path, capsys, grid):
     cfg = tmp_path / "grid.json"
@@ -405,6 +416,7 @@ PIPELINE_MALFORMATIONS = {
     "reversed_ngram_range": _set(("vectorizer", "ngram_range"), [2, 1]),
     "three_ngram_bounds": _set(("vectorizer", "ngram_range"), [1, 2, 3]),
     "fractional_ngram_bound": _set(("vectorizer", "ngram_range"), [1.5, 2]),
+    "boolean_ngram_bound": _set(("vectorizer", "ngram_range"), [True, 2]),
     # values no fitted model holds, which used to load and explain (exit 0)
     "fractional_n_estimators": _set(("model", "hyperparams", "n_estimators"), 2.5),
     "fractional_max_depth": _set(("model", "hyperparams", "max_depth"), 1.5),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_hamming_loss_examples():
     assert ev.hamming_loss([{"a"}], [{"b", "c"}], classes) == 1.0
     with pytest.raises(ev.EvaluationError, match="outside catalog"):
         ev.hamming_loss([{"z"}], [{"a"}], classes)
+
+
+def test_micro_macro_rejects_labels_outside_catalog():
+    # the catalog check hamming_loss makes, not a bare KeyError
+    for L, Z in (([{"a"}], [{"z"}]), ([{"z"}], [{"a"}])):
+        with pytest.raises(ev.EvaluationError, match="outside catalog: 'z'"):
+            ev.micro_macro_prf(L, Z, ["a", "b"])
+    with pytest.raises(ev.EvaluationError, match="at least one class"):
+        ev.micro_macro_prf([{"a"}], [{"a"}], [])
 
 
 def test_micro_macro_perfect_and_collapse():
@@ -269,7 +279,7 @@ def test_grid_search_single_combo(lexica):
 
 def test_report_row_shape():
     # a distinct value per metric, so every cell is checked against its column
-    names = ev.metric_names()
+    names = [f.name for f in fields(ev.FoldMetrics)]
     fm = ev.FoldMetrics(*(i / 100 for i in range(1, len(names) + 1)))
     report = ev.MetricsReport([fm], train_seconds=1.23)
     cells = ev.report_row("mts", "rf", report).split("\t")
@@ -306,9 +316,13 @@ def test_grid_search_preprocesses_once(lexica, monkeypatch):
     assert [s for _, s in result.scores] == manual
 
 
-def test_grid_search_rejects_loss_scoring(lexica):
+@pytest.mark.parametrize(
+    "key,values", [("folds", [2, 5]), ("lexica_dir", ["/nonexistent"]), ("corpus", ["x.jsonl"])]
+)
+def test_grid_search_rejects_keys_its_arguments_fix(lexica, key, values):
+    # k, lexica and corpus are the search's arguments; a grid over them
+    # used to be ignored, scoring every point alike
     corpus = generate_corpus(SynthSpec(n_docs=20, n_classes=2, seed=8))
-    for scoring in ("hamming_loss", "nonsense"):
-        with pytest.raises(ev.EvaluationError):
-            ev.grid_search(corpus, {"criterion": ["gini"]}, k=2, base_config=_fast_config(),
-                           scoring=scoring, lexica=lexica)
+    grid = {"criterion": ["gini"], key: values}
+    with pytest.raises(ev.EvaluationError, match=repr(key)):
+        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), lexica=lexica)

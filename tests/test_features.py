@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcat import pipeline
 from lexcat.corpus import LabelAssignment
 from lexcat.entities import EntityRecord, UNKNOWN
 from lexcat.features import (
@@ -22,6 +23,7 @@ from lexcat.features import (
     spearman,
     transform,
 )
+from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import TokenStream
 
 
@@ -79,6 +81,8 @@ def test_fit_vectorizer_errors():
         fit_vectorizer([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(2, 1))
     with pytest.raises(FeatureError, match="empty"):
         fit_vectorizer([ts("a"), ts("a")], max_df=0.4, min_df=0.0, ngram_range=(1, 1))
+    with pytest.raises(FeatureError):  # a bool is not an n-gram size
+        fit_vectorizer([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(True, 2))
 
 
 def test_fit_vectorizer_leaves_out_categorical_field_names():
@@ -268,3 +272,23 @@ def test_feature_matrix_unique_names_and_export():
     assert lines[0].split("\t")[:3] == ["id", "textual:alfa", "textual:beta"]
     assert lines[1].split("\t")[0] == "d1"
     assert len(lines) == 3
+
+
+def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
+    # both selection stages read column views of the one feature matrix,
+    # not copies of its textual and categorical columns
+    seen = {}
+    for name in ("select_by_correlation", "select_by_importance"):
+
+        def capture(matrix, *args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            seen[_name] = matrix
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, capture)
+    corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=3))
+    fitted = pipeline.fit_pipeline(corpus, pipeline.PipelineConfig(n_estimators=2), lexica)
+    categorical, textual = seen["select_by_correlation"], seen["select_by_importance"]
+    assert textual.X.base is not None
+    assert categorical.X.base is textual.X.base
+    assert set(textual.kinds) == {"textual"} and set(categorical.kinds) == {"categorical"}
+    assert textual.names + categorical.names == [*fitted.vectorizer.names, *CATEGORICAL_FIELDS]
