@@ -192,12 +192,11 @@ def _cmd_featurize(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     prep = preprocess_corpus(corpus, lexica)
-    vec = fit_vectorizer(
-        prep.streams, config.max_df, config.min_df, (config.ngram_lo, config.ngram_hi)
-    )
-    counts = transform(vec, prep.streams)
+    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
+    rows = range(corpus.n)
+    vec = fit_vectorizer(grams, rows, config.max_df, config.min_df)
     codes = CategoricalEncoder().fit(prep.records).transform(prep.records)
-    matrix = build_feature_matrix(counts, vec.names, codes)
+    matrix = build_feature_matrix(vec.names, transform(vec, grams, rows, codes))
     path = _out_path(config, "features.tsv")
     _write_atomic(path, feature_matrix_to_text(matrix, [d.id for d in corpus.documents]))
     print(f"wrote {matrix.X.shape[0]}x{matrix.X.shape[1]} feature matrix to {path}")

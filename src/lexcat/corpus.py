@@ -45,12 +45,14 @@ class LabelAssignment:
         if len(cats) != 3 or any(not isinstance(c, str) or not c.strip() for c in cats):
             raise CorpusError("law_categories must be exactly 3 nonempty strings")
         object.__setattr__(self, "law_categories", cats)
+        # computed once; an instance attribute, not a field, so equality,
+        # hashing and repr are the fields' alone
+        key = "|".join(_norm(p) for p in (self.substantive_order, *cats))
+        object.__setattr__(self, "_key", key)
 
     def key(self) -> str:
         """Case-folded, whitespace-normalised class identity string."""
-        return "|".join(
-            _norm(p) for p in (self.substantive_order, *self.law_categories)
-        )
+        return self._key
 
 
 @dataclass(frozen=True)

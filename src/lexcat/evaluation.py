@@ -254,9 +254,12 @@ class GridSearchResult:
     scores: list[tuple[dict, float]]
 
 
-# config fields a grid cannot vary: the search's own arguments (corpus,
-# k and lexica) fix them for every point
-_FIXED_BY_SEARCH = ("corpus", "folds", "lexica_dir")
+# config fields cross-validation never reads: the search's own arguments
+# fix the corpus, folds and lexica, and a grid over the others would score
+# every point alike
+_UNREAD_BY_CV = ("corpus", "folds", "lexica_dir", "out", "relevance_samples", "synth", "grid")
+# what a grid can vary; ngram_range stands for the ngram_lo, ngram_hi pair
+_GRID_KEYS = {"ngram_range", *(f.name for f in fields(pl.PipelineConfig))} - set(_UNREAD_BY_CV)
 
 
 def grid_search(
@@ -265,12 +268,15 @@ def grid_search(
     """Exhaustive cross-validated evaluation of the grid's cartesian
     product, scored on the mean micro F1; the best combination is the
     maximal score, ties resolved by grid order. The corpus is preprocessed
-    once."""
+    once, and a grid key must be a config field that cross-validation
+    reads."""
     if not param_grid:
         raise EvaluationError("empty parameter grid")
     for name, values in param_grid.items():
-        if name in _FIXED_BY_SEARCH:
-            raise EvaluationError(f"grid cannot vary {name!r}; set it outside the grid")
+        if name not in _GRID_KEYS:
+            raise EvaluationError(
+                f"grid cannot vary {name!r}: not a config field cross-validation reads"
+            )
         if not (isinstance(values, (list, tuple)) and values):
             raise EvaluationError(f"grid values of {name!r} must be a nonempty list: {values!r}")
     prep = pl.preprocess_corpus(corpus, lexica)

@@ -55,45 +55,95 @@ def _df_bounds(min_df, max_df) -> None:
 
 def _ngrams(tokens, lo: int, hi: int):
     for size in range(lo, hi + 1):
-        for i in range(len(tokens) - size + 1):
-            yield " ".join(tokens[i : i + size])
+        yield from map(" ".join, zip(*(tokens[k:] for k in range(size))))
 
 
-def fit_vectorizer(token_streams, max_df: float, min_df: float, ngram_range) -> VectorizerModel:
-    """Vocabulary of contiguous word n-grams whose document-frequency
-    proportion lies in [min_df, max_df]; strictly higher frequencies are
-    corpus-specific stop words, strictly lower ones fall to the cut-off.
-    An n-gram spelled like a CATEGORICAL_FIELDS name is left out, since
-    columns are known by name. Columns are ordered lexicographically.
-    """
+@dataclass(frozen=True)
+class NgramCounts:
+    """Documents' contiguous word n-grams of one range, interned: `names`
+    holds the distinct n-grams in sorted() order, and document i's distinct
+    n-grams are the ids ids[indptr[i]:indptr[i + 1]] (int32) with their
+    occurrence counts (int32)."""
+
+    ngram_range: tuple[int, int]
+    names: list[str]
+    indptr: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+
+
+def count_ngrams(token_streams, ngram_range) -> NgramCounts:
+    """Intern every n-gram of the streams once, numbering them in sorted()
+    order, and count each document's n-grams by id."""
     lo, hi = _ngram_bounds(ngram_range)
+    index: dict[str, int] = {}  # n-gram -> id in order of first occurrence
+    # one array per document, after an empty one that starts indptr at 0
+    first_ids, counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for stream in token_streams:
+        doc = Counter(_ngrams(stream.tokens, lo, hi))
+        ids = (index.setdefault(g, len(index)) for g in doc)
+        first_ids.append(np.fromiter(ids, np.int32, len(doc)))
+        counts.append(np.fromiter(doc.values(), np.int32, len(doc)))
+    names = sorted(index)
+    sorted_id = np.empty(len(names), dtype=np.int32)
+    sorted_id[[index[g] for g in names]] = np.arange(len(names))
+    indptr = np.cumsum([len(c) for c in counts])
+    ids = sorted_id[np.concatenate(first_ids)]
+    return NgramCounts((lo, hi), names, indptr, ids, np.concatenate(counts))
+
+
+def _entries(grams: NgramCounts, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(position in `rows`, offset into grams.ids) of each entry of the
+    given documents, in row order; a document listed twice counts twice."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = grams.indptr[rows]
+    lengths = grams.indptr[rows + 1] - starts
+    at = np.repeat(np.arange(len(rows)), lengths)
+    # entry p of row r sits at offset starts[r] + (p - first entry of r)
+    offsets = np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+    return at, offsets
+
+
+def fit_vectorizer(grams: NgramCounts, rows, max_df: float, min_df: float) -> VectorizerModel:
+    """Vocabulary of the n-grams of the documents `rows` whose
+    document-frequency proportion lies in [min_df, max_df]; strictly higher
+    frequencies are corpus-specific stop words, strictly lower ones fall to
+    the cut-off, and n-grams absent from these documents are never kept. An
+    n-gram spelled like a CATEGORICAL_FIELDS name is left out, since columns
+    are known by name. Columns are ordered lexicographically.
+    """
     _df_bounds(min_df, max_df)
-    streams = list(token_streams)
-    if not streams:
+    n = len(rows)
+    if not n:
         raise FeatureError("no documents to fit on")
-    df: Counter = Counter()
-    for stream in streams:
-        df.update(set(_ngrams(stream.tokens, lo, hi)))
-    n = len(streams)
-    kept = sorted(
-        g for g, c in df.items() if min_df <= c / n <= max_df and g not in CATEGORICAL_FIELDS
-    )
+    _, offsets = _entries(grams, rows)
+    df = np.bincount(grams.ids[offsets], minlength=len(grams.names))
+    share = df / n
+    in_bounds = np.flatnonzero((df > 0) & (min_df <= share) & (share <= max_df))
+    names = [grams.names[j] for j in in_bounds]
+    kept = [g for g in names if g not in CATEGORICAL_FIELDS]
     if not kept:
         raise FeatureError("vocabulary is empty after document-frequency pruning")
-    return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, (lo, hi))
+    return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, grams.ngram_range)
 
 
-def transform(vectorizer: VectorizerModel, token_streams) -> np.ndarray:
-    """Occurrence counts of each vocabulary n-gram per document; n-grams
-    outside the vocabulary are ignored."""
-    streams = list(token_streams)
-    lo, hi = vectorizer.ngram_range
-    X = np.zeros((len(streams), len(vectorizer.vocabulary)))
-    for i, stream in enumerate(streams):
-        for gram in _ngrams(stream.tokens, lo, hi):
-            j = vectorizer.vocabulary.get(gram)
-            if j is not None:
-                X[i, j] += 1.0
+def transform(
+    vectorizer: VectorizerModel, grams: NgramCounts, rows, codes: np.ndarray
+) -> np.ndarray:
+    """The feature matrix of the documents `rows`: the occurrence count of
+    each vocabulary n-gram (n-grams outside the vocabulary are ignored),
+    then the columns of `codes`, one row of codes per document."""
+    vocabulary = vectorizer.vocabulary
+    column = np.fromiter(
+        (vocabulary.get(g, -1) for g in grams.names), dtype=np.int64, count=len(grams.names)
+    )
+    at, offsets = _entries(grams, rows)
+    cols = column[grams.ids[offsets]]
+    hit = cols >= 0
+    n_text = len(vocabulary)
+    X = np.zeros((len(rows), n_text + codes.shape[1]))
+    X[at[hit], cols[hit]] = grams.counts[offsets[hit]]
+    X[:, n_text:] = codes
     return X
 
 
@@ -147,12 +197,12 @@ class FeatureMatrix:
         )
 
 
-def build_feature_matrix(
-    counts: np.ndarray, textual_names: list[str], categorical_codes: np.ndarray
-) -> FeatureMatrix:
+def build_feature_matrix(textual_names: list[str], X: np.ndarray) -> FeatureMatrix:
+    """Name the columns of a `transform` matrix: the textual ones, then the
+    entity fields."""
     names = list(textual_names) + list(CATEGORICAL_FIELDS)
     kinds = ["textual"] * len(textual_names) + ["categorical"] * len(CATEGORICAL_FIELDS)
-    return FeatureMatrix(names, kinds, np.hstack([counts, categorical_codes]))
+    return FeatureMatrix(names, kinds, X)
 
 
 def feature_matrix_to_text(matrix: FeatureMatrix, doc_ids) -> str:

@@ -17,8 +17,10 @@ from .features import (
     CategoricalEncoder,
     FeatureError,
     FeatureMatrix,
+    NgramCounts,
     VectorizerModel,
     build_feature_matrix,
+    count_ngrams,
     fit_vectorizer,
     select_by_correlation,
     select_by_importance,
@@ -154,11 +156,20 @@ def config_from_json(path) -> PipelineConfig:
 @dataclass
 class PreparedCorpus:
     """Per-document token streams and entity records; deterministic given
-    the lexica, so they are computed once and shared across folds."""
+    the lexica, so they are computed once and shared across folds, as are
+    the documents' n-gram counts of each range asked for."""
 
     streams: list[TokenStream]
     records: list
     label_sets: list
+    _ngrams: dict = field(default_factory=dict, init=False, repr=False)
+
+    def ngrams(self, ngram_range) -> NgramCounts:
+        """The documents' n-grams of one range, interned on first use."""
+        key = tuple(ngram_range)
+        if key not in self._ngrams:
+            self._ngrams[key] = count_ngrams(self.streams, key)
+        return self._ngrams[key]
 
 
 def preprocess_corpus(corpus: Corpus, lexica: Lexica) -> PreparedCorpus:
@@ -180,19 +191,18 @@ class FittedPipeline:
     kept_kinds: list[str]
     model: EnsembleModel
 
-    def _matrix_for(self, streams, records) -> np.ndarray:
-        counts = transform(self.vectorizer, streams)
-        codes = self.encoder.transform(records)
-        full = build_feature_matrix(counts, self.vectorizer.names, codes)
-        return full.subset(self.kept_names).X
+    def _matrix_for(self, grams: NgramCounts, rows, records) -> np.ndarray:
+        X = transform(self.vectorizer, grams, rows, self.encoder.transform(records))
+        return build_feature_matrix(self.vectorizer.names, X).subset(self.kept_names).X
 
     def row_for(self, stream: TokenStream, record) -> np.ndarray:
-        return self._matrix_for([stream], [record])[0]
+        grams = count_ngrams([stream], self.vectorizer.ngram_range)
+        return self._matrix_for(grams, [0], [record])[0]
 
     def predict_prepared(self, prep: PreparedCorpus, indices) -> list:
-        streams = [prep.streams[i] for i in indices]
-        records = [prep.records[i] for i in indices]
-        X = self._matrix_for(streams, records)
+        rows = list(indices)
+        records = [prep.records[i] for i in rows]
+        X = self._matrix_for(prep.ngrams(self.vectorizer.ngram_range), rows, records)
         return predict_batch(self.model, X, self.config.bts_threshold)
 
     def predict_document(self, doc: Judgement, lexica: Lexica):
@@ -218,44 +228,21 @@ def fit_pipeline(
     if doc_indices is None:
         doc_indices = range(corpus.n)
     idx = list(doc_indices)
-    streams = [prep.streams[i] for i in idx]
     records = [prep.records[i] for i in idx]
     label_sets = [prep.label_sets[i] for i in idx]
 
-    vectorizer = fit_vectorizer(
-        streams, config.max_df, config.min_df, (config.ngram_lo, config.ngram_hi)
-    )
+    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
+    vectorizer = fit_vectorizer(grams, idx, config.max_df, config.min_df)
     encoder = CategoricalEncoder().fit(records)
-    matrix = build_feature_matrix(
-        transform(vectorizer, streams), vectorizer.names, encoder.transform(records)
+    # the full matrix is freed once its kept columns are copied out, before
+    # the forest fit
+    selected = _select_columns(
+        build_feature_matrix(
+            vectorizer.names, transform(vectorizer, grams, idx, encoder.transform(records))
+        ),
+        label_sets,
+        config,
     )
-
-    _, alphas = mts_encode(label_sets)
-    target = np.asarray(alphas)
-    multiclass = len(set(alphas)) >= 2
-
-    # views of the one matrix, whose textual columns come first
-    n_text = len(vectorizer.vocabulary)
-    textual = FeatureMatrix(matrix.names[:n_text], matrix.kinds[:n_text], matrix.X[:, :n_text])
-    categorical = FeatureMatrix(
-        matrix.names[n_text:], matrix.kinds[n_text:], matrix.X[:, n_text:]
-    )
-    if multiclass:
-        kept_cat, _ = select_by_correlation(categorical, target, config.correlation_threshold)
-    else:
-        kept_cat = []
-    if config.importance_selection and multiclass:
-        kept_text, _ = select_by_importance(
-            textual, label_sets, config.importance_estimators, seed=config.seed
-        )
-    else:
-        if config.importance_selection and not multiclass:
-            warnings.warn("single-class corpus: feature selection skipped", stacklevel=2)
-        kept_text = list(textual.names)
-    kept = kept_text + kept_cat
-    if not kept:
-        kept = list(textual.names)
-    selected = matrix.subset(kept)
 
     model = fit_ensemble(
         selected.X,
@@ -273,6 +260,37 @@ def fit_pipeline(
         kept_kinds=selected.kinds,
         model=model,
     )
+
+
+def _select_columns(matrix: FeatureMatrix, label_sets, config: PipelineConfig) -> FeatureMatrix:
+    """The two-stage selection: correlation on the categorical columns and
+    forest importance on the textual ones, which come first."""
+    _, alphas = mts_encode(label_sets)
+    target = np.asarray(alphas)
+    multiclass = len(set(alphas)) >= 2
+
+    # views of the one matrix
+    n_text = matrix.kinds.count("textual")
+    textual = FeatureMatrix(matrix.names[:n_text], matrix.kinds[:n_text], matrix.X[:, :n_text])
+    categorical = FeatureMatrix(
+        matrix.names[n_text:], matrix.kinds[n_text:], matrix.X[:, n_text:]
+    )
+    if multiclass:
+        kept_cat, _ = select_by_correlation(categorical, target, config.correlation_threshold)
+    else:
+        kept_cat = []
+    if config.importance_selection and multiclass:
+        kept_text, _ = select_by_importance(
+            textual, label_sets, config.importance_estimators, seed=config.seed
+        )
+    else:
+        if config.importance_selection and not multiclass:
+            warnings.warn("single-class corpus: feature selection skipped", stacklevel=3)
+        kept_text = list(textual.names)
+    kept = kept_text + kept_cat
+    if not kept:
+        kept = list(textual.names)
+    return matrix.subset(kept)
 
 
 _PIPELINE_FORMAT = "lexcat-pipeline-v1"

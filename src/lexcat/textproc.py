@@ -20,6 +20,20 @@ class TokenStream:
                 raise ValueError(f"invalid token in stream: {tok!r}")
 
 
+class _CleanTable(dict):
+    """str.translate table for clean: a character of category P* or C*
+    maps to a space, any other to itself. Each character's category is
+    looked up once, on its first miss."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        self[code] = mapped = " " if unicodedata.category(ch)[0] in "CP" else ch
+        return mapped
+
+
+_CLEAN_TABLE = _CleanTable()
+
+
 def clean(text: str) -> str:
     """Lowercase text with URLs, control characters, punctuation and
     redundant spaces removed. Idempotent and total.
@@ -29,10 +43,7 @@ def clean(text: str) -> str:
     (category Lo) survive as letters.
     """
     text = _URL.sub(" ", text)
-    chars = [
-        " " if unicodedata.category(ch)[0] in "CP" else ch for ch in text
-    ]
-    return " ".join("".join(chars).lower().split())
+    return " ".join(text.translate(_CLEAN_TABLE).lower().split())
 
 
 def tokenize(text: str) -> list[str]:

@@ -15,6 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from lexcat import evaluation, pipeline
+from lexcat.pipeline import PipelineConfig
+from lexcat.synth import SynthSpec, generate_corpus
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -88,3 +92,27 @@ def test_workload_runs_once_at_tiny_size(name, tmp_path, monkeypatch):
     assert checks.attempted >= 1
     assert checks.failures == []
     assert re.fullmatch("[0-9a-f]{64}", digest)
+
+
+def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
+    # a refactor that routes around a wrapped name would zero its per-layer
+    # figure without failing anything else
+    vocab_sizes = []
+    original = pipeline.fit_pipeline
+
+    def recording(*args, **kwargs):
+        fitted = original(*args, **kwargs)
+        vocab_sizes.append(len(fitted.vectorizer.vocabulary))
+        return fitted
+
+    monkeypatch.setattr(pipeline, "fit_pipeline", recording)
+    corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=5))
+    tracer = _tracer().Tracer()
+    with tracer:
+        evaluation.cross_validate(
+            corpus, PipelineConfig(n_estimators=3, min_samples_leaf=1), lexica, k=2, seed=0
+        )
+    for span in ("features.fit_vectorizer", "features.transform", "trees.fit_tree"):
+        assert tracer.calls[span] > 0, span
+    assert len(vocab_sizes) == 2
+    assert tracer.metrics()["features.vocab_size"] == (sum(vocab_sizes), "count")

@@ -286,6 +286,30 @@ def test_gridsearch_grid_value_not_a_nonempty_list(synth_corpus_path, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "grid",
+    [
+        {"out": ["a.tsv", "b.tsv"]},
+        {"relevance_samples": [10, 900]},
+        {"synth": [{}, {"n_docs": 5}]},
+        {"grid": [{}]},
+    ],
+    ids=["out", "relevance_samples", "synth", "grid"],
+)
+def test_gridsearch_key_cross_validation_never_reads_is_data_error(
+    synth_corpus_path, tmp_path, capsys, grid
+):
+    # each used to run, scoring every point alike
+    cfg = tmp_path / "grid.json"
+    grid = {"criterion": ["gini"], **grid}
+    cfg.write_text(json.dumps({"corpus": str(synth_corpus_path), "grid": grid}), encoding="utf-8")
+    out = tmp_path / "grid.tsv"
+    rc = main(["gridsearch", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert repr(list(grid)[1]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args,synth,field",
     [
         (["--docs", "0"], {}, "n_docs"),

@@ -326,3 +326,60 @@ def test_grid_search_rejects_keys_its_arguments_fix(lexica, key, values):
     grid = {"criterion": ["gini"], key: values}
     with pytest.raises(ev.EvaluationError, match=repr(key)):
         ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), lexica=lexica)
+
+
+@pytest.mark.parametrize(
+    "key,values",
+    [
+        ("out", ["a.tsv", "b.tsv"]),
+        ("relevance_samples", [10, 900]),
+        ("synth", [{}, {"n_docs": 5}]),
+        ("grid", [{}, {"criterion": ["gini"]}]),
+        ("no_such_field", [1, 2]),
+    ],
+)
+def test_grid_search_rejects_keys_cross_validation_never_reads(lexica, key, values):
+    # each used to be accepted, every point scoring the same
+    corpus = generate_corpus(SynthSpec(n_docs=20, n_classes=2, seed=8))
+    grid = {"criterion": ["gini"], key: values}
+    with pytest.raises(ev.EvaluationError, match=repr(key)):
+        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), lexica=lexica)
+
+
+def test_grid_keys_are_the_fields_cross_validation_reads(lexica):
+    # a grid can vary exactly what a cross-validation reads of its config:
+    # recorded here on a config that logs every read
+    names = {f.name for f in fields(PipelineConfig)}
+    reads = set()
+
+    class RecordingConfig(PipelineConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    config = RecordingConfig(n_estimators=2, min_samples_leaf=1)
+    reads.clear()
+    corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=2))
+    ev.cross_validate(corpus, config, k=2, seed=0, lexica=lexica)
+    assert ev._GRID_KEYS == reads | {"ngram_range"}
+
+
+def test_cv_and_grid_intern_each_range_once(lexica, monkeypatch):
+    # the documents' n-grams are counted once per range, not once per fold
+    # or grid point
+    calls = []
+    original = pipeline.count_ngrams
+
+    def counting(streams, ngram_range):
+        calls.append(tuple(ngram_range))
+        return original(streams, ngram_range)
+
+    monkeypatch.setattr(pipeline, "count_ngrams", counting)
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=6))
+    ev.cross_validate(corpus, _fast_config(), k=3, seed=1, lexica=lexica)
+    assert calls == [(1, 2)]
+    calls.clear()
+    grid = {"ngram_range": [[1, 1], [1, 2], [2, 3]], "criterion": ["gini", "entropy"]}
+    ev.grid_search(corpus, grid, k=3, base_config=_fast_config(), seed=1, lexica=lexica)
+    assert calls == [(1, 1), (1, 2), (2, 3)]

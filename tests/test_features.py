@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from lexcat.features import (
     CategoricalEncoder,
     FeatureError,
     FeatureMatrix,
+    VectorizerModel,
     build_feature_matrix,
+    count_ngrams,
     discretize_ranks,
     feature_matrix_to_text,
     fit_vectorizer,
@@ -25,6 +29,7 @@ from lexcat.features import (
 )
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import TokenStream
+from lexcat.trees import predict_batch
 
 
 def ts(*tokens):
@@ -58,63 +63,198 @@ def spearman_oracle(x, y):
     return cov / (sx * sy)
 
 
+def reference_ngrams(tokens, lo, hi):
+    for size in range(lo, hi + 1):
+        for i in range(len(tokens) - size + 1):
+            yield " ".join(tokens[i : i + size])
+
+
+def reference_fit_vectorizer(streams, max_df, min_df, ngram_range):
+    """The string-counting vectorizer fit: document frequencies in a
+    Counter of n-gram strings."""
+    lo, hi = ngram_range
+    if not streams:
+        raise FeatureError("no documents to fit on")
+    df = Counter()
+    for stream in streams:
+        df.update(set(reference_ngrams(stream.tokens, lo, hi)))
+    n = len(streams)
+    kept = sorted(
+        g for g, c in df.items() if min_df <= c / n <= max_df and g not in CATEGORICAL_FIELDS
+    )
+    if not kept:
+        raise FeatureError("vocabulary is empty after document-frequency pruning")
+    return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, (lo, hi))
+
+
+def reference_transform(vectorizer, streams):
+    """The string-counting transform: one vocabulary lookup per n-gram."""
+    lo, hi = vectorizer.ngram_range
+    X = np.zeros((len(streams), len(vectorizer.vocabulary)))
+    for i, stream in enumerate(streams):
+        for gram in reference_ngrams(stream.tokens, lo, hi):
+            j = vectorizer.vocabulary.get(gram)
+            if j is not None:
+                X[i, j] += 1.0
+    return X
+
+
+def vectorize(streams, max_df, min_df, ngram_range):
+    """Fit on every stream, as `lexcat featurize` does."""
+    grams = count_ngrams(streams, ngram_range)
+    return fit_vectorizer(grams, range(len(streams)), max_df, min_df)
+
+
+def count_matrix(vectorizer, streams):
+    """transform's n-gram columns for the streams, with no entity codes."""
+    grams = count_ngrams(streams, vectorizer.ngram_range)
+    return transform(vectorizer, grams, range(len(streams)), np.zeros((len(streams), 0)))
+
+
+def _vocabulary_bytes(vectorizer):
+    return json.dumps(list(vectorizer.vocabulary.items())).encode()
+
+
+def assert_matches_reference(streams, train, max_df, min_df, ngram_range):
+    """fit_vectorizer on the documents `train` and transform of every
+    document equal the string oracles byte for byte: the vocabulary, the
+    count columns and the codes after them."""
+    fit_streams = [streams[i] for i in train]
+    try:
+        ref = reference_fit_vectorizer(fit_streams, max_df, min_df, ngram_range)
+    except FeatureError as exc:
+        with pytest.raises(FeatureError, match=str(exc)):
+            fit_vectorizer(count_ngrams(streams, ngram_range), train, max_df, min_df)
+        return None
+    grams = count_ngrams(streams, ngram_range)
+    vec = fit_vectorizer(grams, train, max_df, min_df)
+    assert _vocabulary_bytes(vec) == _vocabulary_bytes(ref)
+    assert vec == ref
+    rng = np.random.default_rng(len(streams))
+    codes = rng.integers(0, 5, size=(len(streams), len(CATEGORICAL_FIELDS))).astype(float)
+    rows = list(range(len(streams)))[::-1]
+    X = transform(vec, grams, rows, codes[rows])
+    V = len(vec.vocabulary)
+    assert X.shape == (len(rows), V + len(CATEGORICAL_FIELDS))
+    assert X[:, :V].tobytes() == reference_transform(vec, [streams[i] for i in rows]).tobytes()
+    assert X[:, V:].tobytes() == codes[rows].tobytes()
+    return vec
+
+
+@pytest.fixture(scope="module")
+def synth_streams(lexica):
+    corpus = generate_corpus(SynthSpec(n_docs=150, n_classes=4, seed=9))
+    return pipeline.preprocess_corpus(corpus, lexica).streams
+
+
+@pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 3)])
+@pytest.mark.parametrize("max_df,min_df", [(0.5, 0.01), (1.0, 0.0), (1.0, 0.05), (0.4, 0.0)])
+def test_vectorizer_bytes_equal_string_reference(synth_streams, ngram_range, max_df, min_df):
+    # fitted on 4 of every 5 documents, so the held-out ones, and a last
+    # document of new words, bring n-grams the corpus interned but the fit
+    # never saw; min_df = 0 must still keep only n-grams of fitted documents
+    streams = [*synth_streams, ts("nunca", "visto", "antes", "hoy")]
+    train = [i for i in range(len(synth_streams)) if i % 5]
+    vec = assert_matches_reference(streams, train, max_df, min_df, ngram_range)
+    fitted = {g for i in train for g in reference_ngrams(streams[i].tokens, *ngram_range)}
+    assert set(count_ngrams(streams, ngram_range).names) - fitted
+    assert set(vec.vocabulary) <= fitted
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "court", "decision", "jurisdiction", "case_type"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(_TOKENS, max_size=6), min_size=1, max_size=8),
+    st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 3)]),
+    st.sampled_from([(1.0, 0.0), (0.5, 0.0), (1.0, 0.3), (0.6, 0.2)]),
+    st.data(),
+)
+def test_vectorizer_matches_string_reference_on_arbitrary_streams(docs, ngram_range, df, data):
+    # short streams, often empty or shorter than the range, over tokens
+    # that include entity field names; the fit may repeat a document
+    streams = [ts(*tokens) for tokens in docs]
+    train = data.draw(st.lists(st.integers(0, len(streams) - 1), min_size=1, max_size=10))
+    max_df, min_df = df
+    assert_matches_reference(streams, train, max_df, min_df, ngram_range)
+
+
 def test_fit_vectorizer_uniwords_and_biwords():
     streams = [ts("a", "b"), ts("a", "c")]
-    vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
+    vec = vectorize(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
     assert set(vec.vocabulary) == {"a", "b", "c", "a b", "a c"}
     assert vec.names == sorted(vec.names)
 
 
 def test_fit_vectorizer_df_bounds():
     streams = [ts("siempre", "x"), ts("siempre", "y"), ts("siempre", "x")]
-    vec = fit_vectorizer(streams, max_df=0.5, min_df=0.0, ngram_range=(1, 1))
+    vec = vectorize(streams, max_df=0.5, min_df=0.0, ngram_range=(1, 1))
     assert "siempre" not in vec.vocabulary  # df 1.0 > 0.5
-    vec2 = fit_vectorizer(streams, max_df=1.0, min_df=0.5, ngram_range=(1, 1))
+    vec2 = vectorize(streams, max_df=1.0, min_df=0.5, ngram_range=(1, 1))
     assert "y" not in vec2.vocabulary  # df 1/3 < 0.5
     assert "x" in vec2.vocabulary  # df 2/3 >= 0.5
 
 
 def test_fit_vectorizer_errors():
     with pytest.raises(FeatureError):
-        fit_vectorizer([ts("a")], max_df=0.5, min_df=0.5, ngram_range=(1, 1))
+        vectorize([ts("a")], max_df=0.5, min_df=0.5, ngram_range=(1, 1))
     with pytest.raises(FeatureError):
-        fit_vectorizer([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(2, 1))
+        vectorize([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(2, 1))
     with pytest.raises(FeatureError, match="empty"):
-        fit_vectorizer([ts("a"), ts("a")], max_df=0.4, min_df=0.0, ngram_range=(1, 1))
+        vectorize([ts("a"), ts("a")], max_df=0.4, min_df=0.0, ngram_range=(1, 1))
     with pytest.raises(FeatureError):  # a bool is not an n-gram size
-        fit_vectorizer([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(True, 2))
+        vectorize([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(True, 2))
+    with pytest.raises(FeatureError, match="no documents"):
+        fit_vectorizer(count_ngrams([ts("a")], (1, 1)), [], 1.0, 0.0)
+    with pytest.raises(FeatureError, match="empty"):  # no document has a bigram
+        vectorize([ts("a"), ts()], max_df=1.0, min_df=0.0, ngram_range=(2, 2))
 
 
 def test_fit_vectorizer_leaves_out_categorical_field_names():
     streams = [ts("court", "a", *CATEGORICAL_FIELDS), ts("decision", "a", "jurisdiction")]
-    vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
+    vec = vectorize(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
     assert not set(CATEGORICAL_FIELDS) & set(vec.vocabulary)
     assert {"a", "court a", "decision a", "a jurisdiction"} <= set(vec.vocabulary)
     # so the full matrix has one column per name
-    counts = transform(vec, streams)
     records = [_record(), _record()]
     codes = CategoricalEncoder().fit(records).transform(records)
-    build_feature_matrix(counts, vec.names, codes)
+    grams = count_ngrams(streams, (1, 2))
+    build_feature_matrix(vec.names, transform(vec, grams, [0, 1], codes))
+
+
+def test_count_ngrams_interns_in_sorted_order():
+    grams = count_ngrams([ts("b", "a", "b"), ts(), ts("c")], (1, 2))
+    assert grams.names == ["a", "a b", "b", "b a", "c"]
+    assert grams.indptr.tolist() == [0, 4, 4, 5]
+    assert grams.ids.dtype == grams.counts.dtype == np.int32
+    per_doc = [
+        {grams.names[j]: c for j, c in zip(grams.ids[a:b], grams.counts[a:b])}
+        for a, b in zip(grams.indptr, grams.indptr[1:])
+    ]
+    assert per_doc == [{"a": 1, "a b": 1, "b": 2, "b a": 1}, {}, {"c": 1}]
 
 
 def test_transform_counts():
     streams = [ts("a", "b", "a")]
-    vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
-    X = transform(vec, streams)
+    vec = vectorize(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
+    X = count_matrix(vec, streams)
     assert X[0, vec.vocabulary["a"]] == 2
     assert X[0, vec.vocabulary["a b"]] == 1
     # a document of unseen tokens maps to the zero row
-    assert transform(vec, [ts("zz")]).sum() == 0
+    assert count_matrix(vec, [ts("zz")]).sum() == 0
     # re-transforming the fitting document reproduces the fit counts
-    assert (transform(vec, streams) == X).all()
+    assert (count_matrix(vec, streams) == X).all()
 
 
 def test_transform_permutation_equivariant():
     streams = [ts("a", "b"), ts("b", "c"), ts("a", "c", "c")]
-    vec = fit_vectorizer(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 1))
-    X = transform(vec, streams)
+    grams = count_ngrams(streams, (1, 1))
+    vec = fit_vectorizer(grams, range(3), max_df=1.0, min_df=0.0)
+    codes = np.arange(21, dtype=float).reshape(3, 7)
+    X = transform(vec, grams, [0, 1, 2], codes)
     perm = [2, 0, 1]
-    Xp = transform(vec, [streams[i] for i in perm])
+    Xp = transform(vec, grams, perm, codes[perm])
     assert (Xp == X[perm]).all()
 
 
@@ -265,9 +405,8 @@ def test_select_by_importance_single_class_errors():
 def test_feature_matrix_unique_names_and_export():
     with pytest.raises(FeatureError, match="duplicate column"):
         FeatureMatrix(["a", "a"], ["textual", "textual"], np.zeros((1, 2)))
-    counts = np.array([[1.0, 0.0], [0.0, 2.0]])
-    codes = np.zeros((2, 7))
-    matrix = build_feature_matrix(counts, ["alfa", "beta"], codes)
+    X = np.hstack([[[1.0, 0.0], [0.0, 2.0]], np.zeros((2, 7))])
+    matrix = build_feature_matrix(["alfa", "beta"], X)
     lines = feature_matrix_to_text(matrix, ["d1", "d2"]).splitlines()
     assert lines[0].split("\t")[:3] == ["id", "textual:alfa", "textual:beta"]
     assert lines[1].split("\t")[0] == "d1"
@@ -292,3 +431,25 @@ def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
     assert categorical.X.base is textual.X.base
     assert set(textual.kinds) == {"textual"} and set(categorical.kinds) == {"categorical"}
     assert textual.names + categorical.names == [*fitted.vectorizer.names, *CATEGORICAL_FIELDS]
+
+
+def test_one_document_path_matches_batch_and_string_reference(lexica):
+    # row_for counts one document's n-grams into the corpus form and goes
+    # through the same transform: its rows equal the string oracle's, and
+    # predict_document agrees with predict_prepared on every held-out doc
+    corpus = generate_corpus(SynthSpec(n_docs=90, n_classes=3, seed=4))
+    prep = pipeline.preprocess_corpus(corpus, lexica)
+    config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1)
+    fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(70))
+    held_out = list(range(70, 90))
+    vec = fitted.vectorizer
+    counts = reference_transform(vec, [prep.streams[i] for i in held_out])
+    codes = fitted.encoder.transform([prep.records[i] for i in held_out])
+    reference = build_feature_matrix(vec.names, np.hstack([counts, codes]))
+    X = reference.subset(fitted.kept_names).X
+    batch = fitted.predict_prepared(prep, held_out)
+    assert batch == predict_batch(fitted.model, X, config.bts_threshold)
+    for k, i in enumerate(held_out):
+        row = fitted.row_for(prep.streams[i], prep.records[i])
+        assert row.tobytes() == X[k].tobytes()
+        assert fitted.predict_document(corpus.documents[i], lexica) == batch[k]

@@ -1,9 +1,12 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
+from lexcat import corpus as corpus_module
 from lexcat.corpus import Corpus, Judgement, LabelAssignment
 from lexcat.labels import (
     LabelError,
@@ -145,3 +148,31 @@ def test_bts_round_trip_on_training_sets():
     for j, cls in enumerate(catalog.classes):
         support = sum(1 for s in sets if cls in s)
         assert beta[:, j].sum() == support
+
+
+def test_label_key_computed_once_and_not_a_field(monkeypatch):
+    calls = []
+    original = corpus_module._norm
+
+    def counting(part):
+        calls.append(part)
+        return original(part)
+
+    monkeypatch.setattr(corpus_module, "_norm", counting)
+    a = LabelAssignment("civil", ("Contrato  de", "obra", "pago"))
+    assert len(calls) == 4  # the order and three categories, at construction
+    for _ in range(3):
+        assert a.key() == "civil|contrato de|obra|pago"
+    assert len(calls) == 4
+    # the cached key is no field: fields, repr, equality and hashing are
+    # the two declared fields' alone
+    assert [f.name for f in fields(LabelAssignment)] == ["substantive_order", "law_categories"]
+    assert repr(a) == (
+        "LabelAssignment(substantive_order='civil', "
+        "law_categories=('Contrato  de', 'obra', 'pago'))"
+    )
+    assert hash(a) == hash(("civil", ("Contrato  de", "obra", "pago")))
+    same_key = LabelAssignment("civil", ("contrato de", "obra", "pago"))
+    assert same_key.key() == a.key() and same_key != a
+    assert a == LabelAssignment("civil", ("Contrato  de", "obra", "pago"))
+    assert replace(a, substantive_order="penal").key() == "penal|contrato de|obra|pago"

@@ -1,8 +1,35 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcat.textproc import TokenStream, clean, remove_stopwords, to_token_stream, tokenize
+
+
+def reference_clean(text):
+    """clean as one category lookup per character, no table."""
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text, flags=re.IGNORECASE)
+    chars = [" " if unicodedata.category(ch)[0] in "CP" else ch for ch in text]
+    return " ".join("".join(chars).lower().split())
+
+
+# control characters, lone surrogates, the ordinal signs and their
+# neighbours, and punctuation, mixed into arbitrary Unicode text
+_EDGE_CHARS = st.sampled_from(
+    ["\x00", "\x1f", "\x7f", "\x85", "\u200b", "\ud800", "\udfff", "\ufeff", "º", "ª",
+     "°", "Nº", "¿", "¡", "«", "»", "—", "·", " ", "\t", "\n", "www.", "http://"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.characters(), _EDGE_CHARS, st.text(max_size=5)), max_size=60))
+def test_clean_matches_per_character_reference(pieces):
+    text = "".join(pieces)
+    assert clean(text) == reference_clean(text)
+    # a second call answers from the filled table
+    assert clean(text) == reference_clean(text)
 
 
 def test_clean_empty():
