@@ -3,6 +3,7 @@ by the CLI, cross-validation and grid search."""
 
 from __future__ import annotations
 
+import functools
 import json
 import types
 import typing
@@ -191,9 +192,19 @@ class FittedPipeline:
     kept_kinds: list[str]
     model: EnsembleModel
 
+    @functools.cached_property
+    def _kept_layout(self) -> tuple[VectorizerModel, list[int]]:
+        """The vectorizer of the kept n-grams, numbered in kept order, and
+        the encoder columns of the kept entity fields. The textual columns
+        come first, so transform with these writes the kept matrix directly."""
+        n_text = self.kept_kinds.count("textual")
+        kept = {name: i for i, name in enumerate(self.kept_names[:n_text])}
+        fields = [CATEGORICAL_FIELDS.index(name) for name in self.kept_names[n_text:]]
+        return replace(self.vectorizer, vocabulary=kept), fields
+
     def _matrix_for(self, grams: NgramCounts, rows, records) -> np.ndarray:
-        X = transform(self.vectorizer, grams, rows, self.encoder.transform(records))
-        return build_feature_matrix(self.vectorizer.names, X).subset(self.kept_names).X
+        vectorizer, fields = self._kept_layout
+        return transform(vectorizer, grams, rows, self.encoder.transform(records)[:, fields])
 
     def row_for(self, stream: TokenStream, record) -> np.ndarray:
         grams = count_ngrams([stream], self.vectorizer.ngram_range)
@@ -372,7 +383,7 @@ def _strings(value) -> bool:
 
 def _check_kept_columns(fp: FittedPipeline) -> None:
     """The kept columns are the model's, each a vocabulary n-gram of kind
-    textual or an entity field of kind categorical."""
+    textual or an entity field of kind categorical, the textual ones first."""
     if fp.kept_names != list(fp.model.feature_names) or len(fp.kept_kinds) != len(fp.kept_names):
         raise ConfigError("pipeline kept_names and kept_kinds must match the model's columns")
     known = {"textual": fp.vectorizer.vocabulary, "categorical": CATEGORICAL_FIELDS}
@@ -381,6 +392,9 @@ def _check_kept_columns(fp: FittedPipeline) -> None:
             raise ConfigError(f"unknown kept column kind: {kind!r}")
         if name not in known[kind]:
             raise ConfigError(f"kept column {name!r} is not a {kind} feature")
+    n_text = fp.kept_kinds.count("textual")
+    if "categorical" in fp.kept_kinds[:n_text]:
+        raise ConfigError("kept columns must list the textual ones first, as fitting does")
 
 
 def save_pipeline(fp: FittedPipeline, path) -> None:

@@ -20,14 +20,23 @@ class TokenStream:
                 raise ValueError(f"invalid token in stream: {tok!r}")
 
 
+# code points below this (Latin, Greek, Cyrillic, general punctuation,
+# currency and mathematical symbols) are kept in the clean table once seen;
+# rarer ones are looked up on every use, so the table stays under 12,288
+# entries whatever text is cleaned
+_CACHED_BELOW = 0x3000
+
+
 class _CleanTable(dict):
     """str.translate table for clean: a character of category P* or C*
-    maps to a space, any other to itself. Each character's category is
-    looked up once, on its first miss."""
+    maps to a space, any other to itself. A character's category is looked
+    up on its first miss, and again on every miss above _CACHED_BELOW."""
 
     def __missing__(self, code: int) -> str:
         ch = chr(code)
-        self[code] = mapped = " " if unicodedata.category(ch)[0] in "CP" else ch
+        mapped = " " if unicodedata.category(ch)[0] in "CP" else ch
+        if code < _CACHED_BELOW:
+            self[code] = mapped
         return mapped
 
 

@@ -6,9 +6,13 @@ serialized without touching live objects. Split semantics are fixed
 everywhere: value <= threshold goes left, value > threshold goes right.
 
 Splits are searched on binned columns: each forest maps every column to its
-distinct values once (bin_columns), and each node scores its candidate
-columns from one histogram of (column, bin, class) counts. Thresholds are
-midpoints between present values, as a sorted search would place them.
+distinct values once (bin_columns, codes stored column-major so a node
+gathers its candidate columns as contiguous rows), and each node scores its
+candidate columns from one histogram of (column, bin, class) counts.
+Thresholds are midpoints between present values, as a sorted search would
+place them. A bootstrap sample is grown as (distinct row, multiplicity)
+pairs, so the histograms are weighted counts of whole samples, and the
+'best' splitter gives up at once on a node too small to split.
 
 For prediction, each forest's trees are packed into one flat node table
 (ForestTable) when the model is built, and predict_proba_batch walks every
@@ -123,16 +127,17 @@ def compute_class_weights(y: np.ndarray, n_classes: int, mode: str | None) -> np
 def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(codes, values, widths) of a finite training matrix. values holds
     each column's distinct values in ascending order, one column after the
-    other, and widths[j] is how many column j has; codes[i, j] is the index
-    of X[i, j] among column j's values, in the narrowest unsigned dtype that
-    holds every index."""
+    other, and widths[j] is how many column j has; codes is column-major:
+    codes[j, i] is the index of X[i, j] among column j's values, in the
+    narrowest unsigned dtype that holds every index. Columns are binned one
+    at a time, so no temporary spans the whole matrix."""
     if not np.isfinite(X).all():
         raise ModelError("training matrix must be finite: it holds NaN or infinity")
     uniques = [np.unique(col) for col in X.T]
     widths = np.array([len(u) for u in uniques], dtype=np.intp)
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(int(max(widths, default=1)) - 1))
+    codes = np.empty(X.shape[::-1], dtype=np.min_scalar_type(int(max(widths, default=1)) - 1))
     for j, u in enumerate(uniques):
-        codes[:, j] = np.searchsorted(u, X[:, j])
+        codes[j] = np.searchsorted(u, X[:, j])
     return codes, np.concatenate(uniques or [np.empty(0)]), widths
 
 
@@ -145,10 +150,11 @@ def weight_table(class_weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def find_split(
-    codes: np.ndarray,
-    values: np.ndarray,
-    widths: np.ndarray,
+    bins: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cands: np.ndarray,
+    rows: np.ndarray,
     y: np.ndarray,
+    weight: np.ndarray,
     hyperparams: Hyperparams,
     rng: np.random.Generator,
     table: np.ndarray,
@@ -157,31 +163,45 @@ def find_split(
     """Best (column, threshold) over the candidate columns of one node, or
     None.
 
-    codes holds the node rows' bin codes of each candidate column; values
-    and widths are the candidates' part of bin_columns' values and widths;
+    bins is bin_columns' (codes, values, widths) of the forest's matrix;
+    cands the sorted candidate columns; rows the node's distinct rows, y
+    their int32 labels and weight their multiplicities (how often a
+    bootstrap sample drew each row), so the node holds weight.sum() samples.
     table is weight_table's. Each candidate gets as many bins as it has
-    distinct values, so one bincount over (column, bin, class) gives every
-    column's class histogram. A split may fall after any bin present in the
-    node when both children keep min_samples_leaf rows. 'best' scores every
-    such split at the midpoint to the next present value; 'random' draws one
-    uniform threshold per non-constant column, in column order, and scores
-    only the split after the last present value at or below it. Both
-    splitters share one scoring step; ties break on the lowest column, then
-    the lowest threshold.
+    distinct values, so one weighted bincount over (column, bin, class)
+    gives every column's class histogram in whole sample counts. A split
+    may fall after any bin present in the node when both children keep
+    min_samples_leaf samples; the 'best' splitter returns None at once when
+    the node holds fewer than 2 * min_samples_leaf. 'best' scores every
+    feasible split at the midpoint to the next present value; 'random'
+    draws one uniform threshold per non-constant column, in column order
+    (also in nodes too small to split, so the draws never depend on the
+    leaf size), and scores only the split after the last present value at
+    or below it. Both splitters share one scoring step; ties break on the
+    lowest column, then the lowest threshold.
     """
-    n, m = codes.shape
-    starts = np.cumsum(widths) - widths
+    n = int(weight.sum())
+    leaf = hyperparams.min_samples_leaf
+    if hyperparams.splitter == "best" and n < 2 * leaf:
+        return None
+    codes, values, widths = bins
+    # the candidates' values, in candidate order because cands is sorted
+    take = np.zeros(len(widths), dtype=bool)
+    take[cands] = True
+    values = values[np.repeat(take, widths)]
+    widths = widths[cands]
+    m = len(cands)
+    starts = (np.cumsum(widths) - widths).astype(np.int32)
     column = np.repeat(np.arange(m), widths)  # candidate of each bin
-    key = (codes + starts) * n_classes + y[:, None]
-    hist = np.bincount(key.ravel(), minlength=len(values) * n_classes)
-    hist = hist.reshape(len(values), n_classes)
+    key = (codes.take(cands, 0).take(rows, 1) + starts[:, None]) * n_classes + y
+    hist = np.bincount(key.ravel(), np.tile(weight, m), len(values) * n_classes)
+    hist = hist.astype(np.intp).reshape(len(values), n_classes)
     in_bin = hist.sum(axis=1)
     present = in_bin > 0
-    # rows left of a split after each bin; every column holds all n rows,
-    # so the running sum restarts at each column by subtracting the rows of
-    # the columns before it
+    # samples left of a split after each bin; every column holds all n
+    # samples, so the running sum restarts at each column by subtracting the
+    # samples of the columns before it
     sizes = in_bin.cumsum() - column * n
-    leaf = hyperparams.min_samples_leaf
     feasible = present & (sizes >= leaf) & (n - sizes >= leaf)
     if hyperparams.splitter == "random":
         lo = np.minimum.reduceat(np.where(present, values, np.inf), starts)
@@ -195,7 +215,7 @@ def find_split(
     if at.size == 0:
         return None
 
-    counts = np.bincount(y, minlength=n_classes)
+    counts = hist[: widths[0]].sum(axis=0)  # the node's class counts
     classes = np.arange(n_classes)
     left = table[classes, hist.cumsum(axis=0)[at] - column[at, None] * counts]
     base = table[classes, counts]
@@ -204,21 +224,20 @@ def find_split(
     wl = left.sum(axis=1)
     wr = total_w - wl
     ok = (wl > 0) & (wr > 0)
+    k = int(ok.sum())
+    # one impurity call over the parent, the left and the right children
+    imp = _impurity_rows(np.vstack([base[None, :], left[ok], right[ok]]), hyperparams.criterion)
     dec = np.full(at.size, -np.inf)
-    dec[ok] = (
-        _impurity_rows(base[None, :], hyperparams.criterion)[0]
-        - (wl[ok] / total_w) * _impurity_rows(left[ok], hyperparams.criterion)
-        - (wr[ok] / total_w) * _impurity_rows(right[ok], hyperparams.criterion)
-    )
-    k = int(np.argmax(dec))
-    if not dec[k] > -1.0:
+    dec[ok] = imp[0] - (wl[ok] / total_w) * imp[1 : k + 1] - (wr[ok] / total_w) * imp[k + 1 :]
+    best = int(np.argmax(dec))
+    if not dec[best] > -1.0:
         return None
-    f, b = int(column[at[k]]), at[k]
+    f, b = int(column[at[best]]), at[best]
     if hyperparams.splitter == "random":
-        return f, float(thr[f])
+        return int(cands[f]), float(thr[f])
     # b is feasible, so a later present bin of the same column exists
     nxt = b + 1 + int(np.argmax(present[b + 1 :]))
-    return f, float((values[b] + values[nxt]) / 2.0)
+    return int(cands[f]), float((values[b] + values[nxt]) / 2.0)
 
 
 @dataclass
@@ -249,13 +268,16 @@ def fit_tree(
     """Grow one tree on integer class labels, over the given rows of X and
     y (repeats allowed, as in a bootstrap sample; every row once by default).
 
+    The sample is carried as its distinct rows, sorted, with how often each
+    was drawn: node sizes, min_samples_split, min_samples_leaf and the class
+    counts stored in Tree.counts all count a row as often as it was drawn.
     bins is bin_columns(X), built here when not given, so a forest bins its
     matrix once for all its trees.
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int32)
     if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
         raise ModelError("training data must be a nonempty matrix with one label per row")
     if rng is None:
@@ -264,9 +286,10 @@ def fit_tree(
         n_classes = int(y.max()) + 1
     if class_weights is None:
         class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
-    root = np.arange(len(X)) if rows is None else np.asarray(rows)
-    codes, values, widths = bin_columns(X) if bins is None else bins
-    table = weight_table(class_weights, len(root))
+    drawn = np.ones(len(X)) if rows is None else np.bincount(rows, minlength=len(X)).astype(float)
+    (root,) = np.nonzero(drawn)
+    bins = bin_columns(X) if bins is None else bins
+    table = weight_table(class_weights, int(drawn.sum()))
     d = X.shape[1]
 
     feature: list[int] = []
@@ -276,17 +299,18 @@ def fit_tree(
     depth_arr: list[int] = []
     counts_arr: list[np.ndarray] = []
 
-    # frames: (sample indices, depth, parent id, is_left_child)
-    stack = [(root, 0, -1, False)]
+    # frames: (distinct rows, their multiplicities, depth, parent id, is_left_child)
+    stack = [(root, drawn[root], 0, -1, False)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, weight, depth, parent, is_left = stack.pop()
         node_id = len(feature)
         if parent >= 0:
             if is_left:
                 left[parent] = node_id
             else:
                 right[parent] = node_id
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        y_node = y[idx]
+        counts = np.bincount(y_node, weights=weight, minlength=n_classes)
         feature.append(-1)
         threshold.append(float("nan"))
         left.append(-1)
@@ -294,7 +318,7 @@ def fit_tree(
         depth_arr.append(depth)
         counts_arr.append(counts)
 
-        if len(idx) < hyperparams.min_samples_split:
+        if weight.sum() < hyperparams.min_samples_split:
             continue
         if hyperparams.max_depth is not None and depth >= hyperparams.max_depth:
             continue
@@ -303,28 +327,16 @@ def fit_tree(
         cands = np.arange(d)
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
-        # the candidates' values, in candidate order because cands is sorted
-        take = np.zeros(d, dtype=bool)
-        take[cands] = True
-        split = find_split(
-            codes[np.ix_(idx, cands)],
-            values[np.repeat(take, widths)],
-            widths[cands],
-            y[idx],
-            hyperparams,
-            rng,
-            table,
-            n_classes,
-        )
+        split = find_split(bins, cands, idx, y_node, weight, hyperparams, rng, table, n_classes)
         if split is None:
             continue
-        f, thr = int(cands[split[0]]), split[1]
+        f, thr = split
         feature[node_id] = f
         threshold[node_id] = thr
         mask = X[idx, f] <= thr
         # right pushed first so the left subtree is built (and numbered) first
-        stack.append((idx[~mask], depth + 1, node_id, False))
-        stack.append((idx[mask], depth + 1, node_id, True))
+        stack.append((idx[~mask], weight[~mask], depth + 1, node_id, False))
+        stack.append((idx[mask], weight[mask], depth + 1, node_id, True))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -426,7 +438,7 @@ def _fit_forest(
     max_features: int | None,
     tree_offset: int,
 ) -> tuple[list[Tree], np.ndarray]:
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int32)
     weights = compute_class_weights(y, n_classes, hp.class_weight)
     bins = bin_columns(X)
     forest = []
@@ -479,9 +491,9 @@ def fit_ensemble(
     mts_catalog, alphas = mts_encode(label_sets)
 
     # (labels, output width) of each forest; bts labels are views of beta,
-    # which _fit_forest copies to int64 only while it grows that forest
+    # which _fit_forest copies to int32 only while it grows that forest
     if strategy == "mts":
-        targets = [(np.asarray(alphas, dtype=np.int64) - 1, mts_catalog.p)]
+        targets = [(np.asarray(alphas, dtype=np.int32) - 1, mts_catalog.p)]
     else:
         beta = bts_encode(label_sets, class_catalog)
         targets = [(beta[:, j], 2) for j in range(class_catalog.m)]

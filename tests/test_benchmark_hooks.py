@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lexcat import evaluation, pipeline
+from lexcat import evaluation, features, pipeline
 from lexcat.pipeline import PipelineConfig
 from lexcat.synth import SynthSpec, generate_corpus
 
@@ -98,6 +98,7 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
     # a refactor that routes around a wrapped name would zero its per-layer
     # figure without failing anything else
     vocab_sizes = []
+    fitted_nodes = []
     original = pipeline.fit_pipeline
 
     def recording(*args, **kwargs):
@@ -105,14 +106,29 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
         vocab_sizes.append(len(fitted.vectorizer.vocabulary))
         return fitted
 
+    def counting_nodes(fit):
+        # the trees of every fitted model, the importance forests' included
+        def fit_and_count(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            fitted_nodes.extend(tree.n_nodes for tree in model.trees)
+            return model
+
+        return fit_and_count
+
     monkeypatch.setattr(pipeline, "fit_pipeline", recording)
+    for module in (pipeline, features):
+        monkeypatch.setattr(module, "fit_ensemble", counting_nodes(module.fit_ensemble))
     corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=5))
     tracer = _tracer().Tracer()
     with tracer:
         evaluation.cross_validate(
             corpus, PipelineConfig(n_estimators=3, min_samples_leaf=1), lexica, k=2, seed=0
         )
-    for span in ("features.fit_vectorizer", "features.transform", "trees.fit_tree"):
+    spans = ("features.fit_vectorizer", "features.transform", "trees.fit_tree", "trees.find_split")
+    for span in spans:
         assert tracer.calls[span] > 0, span
     assert len(vocab_sizes) == 2
-    assert tracer.metrics()["features.vocab_size"] == (sum(vocab_sizes), "count")
+    metrics = tracer.metrics()
+    assert metrics["features.vocab_size"] == (sum(vocab_sizes), "count")
+    assert metrics["trees.fit_tree.calls"] == (len(fitted_nodes), "count")
+    assert metrics["trees.nodes"] == (sum(fitted_nodes), "count")

@@ -425,6 +425,7 @@ PIPELINE_MALFORMATIONS = {
         for path in (("kept_names", 0), ("model", "feature_names", 0))
     ],
     "unknown_kept_kind": _set(("kept_kinds", 0), "visual"),
+    "entity_field_before_ngrams": lambda obj: _last_kept_column_first(obj),
     # node 1 is the root's left child, at depth 1
     "child_depth_not_parent_plus_one": _set(("model", "forests", 0, 0, "depth", 1), 2),
     "unknown_variant": _set(("model", "variant"), "xyz"),
@@ -466,6 +467,13 @@ PIPELINE_MALFORMATIONS = {
     "encoder_code_not_an_integer": _set(("encoder", "court", "x"), "1"),
     "encoder_field_missing": lambda obj: obj["encoder"].pop("court"),
 }
+
+
+def _last_kept_column_first(obj):
+    """Move the last kept column, an entity field, before the n-grams."""
+    assert obj["kept_kinds"][-1] == "categorical" and obj["kept_kinds"][0] == "textual"
+    for names in (obj["kept_names"], obj["kept_kinds"], obj["model"]["feature_names"]):
+        names.insert(0, names.pop())
 
 
 def _drop_last_output(model):

@@ -1,10 +1,12 @@
 import re
+import sys
 import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexcat import textproc
 from lexcat.textproc import TokenStream, clean, remove_stopwords, to_token_stream, tokenize
 
 
@@ -30,6 +32,16 @@ def test_clean_matches_per_character_reference(pieces):
     assert clean(text) == reference_clean(text)
     # a second call answers from the filled table
     assert clean(text) == reference_clean(text)
+
+
+def test_clean_table_stays_bounded():
+    # the table keeps only code points below a fixed limit, so cleaning
+    # every code point once leaves it small, and the rest still clean right
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert len(everything) == 1_114_112
+    assert clean(everything) == reference_clean(everything)
+    assert len(textproc._CLEAN_TABLE) <= textproc._CACHED_BELOW == 0x3000
+    assert clean(everything) == reference_clean(everything)
 
 
 def test_clean_empty():

@@ -72,17 +72,19 @@ def test_hyperparams_validation():
         Hyperparams(class_weight="auto")
 
 
-def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None):
-    """find_split over every column of X at a node holding every row once."""
+def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None, weight=None):
+    """find_split over every column of X at a node holding every row once,
+    or weight[i] times."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=np.int32)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     if class_weights is None:
         class_weights = np.ones(n_classes)
-    codes, values, widths = bin_columns(X)
-    table = weight_table(class_weights, len(y))
-    return find_split(codes, values, widths, y, hyperparams, rng, table, n_classes)
+    weight = np.ones(len(y)) if weight is None else np.asarray(weight, dtype=float)
+    table = weight_table(class_weights, int(weight.sum()))
+    every = np.arange(X.shape[1]), np.arange(len(y))
+    return find_split(bin_columns(X), *every, y, weight, hyperparams, rng, table, n_classes)
 
 
 def test_find_split_separable():
@@ -332,14 +334,15 @@ def test_bin_columns_codes_and_widths():
         wide = rng.permutation(width).astype(float) / 7.0
         X = np.column_stack([np.resize(wide, 300), np.full(300, -1.5), np.resize(wide[:3], 300)])
         codes, values, widths = bin_columns(X)
-        assert codes.dtype == dtype and codes.shape == X.shape
+        # column-major: one contiguous row of codes per column of X
+        assert codes.dtype == dtype and codes.shape == X.T.shape and codes.flags.c_contiguous
         # each column takes only as many bins as it has distinct values
         assert widths.tolist() == [width, 1, min(width, 3)]
         assert len(values) == widths.sum()
         for j, start in enumerate(np.cumsum(widths) - widths):
             column = values[start : start + widths[j]]
             assert column.tolist() == np.unique(X[:, j]).tolist()
-            assert (column[codes[:, j]] == X[:, j]).all()
+            assert (column[codes[j]] == X[:, j]).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -358,9 +361,9 @@ def test_non_finite_training_matrix_rejected(bad):
 def test_fit_tree_passes_only_candidate_columns(variant, monkeypatch):
     widths = []
 
-    def counting_find_split(X, *args, **kwargs):
-        widths.append(X.shape[1])
-        return find_split(X, *args, **kwargs)
+    def counting_find_split(bins, cands, *args, **kwargs):
+        widths.append(len(cands))
+        return find_split(bins, cands, *args, **kwargs)
 
     monkeypatch.setattr(trees, "find_split", counting_find_split)
     rng = np.random.default_rng(1)
@@ -414,15 +417,75 @@ def test_fit_tree_invariant_to_document_order():
 
 @pytest.mark.parametrize("splitter", ["best", "random"])
 def test_fit_tree_on_rows_equals_fit_on_copied_rows(splitter):
+    # a sample grown as (distinct row, multiplicity) pairs must count every
+    # drawn copy in node sizes, min_samples_split, min_samples_leaf and the
+    # stored class counts
     X, y = _separable_data()
-    rows = np.random.default_rng(5).integers(0, len(y), size=len(y))
-    hp = Hyperparams(splitter=splitter, class_weight="balanced", min_samples_leaf=2)
-    weights = compute_class_weights(y, 3, "balanced")
-    on_rows, on_copy = (
-        fit_tree(*data, hp, np.random.default_rng(2), 3, weights, max_features=1, rows=r)
-        for data, r in (((X, y), rows), ((X[rows], y[rows]), None))
-    )
-    assert json.dumps(trees._tree_to_obj(on_rows)) == json.dumps(trees._tree_to_obj(on_copy))
+    X = np.column_stack([X, np.round(X * 3)])  # two heavily tied columns
+    draw = np.random.default_rng(5)
+    samples = {
+        "bootstrap": draw.integers(0, len(y), size=len(y)),
+        "12 rows drawn 10 times each on average": draw.choice(len(y), 12)[
+            draw.integers(0, 12, size=len(y))
+        ],
+    }
+    for criterion, class_weight, (name, rows), leaf in itertools.product(
+        trees.CRITERIA, (None, "balanced"), samples.items(), range(1, 6)
+    ):
+        case = (criterion, class_weight, name, leaf)
+        hp = Hyperparams(
+            splitter=splitter,
+            criterion=criterion,
+            class_weight=class_weight,
+            min_samples_leaf=leaf,
+            min_samples_split=3 * leaf,
+        )
+        weights = compute_class_weights(y, 3, class_weight)
+        on_rows, on_copy = (
+            fit_tree(*data, hp, np.random.default_rng(2), 3, weights, max_features=2, rows=r)
+            for data, r in (((X, y), rows), ((X[rows], y[rows]), None))
+        )
+        assert on_rows.n_nodes > 1, case
+        assert json.dumps(trees._tree_to_obj(on_rows)) == json.dumps(
+            trees._tree_to_obj(on_copy)
+        ), case
+
+
+def test_random_splitter_draws_in_nodes_too_small_to_split():
+    # the best splitter may give up on a node of fewer than 2 *
+    # min_samples_leaf samples before searching; the random one must still
+    # draw its thresholds there, or every later draw of the tree moves
+    X = np.array([[0.0, 5.0, 1.0], [1.0, 6.0, 1.0], [2.0, 5.5, 1.0], [3.0, 7.0, 1.0]])
+    y = np.array([0, 1, 0, 1])
+    for weight in (None, [1, 2, 1, 1]):
+        hp = Hyperparams(splitter="random", min_samples_leaf=3)
+        rng = np.random.default_rng(7)
+        assert binned_find_split(X, y, hp, rng, weight=weight) is None
+        expected = np.random.default_rng(7)
+        expected.uniform([0.0, 5.0], [3.0, 7.0])  # the constant column draws nothing
+        assert rng.bit_generator.state == expected.bit_generator.state
+        best, hp = np.random.default_rng(7), dataclasses.replace(hp, splitter="best")
+        assert binned_find_split(X, y, hp, best, weight=weight) is None
+        assert best.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
+def test_find_split_counts_multiplicities():
+    # a node of distinct rows with multiplicities splits as the node that
+    # holds each row that many times
+    X, y = _separable_data(n=40, seed=3)
+    X = np.round(X * 4)
+    weight = np.random.default_rng(8).integers(1, 5, size=len(y))
+    copies = np.repeat(np.arange(len(y)), weight)
+    for splitter, criterion, leaf, class_weight in itertools.product(
+        trees.SPLITTERS, trees.CRITERIA, (1, 3, 6, 60, 100), (None, "balanced")
+    ):
+        hp = Hyperparams(
+            splitter=splitter, criterion=criterion, min_samples_leaf=leaf, class_weight=class_weight
+        )
+        weights = compute_class_weights(y[copies], 3, class_weight)
+        got = binned_find_split(X, y, hp, np.random.default_rng(leaf), weights, 3, weight)
+        want = binned_find_split(X[copies], y[copies], hp, np.random.default_rng(leaf), weights, 3)
+        assert got == want, (splitter, criterion, leaf, class_weight)
 
 
 def test_fit_tree_empty_errors():
