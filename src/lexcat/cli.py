@@ -25,7 +25,6 @@ from .explain import (
 from .features import (
     CategoricalEncoder,
     FeatureError,
-    build_feature_matrix,
     feature_matrix_to_text,
     fit_vectorizer,
     transform,
@@ -70,15 +69,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lexcat-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lexcat-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -196,10 +198,10 @@ def _cmd_featurize(config: PipelineConfig, args) -> int:
     rows = range(corpus.n)
     vec = fit_vectorizer(grams, rows, config.max_df, config.min_df)
     codes = CategoricalEncoder().fit(prep.records).transform(prep.records)
-    matrix = build_feature_matrix(vec.names, transform(vec, grams, rows, codes))
+    X = transform(vec, grams, rows, codes)
     path = _out_path(config, "features.tsv")
-    _write_atomic(path, feature_matrix_to_text(matrix, [d.id for d in corpus.documents]))
-    print(f"wrote {matrix.X.shape[0]}x{matrix.X.shape[1]} feature matrix to {path}")
+    _write_atomic(path, feature_matrix_to_text(vec.names, X, [d.id for d in corpus.documents]))
+    print(f"wrote {X.shape[0]}x{X.shape[1]} feature matrix to {path}")
     return EXIT_OK
 
 

@@ -102,6 +102,16 @@ class CorpusStats:
     class_count: int
 
 
+def _check_utf8(name: str, *values: str) -> None:
+    """The field's strings can be written back out: a JSON escape can spell
+    a lone surrogate, which no UTF-8 file can hold."""
+    try:
+        for value in values:
+            value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"field {name!r} holds a lone surrogate escape") from None
+
+
 def _assignment_from_record(entry: object) -> LabelAssignment:
     if not isinstance(entry, dict):
         raise CorpusError("label entry must be an object with order/categories")
@@ -111,7 +121,10 @@ def _assignment_from_record(entry: object) -> LabelAssignment:
         raise CorpusError("label entry missing string field 'order'")
     if not isinstance(cats, list) or len(cats) != 3:
         raise CorpusError("label entry 'categories' must be a 3-element array")
-    return LabelAssignment(order.strip().lower(), tuple(cats))
+    assignment = LabelAssignment(order.strip().lower(), tuple(cats))
+    # LabelAssignment refuses an order outside SUBSTANTIVE_ORDERS
+    _check_utf8("categories", *assignment.law_categories)
+    return assignment
 
 
 def _judgement_from_record(record: object) -> Judgement:
@@ -123,6 +136,8 @@ def _judgement_from_record(record: object) -> Judgement:
         raise CorpusError("record missing string field 'id'")
     if not isinstance(text, str):
         raise CorpusError("record missing string field 'text'")
+    _check_utf8("id", doc_id)
+    _check_utf8("text", text)
     labels = record.get("labels")
     if not isinstance(labels, list) or not labels:
         raise CorpusError("record missing nonempty array field 'labels'")
@@ -146,21 +161,24 @@ def load_corpus(path) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file: {exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: not a valid record: {exc}") from None
-            try:
-                doc = _judgement_from_record(raw)
-            except CorpusError as exc:
-                raise CorpusError(f"line {lineno}: {exc}") from None
-            if doc.id in seen:
-                raise CorpusError(f"line {lineno}: duplicate document id: {doc.id!r}")
-            seen.add(doc.id)
-            docs.append(doc)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"line {lineno}: not a valid record: {exc}") from None
+                try:
+                    doc = _judgement_from_record(raw)
+                except CorpusError as exc:
+                    raise CorpusError(f"line {lineno}: {exc}") from None
+                if doc.id in seen:
+                    raise CorpusError(f"line {lineno}: duplicate document id: {doc.id!r}")
+                seen.add(doc.id)
+                docs.append(doc)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"corpus file is not UTF-8 text: {exc.reason}") from None
     if not docs:
         raise CorpusError(f"{path}: empty corpus file")
     return Corpus(tuple(docs))

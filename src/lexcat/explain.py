@@ -124,15 +124,16 @@ def _surrogate_coefficients(
 def signed_relevance(
     model: EnsembleModel,
     row,
-    textual_indices,
+    n_text: int,
     n_samples: int = 500,
     seed: int = 0,
     threshold: float = 0.5,
 ) -> tuple[dict[str, float], Decision]:
     """Term relevance from random perturbations of the document's n-gram
-    counts: each nonzero count is zeroed with probability 0.5, the explained
-    class probability of every perturbed copy is queried, and a
-    proximity-weighted linear surrogate is fitted on presence indicators.
+    counts, the row's first n_text columns: each nonzero count is zeroed
+    with probability 0.5, the explained class probability of every
+    perturbed copy is queried, and a proximity-weighted linear surrogate is
+    fitted on presence indicators.
 
     Returns the signed surrogate coefficients of the row's active terms, and
     the decision they explain. Under BTS each predicted class is explained
@@ -141,8 +142,7 @@ def signed_relevance(
     if n_samples < 10:
         raise ExplainError("n_samples must be >= 10")
     row = np.asarray(row, dtype=float)
-    textual_indices = np.asarray(sorted(textual_indices), dtype=np.int64)
-    active = textual_indices[row[textual_indices] != 0]
+    active = np.flatnonzero(row[:n_text])
     decision = decide(model, row, threshold)
     if len(active) == 0:
         return {}, decision
@@ -215,15 +215,14 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     record = extract_entities(doc, lexica.entities)
     row = fitted.row_for(stream, record)
     model = fitted.model
-    textual_idx = [i for i, k in enumerate(fitted.kept_kinds) if k == "textual"]
-    textual_names = {fitted.kept_names[i] for i in textual_idx}
+    n_text = fitted.kept_kinds.count("textual")
 
     signed, decision = signed_relevance(
-        model, row, textual_idx, config.relevance_samples, config.seed, config.bts_threshold
+        model, row, n_text, config.relevance_samples, config.seed, config.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
     paths = tuple(extract_path(t, row, model.feature_names) for t in model.trees)
-    freq_ordered = aggregate_terms(paths, textual_names)
+    freq_ordered = aggregate_terms(paths, fitted.kept_names[:n_text])
     top = select_top_terms(freq_ordered, relevances)
     return Explanation(
         sample_id=doc.id,

@@ -174,42 +174,14 @@ class CategoricalEncoder:
         return X
 
 
-@dataclass
-class FeatureMatrix:
-    names: list[str]
-    kinds: list[str]  # "textual" | "categorical"
-    X: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.names) != len(set(self.names)):
-            dupe = next(n for n in self.names if self.names.count(n) > 1)
-            raise FeatureError(f"duplicate column name: {dupe!r}")
-        if not (len(self.names) == len(self.kinds) == self.X.shape[1]):
-            raise FeatureError("names, kinds and matrix width must agree")
-
-    def subset(self, names: list[str]) -> "FeatureMatrix":
-        pos = {n: i for i, n in enumerate(self.names)}
-        idx = [pos[n] for n in names]
-        return FeatureMatrix(
-            [self.names[i] for i in idx],
-            [self.kinds[i] for i in idx],
-            self.X[:, idx],
-        )
-
-
-def build_feature_matrix(textual_names: list[str], X: np.ndarray) -> FeatureMatrix:
-    """Name the columns of a `transform` matrix: the textual ones, then the
-    entity fields."""
-    names = list(textual_names) + list(CATEGORICAL_FIELDS)
-    kinds = ["textual"] * len(textual_names) + ["categorical"] * len(CATEGORICAL_FIELDS)
-    return FeatureMatrix(names, kinds, X)
-
-
-def feature_matrix_to_text(matrix: FeatureMatrix, doc_ids) -> str:
-    """Tab-separated export: header of kind:name cells, one row per document."""
-    header = ["id"] + [f"{k}:{n}" for k, n in zip(matrix.kinds, matrix.names)]
+def feature_matrix_to_text(textual_names: list[str], X: np.ndarray, doc_ids) -> str:
+    """Tab-separated export of a `transform` matrix: a header of kind:name
+    cells, the textual columns then the entity fields, and one row per
+    document."""
+    header = ["id"] + [f"textual:{n}" for n in textual_names]
+    header += [f"categorical:{n}" for n in CATEGORICAL_FIELDS]
     lines = ["\t".join(header)]
-    for doc_id, row in zip(doc_ids, matrix.X):
+    for doc_id, row in zip(doc_ids, X):
         lines.append("\t".join([doc_id] + [f"{v:g}" for v in row]))
     return "\n".join(lines) + "\n"
 
@@ -243,11 +215,6 @@ def discretize_ranks(values) -> np.ndarray:
     return 10 - bins
 
 
-@dataclass
-class SpearmanReport:
-    correlations: dict[str, float] = field(default_factory=dict)
-
-
 def spearman(x, y) -> float:
     """Rank correlation: covariance of the average-tie rank variables over
     the product of their standard deviations."""
@@ -265,15 +232,14 @@ def spearman(x, y) -> float:
 
 
 def select_by_correlation(
-    matrix: FeatureMatrix, target, threshold: float
-) -> tuple[list[str], SpearmanReport]:
-    """Columns whose 10-step-discretised ranks correlate with the target at
-    |r_s| >= threshold. Constant columns are always dropped."""
+    X: np.ndarray, target, threshold: float
+) -> tuple[list[int], dict[int, float]]:
+    """Positions of the columns whose 10-step-discretised ranks correlate
+    with the target at |r_s| >= threshold, and r_s by position of every
+    column scored. Constant columns are always dropped."""
     target = np.asarray(target, dtype=float)
-    report = SpearmanReport()
-    kept = []
-    for i, name in enumerate(matrix.names):
-        col = matrix.X[:, i]
+    kept, correlations = [], {}
+    for i, col in enumerate(X.T):
         if np.all(col == col[0]):
             continue
         with warnings.catch_warnings():
@@ -282,24 +248,22 @@ def select_by_correlation(
         if np.all(disc == disc[0]):
             continue
         r = spearman(disc, target)
-        report.correlations[name] = r
+        correlations[i] = r
         if abs(r) >= threshold:
-            kept.append(name)
-    return kept, report
+            kept.append(i)
+    return kept, correlations
 
 
 def select_by_importance(
-    matrix: FeatureMatrix,
-    label_sets,
-    n_estimators: int = 20,
-    seed: int = 0,
-) -> tuple[list[str], np.ndarray]:
-    """Columns whose impurity-decrease importance under a small mts random
-    forest reaches the mean importance."""
+    X: np.ndarray, label_sets, n_estimators: int, seed: int
+) -> tuple[list[int], np.ndarray]:
+    """Positions of the columns whose impurity-decrease importance under a
+    small mts random forest reaches the mean importance, and the
+    importances."""
     hp = Hyperparams(n_estimators=n_estimators, seed=seed)
-    model = fit_ensemble(matrix.X, label_sets, hp, "rf", "mts")
+    model = fit_ensemble(X, label_sets, hp, "rf", "mts")
     if model.mts_catalog.p < 2:
         raise FeatureError("importance selection needs at least two label classes")
     importances = feature_importances(model)
-    kept = [n for n, imp in zip(matrix.names, importances) if imp >= importances.mean()]
+    kept = [i for i, imp in enumerate(importances) if imp >= importances.mean()]
     return kept, importances

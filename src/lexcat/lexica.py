@@ -28,8 +28,12 @@ def default_data_dir() -> Path:
 def _lines(path: Path) -> list[str]:
     if not path.is_file():
         raise ConfigurationError(f"missing lexicon file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = unicodedata.normalize("NFC", line.strip())
         if line:
             out.append(line)

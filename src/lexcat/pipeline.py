@@ -17,10 +17,8 @@ from .entities import CATEGORICAL_FIELDS, extract_entities
 from .features import (
     CategoricalEncoder,
     FeatureError,
-    FeatureMatrix,
     NgramCounts,
     VectorizerModel,
-    build_feature_matrix,
     count_ngrams,
     fit_vectorizer,
     select_by_correlation,
@@ -149,6 +147,8 @@ def config_from_json(path) -> PipelineConfig:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return PipelineConfig().with_overrides(raw)
@@ -245,63 +245,56 @@ def fit_pipeline(
     grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
     vectorizer = fit_vectorizer(grams, idx, config.max_df, config.min_df)
     encoder = CategoricalEncoder().fit(records)
-    # the full matrix is freed once its kept columns are copied out, before
-    # the forest fit
-    selected = _select_columns(
-        build_feature_matrix(
-            vectorizer.names, transform(vectorizer, grams, idx, encoder.transform(records))
-        ),
-        label_sets,
-        config,
-    )
+    X = transform(vectorizer, grams, idx, encoder.transform(records))
+    n_text = len(vectorizer.vocabulary)
+    kept = _select_columns(X, n_text, label_sets, config)
+    # rebinding frees the full matrix before the forest fit
+    X = X[:, kept]
+    names = [*vectorizer.names, *CATEGORICAL_FIELDS]
+    kept_names = [names[i] for i in kept]
+    n_kept_text = sum(i < n_text for i in kept)
+    kept_kinds = ["textual"] * n_kept_text + ["categorical"] * (len(kept) - n_kept_text)
 
     model = fit_ensemble(
-        selected.X,
+        X,
         label_sets,
         config.hyperparams(),
         variant=config.model,
         strategy=config.strategy,
-        feature_names=selected.names,
+        feature_names=kept_names,
     )
     return FittedPipeline(
         config=config,
         vectorizer=vectorizer,
         encoder=encoder,
-        kept_names=selected.names,
-        kept_kinds=selected.kinds,
+        kept_names=kept_names,
+        kept_kinds=kept_kinds,
         model=model,
     )
 
 
-def _select_columns(matrix: FeatureMatrix, label_sets, config: PipelineConfig) -> FeatureMatrix:
-    """The two-stage selection: correlation on the categorical columns and
-    forest importance on the textual ones, which come first."""
+def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConfig) -> list[int]:
+    """The two-stage selection over views of the one matrix: correlation on
+    the categorical columns X[:, n_text:] and forest importance on the
+    textual ones X[:, :n_text]. Returns the kept positions, textual first."""
     _, alphas = mts_encode(label_sets)
     target = np.asarray(alphas)
     multiclass = len(set(alphas)) >= 2
 
-    # views of the one matrix
-    n_text = matrix.kinds.count("textual")
-    textual = FeatureMatrix(matrix.names[:n_text], matrix.kinds[:n_text], matrix.X[:, :n_text])
-    categorical = FeatureMatrix(
-        matrix.names[n_text:], matrix.kinds[n_text:], matrix.X[:, n_text:]
-    )
     if multiclass:
-        kept_cat, _ = select_by_correlation(categorical, target, config.correlation_threshold)
+        kept_cat, _ = select_by_correlation(X[:, n_text:], target, config.correlation_threshold)
     else:
         kept_cat = []
     if config.importance_selection and multiclass:
         kept_text, _ = select_by_importance(
-            textual, label_sets, config.importance_estimators, seed=config.seed
+            X[:, :n_text], label_sets, config.importance_estimators, config.seed
         )
     else:
         if config.importance_selection and not multiclass:
             warnings.warn("single-class corpus: feature selection skipped", stacklevel=3)
-        kept_text = list(textual.names)
-    kept = kept_text + kept_cat
-    if not kept:
-        kept = list(textual.names)
-    return matrix.subset(kept)
+        kept_text = list(range(n_text))
+    kept = kept_text + [n_text + i for i in kept_cat]
+    return kept or list(range(n_text))
 
 
 _PIPELINE_FORMAT = "lexcat-pipeline-v1"
@@ -408,3 +401,5 @@ def load_pipeline(path) -> FittedPipeline:
             return pipeline_from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read model file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file is not UTF-8 text: {exc.reason}") from None

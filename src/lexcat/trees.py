@@ -5,8 +5,8 @@ depth, class counts) so decision paths can be replayed and models can be
 serialized without touching live objects. Split semantics are fixed
 everywhere: value <= threshold goes left, value > threshold goes right.
 
-Splits are searched on binned columns: each forest maps every column to its
-distinct values once (bin_columns, codes stored column-major so a node
+Splits are searched on binned columns: each ensemble fit maps every column
+to its distinct values once (bin_columns, codes stored column-major so a node
 gathers its candidate columns as contiguous rows), and each node scores its
 candidate columns from one histogram of (column, bin, class) counts.
 Thresholds are midpoints between present values, as a sorted search would
@@ -271,8 +271,8 @@ def fit_tree(
     The sample is carried as its distinct rows, sorted, with how often each
     was drawn: node sizes, min_samples_split, min_samples_leaf and the class
     counts stored in Tree.counts all count a row as often as it was drawn.
-    bins is bin_columns(X), built here when not given, so a forest bins its
-    matrix once for all its trees.
+    bins is bin_columns(X), built here when not given, so an ensemble bins
+    its matrix once for all its trees and forests.
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
@@ -430,6 +430,7 @@ def _variant_knobs(variant: str, hp: Hyperparams, d: int):
 
 def _fit_forest(
     X: np.ndarray,
+    bins: tuple[np.ndarray, np.ndarray, np.ndarray],
     y: np.ndarray,
     n_classes: int,
     hp: Hyperparams,
@@ -440,7 +441,6 @@ def _fit_forest(
 ) -> tuple[list[Tree], np.ndarray]:
     y = np.asarray(y, dtype=np.int32)
     weights = compute_class_weights(y, n_classes, hp.class_weight)
-    bins = bin_columns(X)
     forest = []
     for t in range(n_trees):
         rng = np.random.default_rng(hp.seed + tree_offset + t)
@@ -497,8 +497,10 @@ def fit_ensemble(
     else:
         beta = bts_encode(label_sets, class_catalog)
         targets = [(beta[:, j], 2) for j in range(class_catalog.m)]
+    # every forest grows on the same matrix, so it is binned once
+    bins = bin_columns(X)
     fits = [
-        _fit_forest(X, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
+        _fit_forest(X, bins, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
         for j, (y, n_classes) in enumerate(targets)
     ]
     return EnsembleModel(

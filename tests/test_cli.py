@@ -413,6 +413,53 @@ def test_malformed_pipeline_file_is_data_error(tmp_path, content):
     assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("kind", ["corpus", "config", "model_file", "lexicon"])
+def test_input_file_that_is_not_utf8_is_data_error(kind, synth_corpus_path, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    if kind == "lexicon":
+        shutil.copytree(default_data_dir(), bad)
+        (bad / "courts.txt").write_bytes(b"Tribunal \xff\n")
+        argv = ["entities", "--corpus", str(synth_corpus_path), "--lexica-dir", str(bad)]
+    else:
+        bad.write_bytes(b'{"id": "\xff"}\n')
+        argv = {
+            "corpus": ["entities", "--corpus", str(bad)],
+            "config": ["train", "--config", str(bad)],
+            "model_file": ["export-tree", "--model-file", str(bad)],
+        }[kind]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "entities", "anonymize"])
+def test_lone_surrogate_in_corpus_is_data_error(command, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    labels = [{"order": "civil", "categories": ["a", "b", "c"]}]
+    record = {"id": "a", "text": "falló \ud800", "labels": labels}
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "line 1: field 'text' holds a lone surrogate escape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_output_is_data_error(
+    target, synth_corpus_path, fast_config_path, dt_model_path, tmp_path, capsys
+):
+    path = str(tmp_path / "missing" / "out") if target == "missing_dir" else str(tmp_path)
+    model = str(dt_model_path)
+    runs = [
+        ["entities", "--corpus", str(synth_corpus_path), "--out", path],
+        ["export-tree", "--model-file", model, "--out", path],
+        ["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
+         "--model-file", model, "--graph", path],
+        ["train", "--config", str(fast_config_path), "--model-file", path],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_DATA, argv
+        assert "cannot write output file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
+
+
 # Mutations of a trained pipeline file that used to escape as IndexError or
 # KeyError (exit 3) or be accepted (exit 0) by `explain --model-file`.
 PIPELINE_MALFORMATIONS = {

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -109,6 +110,25 @@ def test_load_corpus_errors_name_line(tmp_path):
 
     path.write_text("", encoding="utf-8")
     with pytest.raises(CorpusError, match="empty"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("field", ["id", "text", "categories"])
+def test_load_corpus_rejects_lone_surrogate_escapes(tmp_path, field):
+    # an escaped surrogate pair is one character, which loads; a lone
+    # surrogate could be loaded but never written back as UTF-8
+    path = tmp_path / "c.jsonl"
+    labels = [{"order": "civil", "categories": ["a", "b", "c"]}]
+    good = {"id": "x", "text": "t \ud83d\ude00", "labels": labels}
+    write_lines(path, [json.dumps(good)])
+    assert load_corpus(path).documents[0].raw_text == "t \U0001F600"
+    bad = json.loads(json.dumps(good))
+    if field == "categories":
+        bad["labels"][0]["categories"][1] = "b\udc00"
+    else:
+        bad[field] = "x\ud800"
+    write_lines(path, [json.dumps({**good, "id": "y"}), json.dumps(bad)])
+    with pytest.raises(CorpusError, match=f"line 2: field '{field}' holds a lone surrogate"):
         load_corpus(path)
 
 

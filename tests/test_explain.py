@@ -106,7 +106,7 @@ def _las(n):
 
 def _relevance(model, row, n_samples, seed):
     """Absolute surrogate coefficients, as explanations rank terms."""
-    signed, _ = signed_relevance(model, row, range(len(row)), n_samples=n_samples, seed=seed)
+    signed, _ = signed_relevance(model, row, len(row), n_samples=n_samples, seed=seed)
     return {t: abs(v) for t, v in signed.items()}
 
 

@@ -15,9 +15,7 @@ from lexcat.features import (
     CATEGORICAL_FIELDS,
     CategoricalEncoder,
     FeatureError,
-    FeatureMatrix,
     VectorizerModel,
-    build_feature_matrix,
     count_ngrams,
     discretize_ranks,
     feature_matrix_to_text,
@@ -220,7 +218,10 @@ def test_fit_vectorizer_leaves_out_categorical_field_names():
     records = [_record(), _record()]
     codes = CategoricalEncoder().fit(records).transform(records)
     grams = count_ngrams(streams, (1, 2))
-    build_feature_matrix(vec.names, transform(vec, grams, [0, 1], codes))
+    X = transform(vec, grams, [0, 1], codes)
+    header = feature_matrix_to_text(vec.names, X, ["d1", "d2"]).splitlines()[0].split("\t")
+    names = [cell.split(":", 1)[1] for cell in header[1:]]
+    assert len(names) == len(set(names)) == X.shape[1]
 
 
 def test_count_ngrams_interns_in_sorted_order():
@@ -342,11 +343,10 @@ def test_spearman_invariant_under_monotone_transform(xs):
     assert math.isclose(a, b, abs_tol=1e-12)
 
 
-def _matrix(cols: dict, kinds=None):
+def _matrix(cols: dict):
+    """(names, matrix) of named columns; the selections answer by position."""
     names = list(cols)
-    X = np.column_stack([np.asarray(cols[n], dtype=float) for n in names])
-    kinds = kinds or ["categorical"] * len(names)
-    return FeatureMatrix(names, kinds, X)
+    return names, np.column_stack([np.asarray(cols[n], dtype=float) for n in names])
 
 
 def test_select_by_correlation_thresholds():
@@ -355,22 +355,23 @@ def test_select_by_correlation_thresholds():
     aligned = target * 2.0
     noise = rng.normal(size=40)
     constant = np.ones(40)
-    matrix = _matrix({"aligned": aligned, "noise": noise, "constant": constant})
-    kept_all, report = select_by_correlation(matrix, target, 0.0)
-    assert "constant" not in kept_all
-    assert set(kept_all) == {"aligned", "noise"}
-    kept_none, _ = select_by_correlation(matrix, target, 1.01)
+    names, X = _matrix({"aligned": aligned, "noise": noise, "constant": constant})
+    kept_all, correlations = select_by_correlation(X, target, 0.0)
+    assert names.index("constant") not in kept_all
+    assert [names[i] for i in kept_all] == ["aligned", "noise"]
+    kept_none, _ = select_by_correlation(X, target, 1.01)
     assert kept_none == []
-    assert abs(report.correlations["aligned"]) > abs(report.correlations["noise"])
+    assert set(correlations) == {0, 1}
+    assert abs(correlations[0]) > abs(correlations[1])
 
 
 def test_select_by_correlation_monotone_in_threshold():
     rng = np.random.default_rng(1)
     target = rng.integers(1, 4, size=60)
     cols = {f"c{i}": rng.normal(size=60) + (target if i % 2 else 0) for i in range(6)}
-    matrix = _matrix(cols)
-    kept_low, _ = select_by_correlation(matrix, target, 0.1)
-    kept_high, _ = select_by_correlation(matrix, target, 0.5)
+    _, X = _matrix(cols)
+    kept_low, _ = select_by_correlation(X, target, 0.1)
+    kept_high, _ = select_by_correlation(X, target, 0.5)
     assert set(kept_high) <= set(kept_low)
 
 
@@ -385,30 +386,32 @@ def test_select_by_importance_informative_feature():
     labels = rng.integers(0, 2, size=n)
     informative = labels.astype(float)  # fully determines the class
     noise_cols = {f"n{i}": rng.normal(size=n) for i in range(5)}
-    matrix = _matrix(
-        {"informative": informative, **noise_cols}, kinds=["textual"] * 6
-    )
-    kept, importances = select_by_importance(
-        matrix, _label_sets(labels), n_estimators=20, seed=3
-    )
-    assert "informative" in kept
-    by_name = dict(zip(matrix.names, importances))
+    names, X = _matrix({"informative": informative, **noise_cols})
+    kept, importances = select_by_importance(X, _label_sets(labels), n_estimators=20, seed=3)
+    assert names.index("informative") in kept
+    assert kept == [i for i, imp in enumerate(importances) if imp >= importances.mean()]
+    by_name = dict(zip(names, importances))
     assert by_name["informative"] > importances.mean()
 
 
 def test_select_by_importance_single_class_errors():
-    matrix = _matrix({"a": [1.0, 2.0, 3.0]})
+    _, X = _matrix({"a": [1.0, 2.0, 3.0]})
     with pytest.raises(FeatureError):
-        select_by_importance(matrix, _label_sets([1, 1, 1]))
+        select_by_importance(X, _label_sets([1, 1, 1]), n_estimators=20, seed=0)
 
 
 def test_feature_matrix_unique_names_and_export():
-    with pytest.raises(FeatureError, match="duplicate column"):
-        FeatureMatrix(["a", "a"], ["textual", "textual"], np.zeros((1, 2)))
+    # a vocabulary never holds an entity field's name (see
+    # test_fit_vectorizer_leaves_out_categorical_field_names), so the
+    # header names each column once
     X = np.hstack([[[1.0, 0.0], [0.0, 2.0]], np.zeros((2, 7))])
-    matrix = build_feature_matrix(["alfa", "beta"], X)
-    lines = feature_matrix_to_text(matrix, ["d1", "d2"]).splitlines()
-    assert lines[0].split("\t")[:3] == ["id", "textual:alfa", "textual:beta"]
+    lines = feature_matrix_to_text(["alfa", "beta"], X, ["d1", "d2"]).splitlines()
+    header = lines[0].split("\t")
+    assert header == ["id", "textual:alfa", "textual:beta"] + [
+        f"categorical:{name}" for name in CATEGORICAL_FIELDS
+    ]
+    assert len(header) == len(set(header))
+    assert lines[1].split("\t") == ["d1", "1", "0"] + ["0"] * 7
     assert lines[1].split("\t")[0] == "d1"
     assert len(lines) == 3
 
@@ -419,18 +422,30 @@ def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
     seen = {}
     for name in ("select_by_correlation", "select_by_importance"):
 
-        def capture(matrix, *args, _name=name, _original=getattr(pipeline, name), **kwargs):
-            seen[_name] = matrix
-            return _original(matrix, *args, **kwargs)
+        def capture(X, *args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            seen[_name] = X
+            return _original(X, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, capture)
     corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=3))
     fitted = pipeline.fit_pipeline(corpus, pipeline.PipelineConfig(n_estimators=2), lexica)
     categorical, textual = seen["select_by_correlation"], seen["select_by_importance"]
-    assert textual.X.base is not None
-    assert categorical.X.base is textual.X.base
-    assert set(textual.kinds) == {"textual"} and set(categorical.kinds) == {"categorical"}
-    assert textual.names + categorical.names == [*fitted.vectorizer.names, *CATEGORICAL_FIELDS]
+    assert textual.base is not None
+    assert categorical.base is textual.base
+    # the one matrix is transform's: the vocabulary's n-gram columns, then
+    # the entity fields'; the textual view spans the first, the
+    # categorical view the second
+    prep = pipeline.preprocess_corpus(corpus, lexica)
+    codes = fitted.encoder.transform(prep.records)
+    rows = range(corpus.n)
+    full = transform(fitted.vectorizer, prep.ngrams(fitted.vectorizer.ngram_range), rows, codes)
+    assert textual.base.shape == full.shape and textual.base.tobytes() == full.tobytes()
+    n_text = len(fitted.vectorizer.vocabulary)
+    assert textual.tobytes() == full[:, :n_text].tobytes()
+    assert categorical.tobytes() == full[:, n_text:].tobytes()
+    n_kept_text = fitted.kept_kinds.count("textual")
+    assert set(fitted.kept_names[:n_kept_text]) <= set(fitted.vectorizer.names)
+    assert set(fitted.kept_names[n_kept_text:]) <= set(CATEGORICAL_FIELDS)
 
 
 def test_one_document_path_matches_batch_and_string_reference(lexica):
@@ -445,8 +460,8 @@ def test_one_document_path_matches_batch_and_string_reference(lexica):
     vec = fitted.vectorizer
     counts = reference_transform(vec, [prep.streams[i] for i in held_out])
     codes = fitted.encoder.transform([prep.records[i] for i in held_out])
-    reference = build_feature_matrix(vec.names, np.hstack([counts, codes]))
-    X = reference.subset(fitted.kept_names).X
+    names = [*vec.names, *CATEGORICAL_FIELDS]
+    X = np.hstack([counts, codes])[:, [names.index(n) for n in fitted.kept_names]]
     batch = fitted.predict_prepared(prep, held_out)
     assert batch == predict_batch(fitted.model, X, config.bts_threshold)
     for k, i in enumerate(held_out):

@@ -12,6 +12,8 @@ import json
 import pytest
 
 from lexcat.anonymiser import anonymize
+from lexcat.cli import EXIT_OK, main
+from lexcat.corpus import corpus_to_text
 from lexcat.explain import build_explanation, render_explanation
 from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, preprocess_corpus
 from lexcat.synth import SynthSpec, generate_corpus
@@ -35,6 +37,12 @@ EXPLANATION_DIGESTS = {
     ("mts", 11): "8b466db86394a6b3401cf2dc85071cf2139765ceab6df5e071d66597ad0f70d9",
     ("bts", 4): "5f9c060b7dd43409176b4b70a8c0330ff603e03e47f7c16c712785c3607b69bc",
     ("bts", 11): "a2107efcab00aac438677269fd21038d7913f4118f12d9f0c01c4830619ed8ba",
+}
+
+# `lexcat featurize` TSV of the golden corpus, by n-gram range
+FEATURIZE_DIGESTS = {
+    (1, 2): "763212b927004489dc72e4ae4cd3988e6c8d16c6a11c37ee61fc4c6b4f7023b0",
+    (2, 3): "8c6ef0d63586844b898a86893492a91c152877d112722fe005efba6c4abc4b9c",
 }
 
 
@@ -73,6 +81,16 @@ def test_explanation_digest(setting, lexica, strategy):
     for i in (4, 11):
         text = render_explanation(build_explanation(fitted, corpus.documents[i], lexica))
         assert _sha(text) == EXPLANATION_DIGESTS[(strategy, i)], i
+
+
+@pytest.mark.parametrize("ngram_range", sorted(FEATURIZE_DIGESTS))
+def test_featurize_digest(setting, tmp_path, ngram_range):
+    corpus_path, config, out = tmp_path / "c.jsonl", tmp_path / "config.json", tmp_path / "f.tsv"
+    corpus_path.write_text(corpus_to_text(setting[0]), encoding="utf-8")
+    config.write_text(json.dumps({"ngram_range": list(ngram_range)}), encoding="utf-8")
+    argv = ["featurize", "--config", str(config), "--corpus", str(corpus_path), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _sha(out.read_text(encoding="utf-8")) == FEATURIZE_DIGESTS[ngram_range]
 
 
 # Each case exercises one trigger rule of the anonymiser on the bundled

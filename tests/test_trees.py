@@ -514,7 +514,7 @@ def test_fit_ensemble_rf_reduces_to_dt():
     # rf's recipe with its bootstrap and column sampling switched off
     rf_hp, bootstrap, max_features, n_trees = trees._variant_knobs("rf", hp, X.shape[1])
     assert (bootstrap, max_features, n_trees) == (True, 1, 1)
-    forest, weights = trees._fit_forest(X, y, 3, rf_hp, n_trees, False, None, 0)
+    forest, weights = trees._fit_forest(X, bin_columns(X), y, 3, rf_hp, n_trees, False, None, 0)
     rf = dataclasses.replace(
         dt, variant="rf", hyperparams=rf_hp, class_forests=[forest], class_weight_vectors=[weights]
     )
@@ -540,6 +540,24 @@ def test_fit_ensemble_bts_forest_count():
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=5, seed=0), "rf", "bts")
     assert len(model.class_forests) == 3
     assert len(model.trees) == 15
+
+
+def test_fit_ensemble_bins_the_matrix_once(monkeypatch):
+    # every class forest of a bts fit grows on the same matrix
+    calls = []
+
+    def counting(X, _original=trees.bin_columns):
+        calls.append(X.shape)
+        return _original(X)
+
+    monkeypatch.setattr(trees, "bin_columns", counting)
+    X, y = _separable_data(60)
+    sets = _label_sets_for(y, las(3))
+    for strategy in ("mts", "bts"):
+        calls.clear()
+        model = fit_ensemble(X, sets, Hyperparams(n_estimators=2, seed=0), "rf", strategy)
+        assert calls == [X.shape], strategy
+    assert len(model.class_forests) == 3
 
 
 def test_single_tree_variants_ignore_estimators():
