@@ -37,24 +37,26 @@ def extract_path(tree: Tree, row, feature_names) -> list[PathStep]:
     """Root-to-leaf walk recording (feature, value, direction, threshold) at
     every split: value <= threshold goes left as 'less', otherwise right as
     'more'."""
-    row = np.asarray(row, dtype=float)
+    row = np.asarray(row, dtype=float).tolist()
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
     steps: list[PathStep] = []
     node = 0
     seen = set()
-    while tree.feature[node] >= 0:
+    while feature[node] >= 0:
         if node in seen:
             raise ExplainError("malformed tree: cycle in decision path")
         seen.add(node)
-        f = int(tree.feature[node])
-        thr = float(tree.threshold[node])
-        value = float(row[f])
+        f = feature[node]
+        thr = threshold[node]
+        value = row[f]
         if value <= thr:
             steps.append(PathStep(feature_names[f], value, "less", thr))
-            node = int(tree.left[node])
+            node = left[node]
         else:
             steps.append(PathStep(feature_names[f], value, "more", thr))
-            node = int(tree.right[node])
-        if not 0 <= node < tree.n_nodes:
+            node = right[node]
+        if not 0 <= node < len(feature):
             raise ExplainError("malformed tree: missing child node")
     return steps
 

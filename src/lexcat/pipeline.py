@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import types
 import typing
 import warnings
@@ -82,6 +83,10 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if not _has_type(value, _FIELD_TYPES[f.name]):
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        for name in ("corpus", "lexica_dir", "out"):
+            path = getattr(self, name)
+            if not _is_file_name(path):
+                raise ConfigError(f"config field {name!r} is not a valid file name: {path!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}: {self.strategy!r}")
         if self.model not in VARIANTS:
@@ -137,6 +142,17 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool) and hint is not bool:
         return False
     return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _is_file_name(path: str | None) -> bool:
+    """Whether the OS can be handed path: it encodes to bytes (a lone
+    surrogate does not, unless it escapes a byte of argv) and holds no NUL."""
+    if path is None:
+        return True
+    try:
+        return b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
 
 
 def config_from_json(path) -> PipelineConfig:

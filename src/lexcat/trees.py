@@ -15,8 +15,9 @@ pairs, so the histograms are weighted counts of whole samples, and the
 'best' splitter gives up at once on a node too small to split.
 
 For prediction, each forest's trees are packed into one flat node table
-(ForestTable) when the model is built, and predict_proba_batch walks every
-tree of the forest at once, one level per step.
+(ForestTable) when the model is built. predict_proba_batch first settles on
+the table every split on a column all rows of the batch share, then walks
+every tree of the forest at once, one unsettled split per step.
 
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
@@ -517,15 +518,31 @@ def fit_ensemble(
 
 def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
     """Mean leaf distribution of one forest's trees for every row of a
-    C-contiguous X. All trees advance one level per step, from one
-    (rows, trees) matrix of table offsets, until a step moves none; value <=
-    threshold goes left and NaN goes right."""
+    C-contiguous X; value <= threshold goes left and NaN goes right.
+
+    A split on a column every row shares sends all rows the way the first
+    row goes, so it is settled once on the table: each node maps to the
+    node a walk reaches after skipping settled splits, by pointer jumping.
+    Then all trees advance one unsettled split per step, from one (rows,
+    trees) matrix of table offsets, until a step moves none."""
     values = X.ravel()
+    own = np.arange(len(table.feature))
+    # NaN never equals itself, so a NaN column is never shared; an empty
+    # batch settles every split, and reaches no leaf anyway
+    shared = (X == X[:1]).all(axis=0)
+    first_left = (X[:1].take(table.feature, axis=1) <= table.threshold).all(axis=0)
+    nxt = np.where(shared.take(table.feature), table.children.take(2 * own + first_left), own)
+    while True:
+        jumped = nxt.take(nxt)
+        if (jumped == nxt).all():
+            break
+        nxt = jumped
+    children = nxt.take(table.children)
     row_start = np.arange(0, X.size, X.shape[1])[:, None]
-    node = np.tile(table.roots, (len(X), 1))
+    node = np.tile(nxt.take(table.roots), (len(X), 1))
     while True:
         go_left = values.take(row_start + table.feature.take(node)) <= table.threshold.take(node)
-        step = table.children.take(2 * node + go_left)
+        step = children.take(2 * node + go_left)
         # children follow their split node, so only leaves stay put
         if (step == node).all():
             break

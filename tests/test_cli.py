@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 
@@ -429,6 +430,21 @@ def test_input_file_that_is_not_utf8_is_data_error(kind, synth_corpus_path, tmp_
         }[kind]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["\ud800x", "a\0b"], ids=["lone_surrogate", "nul"])
+@pytest.mark.parametrize("field", ["corpus", "lexica_dir", "out"])
+def test_config_path_that_is_not_a_file_name_is_data_error(
+    field, value, synth_corpus_path, tmp_path, capsys
+):
+    cfg = {"corpus": str(synth_corpus_path), "out": str(tmp_path / "out"), field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    command = ["synth", "--docs", "20", "--classes", "3"] if field == "out" else ["entities"]
+    assert main([*command, "--config", str(path)]) == EXIT_DATA
+    assert f"config field {field!r} is not a valid file name" in capsys.readouterr().err
+    # an undecodable byte of argv arrives as a surrogate escape, and is a file name
+    PipelineConfig(**{field: os.fsdecode(b"a\xffb")})
 
 
 @pytest.mark.parametrize("command", ["preprocess", "entities", "anonymize"])

@@ -5,6 +5,7 @@ import pytest
 
 from lexcat import explain, trees
 from lexcat.corpus import LabelAssignment
+from lexcat.entities import extract_entities
 from lexcat.explain import (
     ExplainError,
     Explanation,
@@ -22,9 +23,10 @@ from lexcat.explain import (
 from lexcat.labels import ClassCatalog, MtsCatalog
 from lexcat.pipeline import PipelineConfig, fit_pipeline, load_pipeline, save_pipeline
 from lexcat.synth import SynthSpec, generate_corpus
+from lexcat.textproc import to_token_stream
 from lexcat.trees import EnsembleModel, Hyperparams, Tree, fit_ensemble, predict_proba_batch
 
-from test_trees import reference_apply
+from test_trees import reference_apply, reference_predict_proba
 
 
 def make_tree(feature, threshold, left, right, depth, counts):
@@ -355,6 +357,38 @@ def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
     e = build_explanation(fitted, corpus.documents[4], lexica)
     assert len(e.assignments) == 2 and e.signed_relevance
     assert calls == [1, 60]
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+def test_signed_relevance_bytes_equal_under_reference_forest(lexica, monkeypatch, strategy):
+    # the surrogate's batch is 500 copies of the row that differ only in its
+    # nonzero n-gram counts, so most columns are shared by every row
+    corpus = generate_corpus(SynthSpec(n_docs=120, n_classes=3, seed=31))
+    config = PipelineConfig(strategy=strategy, n_estimators=10, min_samples_leaf=1, seed=31)
+    fitted = fit_pipeline(corpus, config, lexica)
+    n_text = fitted.kept_kinds.count("textual")
+    rows = [
+        fitted.row_for(
+            to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas),
+            extract_entities(doc, lexica.entities),
+        )
+        for doc in corpus.documents[:6]
+    ]
+
+    def explained():
+        return [signed_relevance(fitted.model, row, n_text, seed=config.seed) for row in rows]
+
+    got = explained()
+    monkeypatch.setattr(explain, "predict_proba_batch", reference_predict_proba)
+    want = explained()
+    assert all(signed for signed, _ in got)
+    for (signed, decision), (ref_signed, ref_decision) in zip(got, want):
+        assert list(signed) == list(ref_signed)
+        coefs, ref_coefs = (np.array(list(r.values())) for r in (signed, ref_signed))
+        assert coefs.tobytes() == ref_coefs.tobytes()
+        assert decision.probs.tobytes() == ref_decision.probs.tobytes()
+        assert decision.assignments == ref_decision.assignments
+        assert decision.class_indices == ref_decision.class_indices
 
 
 def test_loaded_pipeline_packs_each_forest_once(lexica, monkeypatch, tmp_path):

@@ -600,6 +600,57 @@ def test_predict_proba_batch_bytes_equal_reference(strategy, variant):
         assert predict_proba_batch(loaded, rows).tobytes() == got.tobytes()
 
 
+def _shared_column_batches(model, X, rng):
+    """Batches tiled from one base row of X, each row with a random subset of
+    columns taken from a random row of X, named by what the columns every
+    row shares hold. Returns (name, batch, column or None), the column
+    being one a random tree's root splits on."""
+    d = X.shape[1]
+    root = model.trees[rng.integers(len(model.trees))]  # a split every row reaches
+    split_col, split_thr = int(root.feature[0]), float(root.threshold[0])
+    assert split_col >= 0
+
+    def tiled(base):  # 50 rows that share split_col, and maybe other columns
+        rows = np.tile(base, (50, 1))
+        others = [c for c in range(d) if c != split_col]
+        varied = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=False)
+        rows[:, varied] = X[rng.integers(0, len(X), size=50)][:, varied]
+        return rows
+
+    base = X[rng.integers(len(X))].copy()
+    signed_zero = tiled(base)
+    signed_zero[:, split_col] = np.where(np.arange(50) % 2, 0.0, -0.0)
+    cases = [
+        ("identical_1", np.tile(base, (1, 1)), None),
+        ("identical_50", np.tile(base, (50, 1)), None),
+        ("none_shared", X[rng.integers(0, len(X), size=50)] + rng.random((50, d)), None),
+        ("signed_zero", signed_zero, split_col),
+    ]
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("at_threshold", split_thr)):
+        row = base.copy()
+        row[split_col] = value
+        cases.append((name, tiled(row), split_col))
+    return cases
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+@pytest.mark.parametrize("variant", ["dt", "etc", "eetc", "rf"])
+def test_predict_proba_batch_with_shared_columns_bytes_equal_reference(strategy, variant):
+    rng = np.random.default_rng(21)
+    X = rng.poisson(1.5, size=(160, 8)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
+    hp = Hyperparams(n_estimators=15, seed=4, class_weight="balanced")
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, variant, strategy)
+    for name, rows, col in _shared_column_batches(model, X, rng):
+        shared = (rows == rows[0]).all(axis=0)
+        if name == "none_shared":
+            assert not shared.any()
+        elif col is not None:  # NaN != NaN, so a NaN column's splits are walked
+            assert shared[col] != (name == "nan"), name
+        got = predict_proba_batch(model, rows)
+        assert got.tobytes() == reference_predict_proba(model, rows).tobytes(), name
+
+
 def _one_tree_model(tree):
     classes = las(tree.counts.shape[1])
     return EnsembleModel(
