@@ -19,18 +19,24 @@ class ExplainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PathStep:
+class _PathStepFields(NamedTuple):
     feature: str
     value: float
     direction: str  # "less" | "more"
     threshold: float
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("less", "more"):
-            raise ExplainError(f"bad direction: {self.direction!r}")
-        if (self.value <= self.threshold) != (self.direction == "less"):
+
+class PathStep(_PathStepFields):
+    """One split of a decision path; a tuple, so building one is cheap."""
+
+    __slots__ = ()
+
+    def __new__(cls, feature: str, value: float, direction: str, threshold: float):
+        if direction not in ("less", "more"):
+            raise ExplainError(f"bad direction: {direction!r}")
+        if (value <= threshold) != (direction == "less"):
             raise ExplainError("direction contradicts the value/threshold comparison")
+        return tuple.__new__(cls, (feature, value, direction, threshold))
 
 
 def extract_path(tree: Tree, row, feature_names) -> list[PathStep]:

@@ -16,8 +16,10 @@ pairs, so the histograms are weighted counts of whole samples, and the
 
 For prediction, each forest's trees are packed into one flat node table
 (ForestTable) when the model is built. predict_proba_batch first settles on
-the table every split on a column all rows of the batch share, then walks
-every tree of the forest at once, one unsettled split per step.
+the table every split that all rows of the batch take the same way, then
+walks every tree of the forest at once, one unsettled split per step, and
+sums the trees' leaf distributions in tree order, one block of rows at a
+time.
 
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
@@ -368,10 +370,15 @@ def _pack_forest(forest: list[Tree], weights: np.ndarray) -> ForestTable:
     leaf = feature < 0
     own = np.arange(len(feature))
     offset = np.repeat(roots, sizes)
+    end = offset + np.repeat(sizes, sizes)
     right, left = (
         np.where(leaf, own, np.concatenate([getattr(tree, side) for tree in forest]) + offset)
         for side in ("right", "left")
     )
+    # so every walk ends, whether the trees were fitted, loaded or built
+    follows = (own < right) & (right < end) & (own < left) & (left < end)
+    if not (follows | leaf).all():
+        raise ModelError("malformed tree: each child must follow its node in preorder")
     weighted = np.concatenate([tree.counts for tree in forest]) * weights
     totals = weighted.sum(axis=1, keepdims=True)
     if not (totals > 0).all():
@@ -516,22 +523,29 @@ def fit_ensemble(
     )
 
 
+def _settle(table: ForestTable, X: np.ndarray) -> np.ndarray:
+    """Each table node mapped to the child every row of X takes there (its
+    column's largest value is at most the threshold, or its smallest above
+    it), else to itself. NaN propagates through min and max, so a column
+    holding NaN settles no split; an empty batch settles every split left."""
+    lo = X.min(axis=0, initial=np.inf).take(table.feature)
+    hi = X.max(axis=0, initial=-np.inf).take(table.feature)
+    all_left = hi <= table.threshold
+    own = np.arange(len(table.feature))
+    return np.where(all_left | (lo > table.threshold), table.children.take(2 * own + all_left), own)
+
+
 def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
     """Mean leaf distribution of one forest's trees for every row of a
     C-contiguous X; value <= threshold goes left and NaN goes right.
 
-    A split on a column every row shares sends all rows the way the first
-    row goes, so it is settled once on the table: each node maps to the
-    node a walk reaches after skipping settled splits, by pointer jumping.
-    Then all trees advance one unsettled split per step, from one (rows,
-    trees) matrix of table offsets, until a step moves none."""
+    A split every row takes the same way is settled once on the table:
+    each node maps to the node a walk reaches after skipping settled
+    splits, by pointer jumping. Then all trees advance one unsettled split
+    per step, from one (rows, trees) matrix of table offsets, until a step
+    moves none."""
     values = X.ravel()
-    own = np.arange(len(table.feature))
-    # NaN never equals itself, so a NaN column is never shared; an empty
-    # batch settles every split, and reaches no leaf anyway
-    shared = (X == X[:1]).all(axis=0)
-    first_left = (X[:1].take(table.feature, axis=1) <= table.threshold).all(axis=0)
-    nxt = np.where(shared.take(table.feature), table.children.take(2 * own + first_left), own)
+    nxt = _settle(table, X)
     while True:
         jumped = nxt.take(nxt)
         if (jumped == nxt).all():
@@ -547,10 +561,18 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
         if (step == node).all():
             break
         node = step
-    acc = np.zeros((len(X), table.dist.shape[1]))
-    dist = np.empty_like(acc)
-    for leaves in node.T:  # in tree order, so the sums are a loop's
-        acc += table.dist.take(leaves, axis=0, out=dist)
+    # numpy reduces over a leading axis one slice at a time, so adding the
+    # trees to 0.0 equals a loop's sums in tree order (only a 1-row batch of
+    # a 1-output forest is summed pairwise, and every distribution there is
+    # 1.0); blocks of rows keep the (trees, rows, outputs) gather no larger
+    # than node, which takes the place of the walk's last temporaries
+    del step, go_left
+    n_rows, n_outputs = len(X), table.dist.shape[1]
+    acc = np.empty((n_rows, n_outputs))
+    block = max(1, n_rows // n_outputs)
+    for s in range(0, n_rows, block):
+        leaves = node[s : s + block].T
+        np.add.reduce(table.dist.take(leaves, axis=0), axis=0, out=acc[s : s + block], initial=0.0)
     return acc / node.shape[1]
 
 
@@ -641,8 +663,8 @@ def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
 
 def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
     """Rebuild one tree, rejecting arrays that could not come from fit_tree:
-    children must follow their split node in preorder, which also makes
-    every root-to-leaf walk end, one level deeper than their node."""
+    a child must lie one level deeper than its split node (that it follows
+    its node in preorder is checked when the model packs its forests)."""
     if not isinstance(obj, dict):
         raise ModelError("malformed tree: an object of node arrays expected")
     keys = ("feature", "left", "right", "depth")
@@ -666,8 +688,6 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
         raise ModelError("malformed tree: the root must have depth 0")
     split = np.nonzero(tree.feature >= 0)[0]
     for child in (tree.left[split], tree.right[split]):
-        if (child <= split).any():
-            raise ModelError("malformed tree: each child must follow its node in preorder")
         if (tree.depth[child] != tree.depth[split] + 1).any():
             raise ModelError("malformed tree: a child's depth must be its node's plus 1")
     if not np.isfinite(tree.threshold[split]).all():

@@ -87,10 +87,18 @@ def test_extract_path_malformed_tree():
 
 
 def test_path_step_invariant():
-    with pytest.raises(ExplainError):
+    with pytest.raises(ExplainError, match="direction contradicts"):
         PathStep("f", 1.0, "less", 0.5)
-    with pytest.raises(ExplainError):
+    with pytest.raises(ExplainError, match="bad direction: 'sideways'"):
         PathStep("f", 0.1, "sideways", 0.5)
+    with pytest.raises(ExplainError, match="direction contradicts"):
+        PathStep(feature="f", value=float("nan"), direction="less", threshold=0.5)
+    step = PathStep(feature="f", value=0.5, direction="less", threshold=0.5)
+    assert (step.feature, step.value, step.direction, step.threshold) == ("f", 0.5, "less", 0.5)
+    assert step == ("f", 0.5, "less", 0.5)
+    assert repr(step) == "PathStep(feature='f', value=0.5, direction='less', threshold=0.5)"
+    with pytest.raises(AttributeError):
+        step.value = 0.0
 
 
 def test_aggregate_terms():

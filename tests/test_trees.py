@@ -610,22 +610,42 @@ def _shared_column_batches(model, X, rng):
     split_col, split_thr = int(root.feature[0]), float(root.threshold[0])
     assert split_col >= 0
 
-    def tiled(base):  # 50 rows that share split_col, and maybe other columns
-        rows = np.tile(base, (50, 1))
+    def tiled(base, n=50):  # n rows that share split_col, and maybe other columns
+        rows = np.tile(base, (n, 1))
         others = [c for c in range(d) if c != split_col]
         varied = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=False)
-        rows[:, varied] = X[rng.integers(0, len(X), size=50)][:, varied]
+        rows[:, varied] = X[rng.integers(0, len(X), size=n)][:, varied]
         return rows
 
     base = X[rng.integers(len(X))].copy()
     signed_zero = tiled(base)
     signed_zero[:, split_col] = np.where(np.arange(50) % 2, 0.0, -0.0)
+    # split_col varies, but every row is on one side of the root's threshold
+    left_side, right_side, nan_mixed = tiled(base), tiled(base), tiled(base)
+    left_side[:, split_col] = split_thr - rng.random(50)
+    left_side[0, split_col] = split_thr
+    right_side[:, split_col] = np.nextafter(split_thr, np.inf) + rng.random(50)
+    # ...and one that must be walked: the first row ties, the rest go right
+    from_threshold = right_side.copy()
+    from_threshold[0, split_col] = split_thr
+    nan_mixed[:, split_col] = np.where(np.arange(50) % 2, X[:50, split_col], np.nan)
+    # an explained document's perturbed copies: its nonzero counts zeroed at random
+    perturbed = np.tile(base, (500, 1))
+    perturbed[:, base != 0] *= rng.random((500, int((base != 0).sum()))) >= 0.5
     cases = [
         ("identical_1", np.tile(base, (1, 1)), None),
         ("identical_50", np.tile(base, (50, 1)), None),
         ("none_shared", X[rng.integers(0, len(X), size=50)] + rng.random((50, d)), None),
         ("signed_zero", signed_zero, split_col),
+        ("left_side", left_side, split_col),
+        ("right_side", right_side, split_col),
+        ("from_threshold", from_threshold, split_col),
+        ("nan_mixed", nan_mixed, split_col),
+        ("perturbed_500", perturbed, None),
+        ("varied_500", tiled(base, 500), split_col),
+        ("empty", np.empty((0, d)), None),
     ]
+    # "inf" is an all-+inf column
     for name, value in (("nan", np.nan), ("inf", np.inf), ("at_threshold", split_thr)):
         row = base.copy()
         row[split_col] = value
@@ -640,15 +660,68 @@ def test_predict_proba_batch_with_shared_columns_bytes_equal_reference(strategy,
     X = rng.poisson(1.5, size=(160, 8)).astype(float)
     y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
     hp = Hyperparams(n_estimators=15, seed=4, class_weight="balanced")
-    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, variant, strategy)
+    sets = _label_sets_for(y, las(3))
+    model = fit_ensemble(X, sets, hp, variant, strategy)
     for name, rows, col in _shared_column_batches(model, X, rng):
-        shared = (rows == rows[0]).all(axis=0)
+        shared = (rows == rows[:1]).all(axis=0)
         if name == "none_shared":
             assert not shared.any()
+        elif name in ("left_side", "right_side", "from_threshold", "nan_mixed"):
+            assert not shared[col], name
         elif col is not None:  # NaN != NaN, so a NaN column's splits are walked
             assert shared[col] != (name == "nan"), name
         got = predict_proba_batch(model, rows)
-        assert got.tobytes() == reference_predict_proba(model, rows).tobytes(), name
+        want = reference_predict_proba(model, rows)
+        assert got.shape == want.shape == (len(rows), want.shape[1]), name
+        assert got.tobytes() == want.tobytes(), name
+    # every document holds one label set: under mts a 1-output forest (the
+    # one shape whose tree sums are pairwise), under bts one 2-output forest
+    single = fit_ensemble(X, [sets[0]] * len(X), hp, variant, strategy)
+    assert single.tables[0].dist.shape[1] == (1 if strategy == "mts" else 2)
+    for m in (single, model):
+        for n in (1, 500):
+            rows = X[rng.integers(0, len(X), size=n)]
+            got = predict_proba_batch(m, rows)
+            assert got.tobytes() == reference_predict_proba(m, rows).tobytes(), n
+
+
+def _settle_batches(table, X, rng):
+    """Batches drawn from X whose columns are each as drawn, all on one of
+    the column's split thresholds, on and below one, on and above one, or
+    every other row NaN, so many splits settle and many ties sit on the
+    range's ends."""
+    d = X.shape[1]
+    for n in (0, 1, 2, 5, 50):
+        rows = X[rng.integers(0, len(X), size=n)].copy()
+        for c in range(d):
+            thresholds = table.threshold[(table.feature == c) & np.isfinite(table.threshold)]
+            kind = int(rng.integers(5))  # as drawn, on, on and below, on and above, NaN
+            if kind == 4:
+                rows[::2, c] = np.nan
+            elif kind and len(thresholds):
+                thr = rng.choice(thresholds)
+                rows[:, c] = thr + (0, 0, -1, 1)[kind] * rng.random(n)
+                rows[:1, c] = thr
+        yield rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_settle_maps_each_split_to_the_child_every_row_takes(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.poisson(1.5, size=(160, 6)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
+    hp = Hyperparams(n_estimators=10, seed=seed)
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, "rf", "mts")
+    table = model.tables[0]
+    own = np.arange(len(table.feature))
+    for rows in _settle_batches(table, X, rng):
+        go_left = rows[:, table.feature] <= table.threshold  # (rows, nodes); NaN goes right
+        same = go_left.all(axis=0) | (~go_left).all(axis=0)
+        nan = np.isnan(rows).any(axis=0)[table.feature]
+        want = np.where(same & ~nan, table.children[2 * own + go_left.all(axis=0)], own)
+        assert (trees._settle(table, np.ascontiguousarray(rows)) == want).all(), len(rows)
+        got = predict_proba_batch(model, rows)
+        assert got.tobytes() == reference_predict_proba(model, rows).tobytes(), len(rows)
 
 
 def _one_tree_model(tree):
@@ -707,6 +780,25 @@ def test_predict_proba_two_trees_mean():
     assert probs.tolist() == [0.5, 0.5]
     # argmax tie resolves to the lowest class index
     assert predict_batch(model, np.array([[0.0]]))[0] == (classes[0],)
+
+
+def test_predict_proba_negative_zero_counts_sum_as_the_loop():
+    # the loop adds -0.0 to a zero accumulator and gets 0.0
+    tree = Tree(
+        feature=np.array([-1], dtype=np.int32),
+        threshold=np.array([np.nan]),
+        left=np.array([-1], dtype=np.int32),
+        right=np.array([-1], dtype=np.int32),
+        depth=np.array([0], dtype=np.int32),
+        counts=np.array([[-0.0, 3.0]]),
+    )
+    model = dataclasses.replace(
+        _one_tree_model(tree), feature_names=("f0",), class_forests=[[tree, tree]]
+    )
+    rows = np.zeros((3, 1))
+    got = predict_proba_batch(model, rows)
+    assert got.tobytes() == reference_predict_proba(model, rows).tobytes()
+    assert got.tobytes() == np.array([[0.0, 1.0]] * 3).tobytes()
 
 
 def test_predict_consistency_with_decode():
@@ -855,3 +947,37 @@ def test_malformed_model_rejected(name):
     bad = json.dumps(malformed_model_obj(json.loads(model_to_json(model)), name))
     with within_seconds(5), pytest.raises(ModelError):
         predict_proba_batch(model_from_json(bad), X)
+
+
+def _three_node_tree(left, right):
+    """A tree splitting on f0 at 0.5 (node 0) and 0.25 (node 1), node 2 a
+    leaf, with the given child arrays. A row of 0.0 goes left at both."""
+    return Tree(
+        feature=np.array([0, 0, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0.25, np.nan]),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        depth=np.array([0, 1, 2], dtype=np.int32),
+        counts=np.array([[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]),
+    )
+
+
+# children that do not follow their node inside its own tree; unchecked, the
+# first two make prediction loop forever and the third walks into the next
+# tree of the forest
+BAD_CHILDREN = {
+    "child_before_its_node": ([1, 0, -1], [2, 2, -1]),
+    "child_is_its_node": ([1, 1, -1], [2, 2, -1]),
+    "child_past_its_tree": ([1, 3, -1], [2, 2, -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHILDREN))
+def test_hand_built_model_with_a_child_out_of_preorder_is_rejected(name):
+    good = _one_tree_model(_three_node_tree([1, 2, -1], [2, 2, -1]))
+    assert predict_proba_batch(good, np.zeros((1, 1))).tolist() == [[0.0, 1.0]]
+    bad = _three_node_tree(*BAD_CHILDREN[name])
+    with within_seconds(5), pytest.raises(ModelError, match="follow its node in preorder"):
+        predict_proba_batch(_one_tree_model(bad), np.zeros((1, 1)))
+    with within_seconds(5), pytest.raises(ModelError, match="follow its node in preorder"):
+        predict_proba_batch(dataclasses.replace(good, class_forests=[[bad, bad]]), np.zeros((1, 1)))
