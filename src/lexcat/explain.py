@@ -3,7 +3,6 @@ term relevance, natural-language rendering and tree-graph export."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -12,7 +11,7 @@ import numpy as np
 from .corpus import LabelAssignment
 from .entities import CATEGORICAL_FIELDS, extract_entities
 from .textproc import to_token_stream
-from .trees import EnsembleModel, Tree, decode_row, predict_proba_batch
+from .trees import EnsembleModel, Tree, decode_row, predict_proba_batch, split_counts
 
 
 class ExplainError(ValueError):
@@ -67,16 +66,6 @@ def extract_path(tree: Tree, row, feature_names) -> list[PathStep]:
     return steps
 
 
-def aggregate_terms(paths, textual_names) -> list[str]:
-    """N-gram features appearing in any path step, ordered by descending
-    occurrence count across all trees (ties alphabetical)."""
-    textual = set(textual_names)
-    counts = Counter(
-        step.feature for path in paths for step in path if step.feature in textual
-    )
-    return sorted(counts, key=lambda t: (-counts[t], t))
-
-
 class Decision(NamedTuple):
     """One row's prediction: class probabilities, decoded label set and the
     explained class indices (the MTS argmax, or the BTS positives)."""
@@ -110,13 +99,19 @@ def _surrogate_coefficients(
 ) -> np.ndarray:
     """Proximity-weighted least-squares fit of each explained class
     probability on term-presence indicators, averaged over the classes.
-    The perturbed rows are drawn and predicted once for all classes."""
+    The perturbed rows are drawn once for all classes, and only the
+    distinct ones are predicted: a row's probabilities do not depend on
+    the batch it is predicted in."""
     k = len(active)
     rng = np.random.default_rng(seed)
     keep = rng.random((n_samples, k)) >= 0.5
-    X = np.tile(row, (n_samples, 1))
-    X[:, active] = row[active] * keep
-    probs = predict_proba_batch(model, X)
+    # one byte string per keep mask, whatever the number of active terms
+    packed = np.packbits(keep, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    X = np.tile(row, (len(first), 1))
+    X[:, active] = row[active] * keep[first]
+    probs = predict_proba_batch(model, X)[inverse]
     distances = k - keep.sum(axis=1)
     sigma = 0.75 * np.sqrt(k)
     w = np.exp(-(distances.astype(float) ** 2) / sigma**2)
@@ -179,7 +174,6 @@ class Explanation:
     assignments: tuple[LabelAssignment, ...]
     confidence: int
     top_terms: tuple[tuple[str, float], ...]
-    paths: tuple = ()
     signed_relevance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -216,8 +210,9 @@ def render_explanation(explanation: Explanation) -> str:
 
 def build_explanation(fitted, doc, lexica) -> Explanation:
     """Assemble the full explanation of one document under a fitted
-    pipeline: entities, prediction, confidence, decision paths and the
-    top relevance-bearing terms."""
+    pipeline: entities, prediction, confidence and the top relevance-bearing
+    terms. Terms are ranked by how often the document's decision paths
+    split on them across all trees (ties alphabetical)."""
     config = fitted.config
     stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
     record = extract_entities(doc, lexica.entities)
@@ -229,16 +224,16 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
         model, row, n_text, config.relevance_samples, config.seed, config.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
-    paths = tuple(extract_path(t, row, model.feature_names) for t in model.trees)
-    freq_ordered = aggregate_terms(paths, fitted.kept_names[:n_text])
-    top = select_top_terms(freq_ordered, relevances)
+    # n-grams split on along the row's decision paths, most often first
+    counts = split_counts(model, row)[:n_text].tolist()
+    ranked = sorted((-c, model.feature_names[i]) for i, c in enumerate(counts) if c)
+    top = select_top_terms([name for _, name in ranked], relevances)
     return Explanation(
         sample_id=doc.id,
         entities=record.display_values(),
         assignments=tuple(decision.assignments),
         confidence=decision.confidence,
         top_terms=tuple(top),
-        paths=paths,
         signed_relevance=signed,
     )
 

@@ -17,9 +17,10 @@ pairs, so the histograms are weighted counts of whole samples, and the
 For prediction, each forest's trees are packed into one flat node table
 (ForestTable) when the model is built. predict_proba_batch first settles on
 the table every split that all rows of the batch take the same way, then
-walks every tree of the forest at once, one unsettled split per step, and
-sums the trees' leaf distributions in tree order, one block of rows at a
-time.
+walks every tree of the forest at once, one unsettled split per step, until
+every row sits on a leaf, and sums the trees' leaf distributions in tree
+order, one block of rows at a time. split_counts walks one row through the
+same tables to count the columns its decision paths split on.
 
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
@@ -361,6 +362,7 @@ class ForestTable(NamedTuple):
     children: np.ndarray  # table offsets: node i's right child at 2i, left at 2i + 1
     roots: np.ndarray  # table offset of each tree's root
     dist: np.ndarray  # (nodes, outputs) normalised class-weighted counts
+    leaf: np.ndarray  # True at a leaf
 
 
 def _pack_forest(forest: list[Tree], weights: np.ndarray) -> ForestTable:
@@ -389,6 +391,7 @@ def _pack_forest(forest: list[Tree], weights: np.ndarray) -> ForestTable:
         children=np.column_stack([right, left]).ravel().astype(np.intp),
         roots=roots.astype(np.intp),
         dist=weighted / totals,
+        leaf=leaf,
     )
 
 
@@ -406,6 +409,9 @@ class EnsembleModel:
     tables: list[ForestTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # a leaf is packed as a split on column 0, so prediction needs one
+        if not self.feature_names:
+            raise ModelError("a model needs at least one feature column")
         self.tables = [
             _pack_forest(forest, weights)
             for forest, weights in zip(self.class_forests, self.class_weight_vectors)
@@ -542,8 +548,8 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
     A split every row takes the same way is settled once on the table:
     each node maps to the node a walk reaches after skipping settled
     splits, by pointer jumping. Then all trees advance one unsettled split
-    per step, from one (rows, trees) matrix of table offsets, until a step
-    moves none."""
+    per step, from one (rows, trees) matrix of table offsets, until every
+    pair sits on a leaf."""
     values = X.ravel()
     nxt = _settle(table, X)
     while True:
@@ -554,19 +560,16 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
     children = nxt.take(table.children)
     row_start = np.arange(0, X.size, X.shape[1])[:, None]
     node = np.tile(nxt.take(table.roots), (len(X), 1))
-    while True:
+    # a walk only reaches leaves and unsettled splits, whose children follow
+    # them, so every step moves each pair not yet on a leaf
+    while not table.leaf.take(node).all():
         go_left = values.take(row_start + table.feature.take(node)) <= table.threshold.take(node)
-        step = children.take(2 * node + go_left)
-        # children follow their split node, so only leaves stay put
-        if (step == node).all():
-            break
-        node = step
+        node = children.take(2 * node + go_left)
     # numpy reduces over a leading axis one slice at a time, so adding the
     # trees to 0.0 equals a loop's sums in tree order (only a 1-row batch of
     # a 1-output forest is summed pairwise, and every distribution there is
     # 1.0); blocks of rows keep the (trees, rows, outputs) gather no larger
-    # than node, which takes the place of the walk's last temporaries
-    del step, go_left
+    # than node
     n_rows, n_outputs = len(X), table.dist.shape[1]
     acc = np.empty((n_rows, n_outputs))
     block = max(1, n_rows // n_outputs)
@@ -574,6 +577,23 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
         leaves = node[s : s + block].T
         np.add.reduce(table.dist.take(leaves, axis=0), axis=0, out=acc[s : s + block], initial=0.0)
     return acc / node.shape[1]
+
+
+def split_counts(model: EnsembleModel, row) -> np.ndarray:
+    """How often each column is split on along the paths one row takes
+    through every tree of the model; value <= threshold goes left and NaN
+    goes right, as in prediction. All trees of a forest advance together,
+    one split per step, and a tree drops out when it reaches a leaf."""
+    row = np.asarray(row, dtype=float)
+    features = []
+    for table in model.tables:
+        node = table.roots
+        while node.size:
+            node = node[~table.leaf.take(node)]
+            feature = table.feature.take(node)
+            features.append(feature)
+            node = table.children.take(2 * node + (row.take(feature) <= table.threshold.take(node)))
+    return np.bincount(np.concatenate(features), minlength=len(model.feature_names))
 
 
 def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:

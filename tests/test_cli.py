@@ -529,7 +529,19 @@ PIPELINE_MALFORMATIONS = {
     "encoder_table_not_an_object": _set(("encoder", "court"), 5),
     "encoder_code_not_an_integer": _set(("encoder", "court", "x"), "1"),
     "encoder_field_missing": lambda obj: obj["encoder"].pop("court"),
+    # a model without columns, which used to load and then escape as
+    # IndexError (exit 3) when explaining
+    "no_feature_columns": lambda obj: _no_feature_columns(obj),
 }
+
+
+def _no_feature_columns(obj):
+    """No kept column, and every tree a single leaf with its root's counts."""
+    obj["kept_names"], obj["kept_kinds"], obj["model"]["feature_names"] = [], [], []
+    for forest in obj["model"]["forests"]:
+        for tree in forest:
+            tree.update(feature=[-1], threshold=[float("nan")], left=[-1], right=[-1], depth=[0],
+                        counts=tree["counts"][:1])
 
 
 def _last_kept_column_first(obj):

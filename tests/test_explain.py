@@ -1,7 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcat import explain, trees
 from lexcat.corpus import LabelAssignment
@@ -10,7 +13,6 @@ from lexcat.explain import (
     ExplainError,
     Explanation,
     PathStep,
-    aggregate_terms,
     build_explanation,
     class_display_names,
     decide,
@@ -24,9 +26,23 @@ from lexcat.labels import ClassCatalog, MtsCatalog
 from lexcat.pipeline import PipelineConfig, fit_pipeline, load_pipeline, save_pipeline
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import to_token_stream
-from lexcat.trees import EnsembleModel, Hyperparams, Tree, fit_ensemble, predict_proba_batch
+from lexcat.trees import (
+    EnsembleModel,
+    Hyperparams,
+    Tree,
+    fit_ensemble,
+    predict_proba_batch,
+    split_counts,
+)
 
-from test_trees import reference_apply, reference_predict_proba
+from test_trees import (
+    _label_sets_for,
+    column_values,
+    las,
+    reference_apply,
+    reference_predict_proba,
+    small_model,
+)
 
 
 def make_tree(feature, threshold, left, right, depth, counts):
@@ -101,6 +117,17 @@ def test_path_step_invariant():
         step.value = 0.0
 
 
+def aggregate_terms(paths, textual_names) -> list[str]:
+    """N-gram features appearing in any path step, ordered by descending
+    occurrence count across all trees (ties alphabetical): the ranking
+    build_explanation reads from trees.split_counts, kept as its oracle."""
+    textual = set(textual_names)
+    counts = Counter(
+        step.feature for path in paths for step in path if step.feature in textual
+    )
+    return sorted(counts, key=lambda t: (-counts[t], t))
+
+
 def test_aggregate_terms():
     textual = {"alfa", "beta"}
     p = lambda *feats: [PathStep(f, 0.0, "less", 1.0) for f in feats]
@@ -108,6 +135,20 @@ def test_aggregate_terms():
     paths = [p("alfa"), p("alfa", "beta"), p("alfa"), p("beta"), p("alfa")]
     assert aggregate_terms(paths, textual) == ["alfa", "beta"]
     assert aggregate_terms([p("case_type")], textual) == []
+
+
+@pytest.mark.parametrize("kind", ["mts", "bts"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_counts_equal_the_extracted_paths(kind, data):
+    model = small_model(kind)
+    d = len(model.feature_names)
+    row = np.array(data.draw(st.lists(column_values(model), min_size=d, max_size=d)))
+    steps = Counter(
+        step.feature for tree in model.trees for step in extract_path(tree, row, model.feature_names)
+    )
+    got = split_counts(model, row)
+    assert got.tolist() == [steps[name] for name in model.feature_names]
 
 
 def _las(n):
@@ -362,9 +403,73 @@ def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
     # explain may also reach the forest through the trees module's helpers
     monkeypatch.setattr(explain, "predict_proba_batch", counting)
     monkeypatch.setattr(trees, "predict_proba_batch", counting)
-    e = build_explanation(fitted, corpus.documents[4], lexica)
+    doc = corpus.documents[4]
+    e = build_explanation(fitted, doc, lexica)
     assert len(e.assignments) == 2 and e.signed_relevance
-    assert calls == [1, 60]
+    # the surrogate batch holds each distinct perturbation of the row once
+    stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
+    row = fitted.row_for(stream, extract_entities(doc, lexica.entities))
+    k = np.count_nonzero(row[: fitted.kept_kinds.count("textual")])
+    keep = np.random.default_rng(config.seed).random((60, k)) >= 0.5
+    assert calls == [1, len(np.unique(keep, axis=0))]
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+def test_build_explanation_ranks_terms_as_the_decision_paths(lexica, strategy):
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
+    config = PipelineConfig(
+        strategy=strategy, n_estimators=4, min_samples_leaf=1, seed=21, relevance_samples=60
+    )
+    fitted = fit_pipeline(corpus, config, lexica)
+    model = fitted.model
+    textual = fitted.kept_names[: fitted.kept_kinds.count("textual")]
+    assert len(textual) < len(model.feature_names)  # entity columns are split on too
+    for doc in corpus.documents[:6]:
+        e = build_explanation(fitted, doc, lexica)
+        stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
+        row = fitted.row_for(stream, extract_entities(doc, lexica.entities))
+        paths = [extract_path(tree, row, model.feature_names) for tree in model.trees]
+        relevances = {t: abs(v) for t, v in e.signed_relevance.items()}
+        want = select_top_terms(aggregate_terms(paths, textual), relevances)
+        assert list(e.top_terms) == want
+
+
+def undeduplicated_relevance(model, row, n_samples, seed):
+    """signed_relevance's coefficients with every perturbed row predicted,
+    as before only the distinct ones were; every column is an n-gram."""
+    active = np.flatnonzero(row)
+    k = len(active)
+    keep = np.random.default_rng(seed).random((n_samples, k)) >= 0.5
+    X = np.tile(row, (n_samples, 1))
+    X[:, active] = row[active] * keep
+    probs = predict_proba_batch(model, X)
+    sigma = 0.75 * np.sqrt(k)
+    sqrt_w = np.sqrt(np.exp(-((k - keep.sum(axis=1)).astype(float) ** 2) / sigma**2))[:, None]
+    A = np.hstack([np.ones((n_samples, 1)), keep.astype(float)]) * sqrt_w
+    class_indices = decide(model, row, 0.5).class_indices
+    coefs = np.zeros(k)
+    for ci in class_indices:
+        coef, *_ = np.linalg.lstsq(A, probs[:, ci] * sqrt_w[:, 0], rcond=None)
+        coefs += coef[1:]
+    return coefs / len(class_indices)
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+@pytest.mark.parametrize("k", [5, 64, 70])
+def test_signed_relevance_equals_undeduplicated_prediction(strategy, k):
+    # 5 active terms give at most 32 distinct masks in 500 draws; 64 and 70
+    # active terms do not fit one 64-bit key per mask
+    rng = np.random.default_rng(k)
+    X = rng.poisson(0.8, size=(150, 72)).astype(float)
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] + X[:, 2] > 1)
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(n_estimators=8, seed=k),
+                         "rf", strategy)
+    row = np.zeros(72)
+    row[rng.choice(72, size=k, replace=False)] = rng.integers(1, 4, size=k)
+    signed, _ = signed_relevance(model, row, len(row), n_samples=500, seed=3)
+    assert len(signed) == k
+    coefs = np.array(list(signed.values()))
+    assert coefs.tobytes() == undeduplicated_relevance(model, row, 500, 3).tobytes()
 
 
 @pytest.mark.parametrize("strategy", ["mts", "bts"])

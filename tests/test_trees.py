@@ -9,6 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcat import trees
 from lexcat.corpus import LabelAssignment
@@ -724,13 +726,59 @@ def test_settle_maps_each_split_to_the_child_every_row_takes(seed):
         assert got.tobytes() == reference_predict_proba(model, rows).tobytes(), len(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def small_model(kind: str):
+    """A 12-tree rf model on 120 rows of 6 Poisson count columns: "mts",
+    "bts", or "mts_one_label", an mts model whose documents all hold one
+    label set, so its forest has a single output."""
+    rng = np.random.default_rng(5)
+    X = rng.poisson(1.5, size=(120, 6)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
+    sets = _label_sets_for(y, las(3))
+    if kind == "mts_one_label":
+        sets = [sets[0]] * len(sets)
+    hp = Hyperparams(n_estimators=12, seed=5)
+    return fit_ensemble(X, sets, hp, "rf", "bts" if kind == "bts" else "mts")
+
+
+def column_values(model):
+    """Values for one column of a drawn row: NaN, infinities, signed zeros,
+    the model's split thresholds (ties go left) and small counts."""
+    thresholds = sorted(
+        {float(thr) for tree in model.trees for f, thr in zip(tree.feature, tree.threshold) if f >= 0}
+    )
+    return st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, *thresholds]),
+        st.integers(0, 6).map(float),
+    )
+
+
+@pytest.mark.parametrize("kind", ["mts", "bts", "mts_one_label"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_predict_proba_batch_rows_do_not_depend_on_their_batch(kind, data):
+    # an explanation predicts only the distinct perturbed rows and indexes
+    # the result back, so any subset or reordering of a batch must give the
+    # same bytes per row as the whole batch
+    model = small_model(kind)
+    d = len(model.feature_names)
+    n = data.draw(st.integers(1, 30))
+    rows = np.array(data.draw(st.lists(column_values(model), min_size=n * d, max_size=n * d)))
+    rows = rows.reshape(n, d)
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    whole = predict_proba_batch(model, rows)
+    got = predict_proba_batch(model, rows[idx])
+    assert got.shape == (len(idx), whole.shape[1])
+    assert got.tobytes() == whole[idx].tobytes()
+
+
 def _one_tree_model(tree):
     classes = las(tree.counts.shape[1])
     return EnsembleModel(
         variant="dt",
         strategy="mts",
         hyperparams=Hyperparams(),
-        feature_names=tuple(f"f{i}" for i in range(int(tree.feature.max()) + 1)),
+        feature_names=tuple(f"f{i}" for i in range(max(1, int(tree.feature.max()) + 1))),
         class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
         mts_catalog=MtsCatalog(tuple((c,) for c in classes)),
         class_forests=[[tree]],
@@ -981,3 +1029,27 @@ def test_hand_built_model_with_a_child_out_of_preorder_is_rejected(name):
         predict_proba_batch(_one_tree_model(bad), np.zeros((1, 1)))
     with within_seconds(5), pytest.raises(ModelError, match="follow its node in preorder"):
         predict_proba_batch(dataclasses.replace(good, class_forests=[[bad, bad]]), np.zeros((1, 1)))
+
+
+def test_model_without_feature_columns_is_rejected():
+    # a leaf is packed as a split on column 0, so such a model loaded and
+    # then raised IndexError on every prediction
+    X, y = _separable_data(60)
+    sets = _label_sets_for(y, las(3))
+    model = fit_ensemble(X, sets, Hyperparams(seed=0), "dt", "mts")
+    leaf = Tree(
+        feature=np.array([-1], dtype=np.int32),
+        threshold=np.array([np.nan]),
+        left=np.array([-1], dtype=np.int32),
+        right=np.array([-1], dtype=np.int32),
+        depth=np.array([0], dtype=np.int32),
+        counts=model.trees[0].counts[:1],
+    )
+    obj = json.loads(model_to_json(dataclasses.replace(model, class_forests=[[leaf]])))
+    obj["feature_names"] = []
+    with pytest.raises(ModelError, match="at least one feature column"):
+        model_from_json(json.dumps(obj))
+    with pytest.raises(ModelError, match="at least one feature column"):
+        dataclasses.replace(model, feature_names=(), class_forests=[[leaf]])
+    with pytest.raises(ModelError, match="at least one feature column"):
+        fit_ensemble(X[:, :0], sets, Hyperparams(seed=0), "rf", "bts")
