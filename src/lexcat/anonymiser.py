@@ -17,6 +17,10 @@ scans it once for triggers (`_scan_triggers`), grows the spans over
 adjacent names (`_expand_names`) and upgrades standalone names after a role
 noun. Every span carries the indices of its first and last token, so the
 later steps find a span's neighbours and the role noun before it by index.
+The scan tries phrase widths only at a token that starts a title or
+implicit reference, from the widest phrase starting with its word down
+(`AnonymiserLexica.widest_for`, built at load). `unify_names` runs `jaro`
+only on the pairs whose upper bound reaches the threshold.
 """
 
 from __future__ import annotations
@@ -114,9 +118,7 @@ def _scan_triggers(
 ) -> tuple[list[ReferenceSpan], dict[int, str]]:
     """One left-to-right pass: the trigger spans in text order, and the role
     of each role noun keyed by its last token."""
-    titles, implicit = lexica.titles, lexica.implicit_refs
-    forms = set(lexica.corporate_forms)
-    widest = max((key.count(" ") + 1 for key in (*titles, *implicit)), default=0)
+    titles, implicit, widest_for = lexica.titles, lexica.implicit_refs, lexica.widest_for
     folded = [tok.core.casefold() for tok in toks]
     n = len(toks)
     context: dict[int, str] = {}
@@ -124,8 +126,9 @@ def _scan_triggers(
     free = 0  # no token from here on belongs to a span
     i = 0
     while i < n:
-        # titles / implicit references, longest phrase first
-        for width in range(min(widest, n - i), 0, -1):
+        # titles / implicit references, longest phrase first; only the widths
+        # of the phrases that start with this token's word can match
+        for width in range(min(widest_for.get(folded[i], 0), n - i), 0, -1):
             phrase = " ".join(folded[i : i + width])
             last = i + width - 1
             if phrase in titles:
@@ -145,7 +148,7 @@ def _scan_triggers(
         else:
             width = 1
             # corporate legal form: swallow the capitalised run before it
-            if toks[i].core in forms:
+            if toks[i].core in lexica.forms:
                 first = i
                 while (
                     first > max(free, i - _CORPORATE_RUN)
@@ -167,8 +170,7 @@ def _expand_names(
     capitalised lexicon names, rightward then leftward; leftover lexicon
     names become standalone @Person spans, added to the list, which is
     returned in text order."""
-    names = lexica.first_names | lexica.surnames
-    found = [_name(tok, names) for tok in toks]
+    found = [_name(tok, lexica.names) for tok in toks]
     n = len(toks)
     claimed = [False] * n
     for span in spans:
@@ -242,12 +244,23 @@ def jaro(a: str, b: str) -> float:
     return (m / la + m / lb + (m - t) / m) / 3.0
 
 
+def _jaro_bound(m: int, la: int, lb: int) -> float:
+    """`jaro`'s value for strings of lengths la, lb >= 1 with m matches and
+    no transpositions. Every step is monotone in m, so with m at least the
+    true number of matches it is an upper bound on `jaro`, also in floating
+    point."""
+    return (m / la + m / lb + 1.0) / 3.0
+
+
 def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     """Single-link grouping of names with pairwise Jaro >= threshold.
 
     Similarity is computed on NFD-decomposed strings so that accent variants
-    of the same name land in one group. Canonical member: most frequent,
-    ties broken lexicographically.
+    of the same name land in one group. A pair is compared only if Jaro's
+    upper bound reaches the threshold: first with as many matches as the
+    shorter key has characters, then with the overlap of the two keys'
+    character counts. Canonical member: most frequent, ties broken
+    lexicographically.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1]: {threshold}")
@@ -255,6 +268,8 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     distinct = sorted(freq)
     k = len(distinct)
     keys = [unicodedata.normalize("NFD", s) for s in distinct]
+    lengths = [len(key) for key in keys]
+    chars = [Counter(key) for key in keys]
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -265,6 +280,13 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
 
     for i in range(k):
         for j in range(i + 1, k):
+            la, lb = lengths[i], lengths[j]
+            m = min(la, lb)  # 0 only beside the empty key, whose Jaro is 0
+            if not m or _jaro_bound(m, la, lb) < threshold:
+                continue
+            m = sum((chars[i] & chars[j]).values())
+            if _jaro_bound(m, la, lb) < threshold:
+                continue
             if jaro(keys[i], keys[j]) >= threshold:
                 parent[find(i)] = find(j)
 

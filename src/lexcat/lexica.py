@@ -8,7 +8,7 @@ directory; any directory with the same file names can replace it.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -51,12 +51,15 @@ def _pairs(path: Path) -> list[tuple[str, str]]:
 
 
 def _tagged(path: Path) -> dict[str, str]:
-    """Casefolded key -> anonymiser tag, rejecting tags outside TAGS."""
+    """Casefolded key, its whitespace runs collapsed to single spaces (the
+    anonymiser joins a phrase's words with one space) -> anonymiser tag,
+    rejecting tags outside TAGS. Of two lines with the same key, the last
+    wins."""
     table = {}
     for key, tag in _pairs(path):
         if tag not in TAGS:
             raise ConfigurationError(f"{path}: unknown tag {tag!r} for {key!r}; tags: {TAGS}")
-        table[key.casefold()] = tag
+        table[" ".join(key.casefold().split())] = tag
     return table
 
 
@@ -101,6 +104,22 @@ class AnonymiserLexica:
     first_names: frozenset[str]
     surnames: frozenset[str]
     role_registry: dict[str, str]
+    # built from the fields above, once: for each first word, the width in
+    # tokens (single-space pieces) of the widest title or implicit-reference
+    # phrase that starts with it; the name lexicon; the corporate forms as a
+    # set
+    widest_for: dict[str, int] = field(init=False, repr=False, compare=False)
+    names: frozenset[str] = field(init=False, repr=False, compare=False)
+    forms: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        widest_for: dict[str, int] = {}
+        for key in (*self.titles, *self.implicit_refs):
+            words = key.split(" ")
+            widest_for[words[0]] = max(widest_for.get(words[0], 0), len(words))
+        object.__setattr__(self, "widest_for", widest_for)
+        object.__setattr__(self, "names", self.first_names | self.surnames)
+        object.__setattr__(self, "forms", frozenset(self.corporate_forms))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import shutil
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from lexcat import anonymiser
 from lexcat.anonymiser import ReferenceSpan, anonymize, jaro, unify_names
-from lexcat.lexica import default_data_dir, load_anonymiser_lexica
+from lexcat.lexica import AnonymiserLexica, default_data_dir, load_anonymiser_lexica
 
 
 def jaro_oracle(a, b):
@@ -53,6 +54,68 @@ def test_jaro_matches_oracle_and_props(a, b):
     assert jaro(a, a) == 1.0
 
 
+def unify_names_unbounded(names, threshold):
+    """`unify_names` with `jaro` run on every pair: the oracle of the bounded
+    pair loop."""
+    freq = Counter(names)
+    distinct = sorted(freq)
+    k = len(distinct)
+    keys = [unicodedata.normalize("NFD", s) for s in distinct]
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if jaro(keys[i], keys[j]) >= threshold:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, name in enumerate(distinct):
+        groups.setdefault(find(i), []).append(name)
+    mapping = {}
+    for members in groups.values():
+        canonical = min(members, key=lambda s: (-freq[s], s))
+        for name in members:
+            mapping[name] = canonical
+    return mapping
+
+
+# composed and decomposed accents, so that distinct names share an NFD key
+_NAME_CHARS = ["a", "r", "n", "M", "t", "e", "é", "e\u0301", "ñ", "n\u0303"]
+_names = st.lists(st.sampled_from(_NAME_CHARS), max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_names, max_size=10), st.data())
+def test_unify_names_matches_unbounded_oracle(base, data):
+    # repeats and one- and two-character names come from the small alphabet;
+    # extra copies make the frequency tie-break matter
+    names = base + data.draw(st.lists(st.sampled_from(base), max_size=4)) if base else base
+    keys = sorted({unicodedata.normalize("NFD", s) for s in names})
+    # thresholds exactly at a pair's Jaro value sit on the bound's edge
+    exact = [v for a in keys for b in keys if (v := jaro(a, b)) > 0]
+    thresholds = st.floats(0, 1, exclude_min=True) | st.just(1.0)
+    if exact:
+        thresholds |= st.sampled_from(exact)
+    threshold = data.draw(thresholds)
+    got = unify_names(names, threshold)
+    assert list(got.items()) == list(unify_names_unbounded(names, threshold).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(min_size=1, max_size=12), st.text(min_size=1, max_size=12))
+def test_jaro_bound_is_an_upper_bound(a, b):
+    v = jaro(a, b)
+    la, lb = len(a), len(b)
+    overlap = sum((Counter(a) & Counter(b)).values())
+    assert anonymiser._jaro_bound(min(la, lb), la, lb) >= v
+    assert anonymiser._jaro_bound(overlap, la, lb) >= v
+
+
 def test_unify_names_accent_variants():
     mapping = unify_names(["Pérez", "Pérez", "Perez"], 0.9)
     assert mapping == {"Pérez": "Pérez", "Perez": "Pérez"}
@@ -87,6 +150,161 @@ def expand_names(text, lexica):
     toks = anonymiser._tokens(text)
     spans, _ = anonymiser._scan_triggers(toks, lexica.anonymiser)
     return anonymiser._expand_names(toks, spans, lexica.anonymiser)
+
+
+def scan_triggers_all_widths(toks, lexica):
+    """`_scan_triggers` trying every phrase width up to the widest key at
+    every token: the oracle of the first-word phrase index."""
+    titles, implicit = lexica.titles, lexica.implicit_refs
+    forms = set(lexica.corporate_forms)
+    widest = max((key.count(" ") + 1 for key in (*titles, *implicit)), default=0)
+    folded = [tok.core.casefold() for tok in toks]
+    n = len(toks)
+    context = {}
+    spans = []
+    free = 0
+    i = 0
+    while i < n:
+        for width in range(min(widest, n - i), 0, -1):
+            phrase = " ".join(folded[i : i + width])
+            last = i + width - 1
+            if phrase in titles:
+                tag = titles[phrase]
+                if tag != "@Person":
+                    context[last] = tag
+                    break
+                tag = anonymiser._role_before(context, i) or tag
+            elif phrase in implicit:
+                tag = implicit[phrase]
+            else:
+                continue
+            spans.append(anonymiser._span(toks, i, last, tag))
+            free = last + 1
+            break
+        else:
+            width = 1
+            if toks[i].core in forms:
+                first = i
+                while (
+                    first > max(free, i - anonymiser._CORPORATE_RUN)
+                    and toks[first - 1].core[:1].isupper()
+                    and folded[first - 1] not in titles
+                    and folded[first - 1] not in implicit
+                ):
+                    first -= 1
+                spans.append(anonymiser._span(toks, first, i, "@Corporate"))
+                free = i + 1
+        i += width
+    return spans, context
+
+
+# keys that share a first word at different widths (with gaps: no
+# three-word "parte demandante y"), one key in both tables, a title of more
+# than five words, and a run of spaces that only an empty-core token between
+# "sala" and "segunda" can match
+_SCAN_LEXICA = AnonymiserLexica(
+    titles={
+        "magistrado": "@Judge",
+        "magistrado ponente": "@Judge",
+        "magistrado ponente de la sala": "@Judge",
+        "ilustrísimo señor magistrado de esta sala": "@Judge",
+        "letrado": "@Lawyer",
+        "señor": "@Person",
+        "señor letrado de": "@Lawyer",
+        "d.": "@Person",
+        "don": "@Person",
+        "sala  segunda": "@Attorney",
+    },
+    implicit_refs={
+        "parte demandante": "@Person",
+        "parte demandante y recurrente": "@Person",
+        "demandante": "@Person",
+        "señor": "@Judge",
+        "don señor": "@Person",
+    },
+    corporate_forms=("S.L.", "S.A."),
+    first_names=frozenset({"juan", "maría"}),
+    surnames=frozenset({"pérez", "garcía", "vega"}),
+    role_registry={},
+)
+_BUNDLED = load_anonymiser_lexica()
+_OTHER_TOKENS = {
+    "name": ["Juan", "María", "Pérez", "García", "Vega", "Construcciones", "Hijos"],
+    "form": ["S.L.", "S.A.", "SL", "S.L.U."],
+    "punct": ["«", ",", "(", "»", "\"", "¿", "-"],  # all but "-" have an empty core
+}
+
+
+@st.composite
+def _scan_text(draw, lex):
+    """The lexica's keys, mostly whole and otherwise cut short (an empty
+    word of a key becomes a punctuation-only token), names, corporate forms
+    and punctuation, some capitalised and some wrapped in punctuation."""
+    keys = sorted((*lex.titles, *lex.implicit_refs))
+    phrases = [key for key in keys if " " in key]
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["key", "phrase", *_OTHER_TOKENS]))
+        if kind in ("key", "phrase"):
+            key = draw(st.sampled_from(keys if kind == "key" else phrases)).split(" ")
+            cut = draw(st.sampled_from([len(key), len(key), draw(st.integers(1, len(key)))]))
+            chunk = [w or "«" for w in key[:cut]]
+            if draw(st.booleans()):
+                chunk[0] = chunk[0].capitalize()
+        else:
+            chunk = [draw(st.sampled_from(_OTHER_TOKENS[kind]))]
+        for w in chunk:
+            lead, trail = draw(st.sampled_from(["", "", "«", "("])), draw(st.sampled_from(["", "", ",", ")"]))
+            words.append(lead + w + trail)
+    return " ".join(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([_SCAN_LEXICA, _BUNDLED]).flatmap(lambda lex: st.tuples(st.just(lex), _scan_text(lex))))
+def test_scan_triggers_matches_all_widths_oracle(lex_text):
+    lex, text = lex_text
+    toks = anonymiser._tokens(text)
+    assert anonymiser._scan_triggers(toks, lex) == scan_triggers_all_widths(toks, lex)
+
+
+def test_scan_triggers_oracle_sees_every_key_shape():
+    """The keys the property relies on do match: each width of a shared
+    first word, the title of six words and the run of spaces."""
+    cases = {
+        "el magistrado ponente de la sala D. Juan": ("@Judge", [(5, "@Judge")]),
+        "la parte demandante y recurrente Juan": ("@Person", {}),
+        "la parte demandante María": ("@Person", {}),
+        "el ilustrísimo señor magistrado de esta sala don Juan": ("@Judge", [(6, "@Judge")]),
+        "la sala « segunda D. Juan": ("@Attorney", [(3, "@Attorney")]),
+    }
+    for text, (tag, context) in cases.items():
+        toks = anonymiser._tokens(text)
+        spans, ctx = anonymiser._scan_triggers(toks, _SCAN_LEXICA)
+        assert (spans, ctx) == scan_triggers_all_widths(toks, _SCAN_LEXICA)
+        assert spans[-1].tag == tag
+        assert ctx == dict(context)
+
+
+def test_lexicon_keys_collapse_whitespace_runs(lexica, tmp_path):
+    for path in default_data_dir().iterdir():
+        shutil.copy(path, tmp_path)
+    with open(tmp_path / "titles.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\nexcelentísimo  ponente\t@Judge\nmagistrado \u00a0 ponente\t@Lawyer\n")
+    with open(tmp_path / "implicit_refs.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\nparte   actora\t@Person\n")
+    with open(tmp_path / "roles.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\nLuis  Romero\t@Lawyer\n")
+    lex = load_anonymiser_lexica(tmp_path)
+    out, _ = anonymize("el excelentísimo ponente D. Juan Pérez falló", lex)
+    assert out == "el excelentísimo ponente @Judge falló"
+    out, _ = anonymize("la parte actora recurre", lex)
+    assert out == "la @Person recurre"
+    out, _ = anonymize("declaró Luis Romero ante la sala", lex)
+    assert out == "declaró @Lawyer ante la sala"
+    # a key that collapses onto an existing one replaces it: the last line wins
+    assert lex.titles["magistrado ponente"] == "@Lawyer"
+    out, _ = anonymize("el magistrado ponente D. Juan Pérez falló", lex)
+    assert out == "el magistrado ponente @Lawyer falló"
 
 
 def test_detect_references_judge_trigger(lexica):
