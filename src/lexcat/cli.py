@@ -278,12 +278,16 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
 
 def _tree_graph(model, index: int, max_depth: int | None) -> str:
     """DOT graph of model.trees[index], its leaves named after the classes
-    of the forest that holds the tree."""
+    of the forest that holds the tree. A leaf is named after the class it
+    votes for, the argmax of its class-weighted counts."""
     offset = index
     for forest_index, forest in enumerate(model.class_forests):
         if 0 <= offset < len(forest):
             names = class_display_names(model, forest_index)
-            return export_tree_graph(forest[offset], max_depth, model.feature_names, names)
+            tree = forest[offset]
+            weighted = tree.counts * model.class_weight_vectors[forest_index]
+            tree = dataclasses.replace(tree, counts=weighted)
+            return export_tree_graph(tree, max_depth, model.feature_names, names)
         offset -= len(forest)
     raise ConfigError(f"tree index out of range [0,{len(model.trees)}): {index}")
 

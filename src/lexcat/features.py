@@ -54,7 +54,8 @@ def _df_bounds(min_df, max_df) -> None:
 
 
 def _ngrams(tokens, lo: int, hi: int):
-    for size in range(lo, hi + 1):
+    # no n-gram is longer than the stream, however large hi is
+    for size in range(lo, min(hi, len(tokens)) + 1):
         yield from map(" ".join, zip(*(tokens[k:] for k in range(size))))
 
 
@@ -187,18 +188,15 @@ def feature_matrix_to_text(textual_names: list[str], X: np.ndarray, doc_ids) -> 
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mean rank."""
+    """Average ranks (1-based), ties sharing their mean rank; NaNs never tie."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v))
     sv = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # a tie group starts wherever the sorted value changes; NaN != NaN
+    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    last = np.append(start[1:], len(v)) - 1
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((start + last) / 2.0 + 1.0, last - start + 1)
     return ranks
 
 
@@ -242,12 +240,8 @@ def select_by_correlation(
     for i, col in enumerate(X.T):
         if np.all(col == col[0]):
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            disc = discretize_ranks(col)
-        if np.all(disc == disc[0]):
-            continue
-        r = spearman(disc, target)
+        # a varying column's discretised ranks hold bins 10 and 1, never one bin
+        r = spearman(discretize_ranks(col), target)
         correlations[i] = r
         if abs(r) >= threshold:
             kept.append(i)

@@ -53,19 +53,10 @@ class MtsCatalog:
         keys = [tuple(a.key() for a in combo) for combo in self.combos]
         if len(set(keys)) != len(keys):
             raise LabelError("combos must be pairwise distinct")
-        object.__setattr__(self, "_index", {k: i for i, k in enumerate(keys)})
 
     @property
     def p(self) -> int:
         return len(self.combos)
-
-    def alpha_of(self, label_set) -> int:
-        """1-based class index of a label set's canonical form."""
-        key = tuple(a.key() for a in canonicalize(label_set))
-        try:
-            return self._index[key] + 1
-        except KeyError:
-            raise LabelError(f"label set not in catalog: {key!r}") from None
 
 
 def _label_sets(source) -> list[tuple[LabelAssignment, ...]]:
@@ -116,11 +107,10 @@ def mts_encode(label_sets) -> tuple[MtsCatalog, list[int]]:
     """Catalog of distinct canonical combinations plus the 1-based integer
     class of every input label set."""
     sets = [canonicalize(s) for s in _label_sets(label_sets)]
-    distinct: dict[tuple[str, ...], tuple[LabelAssignment, ...]] = {}
-    for combo in sets:
-        distinct.setdefault(tuple(a.key() for a in combo), combo)
-    catalog = MtsCatalog(tuple(distinct[k] for k in sorted(distinct)))
-    return catalog, [catalog.alpha_of(s) for s in sets]
+    keys = [tuple(a.key() for a in combo) for combo in sets]
+    first = dict(zip(keys[::-1], sets[::-1]))  # each key's first-seen combination
+    alpha = {key: i + 1 for i, key in enumerate(sorted(first))}
+    return MtsCatalog(tuple(first[k] for k in alpha)), [alpha[k] for k in keys]
 
 
 def mts_decode(alpha: int, catalog: MtsCatalog) -> tuple[LabelAssignment, ...]:

@@ -107,11 +107,10 @@ def _pseudo_word(rng: np.random.Generator, used: set[str]) -> str:
 def _combo_sizes(n_classes: int) -> list[int]:
     """Label-set size per combination class, apportioned to the observed
     proportions (always at least one singleton)."""
-    n_triples = max(0, round(SIZE_SHARES[2] / sum(SIZE_SHARES) * n_classes))
-    n_pairs = max(0, round(SIZE_SHARES[1] / sum(SIZE_SHARES) * n_classes))
+    n_triples = round(SIZE_SHARES[2] / sum(SIZE_SHARES) * n_classes)
+    n_pairs = round(SIZE_SHARES[1] / sum(SIZE_SHARES) * n_classes)
+    # rounding leaves >= 0.675 n - 1 singletons, so >= 1 from n = 3; n = 2 keeps 1
     n_singles = n_classes - n_pairs - n_triples
-    if n_singles < 1:
-        n_singles, n_pairs = 1, n_classes - 1 - n_triples
     return [1] * n_singles + [2] * n_pairs + [3] * n_triples
 
 

@@ -227,15 +227,13 @@ def find_split(
     right = base - left
     wl = left.sum(axis=1)
     wr = total_w - wl
-    ok = (wl > 0) & (wr > 0)
-    k = int(ok.sum())
+    # wl, wr > 0: each child keeps min_samples_leaf >= 1 samples, and
+    # compute_class_weights weighs every class that holds a sample above 0
     # one impurity call over the parent, the left and the right children
-    imp = _impurity_rows(np.vstack([base[None, :], left[ok], right[ok]]), hyperparams.criterion)
-    dec = np.full(at.size, -np.inf)
-    dec[ok] = imp[0] - (wl[ok] / total_w) * imp[1 : k + 1] - (wr[ok] / total_w) * imp[k + 1 :]
+    imp = _impurity_rows(np.vstack([base[None, :], left, right]), hyperparams.criterion)
+    il, ir = imp[1:].reshape(2, -1)
+    dec = imp[0] - (wl / total_w) * il - (wr / total_w) * ir
     best = int(np.argmax(dec))
-    if not dec[best] > -1.0:
-        return None
     f, b = int(column[at[best]]), at[best]
     if hyperparams.splitter == "random":
         return int(cands[f]), float(thr[f])
@@ -632,10 +630,9 @@ def feature_importances(model: EnsembleModel) -> np.ndarray:
     for forest, weights in zip(model.class_forests, model.class_weight_vectors):
         for tree in forest:
             weighted = tree.counts * weights
+            # positive at every node, or _pack_forest would have refused the model
             node_w = weighted.sum(axis=1)
-            imp = _impurity_rows(
-                np.where(node_w[:, None] > 0, weighted, 1.0), model.hyperparams.criterion
-            )
+            imp = _impurity_rows(weighted, model.hyperparams.criterion)
             (split,) = np.nonzero(tree.feature >= 0)
             left, right = tree.left[split], tree.right[split]
             gain = (

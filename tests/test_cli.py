@@ -3,16 +3,25 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
+from lexcat import cli
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.explain import class_display_names
 from lexcat.lexica import default_data_dir
 from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline
-from lexcat.trees import ModelError
+from lexcat.trees import Hyperparams, ModelError, fit_ensemble
 
-from test_trees import MALFORMATIONS, _set, malformed_model_obj, within_seconds
+from test_trees import (
+    MALFORMATIONS,
+    _label_sets_for,
+    _set,
+    las,
+    malformed_model_obj,
+    within_seconds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +389,125 @@ def test_export_tree_bts_labels_follow_forest(fast_config_path, tmp_path):
         rc = main(["export-tree", "--model-file", str(model_file), "--tree", index,
                    "--out", str(dot)])
         assert rc == EXIT_DATA
+
+
+_GOOD_LABEL = {"order": "civil", "categories": ["a", "b", "c"]}
+_GOOD_RECORD = {"id": "a", "text": "t", "labels": [_GOOD_LABEL]}
+
+
+def test_export_tree_leaves_name_the_class_weighted_vote():
+    # a balanced-weight dt on a 15% minority: an impure leaf votes with its
+    # class-weighted counts, which can outweigh a raw majority
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(400, 3))
+    y = (rng.random(400) < 0.15).astype(int)
+    X[:, 0] += y
+    hp = Hyperparams(class_weight="balanced", min_samples_leaf=20)
+    model = fit_ensemble(X, _label_sets_for(y, las(2)), hp, "dt", "mts")
+    tree, names = model.trees[0], class_display_names(model)
+    dot = cli._tree_graph(model, 0, None)
+    labels = dict(re.findall(r'^  n(\d+) \[label="([^"≤]*)"\];$', dot, re.M))
+    (leaves,) = np.nonzero(tree.feature < 0)
+    assert sorted(map(int, labels)) == leaves.tolist()
+    voted = model.tables[0].dist[leaves].argmax(axis=1)
+    assert [labels[str(node)] for node in leaves] == [names[k] for k in voted]
+    # the raw majority names another class at some leaf
+    assert (tree.counts[leaves].argmax(axis=1) != voted).any()
+
+
+def test_explain_without_model_file_equals_train_then_explain(fast_config_path, tmp_path):
+    model_file, fitted, loaded = (tmp_path / name for name in ("m.json", "a.txt", "b.txt"))
+    explain = ["explain", "--config", str(fast_config_path), "--sample", "synth-00003"]
+    assert main([*explain, "--out", str(fitted)]) == EXIT_OK
+    train = ["train", "--config", str(fast_config_path), "--model-file", str(model_file)]
+    assert main(train) == EXIT_OK
+    assert main([*explain, "--model-file", str(model_file), "--out", str(loaded)]) == EXIT_OK
+    assert fitted.read_bytes() == loaded.read_bytes()
+
+
+def test_ngram_range_beyond_every_document_explains_in_bounded_time(
+    fast_config_path, tmp_path
+):
+    # no document is 100000 tokens long, so the explanation is the [1, 2] one
+    model_file = tmp_path / "m.json"
+    train = ["train", "--config", str(fast_config_path), "--model-file", str(model_file)]
+    assert main(train) == EXIT_OK
+    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    assert obj["vectorizer"]["ngram_range"] == [1, 2]
+    obj["vectorizer"]["ngram_range"] = [1, 100_000]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(obj), encoding="utf-8")
+    outs = []
+    for path in (model_file, wide):
+        outs.append(tmp_path / f"{path.stem}.txt")
+        with within_seconds(10):
+            rc = main(["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
+                       "--model-file", str(path), "--out", str(outs[-1])])
+        assert rc == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_ngram_hi_beyond_every_document_featurizes_in_bounded_time(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    texts = ("contrato de obra en madrid", "recurso de apelación", "sentencia firme del juzgado")
+    records = [{**_GOOD_RECORD, "id": f"d{i}", "text": text} for i, text in enumerate(texts)]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    outs = []
+    for hi in (5, 10**12):  # 5 words in the longest document
+        outs.append(tmp_path / f"f{hi}.tsv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus), "ngram_hi": hi}), encoding="utf-8")
+        with within_seconds(10):
+            assert main(["featurize", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([1], "record must be an object"),
+        ({**_GOOD_RECORD, "id": ""}, "record missing string field 'id'"),
+        ({**_GOOD_RECORD, "text": None}, "record missing string field 'text'"),
+        ({**_GOOD_RECORD, "labels": []}, "record missing nonempty array field 'labels'"),
+        ({**_GOOD_RECORD, "gin": 7}, "field 'gin' must be a string when present"),
+        ({**_GOOD_RECORD, "labels": ["civil"]}, "label entry must be an object"),
+        (
+            {**_GOOD_RECORD, "labels": [{**_GOOD_LABEL, "order": 3}]},
+            "label entry missing string field 'order'",
+        ),
+        (
+            {**_GOOD_RECORD, "labels": [{**_GOOD_LABEL, "categories": ["a", "b"]}]},
+            "label entry 'categories' must be a 3-element array",
+        ),
+    ],
+    ids=["not_object", "id", "text", "labels", "gin", "label_not_object", "order", "categories"],
+)
+def test_corpus_record_shape_error_names_its_line(record, message, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    good = {**_GOOD_RECORD, "id": "first"}
+    corpus.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["entities", "--corpus", str(corpus), "--out", str(tmp_path / "e")]) == EXIT_DATA
+    assert f"error: line 3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("divisions.tsv", "sin tabulador", "expected 'key<TAB>value', got 'sin tabulador'"),
+        ("gin_jurisdiction.tsv", "12\t\tcivil", "expected 'key<TAB>value'"),
+        ("lemmas.tsv", "dos palabras\tuna", "lemma entries must be single tokens: 'dos palabras'"),
+    ],
+)
+def test_lexicon_line_error_is_data_error(
+    name, line, message, synth_corpus_path, tmp_path, capsys
+):
+    lexica_dir = tmp_path / "lexica"
+    shutil.copytree(default_data_dir(), lexica_dir)
+    with open(lexica_dir / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    argv = ["entities", "--corpus", str(synth_corpus_path), "--lexica-dir", str(lexica_dir)]
+    assert main([*argv, "--out", str(tmp_path / "e")]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,15 @@ import json
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcat import pipeline
-from lexcat.corpus import LabelAssignment
+from lexcat import features, pipeline
+from lexcat.corpus import Corpus, LabelAssignment
 from lexcat.entities import EntityRecord, UNKNOWN
 from lexcat.features import (
     CATEGORICAL_FIELDS,
@@ -28,6 +29,8 @@ from lexcat.features import (
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import TokenStream
 from lexcat.trees import predict_batch
+
+from test_trees import within_seconds
 
 
 def ts(*tokens):
@@ -178,6 +181,18 @@ def test_vectorizer_matches_string_reference_on_arbitrary_streams(docs, ngram_ra
     assert_matches_reference(streams, train, max_df, min_df, ngram_range)
 
 
+def test_ngram_range_longer_than_every_stream_counts_in_bounded_time():
+    streams = [ts("a", "b", "c"), ts(), ts("b", "c")]
+    longest = count_ngrams(streams, (1, 3))
+    for hi in (100_000, 10**12):
+        with within_seconds(5):
+            grams = count_ngrams(streams, (1, hi))
+        assert grams.ngram_range == (1, hi)
+        assert grams.names == longest.names
+        for name in ("indptr", "ids", "counts"):
+            assert getattr(grams, name).tobytes() == getattr(longest, name).tobytes()
+
+
 def test_fit_vectorizer_uniwords_and_biwords():
     streams = [ts("a", "b"), ts("a", "c")]
     vec = vectorize(streams, max_df=1.0, min_df=0.0, ngram_range=(1, 2))
@@ -302,6 +317,52 @@ def test_discretize_ranks():
     assert len(set(out.tolist())) == 1
     twenty = discretize_ranks(list(range(20)))
     assert all((twenty == b).sum() == 2 for b in range(1, 11))
+
+
+def reference_ranks(values):
+    """The tie loop _ranks replaced, kept as an oracle: walk the stable
+    sort, extend each group while the next value equals its first, and give
+    the group its mean 1-based position."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="mergesort")
+    ranks = np.empty(len(v))
+    sv = v[order]
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most draws hold ties, plus every special float
+_RANK_VALUES = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RANK_VALUES, max_size=40), st.integers(0, 12))
+@example([], 0)
+@example([np.nan, np.nan, np.nan], 0)
+def test_ranks_match_tie_loop_reference(values, n_tied):
+    v = np.array(values, dtype=float)
+    assert features._ranks(v).tobytes() == reference_ranks(v).tobytes()
+    tied = np.full(n_tied, v[0] if len(v) else -0.0)
+    assert features._ranks(tied).tobytes() == reference_ranks(tied).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=40))
+def test_discretized_varying_column_holds_bins_10_and_1(values):
+    # why select_by_correlation scores every column that is not constant
+    if len(set(values)) < 2:
+        return
+    disc = discretize_ranks(values)
+    assert disc.max() == 10 and disc.min() == 1
 
 
 def test_spearman_examples():
@@ -468,3 +529,16 @@ def test_one_document_path_matches_batch_and_string_reference(lexica):
         row = fitted.row_for(prep.streams[i], prep.records[i])
         assert row.tobytes() == X[k].tobytes()
         assert fitted.predict_document(corpus.documents[i], lexica) == batch[k]
+
+
+def test_fit_pipeline_on_one_label_set_warns_and_keeps_every_ngram(lexica):
+    corpus = generate_corpus(SynthSpec(n_docs=30, n_classes=3, seed=3))
+    only = corpus.documents[0].annotations
+    corpus = Corpus(tuple(replace(d, annotations=only) for d in corpus.documents))
+    config = pipeline.PipelineConfig(n_estimators=2)
+    with pytest.warns(UserWarning, match="single-class corpus: feature selection skipped"):
+        fitted = pipeline.fit_pipeline(corpus, config, lexica)
+    # neither selection stage runs: every n-gram stays, and no entity field
+    assert fitted.kept_names == fitted.vectorizer.names
+    assert fitted.kept_kinds == ["textual"] * len(fitted.kept_names)
+    assert fitted.model.mts_catalog.combos == (only,)

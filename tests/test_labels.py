@@ -128,6 +128,49 @@ def test_mts_round_trip_is_canonical():
     assert mts_decode(alphas[0], catalog) == canonicalize([CM_REAL, M_OBLIG])
 
 
+def reference_mts_encode(label_sets):
+    """The two-pass numbering mts_encode replaced, kept as an oracle: the
+    first-seen form of each distinct canonical combination in sorted key
+    order, then every label set canonicalised again and looked up by key."""
+    distinct = {}
+    for combo in map(canonicalize, label_sets):
+        distinct.setdefault(tuple(a.key() for a in combo), combo)
+    combos = tuple(distinct[k] for k in sorted(distinct))
+    index = {tuple(a.key() for a in combo): i for i, combo in enumerate(combos)}
+    return combos, [index[tuple(a.key() for a in canonicalize(s))] + 1 for s in label_sets]
+
+
+# CM_REAL and M_OBLIG each with a variant of the same key in case and
+# whitespace, which compares unequal, so the catalog shows which form won
+_VARIANTS = [
+    CM_REAL,
+    LabelAssignment("civil/mercantile", ("Real Rights", "guarantee  real rights", "Mortgage law")),
+    M_OBLIG,
+    LabelAssignment(
+        "mercantile",
+        (" Obligations - contracts law", "banking - financial market law", "BANKING LAW"),
+    ),
+    CM_OBLIG,
+    LabelAssignment("penal", ("a", "b", "c")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_VARIANTS), min_size=1, max_size=3), min_size=1, max_size=12
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_mts_encode_matches_two_pass_reference(label_sets, random):
+    # sets repeat, in permuted member order, once more at the end
+    label_sets = label_sets + [random.sample(s, len(s)) for s in label_sets]
+    catalog, alphas = mts_encode(label_sets)
+    combos, want = reference_mts_encode(label_sets)
+    assert catalog.combos == combos
+    assert alphas == want
+
+
 def test_mts_decode_range():
     catalog, _ = mts_encode([[CM_REAL]])
     assert mts_decode(catalog.p, catalog) == (CM_REAL,)
