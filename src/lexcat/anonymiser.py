@@ -12,15 +12,15 @@ Trigger logic:
   * capitalised tokens from the name lexicon are swallowed by adjacent
     spans, or become standalone @Person spans.
 
-`anonymize` makes one pass over a document: it tokenises the text once,
-scans it once for triggers (`_scan_triggers`), grows the spans over
-adjacent names (`_expand_names`) and upgrades standalone names after a role
-noun. Every span carries the indices of its first and last token, so the
-later steps find a span's neighbours and the role noun before it by index.
-The scan tries phrase widths only at a token that starts a title or
-implicit reference, from the widest phrase starting with its word down
-(`AnonymiserLexica.widest_for`, built at load). `unify_names` runs `jaro`
-only on the pairs whose upper bound reaches the threshold.
+`anonymize` makes one pass over a document. `_tokens` splits the text at
+whitespace runs in one call and strips and casefolds each token once; a
+token's offsets are computed only where a span starts, ends or grows.
+`_scan_triggers` visits only the tokens that start a title or implicit
+reference (trying widths from the widest such phrase down, as indexed by
+`AnonymiserLexica.widest_for`) or are a corporate form; `_expand_names`
+looks up only the tokens that fold to a lexicon name or end with a period.
+Spans carry their first and last token index, so neighbours and role nouns
+are found by index. `unify_names` runs `jaro` only where its bound can pass.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .lexica import TAGS, AnonymiserLexica
 
 _PRECEDENCE = {tag: i for i, tag in enumerate(TAGS)}
 
-_TOKEN = re.compile(r"\S+")
+_SPACE = re.compile(r"(\s+)")
 _LEAD = "(«¡¿[\"'"
 _TRAIL = ",;:)»]\"'"
 
@@ -69,72 +70,83 @@ class AnonymisationReport:
     replaced_names: list[tuple[str, str]]
 
 
-class _Token(NamedTuple):
-    core: str  # the token without its leading and trailing punctuation
-    core_start: int
-    core_end: int
+class _Tokens(NamedTuple):
+    """A text's whitespace-separated tokens, their offsets, their cores (each
+    token without its leading and trailing punctuation) and folded cores."""
+
+    raw: list[str]
+    starts: list[int]
+    cores: list[str]
+    folded: list[str]
+
+    def core_start(self, k: int) -> int:
+        return self.starts[k] + len(self.raw[k]) - len(self.raw[k].lstrip(_LEAD))
+
+    def core_end(self, k: int) -> int:
+        return self.core_start(k) + len(self.cores[k])
 
 
-def _tokens(text: str) -> list[_Token]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        led = m.group(0).lstrip(_LEAD)
-        core = led.rstrip(_TRAIL)
-        start = m.end() - len(led)
-        out.append(_Token(core, start, start + len(core)))
-    return out
+def _tokens(text: str) -> _Tokens:
+    parts = _SPACE.split(text)  # token, whitespace run, token, ..., token
+    raw, starts = parts[::2], list(accumulate(map(len, parts), initial=0))[::2]
+    if not raw[-1]:  # the text ends with whitespace, or is empty
+        del raw[-1], starts[-1]
+    if raw and not raw[0]:  # the text starts with whitespace
+        del raw[0], starts[0]
+    cores = [tok.lstrip(_LEAD).rstrip(_TRAIL) for tok in raw]
+    return _Tokens(raw, starts, cores, list(map(str.casefold, cores)))
 
 
-def _name(tok: _Token, names: frozenset[str]) -> tuple[str, int] | None:
-    """The lexicon name a capitalised token holds and the offset where that
+def _name(toks: _Tokens, k: int, names: frozenset[str]) -> tuple[str, int] | None:
+    """The lexicon name capitalised token k holds and the offset where that
     name ends (a trailing period is not part of a name), or None."""
-    core = tok.core
-    if not core[:1].isupper():
-        return None
-    if core.casefold() in names:
-        return core, tok.core_end
-    trimmed = core.rstrip(".")
-    if trimmed.casefold() in names:
-        return trimmed, tok.core_start + len(trimmed)
+    core = toks.cores[k]
+    if core[:1].isupper():
+        if toks.folded[k] in names:
+            return core, toks.core_end(k)
+        trimmed = core.rstrip(".")
+        if trimmed.casefold() in names:
+            return trimmed, toks.core_start(k) + len(trimmed)
     return None
 
 
 def _role_before(context: dict[int, str], first: int) -> str | None:
     """Role of the nearest role noun that ends at most _CONTEXT_WINDOW tokens
     before token `first`."""
-    for k in range(first - 1, first - 1 - _CONTEXT_WINDOW, -1):
-        if k in context:
-            return context[k]
-    return None
+    window = range(first - 1, first - 1 - _CONTEXT_WINDOW, -1)
+    return next((context[k] for k in window if k in context), None)
 
 
-def _span(toks: list[_Token], first: int, last: int, tag: str) -> ReferenceSpan:
-    start, end = toks[first].core_start, toks[last].core_end
-    return ReferenceSpan(start, end, tag, [], first, last)
+def _span(toks: _Tokens, first: int, last: int, tag: str) -> ReferenceSpan:
+    return ReferenceSpan(toks.core_start(first), toks.core_end(last), tag, [], first, last)
 
 
 def _scan_triggers(
-    toks: list[_Token], lexica: AnonymiserLexica
+    toks: _Tokens, lexica: AnonymiserLexica
 ) -> tuple[list[ReferenceSpan], dict[int, str]]:
     """One left-to-right pass: the trigger spans in text order, and the role
     of each role noun keyed by its last token."""
     titles, implicit, widest_for = lexica.titles, lexica.implicit_refs, lexica.widest_for
-    folded = [tok.core.casefold() for tok in toks]
-    n = len(toks)
+    forms, cores, folded = lexica.forms, toks.cores, toks.folded
     context: dict[int, str] = {}
     spans: list[ReferenceSpan] = []
     free = 0  # no token from here on belongs to a span
-    i = 0
-    while i < n:
+    nxt = 0  # no token before this one can start a trigger
+    # a trigger starts only at a phrase's first word or at a corporate form
+    heads = [k for k, word in enumerate(folded) if word in widest_for or cores[k] in forms]
+    for i in heads:
+        if i < nxt:
+            continue
         # titles / implicit references, longest phrase first; only the widths
         # of the phrases that start with this token's word can match
-        for width in range(min(widest_for.get(folded[i], 0), n - i), 0, -1):
+        for width in range(min(widest_for.get(folded[i], 0), len(cores) - i), 0, -1):
             phrase = " ".join(folded[i : i + width])
             last = i + width - 1
             if phrase in titles:
                 tag = titles[phrase]
                 if tag != "@Person":
                     context[last] = tag
+                    nxt = last + 1
                     break
                 # honorific: replaceable, role comes from nearby context
                 tag = _role_before(context, i) or tag
@@ -143,64 +155,61 @@ def _scan_triggers(
             else:
                 continue
             spans.append(_span(toks, i, last, tag))
-            free = last + 1
+            free = nxt = last + 1
             break
         else:
-            width = 1
             # corporate legal form: swallow the capitalised run before it
-            if toks[i].core in lexica.forms:
+            if cores[i] in forms:
                 first = i
                 while (
                     first > max(free, i - _CORPORATE_RUN)
-                    and toks[first - 1].core[:1].isupper()
+                    and cores[first - 1][:1].isupper()
                     and folded[first - 1] not in titles
                     and folded[first - 1] not in implicit
                 ):
                     first -= 1
                 spans.append(_span(toks, first, i, "@Corporate"))
                 free = i + 1
-        i += width
     return spans, context
 
 
 def _expand_names(
-    toks: list[_Token], spans: list[ReferenceSpan], lexica: AnonymiserLexica
+    toks: _Tokens, spans: list[ReferenceSpan], lexica: AnonymiserLexica
 ) -> list[ReferenceSpan]:
     """Grow each span (given in text order) in place over adjacent
     capitalised lexicon names, rightward then leftward; leftover lexicon
     names become standalone @Person spans, added to the list, which is
     returned in text order."""
-    found = [_name(tok, lexica.names) for tok in toks]
-    n = len(toks)
-    claimed = [False] * n
-    for span in spans:
-        for k in range(span.first_token, span.last_token + 1):
-            claimed[k] = True
+    names = lexica.names
+    # only a token whose folded core is a name, or ends with a period that
+    # _name may trim, can hold a name
+    found = {k: hit for k, word in enumerate(toks.folded)
+             if (word in names or word[-1:] == ".") and (hit := _name(toks, k, names))}
+    claimed = {k for span in spans for k in range(span.first_token, span.last_token + 1)}
 
     def grow(span: ReferenceSpan) -> None:
         k = span.last_token + 1
-        while k < n and not claimed[k] and found[k]:
+        while k in found and k not in claimed:
             name, span.end = found[k]
             span.names.append(name)
-            claimed[k] = True
+            claimed.add(k)
             span.last_token = k
             k += 1
         k = span.first_token - 1
-        while k >= 0 and not claimed[k] and found[k]:
+        while k in found and k not in claimed:
             span.names.insert(0, found[k][0])
-            span.start = toks[k].core_start
-            claimed[k] = True
+            span.start = toks.core_start(k)
+            claimed.add(k)
             span.first_token = k
             k -= 1
 
     for span in spans:
         grow(span)
-    for k in range(n):
-        if claimed[k] or not found[k]:
+    for k, (name, end) in found.items():
+        if k in claimed:
             continue
-        name, end = found[k]
-        claimed[k] = True
-        span = ReferenceSpan(toks[k].core_start, end, "@Person", [name], k, k)
+        claimed.add(k)
+        span = ReferenceSpan(toks.core_start(k), end, "@Person", [name], k, k)
         grow(span)
         spans.append(span)
     spans.sort(key=lambda s: s.start)
@@ -215,16 +224,12 @@ def jaro(a: str, b: str) -> float:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return 0.0
-    window = max(la, lb) // 2 - 1
-    if window < 0:
-        window = 0
+    window = max(max(la, lb) // 2 - 1, 0)
     match_a = [False] * la
     match_b = [False] * lb
     m = 0
     for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        for j in range(lo, hi):
+        for j in range(max(0, i - window), min(lb, i + window + 1)):
             if not match_b[j] and b[j] == ch:
                 match_a[i] = True
                 match_b[j] = True
@@ -232,15 +237,9 @@ def jaro(a: str, b: str) -> float:
                 break
     if m == 0:
         return 0.0
-    seq_b = [b[j] for j in range(lb) if match_b[j]]
-    mismatches = 0
-    k = 0
-    for i in range(la):
-        if match_a[i]:
-            if a[i] != seq_b[k]:
-                mismatches += 1
-            k += 1
-    t = mismatches // 2
+    seq_a = [ch for ch, hit in zip(a, match_a) if hit]
+    seq_b = [ch for ch, hit in zip(b, match_b) if hit]
+    t = sum(x != y for x, y in zip(seq_a, seq_b)) // 2
     return (m / la + m / lb + (m - t) / m) / 3.0
 
 

@@ -25,7 +25,9 @@ def default_data_dir() -> Path:
     return Path(str(resources.files("lexcat").joinpath("data")))
 
 
-def _lines(path: Path) -> list[str]:
+def _lines(path: Path, strip: bool = True) -> list[str]:
+    """The file's NFC-normalised lines that hold more than whitespace,
+    stripped unless strip is False."""
     if not path.is_file():
         raise ConfigurationError(f"missing lexicon file: {path}")
     try:
@@ -34,9 +36,8 @@ def _lines(path: Path) -> list[str]:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     out = []
     for line in text.splitlines():
-        line = unicodedata.normalize("NFC", line.strip())
-        if line:
-            out.append(line)
+        if line.strip():
+            out.append(unicodedata.normalize("NFC", line.strip() if strip else line))
     return out
 
 
@@ -65,7 +66,8 @@ def _tagged(path: Path) -> dict[str, str]:
 
 def _optional_pairs(path: Path) -> list[tuple[str, str | None]]:
     entries = []
-    for line in _lines(path):
+    # split before stripping: a line that starts with a tab has an empty name
+    for line in _lines(path, strip=False):
         parts = line.split("\t")
         name = parts[0].strip()
         value = parts[1].strip() if len(parts) > 1 and parts[1].strip() else None

@@ -228,7 +228,7 @@ def find_split(
     wl = left.sum(axis=1)
     wr = total_w - wl
     # wl, wr > 0: each child keeps min_samples_leaf >= 1 samples, and
-    # compute_class_weights weighs every class that holds a sample above 0
+    # fit_tree refuses class weights that leave a class in y at 0 or below
     # one impurity call over the parent, the left and the right children
     imp = _impurity_rows(np.vstack([base[None, :], left, right]), hyperparams.criterion)
     il, ir = imp[1:].reshape(2, -1)
@@ -288,6 +288,11 @@ def fit_tree(
         n_classes = int(y.max()) + 1
     if class_weights is None:
         class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
+    class_weights = np.asarray(class_weights, dtype=float)
+    # find_split needs every class that holds a sample to weigh more than 0
+    finite = np.isfinite(class_weights).all()
+    if not finite or class_weights.min() < 0 or class_weights[y].min() <= 0:
+        raise ModelError("class weights must be finite, nonnegative and positive for each class in y")
     drawn = np.ones(len(X)) if rows is None else np.bincount(rows, minlength=len(X)).astype(float)
     (root,) = np.nonzero(drawn)
     bins = bin_columns(X) if bins is None else bins

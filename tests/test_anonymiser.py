@@ -1,10 +1,13 @@
+import copy
 import math
+import re
 import shutil
 import unicodedata
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexcat import anonymiser
@@ -140,6 +143,47 @@ def test_unify_tie_breaks_lexicographic():
     assert mapping["Martha"] == "Marta"
 
 
+class Token(NamedTuple):
+    core: str  # the token without its leading and trailing punctuation
+    core_start: int
+    core_end: int
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def reference_tokens(text):
+    """One regex match and two strips per token: the oracle of `_tokens`."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        led = m.group(0).lstrip(anonymiser._LEAD)
+        core = led.rstrip(anonymiser._TRAIL)
+        start = m.end() - len(led)
+        out.append(Token(core, start, start + len(core)))
+    return out
+
+
+# whitespace that str.split and \s agree on but a space-only tokeniser would
+# miss, and tokens that strip to nothing or to their inner punctuation
+_SPACES = [" ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+_PIECES = ["«", "((", "\"'", "»,", "D.", "Ana", "López.", "(«Juan»)", "S.L.", "-", "ß", "İ"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SPACES) | st.sampled_from(_PIECES), max_size=12).map("".join))
+@example("")
+@example("((")
+@example("\x1cD. Ana López.")
+@example("«D. José»")
+@example(" \u3000«D.»\x85 ")
+def test_tokens_match_regex_reference(text):
+    toks = anonymiser._tokens(text)
+    ref = reference_tokens(text)
+    got = [(core, toks.core_start(k), toks.core_end(k)) for k, core in enumerate(toks.cores)]
+    assert got == [tuple(tok) for tok in ref]
+    assert toks.folded == [tok.core.casefold() for tok in ref]
+
+
 def detect_references(text, lexica):
     """The trigger spans of `anonymize`'s first stage."""
     return anonymiser._scan_triggers(anonymiser._tokens(text), lexica.anonymiser)[0]
@@ -158,8 +202,9 @@ def scan_triggers_all_widths(toks, lexica):
     titles, implicit = lexica.titles, lexica.implicit_refs
     forms = set(lexica.corporate_forms)
     widest = max((key.count(" ") + 1 for key in (*titles, *implicit)), default=0)
-    folded = [tok.core.casefold() for tok in toks]
-    n = len(toks)
+    cores = toks.cores
+    folded = [core.casefold() for core in cores]
+    n = len(cores)
     context = {}
     spans = []
     free = 0
@@ -183,11 +228,11 @@ def scan_triggers_all_widths(toks, lexica):
             break
         else:
             width = 1
-            if toks[i].core in forms:
+            if cores[i] in forms:
                 first = i
                 while (
                     first > max(free, i - anonymiser._CORPORATE_RUN)
-                    and toks[first - 1].core[:1].isupper()
+                    and cores[first - 1][:1].isupper()
                     and folded[first - 1] not in titles
                     and folded[first - 1] not in implicit
                 ):
@@ -223,13 +268,15 @@ _SCAN_LEXICA = AnonymiserLexica(
         "don señor": "@Person",
     },
     corporate_forms=("S.L.", "S.A."),
-    first_names=frozenset({"juan", "maría"}),
+    first_names=frozenset({"juan", "maría", "ma."}),  # a name with its own period
     surnames=frozenset({"pérez", "garcía", "vega"}),
     role_registry={},
 )
 _BUNDLED = load_anonymiser_lexica()
 _OTHER_TOKENS = {
     "name": ["Juan", "María", "Pérez", "García", "Vega", "Construcciones", "Hijos"],
+    # a name that ends with periods, in capitals, or not capitalised
+    "dotted": ["Pérez.", "Vega..", "PÉREZ", "juan", "Hijos.", "Ma.", "Ma.."],
     "form": ["S.L.", "S.A.", "SL", "S.L.U."],
     "punct": ["«", ",", "(", "»", "\"", "¿", "-"],  # all but "-" have an empty core
 }
@@ -265,6 +312,70 @@ def test_scan_triggers_matches_all_widths_oracle(lex_text):
     lex, text = lex_text
     toks = anonymiser._tokens(text)
     assert anonymiser._scan_triggers(toks, lex) == scan_triggers_all_widths(toks, lex)
+
+
+def reference_name(tok, names):
+    """The lexicon name a capitalised token holds and the offset where that
+    name ends, looked up for every token."""
+    core = tok.core
+    if not core[:1].isupper():
+        return None
+    if core.casefold() in names:
+        return core, tok.core_end
+    trimmed = core.rstrip(".")
+    if trimmed.casefold() in names:
+        return trimmed, tok.core_start + len(trimmed)
+    return None
+
+
+def expand_names_per_token(toks, spans, lexica):
+    """`_expand_names` with `reference_name` called on every reference token:
+    the oracle of looking names up only where one can be."""
+    found = [reference_name(tok, lexica.names) for tok in toks]
+    n = len(toks)
+    claimed = [False] * n
+    for span in spans:
+        for k in range(span.first_token, span.last_token + 1):
+            claimed[k] = True
+
+    def grow(span):
+        k = span.last_token + 1
+        while k < n and not claimed[k] and found[k]:
+            name, span.end = found[k]
+            span.names.append(name)
+            claimed[k] = True
+            span.last_token = k
+            k += 1
+        k = span.first_token - 1
+        while k >= 0 and not claimed[k] and found[k]:
+            span.names.insert(0, found[k][0])
+            span.start = toks[k].core_start
+            claimed[k] = True
+            span.first_token = k
+            k -= 1
+
+    for span in spans:
+        grow(span)
+    for k in range(n):
+        if claimed[k] or not found[k]:
+            continue
+        name, end = found[k]
+        claimed[k] = True
+        span = ReferenceSpan(toks[k].core_start, end, "@Person", [name], k, k)
+        grow(span)
+        spans.append(span)
+    spans.sort(key=lambda s: s.start)
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([_SCAN_LEXICA, _BUNDLED]).flatmap(lambda lex: st.tuples(st.just(lex), _scan_text(lex))))
+def test_expand_names_matches_per_token_oracle(lex_text):
+    lex, text = lex_text
+    toks = anonymiser._tokens(text)
+    spans, _ = anonymiser._scan_triggers(toks, lex)
+    want = expand_names_per_token(reference_tokens(text), copy.deepcopy(spans), lex)
+    assert anonymiser._expand_names(toks, spans, lex) == want
 
 
 def test_scan_triggers_oracle_sees_every_key_shape():

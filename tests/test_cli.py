@@ -496,6 +496,7 @@ def test_corpus_record_shape_error_names_its_line(record, message, tmp_path, cap
         ("divisions.tsv", "sin tabulador", "expected 'key<TAB>value', got 'sin tabulador'"),
         ("gin_jurisdiction.tsv", "12\t\tcivil", "expected 'key<TAB>value'"),
         ("lemmas.tsv", "dos palabras\tuna", "lemma entries must be single tokens: 'dos palabras'"),
+        ("case_types.tsv", "\tcivil", "empty entry name in '\\tcivil'"),
     ],
 )
 def test_lexicon_line_error_is_data_error(

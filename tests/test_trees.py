@@ -495,6 +495,25 @@ def test_fit_tree_empty_errors():
         fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), Hyperparams())
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, np.inf], [1.0, 1.0, -0.5]],
+    ids=["zero_minority", "zero_majority", "negative", "nan", "inf", "negative_absent"],
+)
+def test_fit_tree_refuses_class_weights_find_split_cannot_score(weights):
+    # a zero weight on class 0 gave its one-row child weight 0, a NaN
+    # impurity decrease, and that split chosen through np.argmax
+    X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
+    with pytest.raises(ModelError, match="class weights"):
+        fit_tree(X, y, Hyperparams(), class_weights=np.array(weights), n_classes=len(weights))
+
+
+def test_fit_tree_accepts_zero_weight_for_an_absent_class():
+    X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
+    tree = fit_tree(X, y, Hyperparams(), class_weights=np.array([1.0, 1.0, 0.0]), n_classes=3)
+    assert tree.counts[0].tolist() == [1.0, 3.0, 0.0]
+
+
 def test_balanced_weights_invariant():
     y = np.array([0, 0, 0, 1, 2, 2])
     w = compute_class_weights(y, 3, "balanced")
