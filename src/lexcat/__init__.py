@@ -4,3 +4,9 @@ binary/multi-class transformation strategies over tree ensembles, and
 natural-language plus graph explanations."""
 
 __version__ = "0.1.0"
+
+
+class DataError(ValueError):
+    """Input lexcat refuses: a corpus, config, lexicon, model file or value
+    it cannot use. Each module's error type subclasses it, and the command
+    line exits 2 on it."""

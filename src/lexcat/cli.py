@@ -1,6 +1,7 @@
 """Command-line surface wiring the pipeline end to end.
 
-Exit codes: 0 success, 1 usage, 2 data/config error, 3 internal error.
+Exit codes: 0 success, 1 usage, 2 data/config error (a `lexcat.DataError`),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from . import evaluation
+from . import DataError, evaluation
 from .anonymiser import anonymize
 from .corpus import Corpus, CorpusError, corpus_stats, corpus_to_text, load_corpus
 from .entities import CATEGORICAL_FIELDS, extract_entities
@@ -22,41 +23,26 @@ from .explain import (
     export_tree_graph,
     render_explanation,
 )
-from .features import (
-    CategoricalEncoder,
-    FeatureError,
-    feature_matrix_to_text,
-    fit_vectorizer,
-    transform,
-)
-from .labels import LabelError
-from .lexica import ConfigurationError, load_lexica
+from .features import feature_matrix_to_text
+from .lexica import load_lexica
 from .pipeline import (
     ConfigError,
     PipelineConfig,
     config_from_json,
+    fit_features,
     fit_pipeline,
     load_pipeline,
     pipeline_to_json,
     preprocess_corpus,
 )
 from .synth import SynthError, SynthSpec, generate_corpus
-from .trees import STRATEGIES, VARIANTS, ModelError
+from .trees import STRATEGIES, VARIANTS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-_DATA_ERRORS = (
-    CorpusError,
-    ConfigError,
-    ConfigurationError,
-    FeatureError,
-    LabelError,
-    ModelError,
-    evaluation.EvaluationError,
-)
 
 class UsageError(Exception):
     pass
@@ -134,13 +120,6 @@ def _out_path(config: PipelineConfig, default: str) -> str:
     return config.out if config.out else default
 
 
-def _per_document(doc_id: str, fn):
-    try:
-        return fn()
-    except _DATA_ERRORS as exc:
-        raise type(exc)(f"document {doc_id!r}: {exc}") from None
-
-
 def _cmd_preprocess(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
@@ -162,7 +141,7 @@ def _cmd_anonymize(config: PipelineConfig, args) -> int:
     total_counts: dict[str, int] = {}
     pairs: set[tuple[str, str]] = set()
     for doc in corpus.documents:
-        text, report = _per_document(doc.id, lambda: anonymize(doc.raw_text, lexica.anonymiser))
+        text, report = anonymize(doc.raw_text, lexica.anonymiser)
         out_docs.append(dataclasses.replace(doc, raw_text=text))
         for tag, c in report.counts.items():
             total_counts[tag] = total_counts.get(tag, 0) + c
@@ -182,7 +161,7 @@ def _cmd_entities(config: PipelineConfig, args) -> int:
     lexica = load_lexica(config.lexica_dir)
     lines = ["\t".join(("id",) + CATEGORICAL_FIELDS)]
     for doc in corpus.documents:
-        record = _per_document(doc.id, lambda: extract_entities(doc, lexica.entities))
+        record = extract_entities(doc, lexica.entities)
         lines.append("\t".join((doc.id,) + record.values()))
     path = _out_path(config, "entities.tsv")
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -193,12 +172,7 @@ def _cmd_entities(config: PipelineConfig, args) -> int:
 def _cmd_featurize(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
-    prep = preprocess_corpus(corpus, lexica)
-    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
-    rows = range(corpus.n)
-    vec = fit_vectorizer(grams, rows, config.max_df, config.min_df)
-    codes = CategoricalEncoder().fit(prep.records).transform(prep.records)
-    X = transform(vec, grams, rows, codes)
+    vec, _, X = fit_features(preprocess_corpus(corpus, lexica), config, range(corpus.n))
     path = _out_path(config, "features.tsv")
     _write_atomic(path, feature_matrix_to_text(vec.names, X, [d.id for d in corpus.documents]))
     print(f"wrote {X.shape[0]}x{X.shape[1]} feature matrix to {path}")
@@ -347,7 +321,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -6,6 +6,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+from . import DataError
+
 SUBSTANTIVE_ORDERS = (
     "penal",
     "civil",
@@ -17,7 +19,7 @@ SUBSTANTIVE_ORDERS = (
 )
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Invalid corpus file, record or annotation."""
 
 
@@ -63,8 +65,6 @@ class Judgement:
     gin: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id or not isinstance(self.id, str):
-            raise CorpusError("document id must be a nonempty string")
         anns = tuple(self.annotations)
         if not 1 <= len(anns) <= 3:
             raise CorpusError("label set size out of [1,3]")

@@ -14,6 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, fields
 
+from . import DataError
 from .lexica import EntityLexica
 
 UNKNOWN = "unknown"
@@ -41,7 +42,7 @@ SPANISH_DISPLAY = {
 }
 
 
-class GinParseError(ValueError):
+class GinParseError(DataError):
     pass
 
 
@@ -168,11 +169,8 @@ def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica, case_t
     if hit is not None:
         return lexica.divisions[hit]
     if gin is not None:
-        try:
-            digit = parse_gin(gin).jurisdiction_digit
-        except GinParseError:
-            digit = None
-        if digit is not None and digit in lexica.gin_jurisdiction:
+        digit = parse_gin(gin).jurisdiction_digit
+        if digit in lexica.gin_jurisdiction:
             return lexica.gin_jurisdiction[digit]
     if case_type != UNKNOWN:
         for entry in lexica.case_types:

@@ -10,12 +10,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import pipeline as pl
+from . import DataError, pipeline as pl
 from .corpus import Corpus
 from .labels import build_class_catalog, mts_encode
 
 
-class EvaluationError(ValueError):
+class EvaluationError(DataError):
     pass
 
 
@@ -205,7 +205,7 @@ def stratified_folds(alphas: list[int], k: int, seed: int) -> list[int]:
     return fold_of
 
 
-def cross_validate(corpus: Corpus, config, lexica, k: int = 10, seed: int = 0) -> MetricsReport:
+def cross_validate(corpus: Corpus, config, lexica, k: int, seed: int) -> MetricsReport:
     """Stratified k-fold cross-validation of the full pipeline.
 
     Vectorizer, selection and model are fitted per fold on the training
@@ -263,7 +263,7 @@ _GRID_KEYS = {"ngram_range", *(f.name for f in fields(pl.PipelineConfig))} - set
 
 
 def grid_search(
-    corpus: Corpus, param_grid: dict, k: int, base_config, lexica, seed: int = 0
+    corpus: Corpus, param_grid: dict, k: int, base_config, lexica, seed: int
 ) -> GridSearchResult:
     """Exhaustive cross-validated evaluation of the grid's cartesian
     product, scored on the mean micro F1; the best combination is the

@@ -8,13 +8,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DataError
 from .corpus import LabelAssignment
 from .entities import CATEGORICAL_FIELDS, extract_entities
 from .textproc import to_token_stream
 from .trees import EnsembleModel, Tree, decode_row, predict_proba_batch, split_counts
 
 
-class ExplainError(ValueError):
+class ExplainError(DataError):
     pass
 
 
@@ -128,9 +129,9 @@ def signed_relevance(
     model: EnsembleModel,
     row,
     n_text: int,
-    n_samples: int = 500,
-    seed: int = 0,
-    threshold: float = 0.5,
+    n_samples: int,
+    seed: int,
+    threshold: float,
 ) -> tuple[dict[str, float], Decision]:
     """Term relevance from random perturbations of the document's n-gram
     counts, the row's first n_text columns: each nonzero count is zeroed
@@ -179,8 +180,6 @@ class Explanation:
     def __post_init__(self) -> None:
         if len(self.entities) != len(CATEGORICAL_FIELDS):
             raise ExplainError(f"need {len(CATEGORICAL_FIELDS)} entity values")
-        if len(self.top_terms) > _TOP_TERMS:
-            raise ExplainError(f"at most {_TOP_TERMS} top terms")
         if not 0 <= self.confidence <= 100:
             raise ExplainError("confidence must be a percentage")
 
@@ -238,7 +237,7 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     )
 
 
-def class_display_names(model: EnsembleModel, forest_index: int = 0) -> list[str]:
+def class_display_names(model: EnsembleModel, forest_index: int) -> list[str]:
     """Human-readable class labels for a tree's leaves."""
     if model.strategy == "mts":
         return [

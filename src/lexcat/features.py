@@ -9,11 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DataError
 from .entities import CATEGORICAL_FIELDS, EntityRecord, UNKNOWN
 from .trees import Hyperparams, feature_importances, fit_ensemble
 
 
-class FeatureError(ValueError):
+class FeatureError(DataError):
     pass
 
 
@@ -166,8 +167,6 @@ class CategoricalEncoder:
         return self
 
     def transform(self, records: list[EntityRecord]) -> np.ndarray:
-        if not self.tables:
-            raise FeatureError("encoder not fitted")
         X = np.zeros((len(records), len(CATEGORICAL_FIELDS)))
         for i, rec in enumerate(records):
             for col, (name, value) in enumerate(zip(CATEGORICAL_FIELDS, rec.values())):

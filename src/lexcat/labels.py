@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .corpus import Corpus, LabelAssignment
 
 
-class LabelError(ValueError):
+class LabelError(DataError):
     pass
 
 
@@ -85,7 +86,7 @@ def bts_encode(label_sets, catalog: ClassCatalog) -> np.ndarray:
     return beta
 
 
-def bts_decode(row, catalog: ClassCatalog, threshold: float = 0.5) -> tuple[LabelAssignment, ...]:
+def bts_decode(row, catalog: ClassCatalog, threshold: float) -> tuple[LabelAssignment, ...]:
     """Classes whose score exceeds the threshold, as a canonical label set.
 
     Repairs: an all-abstaining row decodes to the single highest-scoring

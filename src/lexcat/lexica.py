@@ -12,12 +12,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import DataError
+
 
 # replacement tags of the anonymiser, in precedence order
 TAGS = ("@Judge", "@Attorney", "@Lawyer", "@Corporate", "@Person")
 
 
-class ConfigurationError(RuntimeError):
+class ConfigurationError(DataError):
     """A required lexicon or resource file is missing or malformed."""
 
 

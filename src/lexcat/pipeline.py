@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import DataError
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
 from .features import (
@@ -42,7 +43,7 @@ from .trees import (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(DataError):
     pass
 
 
@@ -87,10 +88,10 @@ class PipelineConfig:
             path = getattr(self, name)
             if not _is_file_name(path):
                 raise ConfigError(f"config field {name!r} is not a valid file name: {path!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}: {self.strategy!r}")
-        if self.model not in VARIANTS:
-            raise ConfigError(f"model must be one of {VARIANTS}: {self.model!r}")
+        for name, allowed in {"strategy": STRATEGIES, "model": VARIANTS}.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"config field {name!r} must be one of {allowed}, got {value!r}")
         # value ranges are checked here, before any corpus is read
         ranges = {
             "max_df": (0 < self.max_df <= 1, "in (0, 1]"),
@@ -124,11 +125,8 @@ class PipelineConfig:
         known = set(asdict(self))
         bad = [k for k in overrides if k not in known]
         if bad:
-            raise ConfigError(f"unknown config field: {bad[0]!r}")
-        try:
-            return replace(self, **overrides)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"config field {bad[0]!r} is unknown")
+        return replace(self, **overrides)
 
 
 _FIELD_TYPES = typing.get_type_hints(PipelineConfig)
@@ -241,6 +239,18 @@ class FittedPipeline:
         return predict_batch(self.model, row[None, :], self.config.bts_threshold)[0]
 
 
+def fit_features(
+    prep: PreparedCorpus, config: PipelineConfig, rows
+) -> tuple[VectorizerModel, CategoricalEncoder, np.ndarray]:
+    """The vectorizer and entity encoder fitted on the documents `rows`, and
+    their feature matrix: the n-gram counts, then the entity codes."""
+    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
+    records = [prep.records[i] for i in rows]
+    vectorizer = fit_vectorizer(grams, rows, config.max_df, config.min_df)
+    encoder = CategoricalEncoder().fit(records)
+    return vectorizer, encoder, transform(vectorizer, grams, rows, encoder.transform(records))
+
+
 def fit_pipeline(
     corpus: Corpus,
     config: PipelineConfig,
@@ -255,13 +265,8 @@ def fit_pipeline(
     if doc_indices is None:
         doc_indices = range(corpus.n)
     idx = list(doc_indices)
-    records = [prep.records[i] for i in idx]
     label_sets = [prep.label_sets[i] for i in idx]
-
-    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
-    vectorizer = fit_vectorizer(grams, idx, config.max_df, config.min_df)
-    encoder = CategoricalEncoder().fit(records)
-    X = transform(vectorizer, grams, idx, encoder.transform(records))
+    vectorizer, encoder, X = fit_features(prep, config, idx)
     n_text = len(vectorizer.vocabulary)
     kept = _select_columns(X, n_text, label_sets, config)
     # rebinding frees the full matrix before the forest fit

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .corpus import Corpus, Judgement, LabelAssignment, SUBSTANTIVE_ORDERS
 
 # document share of label-set sizes 1/2/3
@@ -50,7 +51,7 @@ _NOISE_WORDS = (
 )
 
 
-class SynthError(ValueError):
+class SynthError(DataError):
     pass
 
 
@@ -123,7 +124,7 @@ def _base_assignments(rng: np.random.Generator, count: int, used: set[str]) -> l
     return out
 
 
-def generate_corpus(spec: SynthSpec = SynthSpec()) -> Corpus:
+def generate_corpus(spec: SynthSpec) -> Corpus:
     """Deterministic synthetic corpus for the given spec."""
     rng = np.random.default_rng(spec.seed)
     used: set[str] = set()

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DataError
 from .corpus import LabelAssignment
 from .labels import (
     ClassCatalog,
@@ -59,7 +60,7 @@ SPLITTERS = ("best", "random")
 STRATEGIES = ("bts", "mts")
 
 
-class ModelError(ValueError):
+class ModelError(DataError):
     pass
 
 
@@ -289,6 +290,8 @@ def fit_tree(
     if class_weights is None:
         class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
     class_weights = np.asarray(class_weights, dtype=float)
+    if class_weights.shape != (n_classes,):
+        raise ModelError(f"need {n_classes} class weights, one per class, got {class_weights.size}")
     # find_split needs every class that holds a sample to weigh more than 0
     finite = np.isfinite(class_weights).all()
     if not finite or class_weights.min() < 0 or class_weights[y].min() <= 0:
@@ -614,7 +617,7 @@ def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
 
 
 def decode_row(
-    model: EnsembleModel, probs: np.ndarray, threshold: float = 0.5
+    model: EnsembleModel, probs: np.ndarray, threshold: float
 ) -> tuple[LabelAssignment, ...]:
     """Label set of one row of predict_proba_batch: MTS argmax decoded
     through the combination catalog, BTS positives above the threshold
@@ -624,7 +627,7 @@ def decode_row(
     return bts_decode(probs, model.class_catalog, threshold)
 
 
-def predict_batch(model: EnsembleModel, X: np.ndarray, threshold: float = 0.5):
+def predict_batch(model: EnsembleModel, X: np.ndarray, threshold: float):
     return [decode_row(model, p, threshold) for p in predict_proba_batch(model, X)]
 
 

@@ -91,7 +91,7 @@ def test_criterion_02_transform_round_trips():
         catalog = build_class_catalog(label_sets)
         beta = bts_encode(label_sets, catalog)
         for i, s in enumerate(label_sets):
-            assert set(bts_decode(beta[i], catalog)) == set(s)
+            assert set(bts_decode(beta[i], catalog, 0.5)) == set(s)
             assert 1 <= beta[i].sum() <= 3
 
         mts_catalog, alphas = mts_encode(label_sets)
@@ -180,7 +180,7 @@ def test_criterion_05_explanation_faithfulness(lexica):
             agg += leaf_counts / leaf_counts.sum()
         agg /= len(forest)
         k = int(np.argmax(agg))
-        assert predict_batch(model, row[None, :])[0] == mts_decode(k + 1, model.mts_catalog)
+        assert predict_batch(model, row[None, :], 0.5)[0] == mts_decode(k + 1, model.mts_catalog)
         assert np.allclose(predict_proba_batch(model, row[None, :])[0], agg, atol=1e-12)
         assert decide(model, row, 0.5).confidence == int(round(100 * agg[k]))
     assert time.perf_counter() - t0 < 30.0

@@ -85,6 +85,8 @@ def test_bad_config_is_data_error(tmp_path):
         ({"importance_estimators": 0}, ["train"]),
         ({"seed": -1}, ["train"]),
         ({"ngram_range": 5}, ["train"]),
+        ({"bogus": 1}, ["train"]),
+        ({"strategy": "xyz"}, ["train"]),
     ],
     ids=[
         "relevance_samples",
@@ -99,6 +101,8 @@ def test_bad_config_is_data_error(tmp_path):
         "importance_estimators_range",
         "seed_range",
         "ngram_range_not_a_pair",
+        "unknown_field",
+        "unknown_strategy",
     ],
 )
 def test_bad_config_value_is_data_error(fast_config_path, tmp_path, capsys, bad, command):
@@ -404,7 +408,7 @@ def test_export_tree_leaves_name_the_class_weighted_vote():
     X[:, 0] += y
     hp = Hyperparams(class_weight="balanced", min_samples_leaf=20)
     model = fit_ensemble(X, _label_sets_for(y, las(2)), hp, "dt", "mts")
-    tree, names = model.trees[0], class_display_names(model)
+    tree, names = model.trees[0], class_display_names(model, 0)
     dot = cli._tree_graph(model, 0, None)
     labels = dict(re.findall(r'^  n(\d+) \[label="([^"≤]*)"\];$', dot, re.M))
     (leaves,) = np.nonzero(tree.feature < 0)
@@ -661,6 +665,7 @@ PIPELINE_MALFORMATIONS = {
     # a model without columns, which used to load and then escape as
     # IndexError (exit 3) when explaining
     "no_feature_columns": lambda obj: _no_feature_columns(obj),
+    "wrong_pipeline_format": _set(("format",), "lexcat-pipeline-v0"),
 }
 
 
@@ -703,3 +708,85 @@ def test_malformed_pipeline_rejected_at_load(dt_model_path, fast_config_path, tm
     assert rc == EXIT_DATA
     rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
     assert rc == EXIT_DATA
+
+
+# A model's class catalogs refuse these with LabelError, not ModelError, so
+# they are not MALFORMATIONS
+CATALOG_MALFORMATIONS = {
+    "classes_out_of_order": lambda model: model["classes"].reverse(),
+    "repeated_class": lambda model: model.update(classes=model["classes"][:1] * 2),
+    "repeated_combination": lambda model: model.update(combos=model["combos"][:1] * 3),
+}
+
+# The message of each model or pipeline file refusal that the cases above
+# check only by its exit code or error type
+FILE_REFUSAL_MESSAGES = {
+    "wrong_model_format": "unsupported model format: 'lexcat-model-v0'",
+    "tree_not_an_object": "malformed tree: an object of node arrays expected",
+    "unequal_node_arrays": "malformed tree: node arrays must be nonempty and of equal length",
+    "root_depth_not_zero": "malformed tree: the root must have depth 0",
+    "feature_name_not_a_string": "feature_names must be strings",
+    "classes_out_of_order": "catalog classes must be sorted",
+    "repeated_class": "catalog classes must be distinct",
+    "repeated_combination": "combos must be pairwise distinct",
+    "wrong_pipeline_format": "unsupported pipeline format: 'lexcat-pipeline-v0'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_REFUSAL_MESSAGES))
+def test_malformed_file_refusal_names_its_fault(dt_model_path, tmp_path, capsys, name):
+    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
+    assert len(obj["model"]["classes"]) >= 2 and len(obj["model"]["combos"]) == 3
+    if name in PIPELINE_MALFORMATIONS:
+        PIPELINE_MALFORMATIONS[name](obj)
+    else:
+        {**MALFORMATIONS, **CATALOG_MALFORMATIONS}[name](obj["model"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
+    assert rc == EXIT_DATA
+    assert FILE_REFUSAL_MESSAGES[name] in capsys.readouterr().err
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# Refusals of an input no other case reaches: the arguments, given a scratch
+# directory, the 80-document corpus and the fast config, and the message
+INPUT_REFUSALS = {
+    "config_not_an_object": (
+        lambda tmp, corpus, cfg: ["train", "--config", _write(tmp / "c.json", "[1]")],
+        "config file must contain a JSON object",
+    ),
+    "config_unreadable": (
+        lambda tmp, corpus, cfg: ["train", "--config", str(tmp / "missing.json")],
+        "cannot read config file",
+    ),
+    "model_file_unreadable": (
+        lambda tmp, corpus, cfg: ["export-tree", "--model-file", str(tmp / "missing.json")],
+        "cannot read model file",
+    ),
+    "empty_grid": (
+        lambda tmp, corpus, cfg: [
+            "gridsearch", "--config",
+            _write(tmp / "c.json", json.dumps({"corpus": str(corpus), "grid": {}})),
+        ],
+        "config field 'grid' must map parameter names to value lists",
+    ),
+    "folds_above_document_count": (
+        lambda tmp, corpus, cfg: ["evaluate", "--config", str(cfg), "--folds", "81"],
+        "need at least k=81 documents, corpus has 80",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_REFUSALS))
+def test_input_refusal_names_its_fault(synth_corpus_path, fast_config_path, tmp_path, capsys,
+                                       name):
+    argv, message = INPUT_REFUSALS[name]
+    rc = main([*argv(tmp_path, synth_corpus_path, fast_config_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert message in capsys.readouterr().err

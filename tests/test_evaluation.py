@@ -270,11 +270,11 @@ def test_grid_search_vectorizer_ranges(lexica):
 def test_grid_search_single_combo(lexica):
     corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=2, seed=8))
     result = ev.grid_search(
-        corpus, {"criterion": ["gini"]}, k=2, base_config=_fast_config(), lexica=lexica
+        corpus, {"criterion": ["gini"]}, k=2, base_config=_fast_config(), seed=0, lexica=lexica
     )
     assert result.best_params == {"criterion": "gini"}
     with pytest.raises(ev.EvaluationError):
-        ev.grid_search(corpus, {}, k=2, base_config=_fast_config(), lexica=lexica)
+        ev.grid_search(corpus, {}, k=2, base_config=_fast_config(), seed=0, lexica=lexica)
 
 
 def test_report_row_shape():
@@ -325,7 +325,7 @@ def test_grid_search_rejects_keys_its_arguments_fix(lexica, key, values):
     corpus = generate_corpus(SynthSpec(n_docs=20, n_classes=2, seed=8))
     grid = {"criterion": ["gini"], key: values}
     with pytest.raises(ev.EvaluationError, match=repr(key)):
-        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), lexica=lexica)
+        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), seed=0, lexica=lexica)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ def test_grid_search_rejects_keys_cross_validation_never_reads(lexica, key, valu
     corpus = generate_corpus(SynthSpec(n_docs=20, n_classes=2, seed=8))
     grid = {"criterion": ["gini"], key: values}
     with pytest.raises(ev.EvaluationError, match=repr(key)):
-        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), lexica=lexica)
+        ev.grid_search(corpus, grid, k=2, base_config=_fast_config(), seed=0, lexica=lexica)
 
 
 def test_grid_keys_are_the_fields_cross_validation_reads(lexica):

@@ -157,7 +157,9 @@ def _las(n):
 
 def _relevance(model, row, n_samples, seed):
     """Absolute surrogate coefficients, as explanations rank terms."""
-    signed, _ = signed_relevance(model, row, len(row), n_samples=n_samples, seed=seed)
+    signed, _ = signed_relevance(
+        model, row, len(row), n_samples=n_samples, seed=seed, threshold=0.5
+    )
     return {t: abs(v) for t, v in signed.items()}
 
 
@@ -365,7 +367,7 @@ def test_class_display_names_mts_semantics():
         class_forests=[[leaf_tree([1.0])]],
         class_weight_vectors=[np.ones(1)],
     )
-    assert class_display_names(model) == [
+    assert class_display_names(model, 0) == [
         "penal; crimes against collective security; tort law; road traffic law"
     ]
 
@@ -466,7 +468,7 @@ def test_signed_relevance_equals_undeduplicated_prediction(strategy, k):
                          "rf", strategy)
     row = np.zeros(72)
     row[rng.choice(72, size=k, replace=False)] = rng.integers(1, 4, size=k)
-    signed, _ = signed_relevance(model, row, len(row), n_samples=500, seed=3)
+    signed, _ = signed_relevance(model, row, len(row), n_samples=500, seed=3, threshold=0.5)
     assert len(signed) == k
     coefs = np.array(list(signed.values()))
     assert coefs.tobytes() == undeduplicated_relevance(model, row, 500, 3).tobytes()
@@ -489,7 +491,11 @@ def test_signed_relevance_bytes_equal_under_reference_forest(lexica, monkeypatch
     ]
 
     def explained():
-        return [signed_relevance(fitted.model, row, n_text, seed=config.seed) for row in rows]
+        return [
+            signed_relevance(fitted.model, row, n_text, config.relevance_samples, config.seed,
+                             config.bts_threshold)
+            for row in rows
+        ]
 
     got = explained()
     monkeypatch.setattr(explain, "predict_proba_batch", reference_predict_proba)

@@ -73,20 +73,20 @@ def test_bts_encode_basics():
 
 def test_bts_decode():
     catalog = build_class_catalog([[CM_REAL], [M_OBLIG], [CM_OBLIG]])
-    assert bts_decode(np.array([1, 0, 0]), catalog) == (catalog.classes[0],)
+    assert bts_decode(np.array([1, 0, 0]), catalog, 0.5) == (catalog.classes[0],)
     beta = bts_encode([[CM_REAL, M_OBLIG]], catalog)
-    assert set(bts_decode(beta[0], catalog)) == {CM_REAL, M_OBLIG}
+    assert set(bts_decode(beta[0], catalog, 0.5)) == {CM_REAL, M_OBLIG}
     # abstention fallback: argmax of the scores
-    assert bts_decode(np.array([0.2, 0.4, 0.1]), catalog) == (catalog.classes[1],)
+    assert bts_decode(np.array([0.2, 0.4, 0.1]), catalog, 0.5) == (catalog.classes[1],)
     with pytest.raises(LabelError):
-        bts_decode(np.array([1, 0]), catalog)
+        bts_decode(np.array([1, 0]), catalog, 0.5)
 
 
 def test_bts_decode_over_prediction_keeps_top3():
     extra = LabelAssignment("penal", ("a", "b", "c"))
     catalog = build_class_catalog([[CM_REAL], [M_OBLIG], [CM_OBLIG], [extra]])
     scores = np.array([0.9, 0.8, 0.7, 0.6])
-    decoded = bts_decode(scores, catalog)
+    decoded = bts_decode(scores, catalog, 0.5)
     assert len(decoded) == 3
     assert catalog.classes[3] not in decoded
 
@@ -185,7 +185,7 @@ def test_bts_round_trip_on_training_sets():
     catalog = build_class_catalog(sets)
     beta = bts_encode(sets, catalog)
     for i, s in enumerate(sets):
-        assert set(bts_decode(beta[i], catalog)) == set(s)
+        assert set(bts_decode(beta[i], catalog, 0.5)) == set(s)
     assert beta.sum(axis=1).tolist() == [1, 2, 3]
     # column sums equal per-class supports
     for j, cls in enumerate(catalog.classes):

@@ -1,10 +1,14 @@
 """Every public function, class and method of `src/lexcat` has a caller in
 the program: in `src/lexcat` itself, in the benchmark (`perfbench/*.py`) or
 in `scripts/`. A name that only tests reach is an entry point kept for
-them, which tests should reach through the program's own path instead."""
+them, which tests should reach through the program's own path instead.
+Every error type is a `lexcat.DataError`, so the command line exits 2 on it."""
 
 import ast
+import importlib
 from pathlib import Path
+
+from lexcat import DataError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lexcat"
@@ -53,3 +57,20 @@ def test_every_public_name_has_a_program_caller():
     used = _referenced_names(PROGRAM)
     unused = [qual for qual, name in _public_definitions() if name not in used | ALLOWED]
     assert unused == []
+
+
+
+def test_every_error_type_is_a_data_error():
+    """The command line exits 2 on a lexcat.DataError, so an exception class
+    outside it would exit 3; cli.UsageError alone exits 1, as a usage error."""
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "lexcat" if path.stem == "__init__" else f"lexcat.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            if issubclass(cls, BaseException) and not issubclass(cls, DataError):
+                outside.append(f"{path.stem}:{node.name}")
+    assert outside == ["cli:UsageError"]

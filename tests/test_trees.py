@@ -508,6 +508,15 @@ def test_fit_tree_refuses_class_weights_find_split_cannot_score(weights):
         fit_tree(X, y, Hyperparams(), class_weights=np.array(weights), n_classes=len(weights))
 
 
+@pytest.mark.parametrize("n_classes,weights", [(3, [1.0, 1.0]), (2, [1.0, 1.0, 1.0])],
+                         ids=["too_few", "too_many"])
+def test_fit_tree_refuses_class_weights_not_one_per_class(n_classes, weights):
+    # too few escaped as a bare IndexError, too many were accepted
+    X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
+    with pytest.raises(ModelError, match=f"need {n_classes} class weights"):
+        fit_tree(X, y, Hyperparams(), class_weights=np.array(weights), n_classes=n_classes)
+
+
 def test_fit_tree_accepts_zero_weight_for_an_absent_class():
     X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
     tree = fit_tree(X, y, Hyperparams(), class_weights=np.array([1.0, 1.0, 0.0]), n_classes=3)
@@ -846,7 +855,7 @@ def test_predict_proba_two_trees_mean():
     probs = predict_proba_batch(model, np.array([[0.0]]))[0]
     assert probs.tolist() == [0.5, 0.5]
     # argmax tie resolves to the lowest class index
-    assert predict_batch(model, np.array([[0.0]]))[0] == (classes[0],)
+    assert predict_batch(model, np.array([[0.0]]), 0.5)[0] == (classes[0],)
 
 
 def test_predict_proba_negative_zero_counts_sum_as_the_loop():
@@ -874,7 +883,7 @@ def test_predict_consistency_with_decode():
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=7, seed=2), "rf", "mts")
     for row in X[:20]:
         probs = predict_proba_batch(model, row[None, :])[0]
-        decoded = predict_batch(model, row[None, :])[0]
+        decoded = predict_batch(model, row[None, :], 0.5)[0]
         assert decoded == mts_decode(int(np.argmax(probs)) + 1, model.mts_catalog)
 
 
@@ -884,7 +893,7 @@ def test_predict_bts_fallback():
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=5, seed=0), "rf", "bts")
     row = X[0]
     probs = predict_proba_batch(model, row[None, :])[0]
-    decoded = predict_batch(model, row[None, :])[0]
+    decoded = predict_batch(model, row[None, :], 0.5)[0]
     if (probs <= 0.5).all():
         assert len(decoded) == 1
     assert len(decoded) >= 1
@@ -997,6 +1006,11 @@ MALFORMATIONS = {
     "negative_count": _set((*TREE, "counts", 0, 0), -1.0),
     "string_class_weight": _set(("class_weight_vectors", 0, 0), "x"),
     "feature_names_not_a_list": _set(("feature_names",), 5),
+    "wrong_model_format": _set(("format",), "lexcat-model-v0"),
+    "tree_not_an_object": _set(TREE, 5),
+    "unequal_node_arrays": lambda model: model["forests"][0][0]["threshold"].pop(),
+    "root_depth_not_zero": _set((*TREE, "depth", 0), 1),
+    "feature_name_not_a_string": _set(("feature_names", 0), 5),
 }
 
 
