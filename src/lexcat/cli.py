@@ -255,14 +255,13 @@ def _tree_graph(model, index: int, max_depth: int | None) -> str:
     of the forest that holds the tree. A leaf is named after the class it
     votes for, the argmax of its class-weighted counts."""
     offset = index
-    for forest_index, forest in enumerate(model.class_forests):
-        if 0 <= offset < len(forest):
+    for forest_index, table in enumerate(model.forests):
+        if 0 <= offset < len(table.roots):
             names = class_display_names(model, forest_index)
-            tree = forest[offset]
-            weighted = tree.counts * model.class_weight_vectors[forest_index]
-            tree = dataclasses.replace(tree, counts=weighted)
+            tree = table.trees()[offset]
+            tree = dataclasses.replace(tree, counts=tree.counts * table.weights)
             return export_tree_graph(tree, max_depth, model.feature_names, names)
-        offset -= len(forest)
+        offset -= len(table.roots)
     raise ConfigError(f"tree index out of range [0,{len(model.trees)}): {index}")
 
 

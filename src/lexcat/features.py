@@ -28,7 +28,7 @@ class VectorizerModel:
     def __post_init__(self) -> None:
         _ngram_bounds(self.ngram_range)
         _df_bounds(self.min_df, self.max_df)
-        indices = sorted(i for i in self.vocabulary.values() if isinstance(i, int))
+        indices = sorted(i for i in self.vocabulary.values() if type(i) is int)
         if indices != list(range(len(self.vocabulary))):
             raise FeatureError("vocabulary indices must be 0..n-1, each used once")
 

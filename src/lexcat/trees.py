@@ -14,13 +14,13 @@ place them. A bootstrap sample is grown as (distinct row, multiplicity)
 pairs, so the histograms are weighted counts of whole samples, and the
 'best' splitter gives up at once on a node too small to split.
 
-For prediction, each forest's trees are packed into one flat node table
-(ForestTable) when the model is built. predict_proba_batch first settles on
-the table every split that all rows of the batch take the same way, then
-walks every tree of the forest at once, one unsettled split per step, until
-every row sits on a leaf, and sums the trees' leaf distributions in tree
-order, one block of rows at a time. split_counts walks one row through the
-same tables to count the columns its decision paths split on.
+A model stores each forest once, as one flat node table (ForestTable) that
+_pack_forest builds and checks; model.trees are views of it. Prediction first
+settles on the table every split that all rows of the batch take the same
+way, then walks every tree of the forest at once, one unsettled split per
+step, until every row sits on a leaf, and sums the trees' leaf distributions
+in tree order, one block of rows at a time. split_counts walks one row
+through the same tables to count the columns its decision paths split on.
 
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
@@ -35,9 +35,11 @@ Variant behaviour:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -359,45 +361,76 @@ def fit_tree(
 
 
 class ForestTable(NamedTuple):
-    """All trees of one forest as one flat node table, so prediction walks
-    every tree at once. A leaf splits on column 0 at +inf and both its
-    children are itself, so a walk that reaches it stays there."""
+    """One forest's Tree arrays, concatenated tree after tree, and walk arrays
+    derived from them once, in which a leaf splits on column 0 at +inf into itself."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray  # table offsets: node i's right child at 2i, left at 2i + 1
+    feature: np.ndarray  # -1 at a leaf
+    threshold: np.ndarray  # NaN at a leaf
+    left: np.ndarray  # numbered within the node's tree, as model files store it; -1 at a leaf
+    right: np.ndarray
+    depth: np.ndarray
+    counts: np.ndarray  # (nodes, outputs) raw per-class sample counts
     roots: np.ndarray  # table offset of each tree's root
-    dist: np.ndarray  # (nodes, outputs) normalised class-weighted counts
+    weights: np.ndarray  # the forest's class weights
     leaf: np.ndarray  # True at a leaf
+    walk_feature: np.ndarray  # intp, 0 at a leaf
+    walk_threshold: np.ndarray  # +inf at a leaf
+    children: np.ndarray  # table offsets: node i's right child at 2i, left at 2i + 1
+    dist: np.ndarray  # (nodes, outputs) normalised class-weighted counts
+
+    def trees(self) -> list[Tree]:
+        """Each tree of the forest, its arrays views of the table's."""
+        columns = [np.split(getattr(self, f.name), self.roots[1:]) for f in fields(Tree)]
+        return [Tree(*arrays) for arrays in zip(*columns)]
 
 
-def _pack_forest(forest: list[Tree], weights: np.ndarray) -> ForestTable:
-    sizes = [tree.n_nodes for tree in forest]
+def _pack_forest(forest: list[Tree], weights: np.ndarray, n_features: int) -> ForestTable:
+    """One forest's node table, refusing any node value fit_tree could not
+    produce on n_features columns. Ids are checked before the int32 cast."""
+    sizes = np.array([tree.n_nodes for tree in forest])
     roots = np.cumsum(sizes) - sizes
-    feature = np.concatenate([tree.feature for tree in forest])
+    feature, threshold, left, right, depth, counts = (
+        np.concatenate([getattr(tree, f.name) for tree in forest]) for f in fields(Tree)
+    )
     leaf = feature < 0
     own = np.arange(len(feature))
-    offset = np.repeat(roots, sizes)
-    end = offset + np.repeat(sizes, sizes)
-    right, left = (
-        np.where(leaf, own, np.concatenate([getattr(tree, side) for tree in forest]) + offset)
-        for side in ("right", "left")
-    )
-    # so every walk ends, whether the trees were fitted, loaded or built
-    follows = (own < right) & (right < end) & (own < left) & (left < end)
-    if not (follows | leaf).all():
+    offset = np.repeat(roots, sizes)  # of each node's tree root
+    n = np.repeat(sizes, sizes)  # each node's tree size
+    children = np.where(leaf, own, np.array([right, left]) + offset)  # table offsets
+    # so every walk ends
+    if not (leaf | ((own < children) & (children < offset + n)).all(axis=0)).all():
         raise ModelError("malformed tree: each child must follow its node in preorder")
-    weighted = np.concatenate([tree.counts for tree in forest]) * weights
+    # the ids a fitted tree holds, where -1 marks a leaf's feature and children
+    ids = np.array([feature, left, right, depth])
+    if ((ids < [[-1], [-1], [-1], [0]]) | (ids >= [np.full_like(n, n_features), n, n, n])).any():
+        raise ModelError("malformed tree: a feature, child or depth id is out of range")
+    feature, left, right, depth = ids.astype(np.int32)
+    if (depth[roots] != 0).any():
+        raise ModelError("malformed tree: the root must have depth 0")
+    if not (leaf | (depth[children] == depth + 1).all(axis=0)).all():
+        raise ModelError("malformed tree: a child's depth must be its node's plus 1")
+    if not (leaf | np.isfinite(threshold)).all():
+        raise ModelError("malformed tree: split thresholds must be finite")
+    if not all((np.isfinite(a) & (a >= 0)).all() for a in (counts, weights)):
+        raise ModelError("counts and class weights must be finite and nonnegative")
+    weighted = counts * weights
     totals = weighted.sum(axis=1, keepdims=True)
     if not (totals > 0).all():
         raise ModelError("every node needs a positive class-weighted sample count")
     return ForestTable(
-        feature=np.where(leaf, 0, feature).astype(np.intp),
-        threshold=np.where(leaf, np.inf, np.concatenate([tree.threshold for tree in forest])),
-        children=np.column_stack([right, left]).ravel().astype(np.intp),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        depth=depth,
+        counts=counts,
         roots=roots.astype(np.intp),
-        dist=weighted / totals,
+        weights=weights,
         leaf=leaf,
+        walk_feature=np.where(leaf, 0, feature).astype(np.intp),
+        walk_threshold=np.where(leaf, np.inf, threshold),
+        children=children.T.ravel().astype(np.intp, copy=False),
+        dist=weighted / totals,
     )
 
 
@@ -409,23 +442,16 @@ class EnsembleModel:
     feature_names: tuple[str, ...]
     class_catalog: ClassCatalog
     mts_catalog: MtsCatalog
-    class_forests: list[list[Tree]]
-    class_weight_vectors: list[np.ndarray]
-    # derived from the two fields above once, when the model is built
-    tables: list[ForestTable] = field(init=False, repr=False, compare=False)
+    forests: list[ForestTable]  # one per class under bts, one under mts
 
     def __post_init__(self) -> None:
-        # a leaf is packed as a split on column 0, so prediction needs one
+        # a leaf is walked as a split on column 0, so prediction needs one
         if not self.feature_names:
             raise ModelError("a model needs at least one feature column")
-        self.tables = [
-            _pack_forest(forest, weights)
-            for forest, weights in zip(self.class_forests, self.class_weight_vectors)
-        ]
 
-    @property
+    @functools.cached_property
     def trees(self) -> list[Tree]:
-        return [t for forest in self.class_forests for t in forest]
+        return [tree for table in self.forests for tree in table.trees()]
 
 
 # variant -> (splitter it forces, None to keep the hyperparameter; bootstrap;
@@ -458,7 +484,7 @@ def _fit_forest(
     bootstrap: bool,
     max_features: int | None,
     tree_offset: int,
-) -> tuple[list[Tree], np.ndarray]:
+) -> ForestTable:
     y = np.asarray(y, dtype=np.int32)
     weights = compute_class_weights(y, n_classes, hp.class_weight)
     forest = []
@@ -479,7 +505,7 @@ def _fit_forest(
                 bins=bins,
             )
         )
-    return forest, weights
+    return _pack_forest(forest, weights, X.shape[1])
 
 
 def fit_ensemble(
@@ -519,10 +545,6 @@ def fit_ensemble(
         targets = [(beta[:, j], 2) for j in range(class_catalog.m)]
     # every forest grows on the same matrix, so it is binned once
     bins = bin_columns(X)
-    fits = [
-        _fit_forest(X, bins, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
-        for j, (y, n_classes) in enumerate(targets)
-    ]
     return EnsembleModel(
         variant=variant,
         strategy=strategy,
@@ -530,8 +552,10 @@ def fit_ensemble(
         feature_names=feature_names,
         class_catalog=class_catalog,
         mts_catalog=mts_catalog,
-        class_forests=[forest for forest, _ in fits],
-        class_weight_vectors=[weights for _, weights in fits],
+        forests=[
+            _fit_forest(X, bins, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
+            for j, (y, n_classes) in enumerate(targets)
+        ],
     )
 
 
@@ -540,11 +564,12 @@ def _settle(table: ForestTable, X: np.ndarray) -> np.ndarray:
     column's largest value is at most the threshold, or its smallest above
     it), else to itself. NaN propagates through min and max, so a column
     holding NaN settles no split; an empty batch settles every split left."""
-    lo = X.min(axis=0, initial=np.inf).take(table.feature)
-    hi = X.max(axis=0, initial=-np.inf).take(table.feature)
-    all_left = hi <= table.threshold
-    own = np.arange(len(table.feature))
-    return np.where(all_left | (lo > table.threshold), table.children.take(2 * own + all_left), own)
+    lo = X.min(axis=0, initial=np.inf).take(table.walk_feature)
+    hi = X.max(axis=0, initial=-np.inf).take(table.walk_feature)
+    all_left = hi <= table.walk_threshold
+    settled = all_left | (lo > table.walk_threshold)
+    own = np.arange(len(table.leaf))
+    return np.where(settled, table.children.take(2 * own + all_left), own)
 
 
 def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
@@ -566,10 +591,11 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
     children = nxt.take(table.children)
     row_start = np.arange(0, X.size, X.shape[1])[:, None]
     node = np.tile(nxt.take(table.roots), (len(X), 1))
+    feature, threshold = table.walk_feature, table.walk_threshold
     # a walk only reaches leaves and unsettled splits, whose children follow
     # them, so every step moves each pair not yet on a leaf
     while not table.leaf.take(node).all():
-        go_left = values.take(row_start + table.feature.take(node)) <= table.threshold.take(node)
+        go_left = values.take(row_start + feature.take(node)) <= threshold.take(node)
         node = children.take(2 * node + go_left)
     # numpy reduces over a leading axis one slice at a time, so adding the
     # trees to 0.0 equals a loop's sums in tree order (only a 1-row batch of
@@ -592,13 +618,13 @@ def split_counts(model: EnsembleModel, row) -> np.ndarray:
     one split per step, and a tree drops out when it reaches a leaf."""
     row = np.asarray(row, dtype=float)
     features = []
-    for table in model.tables:
+    for table in model.forests:
         node = table.roots
         while node.size:
             node = node[~table.leaf.take(node)]
-            feature = table.feature.take(node)
-            features.append(feature)
-            node = table.children.take(2 * node + (row.take(feature) <= table.threshold.take(node)))
+            features.append(table.walk_feature.take(node))
+            go_left = row.take(features[-1]) <= table.walk_threshold.take(node)
+            node = table.children.take(2 * node + go_left)
     return np.bincount(np.concatenate(features), minlength=len(model.feature_names))
 
 
@@ -610,7 +636,7 @@ def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"matrix has shape {X.shape}, model expects {len(model.feature_names)} columns"
         )
-    means = [_forest_mean(table, X) for table in model.tables]
+    means = [_forest_mean(table, X) for table in model.forests]
     if model.strategy == "mts":
         return means[0]
     return np.column_stack([m[:, 1] for m in means])
@@ -635,22 +661,19 @@ def feature_importances(model: EnsembleModel) -> np.ndarray:
     """Normalized total impurity decrease per feature, averaged over trees."""
     d = len(model.feature_names)
     per_tree = []
-    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
-        for tree in forest:
-            weighted = tree.counts * weights
-            # positive at every node, or _pack_forest would have refused the model
-            node_w = weighted.sum(axis=1)
-            imp = _impurity_rows(weighted, model.hyperparams.criterion)
-            (split,) = np.nonzero(tree.feature >= 0)
-            left, right = tree.left[split], tree.right[split]
-            gain = (
-                node_w[split] * imp[split] - node_w[left] * imp[left] - node_w[right] * imp[right]
-            )
-            # bincount adds each feature's gains in node order, as a loop would
-            contrib = np.bincount(tree.feature[split], weights=gain, minlength=d)
-            total = contrib.sum()
-            per_tree.append(contrib / total if total > 0 else contrib)
-    mean = np.mean(per_tree, axis=0)
+    for table in model.forests:
+        weighted = table.counts * table.weights
+        # positive at every node, or _pack_forest would have refused the model
+        node_w = weighted.sum(axis=1)
+        imp = node_w * _impurity_rows(weighted, model.hyperparams.criterion)
+        (split,) = np.nonzero(~table.leaf)
+        gain = imp[split] - imp[table.children[2 * split + 1]] - imp[table.children[2 * split]]
+        # one bincount adds each (tree, feature)'s gains in node order
+        key = (np.searchsorted(table.roots, split, side="right") - 1) * d + table.feature[split]
+        contrib = np.bincount(key, gain, len(table.roots) * d).reshape(-1, d)
+        total = contrib.sum(axis=1, keepdims=True)
+        per_tree.append(contrib / np.where(total > 0, total, 1.0))
+    mean = np.concatenate(per_tree).mean(axis=0)
     total = mean.sum()
     return mean / total if total > 0 else mean
 
@@ -675,21 +698,23 @@ def _tree_to_obj(tree: Tree) -> dict:
 
 
 def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
-    """value as a numeric array; anything else a JSON array may hold
-    (strings, nulls, booleans, ragged nesting) is a ModelError."""
+    """value as a numeric array, floats unless integral; anything else a JSON
+    array may hold (strings, nulls, booleans, ragged nesting) is a ModelError."""
     try:
         array = np.asarray(value)
     except ValueError:
         raise ModelError(f"malformed {what}: a ragged array") from None
-    if array.size and array.dtype.kind not in ("iu" if integral else "iuf"):
+    # numpy reads a boolean among numbers as 0 or 1
+    rows = value if array.ndim == 2 else [value] if array.ndim == 1 else []
+    numeric = not array.size or array.dtype.kind in ("iu" if integral else "iuf")
+    if not numeric or bool in set(map(type, chain.from_iterable(rows))):
         raise ModelError(f"malformed {what}: {'integers' if integral else 'numbers'} expected")
-    return array
+    return array if integral else array.astype(float)
 
 
-def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
-    """Rebuild one tree, rejecting arrays that could not come from fit_tree:
-    a child must lie one level deeper than its split node (that it follows
-    its node in preorder is checked when the model packs its forests)."""
+def _tree_from_obj(obj, n_outputs: int) -> Tree:
+    """One tree as a model file stores it, checked only for its JSON shape;
+    _pack_forest checks the values."""
     if not isinstance(obj, dict):
         raise ModelError("malformed tree: an object of node arrays expected")
     keys = ("feature", "left", "right", "depth")
@@ -699,25 +724,10 @@ def _tree_from_obj(obj, n_features: int, n_outputs: int) -> Tree:
     n = ids.shape[1] if ids.ndim == 2 else 0
     if n == 0 or threshold.shape != (n,):
         raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
-    # the ids a fitted tree holds, where -1 marks a leaf's feature and children
-    low, high = np.array([[-1], [-1], [-1], [0]]), np.array([[n_features], [n], [n], [n]])
-    if ((ids < low) | (ids >= high)).any():
-        raise ModelError("malformed tree: a feature, child or depth id is out of range")
     if counts.shape != (n, n_outputs):
         raise ModelError(f"malformed tree: counts must have shape ({n}, {n_outputs})")
-    if not (np.isfinite(counts) & (counts >= 0)).all():
-        raise ModelError("malformed tree: counts must be finite and nonnegative")
-    feature, left, right, depth = ids.astype(np.int32)
-    tree = Tree(feature, threshold.astype(float), left, right, depth, counts.astype(float))
-    if tree.depth[0] != 0:
-        raise ModelError("malformed tree: the root must have depth 0")
-    split = np.nonzero(tree.feature >= 0)[0]
-    for child in (tree.left[split], tree.right[split]):
-        if (tree.depth[child] != tree.depth[split] + 1).any():
-            raise ModelError("malformed tree: a child's depth must be its node's plus 1")
-    if not np.isfinite(tree.threshold[split]).all():
-        raise ModelError("malformed tree: split thresholds must be finite")
-    return tree
+    feature, left, right, depth = ids
+    return Tree(feature, threshold, left, right, depth, counts)
 
 
 def model_to_obj(model: EnsembleModel) -> dict:
@@ -734,8 +744,8 @@ def model_to_obj(model: EnsembleModel) -> dict:
             [model.class_catalog.index(a) for a in combo]
             for combo in model.mts_catalog.combos
         ],
-        "class_weight_vectors": [w.tolist() for w in model.class_weight_vectors],
-        "forests": [[_tree_to_obj(t) for t in forest] for forest in model.class_forests],
+        "class_weight_vectors": [table.weights.tolist() for table in model.forests],
+        "forests": [[_tree_to_obj(t) for t in table.trees()] for table in model.forests],
     }
 
 
@@ -769,9 +779,7 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ModelError(f"malformed hyperparams: {exc}") from None
     # mts: one forest over the combinations; bts: one 2-output forest per class
     widths = [len(combos)] if obj["strategy"] == "mts" else [2] * len(classes)
-    weight_vectors = [
-        _numbers(w, "class-weight vector").astype(float) for w in obj["class_weight_vectors"]
-    ]
+    weight_vectors = [_numbers(w, "class-weight vector") for w in obj["class_weight_vectors"]]
     forests = obj["forests"]
     if (
         not forests
@@ -784,9 +792,6 @@ def model_from_json(text: str) -> EnsembleModel:
             f"a {obj['strategy']} model needs nonempty forests of output widths {widths}, "
             "each with its class-weight vector"
         )
-    if not all((np.isfinite(w) & (w >= 0)).all() for w in weight_vectors):
-        raise ModelError("class weights must be finite and nonnegative")
-    n_features = len(obj["feature_names"])
     return EnsembleModel(
         variant=obj["variant"],
         strategy=obj["strategy"],
@@ -794,9 +799,8 @@ def model_from_json(text: str) -> EnsembleModel:
         feature_names=tuple(obj["feature_names"]),
         class_catalog=class_catalog,
         mts_catalog=MtsCatalog(combos),
-        class_forests=[
-            [_tree_from_obj(t, n_features, len(w)) for t in forest]
+        forests=[
+            _pack_forest([_tree_from_obj(t, len(w)) for t in forest], w, len(obj["feature_names"]))
             for forest, w in zip(forests, weight_vectors)
         ],
-        class_weight_vectors=weight_vectors,
     )

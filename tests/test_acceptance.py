@@ -159,8 +159,8 @@ def test_criterion_05_explanation_faithfulness(lexica):
     prep = preprocess_corpus(corpus, lexica)
     fitted = fit_pipeline(corpus, config, lexica, prep=prep)
     model = fitted.model
-    forest = model.class_forests[0]
-    weights = model.class_weight_vectors[0]
+    forest = model.forests[0].trees()
+    weights = model.forests[0].weights
     assert len(forest) == 50
 
     rng = np.random.default_rng(0)

@@ -379,7 +379,7 @@ def test_export_tree_bts_labels_follow_forest(fast_config_path, tmp_path):
                "--model-file", str(model_file)])
     assert rc == EXIT_OK
     model = load_pipeline(model_file).model
-    assert [len(f) for f in model.class_forests] == [5, 5, 5]
+    assert [len(table.roots) for table in model.forests] == [5, 5, 5]
     dot = tmp_path / "t.dot"
     for index, forest_index in ((0, 0), (7, 1), (14, 2)):
         rc = main(["export-tree", "--model-file", str(model_file), "--tree", str(index),
@@ -413,7 +413,7 @@ def test_export_tree_leaves_name_the_class_weighted_vote():
     labels = dict(re.findall(r'^  n(\d+) \[label="([^"≤]*)"\];$', dot, re.M))
     (leaves,) = np.nonzero(tree.feature < 0)
     assert sorted(map(int, labels)) == leaves.tolist()
-    voted = model.tables[0].dist[leaves].argmax(axis=1)
+    voted = model.forests[0].dist[leaves].argmax(axis=1)
     assert [labels[str(node)] for node in leaves] == [names[k] for k in voted]
     # the raw majority names another class at some leaf
     assert (tree.counts[leaves].argmax(axis=1) != voted).any()
@@ -638,6 +638,7 @@ PIPELINE_MALFORMATIONS = {
     "three_ngram_bounds": _set(("vectorizer", "ngram_range"), [1, 2, 3]),
     "fractional_ngram_bound": _set(("vectorizer", "ngram_range"), [1.5, 2]),
     "boolean_ngram_bound": _set(("vectorizer", "ngram_range"), [True, 2]),
+    "boolean_vocabulary_index": lambda obj: _boolean_vocabulary_index(obj),
     # values no fitted model holds, which used to load and explain (exit 0)
     "fractional_n_estimators": _set(("model", "hyperparams", "n_estimators"), 2.5),
     "fractional_max_depth": _set(("model", "hyperparams", "max_depth"), 1.5),
@@ -667,6 +668,14 @@ PIPELINE_MALFORMATIONS = {
     "no_feature_columns": lambda obj: _no_feature_columns(obj),
     "wrong_pipeline_format": _set(("format",), "lexcat-pipeline-v0"),
 }
+
+
+def _boolean_vocabulary_index(obj):
+    """The n-gram at index 0 indexed by false, which a check that took a
+    boolean for an integer read as 0."""
+    vocabulary = obj["vectorizer"]["vocabulary"]
+    (first,) = [gram for gram, index in vocabulary.items() if index == 0]
+    vocabulary[first] = False
 
 
 def _no_feature_columns(obj):

@@ -218,8 +218,7 @@ def test_confidence_values():
             feature_names=("f0",),
             class_catalog=catalog,
             mts_catalog=combos,
-            class_forests=[[leaf_tree(c) for c in counts_list]],
-            class_weight_vectors=[np.ones(2)],
+            forests=[trees._pack_forest([leaf_tree(c) for c in counts_list], np.ones(2), 1)],
         )
 
     assert decide(model_with([[7.0, 0.0]]), np.zeros(1), 0.5).confidence == 100
@@ -364,8 +363,7 @@ def test_class_display_names_mts_semantics():
         feature_names=("f0",),
         class_catalog=ClassCatalog((penal,)),
         mts_catalog=catalog,
-        class_forests=[[leaf_tree([1.0])]],
-        class_weight_vectors=[np.ones(1)],
+        forests=[trees._pack_forest([leaf_tree([1.0])], np.ones(1), 1)],
     )
     assert class_display_names(model, 0) == [
         "penal; crimes against collective security; tort law; road traffic law"
@@ -521,13 +519,13 @@ def test_loaded_pipeline_packs_each_forest_once(lexica, monkeypatch, tmp_path):
     packed = []
     pack_forest = trees._pack_forest
 
-    def counting(forest, weights):
+    def counting(forest, weights, n_features):
         packed.append(len(forest))
-        return pack_forest(forest, weights)
+        return pack_forest(forest, weights, n_features)
 
     monkeypatch.setattr(trees, "_pack_forest", counting)
     fitted = load_pipeline(tmp_path / "pipeline.json")
-    once = [4] * len(fitted.model.class_forests)  # one table per BTS class forest
+    once = [4] * len(fitted.model.forests)  # one table per BTS class forest
     assert len(once) > 1 and packed == once
     for doc in corpus.documents[:3]:
         build_explanation(fitted, doc, lexica)

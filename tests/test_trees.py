@@ -16,6 +16,9 @@ from lexcat import trees
 from lexcat.corpus import LabelAssignment
 from lexcat.labels import ClassCatalog, MtsCatalog, mts_decode
 from lexcat.trees import (
+    CRITERIA,
+    STRATEGIES,
+    VARIANTS,
     EnsembleModel,
     Hyperparams,
     ModelError,
@@ -227,12 +230,12 @@ def reference_predict_proba(model, X):
     leaf distribution, added in tree order and divided by the tree count."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     means = []
-    for forest, weights in zip(model.class_forests, model.class_weight_vectors):
-        acc = np.zeros((len(X), len(weights)))
-        for tree in forest:
-            weighted = tree.counts[reference_apply(tree, X)] * weights
+    for table in model.forests:
+        acc = np.zeros((len(X), len(table.weights)))
+        for tree in table.trees():
+            weighted = tree.counts[reference_apply(tree, X)] * table.weights
             acc += weighted / weighted.sum(axis=1, keepdims=True)
-        means.append(acc / len(forest))
+        means.append(acc / len(table.roots))
     if model.strategy == "mts":
         return means[0]
     return np.column_stack([m[:, 1] for m in means])
@@ -544,10 +547,8 @@ def test_fit_ensemble_rf_reduces_to_dt():
     # rf's recipe with its bootstrap and column sampling switched off
     rf_hp, bootstrap, max_features, n_trees = trees._variant_knobs("rf", hp, X.shape[1])
     assert (bootstrap, max_features, n_trees) == (True, 1, 1)
-    forest, weights = trees._fit_forest(X, bin_columns(X), y, 3, rf_hp, n_trees, False, None, 0)
-    rf = dataclasses.replace(
-        dt, variant="rf", hyperparams=rf_hp, class_forests=[forest], class_weight_vectors=[weights]
-    )
+    table = trees._fit_forest(X, bin_columns(X), y, 3, rf_hp, n_trees, False, None, 0)
+    rf = dataclasses.replace(dt, variant="rf", hyperparams=rf_hp, forests=[table])
     assert model_to_json(rf).replace('"variant":"rf"', '"variant":"dt"') == model_to_json(dt)
 
 
@@ -568,7 +569,7 @@ def test_fit_ensemble_bts_forest_count():
     classes = las(3)
     sets = _label_sets_for(y, classes)
     model = fit_ensemble(X, sets, Hyperparams(n_estimators=5, seed=0), "rf", "bts")
-    assert len(model.class_forests) == 3
+    assert len(model.forests) == 3
     assert len(model.trees) == 15
 
 
@@ -587,7 +588,7 @@ def test_fit_ensemble_bins_the_matrix_once(monkeypatch):
         calls.clear()
         model = fit_ensemble(X, sets, Hyperparams(n_estimators=2, seed=0), "rf", strategy)
         assert calls == [X.shape], strategy
-    assert len(model.class_forests) == 3
+    assert len(model.forests) == 3
 
 
 def test_single_tree_variants_ignore_estimators():
@@ -707,7 +708,7 @@ def test_predict_proba_batch_with_shared_columns_bytes_equal_reference(strategy,
     # every document holds one label set: under mts a 1-output forest (the
     # one shape whose tree sums are pairwise), under bts one 2-output forest
     single = fit_ensemble(X, [sets[0]] * len(X), hp, variant, strategy)
-    assert single.tables[0].dist.shape[1] == (1 if strategy == "mts" else 2)
+    assert single.forests[0].dist.shape[1] == (1 if strategy == "mts" else 2)
     for m in (single, model):
         for n in (1, 500):
             rows = X[rng.integers(0, len(X), size=n)]
@@ -724,7 +725,8 @@ def _settle_batches(table, X, rng):
     for n in (0, 1, 2, 5, 50):
         rows = X[rng.integers(0, len(X), size=n)].copy()
         for c in range(d):
-            thresholds = table.threshold[(table.feature == c) & np.isfinite(table.threshold)]
+            thresholds = table.walk_threshold[table.walk_feature == c]
+            thresholds = thresholds[np.isfinite(thresholds)]
             kind = int(rng.integers(5))  # as drawn, on, on and below, on and above, NaN
             if kind == 4:
                 rows[::2, c] = np.nan
@@ -742,12 +744,13 @@ def test_settle_maps_each_split_to_the_child_every_row_takes(seed):
     y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
     hp = Hyperparams(n_estimators=10, seed=seed)
     model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, "rf", "mts")
-    table = model.tables[0]
-    own = np.arange(len(table.feature))
+    table = model.forests[0]
+    own = np.arange(len(table.leaf))
     for rows in _settle_batches(table, X, rng):
-        go_left = rows[:, table.feature] <= table.threshold  # (rows, nodes); NaN goes right
+        # (rows, nodes); NaN goes right
+        go_left = rows[:, table.walk_feature] <= table.walk_threshold
         same = go_left.all(axis=0) | (~go_left).all(axis=0)
-        nan = np.isnan(rows).any(axis=0)[table.feature]
+        nan = np.isnan(rows).any(axis=0)[table.walk_feature]
         want = np.where(same & ~nan, table.children[2 * own + go_left.all(axis=0)], own)
         assert (trees._settle(table, np.ascontiguousarray(rows)) == want).all(), len(rows)
         got = predict_proba_batch(model, rows)
@@ -800,18 +803,67 @@ def test_predict_proba_batch_rows_do_not_depend_on_their_batch(kind, data):
     assert got.tobytes() == whole[idx].tobytes()
 
 
-def _one_tree_model(tree):
-    classes = las(tree.counts.shape[1])
+def _forest_model(forest, n_features=None):
+    """An mts dt model of the given trees, with unit class weights and, by
+    default, as many columns as the trees split on."""
+    classes = las(forest[0].counts.shape[1])
+    if n_features is None:
+        n_features = max(1, max(int(tree.feature.max()) + 1 for tree in forest))
     return EnsembleModel(
         variant="dt",
         strategy="mts",
         hyperparams=Hyperparams(),
-        feature_names=tuple(f"f{i}" for i in range(max(1, int(tree.feature.max()) + 1))),
+        feature_names=tuple(f"f{i}" for i in range(n_features)),
         class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
         mts_catalog=MtsCatalog(tuple((c,) for c in classes)),
-        class_forests=[[tree]],
-        class_weight_vectors=[np.ones(len(classes))],
+        forests=[trees._pack_forest(forest, np.ones(len(classes)), n_features)],
     )
+
+
+def _one_tree_model(tree):
+    return _forest_model([tree])
+
+
+@st.composite
+def fitted_models(draw):
+    """A model fitted on small drawn data: tied and constant columns, labels
+    that leave classes absent, every variant, strategy and hyperparameter in
+    range. Half are loaded back with every zero count written as -0.0, which
+    a model file may hold and a loop adds to 0.0 as 0.0."""
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    hp = Hyperparams(
+        class_weight=draw(st.sampled_from([None, "balanced"])),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        min_samples_split=draw(st.integers(2, 5)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        criterion=draw(st.sampled_from(CRITERIA)),
+        splitter=draw(st.sampled_from(trees.SPLITTERS)),
+        n_estimators=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    variant, strategy = draw(st.sampled_from(VARIANTS)), draw(st.sampled_from(STRATEGIES))
+    model = fit_ensemble(X.reshape(n, d), _label_sets_for(y, las(4)), hp, variant, strategy)
+    if draw(st.booleans()):
+        obj = json.loads(model_to_json(model))
+        for tree in itertools.chain.from_iterable(obj["forests"]):
+            tree["counts"] = [[-0.0 if c == 0 else c for c in row] for row in tree["counts"]]
+        model = model_from_json(json.dumps(obj))
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=fitted_models(), data=st.data())
+def test_predict_proba_batch_equals_the_loop_on_fitted_models(model, data):
+    d = len(model.feature_names)
+    n = data.draw(st.integers(0, 12))
+    rows = data.draw(st.lists(column_values(model), min_size=n * d, max_size=n * d))
+    rows = np.array(rows, dtype=float).reshape(n, d)
+    got = predict_proba_batch(model, rows)
+    want = reference_predict_proba(model, rows)
+    assert got.shape == want.shape == (n, want.shape[1])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_predict_proba_nan_goes_right():
@@ -849,8 +901,7 @@ def test_predict_proba_two_trees_mean():
         feature_names=("f0",),
         class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
         mts_catalog=MtsCatalog(((classes[0],), (classes[1],))),
-        class_forests=[[t1, t2]],
-        class_weight_vectors=[np.ones(2)],
+        forests=[trees._pack_forest([t1, t2], np.ones(2), 1)],
     )
     probs = predict_proba_batch(model, np.array([[0.0]]))[0]
     assert probs.tolist() == [0.5, 0.5]
@@ -868,9 +919,7 @@ def test_predict_proba_negative_zero_counts_sum_as_the_loop():
         depth=np.array([0], dtype=np.int32),
         counts=np.array([[-0.0, 3.0]]),
     )
-    model = dataclasses.replace(
-        _one_tree_model(tree), feature_names=("f0",), class_forests=[[tree, tree]]
-    )
+    model = _forest_model([tree, tree])
     rows = np.zeros((3, 1))
     got = predict_proba_batch(model, rows)
     assert got.tobytes() == reference_predict_proba(model, rows).tobytes()
@@ -904,6 +953,45 @@ def test_predict_row_shape_errors():
     model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(seed=0), "dt", "mts")
     with pytest.raises(ModelError):
         predict_proba_batch(model, np.zeros((1, 5)))
+
+
+def reference_feature_importances(model):
+    """The per-tree loop feature_importances replaced: each tree's impurity
+    decreases summed per feature with one bincount, normalised per tree,
+    averaged over every tree of every forest and normalised again."""
+    d = len(model.feature_names)
+    per_tree = []
+    for table in model.forests:
+        for tree in table.trees():
+            weighted = tree.counts * table.weights
+            node_w = weighted.sum(axis=1)
+            imp = _impurity_rows(weighted, model.hyperparams.criterion)
+            (split,) = np.nonzero(tree.feature >= 0)
+            left, right = tree.left[split], tree.right[split]
+            gain = (
+                node_w[split] * imp[split] - node_w[left] * imp[left] - node_w[right] * imp[right]
+            )
+            contrib = np.bincount(tree.feature[split], weights=gain, minlength=d)
+            total = contrib.sum()
+            per_tree.append(contrib / total if total > 0 else contrib)
+    mean = np.mean(per_tree, axis=0)
+    total = mean.sum()
+    return mean / total if total > 0 else mean
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_feature_importances_equal_the_per_tree_loop(variant, strategy, criterion):
+    # 150 columns, more than numpy's 128-value pairwise block, so each tree's
+    # sum over its features takes the recursive pairwise path
+    rng = np.random.default_rng(3)
+    X = rng.poisson(1.5, size=(160, 150)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
+    hp = Hyperparams(n_estimators=8, seed=3, criterion=criterion, class_weight="balanced")
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, variant, strategy)
+    got = feature_importances(model)
+    assert got.tobytes() == reference_feature_importances(model).tobytes()
 
 
 def test_feature_importances():
@@ -1011,6 +1099,10 @@ MALFORMATIONS = {
     "unequal_node_arrays": lambda model: model["forests"][0][0]["threshold"].pop(),
     "root_depth_not_zero": _set((*TREE, "depth", 0), 1),
     "feature_name_not_a_string": _set(("feature_names", 0), 5),
+    # numpy reads a boolean among numbers as 0 or 1, so these used to load
+    "boolean_count": _set((*TREE, "counts", 0, 0), True),
+    "boolean_child_id": _set((*TREE, "left", 0), True),  # node 1 is the root's left child
+    "boolean_class_weight": _set(("class_weight_vectors", 0, 0), True),
 }
 
 
@@ -1030,38 +1122,41 @@ def test_malformed_model_rejected(name):
         predict_proba_batch(model_from_json(bad), X)
 
 
-def _three_node_tree(left, right):
-    """A tree splitting on f0 at 0.5 (node 0) and 0.25 (node 1), node 2 a
-    leaf, with the given child arrays. A row of 0.0 goes left at both."""
+def _five_node_tree(left, right):
+    """A tree splitting on f0 at 0.5 (node 0) and 0.25 (node 1), nodes 2, 3
+    and 4 leaves, with the given child arrays. A row of 0.0 goes left at
+    both splits, to node 2."""
     return Tree(
-        feature=np.array([0, 0, -1], dtype=np.int32),
-        threshold=np.array([0.5, 0.25, np.nan]),
+        feature=np.array([0, 0, -1, -1, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0.25, np.nan, np.nan, np.nan]),
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
-        depth=np.array([0, 1, 2], dtype=np.int32),
-        counts=np.array([[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]),
+        depth=np.array([0, 1, 2, 2, 1], dtype=np.int32),
+        counts=np.array([[2.0, 2.0], [1.0, 2.0], [0.0, 2.0], [1.0, 0.0], [1.0, 0.0]]),
     )
 
+
+GOOD_CHILDREN = ([1, 2, -1, -1, -1], [4, 3, -1, -1, -1])
 
 # children that do not follow their node inside its own tree; unchecked, the
 # first two make prediction loop forever and the third walks into the next
 # tree of the forest
 BAD_CHILDREN = {
-    "child_before_its_node": ([1, 0, -1], [2, 2, -1]),
-    "child_is_its_node": ([1, 1, -1], [2, 2, -1]),
-    "child_past_its_tree": ([1, 3, -1], [2, 2, -1]),
+    "child_before_its_node": ([1, 0, -1, -1, -1], [4, 3, -1, -1, -1]),
+    "child_is_its_node": ([1, 1, -1, -1, -1], [4, 3, -1, -1, -1]),
+    "child_past_its_tree": ([1, 5, -1, -1, -1], [4, 3, -1, -1, -1]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CHILDREN))
 def test_hand_built_model_with_a_child_out_of_preorder_is_rejected(name):
-    good = _one_tree_model(_three_node_tree([1, 2, -1], [2, 2, -1]))
+    good = _one_tree_model(_five_node_tree(*GOOD_CHILDREN))
     assert predict_proba_batch(good, np.zeros((1, 1))).tolist() == [[0.0, 1.0]]
-    bad = _three_node_tree(*BAD_CHILDREN[name])
+    bad = _five_node_tree(*BAD_CHILDREN[name])
     with within_seconds(5), pytest.raises(ModelError, match="follow its node in preorder"):
         predict_proba_batch(_one_tree_model(bad), np.zeros((1, 1)))
     with within_seconds(5), pytest.raises(ModelError, match="follow its node in preorder"):
-        predict_proba_batch(dataclasses.replace(good, class_forests=[[bad, bad]]), np.zeros((1, 1)))
+        predict_proba_batch(_forest_model([bad, bad], n_features=1), np.zeros((1, 1)))
 
 
 def test_model_without_feature_columns_is_rejected():
@@ -1078,11 +1173,82 @@ def test_model_without_feature_columns_is_rejected():
         depth=np.array([0], dtype=np.int32),
         counts=model.trees[0].counts[:1],
     )
-    obj = json.loads(model_to_json(dataclasses.replace(model, class_forests=[[leaf]])))
+    table = trees._pack_forest([leaf], model.forests[0].weights, 0)
+    obj = json.loads(model_to_json(dataclasses.replace(model, forests=[table])))
     obj["feature_names"] = []
     with pytest.raises(ModelError, match="at least one feature column"):
         model_from_json(json.dumps(obj))
     with pytest.raises(ModelError, match="at least one feature column"):
-        dataclasses.replace(model, feature_names=(), class_forests=[[leaf]])
+        dataclasses.replace(model, feature_names=(), forests=[table])
     with pytest.raises(ModelError, match="at least one feature column"):
         fit_ensemble(X[:, :0], sets, Hyperparams(seed=0), "rf", "bts")
+
+
+def test_hand_built_model_with_a_feature_past_its_columns_is_rejected():
+    # such a model used to be built and then escape as IndexError on every
+    # prediction that reached the split
+    for feature in (1, 2, 2**32):
+        tree = _five_node_tree(*GOOD_CHILDREN)
+        tree.feature = np.array([0, feature, -1, -1, -1])
+        with pytest.raises(ModelError, match="out of range"):
+            _forest_model([tree], n_features=1)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_tree_views_share_memory_with_their_table(strategy):
+    X, y = _separable_data(60)
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(n_estimators=3), "rf", strategy)
+    for m in (model, model_from_json(model_to_json(model))):
+        assert m.trees is m.trees  # built once per model
+        views = iter(m.trees)
+        for table in m.forests:
+            for tree in itertools.islice(views, len(table.roots)):
+                for f in dataclasses.fields(Tree):
+                    assert np.shares_memory(getattr(tree, f.name), getattr(table, f.name)), f.name
+        assert next(views, None) is None
+
+
+def _numeric_paths(obj, path=()):
+    """The path of every number (not boolean) in a parsed model file."""
+    if isinstance(obj, dict):
+        obj = obj.items()
+    elif isinstance(obj, list):
+        obj = enumerate(obj)
+    else:
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            yield path
+        return
+    for key, value in obj:
+        yield from _numeric_paths(value, (*path, key))
+
+
+@functools.lru_cache(maxsize=None)
+def small_model_file(variant: str):
+    """A small serialized dt or rf model, its numeric entries outside the
+    combination catalog (which refuses with LabelError) and its training
+    matrix."""
+    X, y = _separable_data(40)
+    hp = Hyperparams(n_estimators=3, seed=2, max_depth=4)
+    text = model_to_json(fit_ensemble(X, _label_sets_for(y, las(3)), hp, variant, "mts"))
+    paths = [p for p in _numeric_paths(json.loads(text)) if p[0] != "combos"]
+    return text, paths, X
+
+
+@pytest.mark.parametrize("variant", ["dt", "rf"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_model_file_with_one_corrupted_number_is_refused_or_predicts(variant, data):
+    text, paths, X = small_model_file(variant)
+    obj = json.loads(text)
+    path = data.draw(st.sampled_from(paths))
+    # n: the node count of the entry's tree, or the model's column count
+    n = len(obj[path[0]][path[1]][path[2]]["feature"]) if path[0] == "forests" else X.shape[1]
+    pool = [-1, 0, n, 2**31, 2**63, -0.0, math.nan, math.inf, -math.inf, "x", None, True, False]
+    _set(path, data.draw(st.sampled_from(pool)))(obj)
+    with within_seconds(5):
+        try:
+            model = model_from_json(json.dumps(obj))
+        except ModelError:
+            return
+        probs = predict_proba_batch(model, X)
+    assert np.isfinite(probs).all() and (probs >= 0).all() and (probs <= 1).all()
