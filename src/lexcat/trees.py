@@ -718,9 +718,9 @@ def _tree_from_obj(obj, n_outputs: int) -> Tree:
     if not isinstance(obj, dict):
         raise ModelError("malformed tree: an object of node arrays expected")
     keys = ("feature", "left", "right", "depth")
-    ids = _numbers([obj[key] for key in keys], "tree node ids", integral=True)
-    threshold = _numbers(obj["threshold"], "tree threshold")
-    counts = _numbers(obj["counts"], "tree counts")
+    ids = _numbers([obj.get(key) for key in keys], "tree node ids", integral=True)
+    threshold = _numbers(obj.get("threshold"), "tree threshold")
+    counts = _numbers(obj.get("counts"), "tree counts")
     n = ids.shape[1] if ids.ndim == 2 else 0
     if n == 0 or threshold.shape != (n,):
         raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
@@ -754,12 +754,15 @@ def model_to_json(model: EnsembleModel) -> str:
 
 
 def model_from_json(text: str) -> EnsembleModel:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"model file is not JSON: {exc}") from None
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != _FORMAT:
         raise ModelError(f"unsupported model format: {fmt!r}")
     for key in ("feature_names", "classes", "combos", "class_weight_vectors", "forests"):
-        if not isinstance(obj[key], list):
+        if not isinstance(obj.get(key), list):
             raise ModelError(f"model field {key!r} must be a list")
     if not all(isinstance(name, str) for name in obj["feature_names"]):
         raise ModelError("feature_names must be strings")
@@ -771,14 +774,15 @@ def model_from_json(text: str) -> EnsembleModel:
     ):
         raise ModelError(f"combos must index the model's {len(classes)} classes")
     combos = tuple(tuple(classes[i] for i in combo) for combo in obj["combos"])
-    if obj["variant"] not in VARIANTS or obj["strategy"] not in STRATEGIES:
-        raise ModelError(f"unknown variant or strategy: {obj['variant']!r}, {obj['strategy']!r}")
+    variant, strategy = obj.get("variant"), obj.get("strategy")
+    if variant not in VARIANTS or strategy not in STRATEGIES:
+        raise ModelError(f"unknown variant or strategy: {variant!r}, {strategy!r}")
     try:
-        hyperparams = Hyperparams(**obj["hyperparams"])
+        hyperparams = Hyperparams(**obj.get("hyperparams"))
     except TypeError as exc:
         raise ModelError(f"malformed hyperparams: {exc}") from None
     # mts: one forest over the combinations; bts: one 2-output forest per class
-    widths = [len(combos)] if obj["strategy"] == "mts" else [2] * len(classes)
+    widths = [len(combos)] if strategy == "mts" else [2] * len(classes)
     weight_vectors = [_numbers(w, "class-weight vector") for w in obj["class_weight_vectors"]]
     forests = obj["forests"]
     if (
@@ -789,12 +793,12 @@ def model_from_json(text: str) -> EnsembleModel:
         or [w.shape for w in weight_vectors] != [(k,) for k in widths]
     ):
         raise ModelError(
-            f"a {obj['strategy']} model needs nonempty forests of output widths {widths}, "
+            f"a {strategy} model needs nonempty forests of output widths {widths}, "
             "each with its class-weight vector"
         )
     return EnsembleModel(
-        variant=obj["variant"],
-        strategy=obj["strategy"],
+        variant=variant,
+        strategy=strategy,
         hyperparams=hyperparams,
         feature_names=tuple(obj["feature_names"]),
         class_catalog=class_catalog,

@@ -1,12 +1,15 @@
 """Golden digests of the serialized artifacts on a small synthetic corpus,
-and of the anonymiser's output on a fixed text set.
+and of the anonymiser's output on a fixed text set, and the paper's
+comparison table of the BTS and MTS rows of every model variant.
 
 Any change to how models are fitted, serialized or explained, or to how
-references are found and replaced, shows up here as a changed SHA-256. A
-deliberate change must update the digest and say why in CHANGES.md.
+references are found and replaced, shows up here as a changed SHA-256 or
+table cell. A deliberate change must update the digest or the table and
+say why in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -17,7 +20,7 @@ from lexcat.corpus import corpus_to_text
 from lexcat.explain import build_explanation, render_explanation
 from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, preprocess_corpus
 from lexcat.synth import SynthSpec, generate_corpus
-from lexcat.trees import model_to_json
+from lexcat.trees import STRATEGIES, VARIANTS, model_to_json
 
 MODEL_DIGESTS = {
     ("mts", "dt"): "1c42538577c83e48d545240b24390296b885230bcd23a0fa9692152ccfea124b",
@@ -91,6 +94,58 @@ def test_featurize_digest(setting, tmp_path, ngram_range):
     argv = ["featurize", "--config", str(config), "--corpus", str(corpus_path), "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert _sha(out.read_text(encoding="utf-8")) == FEATURIZE_DIGESTS[ngram_range]
+
+
+# A synthetic preset on which the rf rows sit near the paper's "over 85%
+# micro precision"; on the default spec every rf row reads 100%, so a
+# quality regression could not show. The synthetic corpus and the folds both
+# use the config's seed.
+COMPARISON_PRESET = {
+    "synth": {"noise": 0.55, "contamination": 0.25, "keywords_per_class": 3},
+    "n_estimators": 20,
+    "folds": 3,
+    "seed": 1,
+}
+# `lexcat evaluate` rows on 400 documents of 8 classes, without the
+# wall-clock train_seconds column. Columns: strategy, model, exact match,
+# accuracy, macro/micro precision, macro/micro recall, macro/micro F,
+# Hamming loss (percent).
+COMPARISON_TABLE = (
+    "BTS DT   61.50 69.85 75.46 74.65 76.79 77.21 75.44 75.89 13.65",
+    "BTS ETC  26.48 37.69 66.93 50.78 33.50 36.87 35.25 42.73 27.56",
+    "BTS EETC 49.24 62.78 88.83 78.83 53.82 56.79 62.25 66.02 16.31",
+    "BTS RF   64.75 75.79 92.14 89.05 66.80 68.97 75.34 77.73 11.00",
+    "MTS DT   68.49 70.60 76.71 76.16 73.17 73.44 74.09 74.77 13.80",
+    "MTS ETC  23.77 27.36 37.82 32.90 27.42 24.05 20.47 27.78 34.79",
+    "MTS EETC 73.76 76.84 84.52 81.92 74.26 72.42 76.52 76.87 12.15",
+    "MTS RF   86.25 87.64 89.47 89.36 87.71 87.26 88.25 88.29  6.45",
+)
+
+
+def test_comparison_table(tmp_path):
+    """The README's recipe for the table: one `lexcat synth`, then one
+    `lexcat evaluate` per strategy and model."""
+    config, corpus = tmp_path / "config.json", tmp_path / "corpus.jsonl"
+    config.write_text(json.dumps(COMPARISON_PRESET), encoding="utf-8")
+    argv = ["synth", "--config", str(config), "--docs", "400", "--classes", "8",
+            "--out", str(corpus)]
+    assert main(argv) == EXIT_OK
+    rows = []
+    for strategy, model in itertools.product(STRATEGIES, VARIANTS):
+        out = tmp_path / f"{strategy}-{model}.tsv"
+        argv = ["evaluate", "--config", str(config), "--corpus", str(corpus),
+                "--strategy", strategy, "--model", model, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        rows.append(row.split("\t"))
+    assert header.split("\t")[11:] == ["train_seconds"]
+    assert [row[:11] for row in rows] == [line.split() for line in COMPARISON_TABLE]
+    # the paper's claim, which a deliberate update of the table must keep:
+    # rf reads over 85% micro precision and beats dt under both strategies
+    micro_p = {(row[0], row[1]): float(row[5]) for row in rows}
+    for strategy in ("BTS", "MTS"):
+        assert micro_p[strategy, "RF"] >= 85.00
+        assert micro_p[strategy, "RF"] > micro_p[strategy, "DT"]
 
 
 # Each case exercises one trigger rule of the anonymiser on the bundled

@@ -1,7 +1,7 @@
 """Every public function, class and method of `src/lexcat` has a caller in
-the program: in `src/lexcat` itself, in the benchmark (`perfbench/*.py`) or
-in `scripts/`. A name that only tests reach is an entry point kept for
-them, which tests should reach through the program's own path instead.
+the program: in `src/lexcat` itself or in the benchmark (`perfbench/*.py`).
+A name that only tests reach is an entry point kept for them, which tests
+should reach through the program's own path instead.
 Every error type is a `lexcat.DataError`, so the command line exits 2 on it."""
 
 import ast
@@ -12,7 +12,7 @@ from lexcat import DataError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lexcat"
-PROGRAM = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+PROGRAM = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 # acceptance criterion 04 checks node impurities through `trees.impurity`
 ALLOWED = {"impurity"}

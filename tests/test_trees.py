@@ -1103,6 +1103,10 @@ MALFORMATIONS = {
     "boolean_count": _set((*TREE, "counts", 0, 0), True),
     "boolean_child_id": _set((*TREE, "left", 0), True),  # node 1 is the root's left child
     "boolean_class_weight": _set(("class_weight_vectors", 0, 0), True),
+    # missing keys, which used to escape as KeyError
+    "tree_without_counts": lambda model: model["forests"][0][0].pop("counts"),
+    "model_without_variant": lambda model: model.pop("variant"),
+    "model_without_forests": lambda model: model.pop("forests"),
 }
 
 
@@ -1120,6 +1124,12 @@ def test_malformed_model_rejected(name):
     bad = json.dumps(malformed_model_obj(json.loads(model_to_json(model)), name))
     with within_seconds(5), pytest.raises(ModelError):
         predict_proba_batch(model_from_json(bad), X)
+
+
+def test_model_text_that_is_not_json_is_rejected():
+    # used to escape as json.JSONDecodeError
+    with pytest.raises(ModelError, match="not JSON"):
+        model_from_json("{")
 
 
 def _five_node_tree(left, right):
