@@ -208,8 +208,6 @@ def _cmd_evaluate(config: PipelineConfig, args) -> int:
 def _cmd_gridsearch(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
-    if not config.grid:
-        raise ConfigError("config field 'grid' must map parameter names to value lists")
     result = evaluation.grid_search(
         corpus,
         config.grid,

@@ -271,7 +271,9 @@ def grid_search(
     once, and a grid key must be a config field that cross-validation
     reads."""
     if not param_grid:
-        raise EvaluationError("empty parameter grid")
+        raise EvaluationError(
+            "empty parameter grid: config field 'grid' must map parameter names to value lists"
+        )
     for name, values in param_grid.items():
         if name not in _GRID_KEYS:
             raise EvaluationError(

@@ -125,6 +125,11 @@ def _surrogate_coefficients(
     return coefs / len(class_indices)
 
 
+# the fewest perturbed copies a surrogate is fitted on; PipelineConfig
+# refuses a smaller relevance_samples by this bound too
+MIN_RELEVANCE_SAMPLES = 10
+
+
 def signed_relevance(
     model: EnsembleModel,
     row,
@@ -143,8 +148,8 @@ def signed_relevance(
     the decision they explain. Under BTS each predicted class is explained
     separately and the coefficients are averaged.
     """
-    if n_samples < 10:
-        raise ExplainError("n_samples must be >= 10")
+    if n_samples < MIN_RELEVANCE_SAMPLES:
+        raise ExplainError(f"n_samples must be >= {MIN_RELEVANCE_SAMPLES}")
     row = np.asarray(row, dtype=float)
     active = np.flatnonzero(row[:n_text])
     decision = decide(model, row, threshold)

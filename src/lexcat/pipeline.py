@@ -16,6 +16,7 @@ import numpy as np
 from . import DataError
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
+from .explain import MIN_RELEVANCE_SAMPLES
 from .features import (
     CategoricalEncoder,
     FeatureError,
@@ -101,7 +102,10 @@ class PipelineConfig:
             "bts_threshold": (0 <= self.bts_threshold <= 1, "in [0, 1]"),
             "importance_estimators": (self.importance_estimators >= 1, ">= 1"),
             "folds": (self.folds >= 2, ">= 2"),
-            "relevance_samples": (self.relevance_samples >= 10, ">= 10"),
+            "relevance_samples": (
+                self.relevance_samples >= MIN_RELEVANCE_SAMPLES,
+                f">= {MIN_RELEVANCE_SAMPLES}",
+            ),
         }
         for name, (ok, rule) in ranges.items():
             if not ok:

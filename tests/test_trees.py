@@ -338,13 +338,14 @@ def test_bin_columns_codes_and_widths():
     for width, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
         wide = rng.permutation(width).astype(float) / 7.0
         X = np.column_stack([np.resize(wide, 300), np.full(300, -1.5), np.resize(wide[:3], 300)])
-        codes, values, widths = bin_columns(X)
+        codes, values, widths, starts = bin_columns(X)
         # column-major: one contiguous row of codes per column of X
         assert codes.dtype == dtype and codes.shape == X.T.shape and codes.flags.c_contiguous
         # each column takes only as many bins as it has distinct values
         assert widths.tolist() == [width, 1, min(width, 3)]
         assert len(values) == widths.sum()
-        for j, start in enumerate(np.cumsum(widths) - widths):
+        assert starts.tolist() == [0, width, width + 1]
+        for j, start in enumerate(starts):
             column = values[start : start + widths[j]]
             assert column.tolist() == np.unique(X[:, j]).tolist()
             assert (column[codes[j]] == X[:, j]).all()
@@ -491,6 +492,176 @@ def test_find_split_counts_multiplicities():
         got = binned_find_split(X, y, hp, np.random.default_rng(leaf), weights, 3, weight)
         want = binned_find_split(X[copies], y[copies], hp, np.random.default_rng(leaf), weights, 3)
         assert got == want, (splitter, criterion, leaf, class_weight)
+
+
+def reference_fit_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    hyperparams: Hyperparams,
+    rng: np.random.Generator | None = None,
+    n_classes: int | None = None,
+    class_weights: np.ndarray | None = None,
+    max_features: int | None = None,
+    rows: np.ndarray | None = None,
+    bins: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> Tree:
+    """The grower fit_tree replaced, kept verbatim as its oracle: it builds
+    the class-weight check and the weight table per tree, links children
+    through an is_left flag and sums each node's multiplicities.
+
+    Grow one tree on integer class labels, over the given rows of X and
+    y (repeats allowed, as in a bootstrap sample; every row once by default).
+
+    The sample is carried as its distinct rows, sorted, with how often each
+    was drawn: node sizes, min_samples_split, min_samples_leaf and the class
+    counts stored in Tree.counts all count a row as often as it was drawn.
+    bins is bin_columns(X), built here when not given, so an ensemble bins
+    its matrix once for all its trees and forests.
+    Nodes are created in preorder, which fixes both the node ids and the
+    order of random draws, so the same seed always yields the same tree.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int32)
+    if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
+        raise ModelError("training data must be a nonempty matrix with one label per row")
+    if rng is None:
+        rng = np.random.default_rng(hyperparams.seed)
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    if class_weights is None:
+        class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
+    class_weights = np.asarray(class_weights, dtype=float)
+    if class_weights.shape != (n_classes,):
+        raise ModelError(f"need {n_classes} class weights, one per class, got {class_weights.size}")
+    # find_split needs every class that holds a sample to weigh more than 0
+    finite = np.isfinite(class_weights).all()
+    if not finite or class_weights.min() < 0 or class_weights[y].min() <= 0:
+        raise ModelError("class weights must be finite, nonnegative and positive for each class in y")
+    drawn = np.ones(len(X)) if rows is None else np.bincount(rows, minlength=len(X)).astype(float)
+    (root,) = np.nonzero(drawn)
+    bins = bin_columns(X) if bins is None else bins
+    table = weight_table(class_weights, int(drawn.sum()))
+    d = X.shape[1]
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    depth_arr: list[int] = []
+    counts_arr: list[np.ndarray] = []
+
+    # frames: (distinct rows, their multiplicities, depth, parent id, is_left_child)
+    stack = [(root, drawn[root], 0, -1, False)]
+    while stack:
+        idx, weight, depth, parent, is_left = stack.pop()
+        node_id = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = node_id
+            else:
+                right[parent] = node_id
+        y_node = y[idx]
+        counts = np.bincount(y_node, weights=weight, minlength=n_classes)
+        feature.append(-1)
+        threshold.append(float("nan"))
+        left.append(-1)
+        right.append(-1)
+        depth_arr.append(depth)
+        counts_arr.append(counts)
+
+        if weight.sum() < hyperparams.min_samples_split:
+            continue
+        if hyperparams.max_depth is not None and depth >= hyperparams.max_depth:
+            continue
+        if (counts > 0).sum() <= 1:
+            continue
+        cands = np.arange(d)
+        if max_features is not None and max_features < d:
+            cands = np.sort(rng.choice(d, size=max_features, replace=False))
+        split = find_split(bins, cands, idx, y_node, weight, hyperparams, rng, table, n_classes)
+        if split is None:
+            continue
+        f, thr = split
+        feature[node_id] = f
+        threshold[node_id] = thr
+        mask = X[idx, f] <= thr
+        # right pushed first so the left subtree is built (and numbered) first
+        stack.append((idx[~mask], weight[~mask], depth + 1, node_id, False))
+        stack.append((idx[mask], weight[mask], depth + 1, node_id, True))
+
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        depth=np.asarray(depth_arr, dtype=np.int32),
+        counts=np.vstack(counts_arr),
+    )
+
+
+@st.composite
+def grower_cases(draw):
+    """(X, y, n_classes) of a small drawn training set: constant, binary,
+    count-like and real-valued columns, so ties and single-value columns are
+    common, and labels that may leave classes absent."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["constant", "binary", "counts", "real"]),
+                              min_size=d, max_size=d)):
+        if kind == "constant":
+            columns.append([float(draw(st.integers(-2, 2)))] * n)
+            continue
+        values = {
+            "binary": st.integers(0, 1),
+            "counts": st.integers(0, 6),
+            "real": st.floats(-100, 100, allow_nan=False),
+        }[kind]
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    n_classes = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return np.array(columns, dtype=float).T, y, n_classes
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=grower_cases(), data=st.data())
+def test_fit_tree_equals_the_reference_grower(case, data):
+    X, y, n_classes = case
+    n, d = X.shape
+    hp = Hyperparams(
+        class_weight=data.draw(st.sampled_from([None, "balanced"])),
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 3))),
+        min_samples_split=data.draw(st.integers(2, 4)),
+        min_samples_leaf=data.draw(st.integers(1, 3)),
+        criterion=data.draw(st.sampled_from(CRITERIA)),
+        splitter=data.draw(st.sampled_from(trees.SPLITTERS)),
+        seed=data.draw(st.integers(0, 2**32)),
+    )
+    max_features = data.draw(st.one_of(st.none(), st.integers(1, d)))
+    # a sample with repeats, as a bootstrap draws it, or every row once
+    rows = data.draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1,
+                                                   max_size=2 * n).map(np.array)))
+    weights = compute_class_weights(y, n_classes, hp.class_weight)
+
+    def grow(grower, **state):
+        rng = np.random.default_rng(hp.seed)
+        return grower(X, y, hp, rng, n_classes, weights, max_features, rows, **state)
+
+    want = grow(reference_fit_tree)
+    # alone, and as a forest grows it: binned once, with one weight table
+    table = weight_table(weights, n if rows is None else len(rows))
+    for got in (grow(fit_tree), grow(fit_tree, bins=bin_columns(X), table=table)):
+        for f in dataclasses.fields(Tree):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grower_cases(), seed=st.integers(0, 2**32))
+def test_find_split_equals_the_per_feature_reference(case, seed):
+    # every splitter, criterion, leaf size and class weighting on drawn data;
+    # the one exception _compare_with_reference allows is a random-splitter,
+    # balanced-weight exact tie, and it asserts that tie within 1e-12
+    _compare_with_reference([(seed, case)])
 
 
 def test_fit_tree_empty_errors():
