@@ -101,8 +101,8 @@ def _surrogate_coefficients(
     """Proximity-weighted least-squares fit of each explained class
     probability on term-presence indicators, averaged over the classes.
     The perturbed rows are drawn once for all classes, and only the
-    distinct ones are predicted: a row's probabilities do not depend on
-    the batch it is predicted in."""
+    distinct ones are predicted, for the explained classes alone: a row's
+    probabilities do not depend on the batch it is predicted in."""
     k = len(active)
     rng = np.random.default_rng(seed)
     keep = rng.random((n_samples, k)) >= 0.5
@@ -112,15 +112,15 @@ def _surrogate_coefficients(
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     X = np.tile(row, (len(first), 1))
     X[:, active] = row[active] * keep[first]
-    probs = predict_proba_batch(model, X)[inverse]
+    probs = predict_proba_batch(model, X, class_indices)[inverse]
     distances = k - keep.sum(axis=1)
     sigma = 0.75 * np.sqrt(k)
     w = np.exp(-(distances.astype(float) ** 2) / sigma**2)
     sqrt_w = np.sqrt(w)[:, None]
     A = np.hstack([np.ones((n_samples, 1)), keep.astype(float)]) * sqrt_w
     coefs = np.zeros(k)
-    for ci in class_indices:
-        coef, *_ = np.linalg.lstsq(A, probs[:, ci] * sqrt_w[:, 0], rcond=None)
+    for column in probs.T:  # one per explained class
+        coef, *_ = np.linalg.lstsq(A, column * sqrt_w[:, 0], rcond=None)
         coefs += coef[1:]
     return coefs / len(class_indices)
 

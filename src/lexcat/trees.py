@@ -23,10 +23,15 @@ the one check of its class weights and the weight table of their sums.
 A model stores each forest once, as one flat node table (ForestTable) that
 _pack_forest builds and checks; model.trees are views of it. Prediction first
 settles on the table every split that all rows of the batch take the same
-way, then walks every tree of the forest at once, one unsettled split per
-step, until every row sits on a leaf, and sums the trees' leaf distributions
-in tree order, one block of rows at a time. split_counts walks one row
-through the same tables to count the columns its decision paths split on.
+way, so all rows of a tree start on one node. It takes the first step from
+those shared starts for every tree at once, with one gather of the split
+columns, then walks only the trees where some row is not yet on a leaf, one
+unsettled split per step, and sums the trees' leaf distributions in tree
+order, one block of rows at a time. A caller that reads only some classes
+gets only those summed: the MTS forest's columns, or the BTS class forests.
+numpy would sum the gather of one row and one output pairwise, so a 1-row
+batch sums every output and picks its columns after. split_counts walks one
+row through the same tables to count the columns its decision paths split on.
 
 Randomness comes from numpy's default PCG64 generator; every tree in an
 ensemble owns a generator seeded with base_seed + tree_index, so ensembles
@@ -606,16 +611,17 @@ def _settle(table: ForestTable, X: np.ndarray) -> np.ndarray:
     return np.where(settled, table.children.take(2 * own + all_left), own)
 
 
-def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
-    """Mean leaf distribution of one forest's trees for every row of a
-    C-contiguous X; value <= threshold goes left and NaN goes right.
+def _forest_mean(table: ForestTable, X: np.ndarray, columns) -> np.ndarray:
+    """Mean leaf distribution of one forest's trees, restricted to the given
+    output columns, for every row of a C-contiguous X; value <= threshold
+    goes left and NaN goes right.
 
     A split every row takes the same way is settled once on the table:
     each node maps to the node a walk reaches after skipping settled
-    splits, by pointer jumping. Then all trees advance one unsettled split
-    per step, from one (rows, trees) matrix of table offsets, until every
-    pair sits on a leaf."""
-    values = X.ravel()
+    splits, by pointer jumping, so every row of a tree starts on the same
+    node. From there the first step is taken for all trees at once, and
+    only the trees where some row is not yet on a leaf are walked further,
+    one unsettled split per step, until every pair sits on a leaf."""
     nxt = _settle(table, X)
     while True:
         jumped = nxt.take(nxt)
@@ -623,26 +629,36 @@ def _forest_mean(table: ForestTable, X: np.ndarray) -> np.ndarray:
             break
         nxt = jumped
     children = nxt.take(table.children)
-    row_start = np.arange(0, X.size, X.shape[1])[:, None]
-    node = np.tile(nxt.take(table.roots), (len(X), 1))
+    start = nxt.take(table.roots)
     feature, threshold = table.walk_feature, table.walk_threshold
     # a walk only reaches leaves and unsettled splits, whose children follow
-    # them, so every step moves each pair not yet on a leaf
-    while not table.leaf.take(node).all():
-        go_left = values.take(row_start + feature.take(node)) <= threshold.take(node)
-        node = children.take(2 * node + go_left)
+    # them, so every step moves each pair not yet on a leaf; a leaf's
+    # children are the leaf itself, so a step from a leaf stays on it
+    go_left = X.take(feature.take(start), axis=1) <= threshold.take(start)
+    node = children.take(2 * start + go_left)
+    (walked,) = np.nonzero(~table.leaf.take(node).all(axis=0))
+    values = X.ravel()
+    row_start = np.arange(0, X.size, X.shape[1])[:, None]
+    sub = node.take(walked, axis=1)
+    while not table.leaf.take(sub).all():
+        go_left = values.take(row_start + feature.take(sub)) <= threshold.take(sub)
+        sub = children.take(2 * sub + go_left)
+    node[:, walked] = sub
     # numpy reduces over a leading axis one slice at a time, so adding the
-    # trees to 0.0 equals a loop's sums in tree order (only a 1-row batch of
-    # a 1-output forest is summed pairwise, and every distribution there is
-    # 1.0); blocks of rows keep the (trees, rows, outputs) gather no larger
-    # than node
-    n_rows, n_outputs = len(X), table.dist.shape[1]
-    acc = np.empty((n_rows, n_outputs))
-    block = max(1, n_rows // n_outputs)
+    # trees to 0.0 equals a loop's sums in tree order, except for a gather
+    # of one row and one output, which it sums pairwise; so a 1-row batch
+    # sums every output (a 1-output forest's distributions are all 1.0,
+    # whose pairwise sum is exact) and picks its columns after. Blocks of
+    # rows keep the (trees, rows, outputs) gather no larger than node
+    n_rows = len(X)
+    dist = table.dist if n_rows == 1 else table.dist[:, columns]
+    acc = np.empty((n_rows, dist.shape[1]))
+    block = max(1, n_rows // dist.shape[1])
     for s in range(0, n_rows, block):
         leaves = node[s : s + block].T
-        np.add.reduce(table.dist.take(leaves, axis=0), axis=0, out=acc[s : s + block], initial=0.0)
-    return acc / node.shape[1]
+        np.add.reduce(dist.take(leaves, axis=0), axis=0, out=acc[s : s + block], initial=0.0)
+    mean = acc / node.shape[1]
+    return mean[:, columns] if n_rows == 1 else mean
 
 
 def split_counts(model: EnsembleModel, row) -> np.ndarray:
@@ -662,18 +678,28 @@ def split_counts(model: EnsembleModel, row) -> np.ndarray:
     return np.bincount(np.concatenate(features), minlength=len(model.feature_names))
 
 
-def predict_proba_batch(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
+def predict_proba_batch(model: EnsembleModel, X: np.ndarray, classes=None) -> np.ndarray:
     """MTS: (n, p) class probabilities (rows sum to 1). BTS: (n, m) per-class
-    positive probabilities. Mean of the trees' leaf distributions."""
+    positive probabilities. Mean of the trees' leaf distributions.
+
+    With classes, a nonempty list of output columns, each in 0..n_outputs-1,
+    returns the same bytes as predict_proba_batch(model, X)[:, classes],
+    summing only those columns of the MTS forest, or walking only those BTS
+    class forests."""
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ModelError(
             f"matrix has shape {X.shape}, model expects {len(model.feature_names)} columns"
         )
-    means = [_forest_mean(table, X) for table in model.forests]
+    n_outputs = model.forests[0].dist.shape[1] if model.strategy == "mts" else len(model.forests)
+    if classes is not None and not (len(classes) and all(0 <= c < n_outputs for c in classes)):
+        raise ModelError(
+            f"classes {list(classes)} must be a nonempty list of output columns below {n_outputs}"
+        )
     if model.strategy == "mts":
-        return means[0]
-    return np.column_stack([m[:, 1] for m in means])
+        return _forest_mean(model.forests[0], X, slice(None) if classes is None else classes)
+    forests = model.forests if classes is None else [model.forests[c] for c in classes]
+    return np.column_stack([_forest_mean(table, X, [1])[:, 0] for table in forests])
 
 
 def decode_row(

@@ -1024,17 +1024,74 @@ def fitted_models(draw):
     return model
 
 
-@settings(max_examples=60, deadline=None)
+def perturbed_copies(model, data, n):
+    """n copies of one drawn row, each with drawn columns zeroed, as an
+    explanation perturbs a document: most splits settle, every row of a
+    tree starts on one node, and some trees reach their leaves in one step
+    while others walk on."""
+    d = len(model.feature_names)
+    base = np.array(data.draw(st.lists(column_values(model), min_size=d, max_size=d)))
+    zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)))
+    return np.where(zeroed.reshape(n, d), 0.0, base)
+
+
+@settings(max_examples=80, deadline=None)
 @given(model=fitted_models(), data=st.data())
 def test_predict_proba_batch_equals_the_loop_on_fitted_models(model, data):
     d = len(model.feature_names)
     n = data.draw(st.integers(0, 12))
-    rows = data.draw(st.lists(column_values(model), min_size=n * d, max_size=n * d))
-    rows = np.array(rows, dtype=float).reshape(n, d)
+    if data.draw(st.booleans()):
+        rows = perturbed_copies(model, data, n)
+    else:
+        rows = data.draw(st.lists(column_values(model), min_size=n * d, max_size=n * d))
+        rows = np.array(rows, dtype=float).reshape(n, d)
     got = predict_proba_batch(model, rows)
     want = reference_predict_proba(model, rows)
     assert got.shape == want.shape == (n, want.shape[1])
     assert got.tobytes() == want.tobytes()
+    # an explanation asks only for the classes it explains
+    width = want.shape[1]
+    classes = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+    got = predict_proba_batch(model, rows, classes)
+    assert got.shape == (n, len(classes))
+    assert got.tobytes() == want[:, classes].tobytes()
+
+
+def test_one_row_of_one_class_sums_the_trees_in_order():
+    # numpy sums a gather of one row and one output pairwise, which from 8
+    # trees on differs from adding in tree order; the property's models
+    # have at most 4 trees, so this case is fixed
+    rng = np.random.default_rng(3)
+    X = rng.poisson(1.5, size=(150, 6)).astype(float)
+    y = (X[:, 0] > 1).astype(int) + (X[:, 3] + X[:, 5] > 3)
+    y = np.where(rng.random(150) < 0.3, rng.integers(0, 3, 150), y)  # impure leaves
+    hp = Hyperparams(n_estimators=24, seed=3, min_samples_leaf=5, class_weight="balanced")
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), hp, "rf", "mts")
+    table = model.forests[0]
+    row = X[:1]
+    dists = []
+    for tree in table.trees():
+        weighted = tree.counts[reference_apply(tree, row)[0]] * table.weights
+        dists.append(weighted / weighted.sum())
+    in_order = functools.reduce(operator.add, dists, np.zeros(len(table.weights)))
+    pairwise = np.add.reduce(np.array(dists).T.copy(), axis=1)  # each class's trees inner
+    # the classes on which the two orders differ
+    (differ,) = np.nonzero(in_order != pairwise)
+    assert differ.size and len(table.roots) >= 16
+    for c in range(len(table.weights)):
+        got = predict_proba_batch(model, row, [c])
+        assert got.tobytes() == reference_predict_proba(model, row)[:, [c]].tobytes(), c
+
+
+@pytest.mark.parametrize("strategy", ["mts", "bts"])
+@pytest.mark.parametrize("classes", [[], [3], [-1], [0, 3]], ids=["empty", "past", "negative", "one_past"])
+def test_predict_proba_batch_refuses_classes_it_has_no_output_for(strategy, classes):
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    y = np.array([0, 1, 2, 0, 1, 2])
+    model = fit_ensemble(X, _label_sets_for(y, las(3)), Hyperparams(), "dt", strategy)
+    assert predict_proba_batch(model, X).shape == (6, 3)
+    with pytest.raises(ModelError, match="output columns below 3"):
+        predict_proba_batch(model, X, classes)
 
 
 def test_predict_proba_nan_goes_right():
