@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
 
 from . import DataError, evaluation
 from .anonymiser import anonymize
@@ -32,8 +30,9 @@ from .pipeline import (
     fit_features,
     fit_pipeline,
     load_pipeline,
-    pipeline_to_json,
     preprocess_corpus,
+    save_pipeline,
+    write_atomic,
 )
 from .synth import SynthError, SynthSpec, generate_corpus
 from .trees import STRATEGIES, VARIANTS
@@ -51,22 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract says 1
         raise UsageError(message)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lexcat-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:  # a missing directory, a directory, no permission
-        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -129,7 +112,7 @@ def _cmd_preprocess(config: PipelineConfig, args) -> int:
         for s in prep.streams
     ]
     path = _out_path(config, "tokens.jsonl")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} token streams to {path}")
     return EXIT_OK
 
@@ -147,11 +130,11 @@ def _cmd_anonymize(config: PipelineConfig, args) -> int:
             total_counts[tag] = total_counts.get(tag, 0) + c
         pairs.update(report.replaced_names)
     path = _out_path(config, "anonymized.jsonl")
-    _write_atomic(path, corpus_to_text(Corpus(tuple(out_docs))))
+    write_atomic(path, corpus_to_text(Corpus(tuple(out_docs))))
     report_path = path + ".report.tsv"
     lines = [f"{tag}\t{total_counts[tag]}" for tag in sorted(total_counts)]
     lines += [f"{orig}\t{canon}" for orig, canon in sorted(pairs)]
-    _write_atomic(report_path, "\n".join(lines) + "\n" if lines else "")
+    write_atomic(report_path, "\n".join(lines) + "\n" if lines else "")
     print(f"wrote anonymized corpus to {path} (report: {report_path})")
     return EXIT_OK
 
@@ -164,7 +147,7 @@ def _cmd_entities(config: PipelineConfig, args) -> int:
         record = extract_entities(doc, lexica.entities)
         lines.append("\t".join((doc.id,) + record.values()))
     path = _out_path(config, "entities.tsv")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {corpus.n} entity records to {path}")
     return EXIT_OK
 
@@ -174,7 +157,7 @@ def _cmd_featurize(config: PipelineConfig, args) -> int:
     lexica = load_lexica(config.lexica_dir)
     vec, _, X = fit_features(preprocess_corpus(corpus, lexica), config, range(corpus.n))
     path = _out_path(config, "features.tsv")
-    _write_atomic(path, feature_matrix_to_text(vec.names, X, [d.id for d in corpus.documents]))
+    write_atomic(path, feature_matrix_to_text(vec.names, X, [d.id for d in corpus.documents]))
     print(f"wrote {X.shape[0]}x{X.shape[1]} feature matrix to {path}")
     return EXIT_OK
 
@@ -184,7 +167,7 @@ def _cmd_train(config: PipelineConfig, args) -> int:
     lexica = load_lexica(config.lexica_dir)
     fitted = fit_pipeline(corpus, config, lexica)
     path = args.model_file or _out_path(config, "model.json")
-    _write_atomic(path, pipeline_to_json(fitted))
+    save_pipeline(fitted, path)
     n_trees = len(fitted.model.trees)
     print(f"trained {config.strategy}/{config.model} ({n_trees} trees) -> {path}")
     return EXIT_OK
@@ -199,7 +182,7 @@ def _cmd_evaluate(config: PipelineConfig, args) -> int:
     row = evaluation.report_row(config.strategy, config.model, report)
     text = evaluation.REPORT_HEADER + "\n" + row + "\n"
     path = _out_path(config, "evaluation.tsv")
-    _write_atomic(path, text)
+    write_atomic(path, text)
     print(text, end="")
     print(f"wrote report to {path}")
     return EXIT_OK
@@ -221,7 +204,7 @@ def _cmd_gridsearch(config: PipelineConfig, args) -> int:
         lines.append(f"{json.dumps(params, sort_keys=True)}\t{score:.6f}")
     lines.append(f"best\t{json.dumps(result.best_params, sort_keys=True)}")
     path = _out_path(config, "gridsearch.tsv")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"best params: {result.best_params} (score {result.best_score:.4f})")
     return EXIT_OK
 
@@ -240,10 +223,10 @@ def _cmd_explain(config: PipelineConfig, args) -> int:
     explanation = build_explanation(fitted, doc, lexica)
     text = render_explanation(explanation)
     if config.out:
-        _write_atomic(config.out, text)
+        write_atomic(config.out, text)
     print(text, end="")
     if args.graph:
-        _write_atomic(args.graph, _tree_graph(fitted.model, args.tree, args.graph_depth))
+        write_atomic(args.graph, _tree_graph(fitted.model, args.tree, args.graph_depth))
         print(f"wrote tree graph to {args.graph}")
     return EXIT_OK
 
@@ -266,7 +249,7 @@ def _tree_graph(model, index: int, max_depth: int | None) -> str:
 def _cmd_export_tree(config: PipelineConfig, args) -> int:
     dot = _tree_graph(load_pipeline(args.model_file).model, args.tree, args.max_depth)
     path = _out_path(config, "tree.dot")
-    _write_atomic(path, dot)
+    write_atomic(path, dot)
     print(f"wrote tree graph to {path}")
     return EXIT_OK
 
@@ -284,7 +267,7 @@ def _cmd_synth(config: PipelineConfig, args) -> int:
         raise ConfigError(f"bad synth parameters: {exc}") from None
     corpus = generate_corpus(spec)
     path = _out_path(config, "synthetic.jsonl")
-    _write_atomic(path, corpus_to_text(corpus))
+    write_atomic(path, corpus_to_text(corpus))
     stats = corpus_stats(corpus)
     print(
         f"wrote {corpus.n} documents to {path} "

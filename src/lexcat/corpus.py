@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from . import DataError
+from . import DataError, read_text
 
 SUBSTANTIVE_ORDERS = (
     "penal",
@@ -156,29 +156,22 @@ def load_corpus(path) -> Corpus:
     """
     docs: list[Judgement] = []
     seen: set[str] = set()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file: {exc}") from None
-    with fh:
+    # not splitlines(), which would also split at a raw U+2028 in a string
+    for lineno, line in enumerate(read_text(path, CorpusError, "corpus file").split("\n"), 1):
+        if not line.strip():
+            continue
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {lineno}: not a valid record: {exc}") from None
-                try:
-                    doc = _judgement_from_record(raw)
-                except CorpusError as exc:
-                    raise CorpusError(f"line {lineno}: {exc}") from None
-                if doc.id in seen:
-                    raise CorpusError(f"line {lineno}: duplicate document id: {doc.id!r}")
-                seen.add(doc.id)
-                docs.append(doc)
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"corpus file is not UTF-8 text: {exc.reason}") from None
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {lineno}: not a valid record: {exc}") from None
+        try:
+            doc = _judgement_from_record(raw)
+        except CorpusError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from None
+        if doc.id in seen:
+            raise CorpusError(f"line {lineno}: duplicate document id: {doc.id!r}")
+        seen.add(doc.id)
+        docs.append(doc)
     if not docs:
         raise CorpusError(f"{path}: empty corpus file")
     return Corpus(tuple(docs))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DataError
+from . import DataError, has_type
 from .entities import CATEGORICAL_FIELDS, EntityRecord, UNKNOWN
 from .trees import Hyperparams, feature_importances, fit_ensemble
 
@@ -41,7 +41,7 @@ def _ngram_bounds(ngram_range) -> tuple[int, int]:
     """The n-gram range as (lo, hi): two integers (not booleans) with
     1 <= lo <= hi."""
     bounds = tuple(ngram_range)
-    integers = all(isinstance(b, int) and not isinstance(b, bool) for b in bounds)
+    integers = all(has_type(b, int) for b in bounds)
     if not (len(bounds) == 2 and integers and 1 <= bounds[0] <= bounds[1]):
         raise FeatureError(f"need two integers 1 <= lo <= hi in ngram_range, got {bounds}")
     return bounds
@@ -49,7 +49,7 @@ def _ngram_bounds(ngram_range) -> tuple[int, int]:
 
 def _df_bounds(min_df, max_df) -> None:
     """Document-frequency bounds are two numbers with 0 <= min_df < max_df <= 1."""
-    numbers = all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in (min_df, max_df))
+    numbers = has_type(min_df, float) and has_type(max_df, float)
     if not (numbers and 0 <= min_df < max_df <= 1):
         raise FeatureError(f"need numbers 0 <= min_df < max_df <= 1, got ({min_df!r}, {max_df!r})")
 

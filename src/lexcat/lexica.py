@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import DataError
+from . import DataError, read_text
 
 
 # replacement tags of the anonymiser, in precedence order
@@ -32,12 +32,8 @@ def _lines(path: Path, strip: bool = True) -> list[str]:
     stripped unless strip is False."""
     if not path.is_file():
         raise ConfigurationError(f"missing lexicon file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     out = []
-    for line in text.splitlines():
+    for line in read_text(path, ConfigurationError, f"lexicon file {path}").splitlines():
         if line.strip():
             out.append(unicodedata.normalize("NFC", line.strip() if strip else line))
     return out

@@ -6,14 +6,13 @@ from __future__ import annotations
 import functools
 import json
 import os
-import types
-import typing
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import DataError
+from . import DataError, check_fields, read_text
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
 from .explain import MIN_RELEVANCE_SAMPLES
@@ -81,36 +80,12 @@ class PipelineConfig:
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, _FIELD_TYPES[f.name]):
-                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        # value ranges are checked here, before any corpus is read
+        check_fields(self, ConfigError, _config_rules, prefix="config field ")
         for name in ("corpus", "lexica_dir", "out"):
             path = getattr(self, name)
             if not _is_file_name(path):
                 raise ConfigError(f"config field {name!r} is not a valid file name: {path!r}")
-        for name, allowed in {"strategy": STRATEGIES, "model": VARIANTS}.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"config field {name!r} must be one of {allowed}, got {value!r}")
-        # value ranges are checked here, before any corpus is read
-        ranges = {
-            "max_df": (0 < self.max_df <= 1, "in (0, 1]"),
-            "min_df": (0 <= self.min_df < self.max_df, "in [0, max_df)"),
-            "ngram_lo": (1 <= self.ngram_lo <= self.ngram_hi, "in [1, ngram_hi]"),
-            "correlation_threshold": (0 <= self.correlation_threshold <= 1, "in [0, 1]"),
-            "bts_threshold": (0 <= self.bts_threshold <= 1, "in [0, 1]"),
-            "importance_estimators": (self.importance_estimators >= 1, ">= 1"),
-            "folds": (self.folds >= 2, ">= 2"),
-            "relevance_samples": (
-                self.relevance_samples >= MIN_RELEVANCE_SAMPLES,
-                f">= {MIN_RELEVANCE_SAMPLES}",
-            ),
-        }
-        for name, (ok, rule) in ranges.items():
-            if not ok:
-                value = getattr(self, name)
-                raise ConfigError(f"config field {name!r} must be {rule}, got {value}")
         self.hyperparams()
 
     def hyperparams(self) -> Hyperparams:
@@ -133,17 +108,23 @@ class PipelineConfig:
         return replace(self, **overrides)
 
 
-_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
-
-
-def _has_type(value, hint) -> bool:
-    """isinstance against a field's declared type, where an int is a float
-    but a bool is neither an int nor a float."""
-    if isinstance(hint, types.UnionType):
-        return any(_has_type(value, h) for h in typing.get_args(hint))
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
+def _config_rules(c: PipelineConfig) -> dict:
+    """The config's own ranges; Hyperparams checks the model fields'."""
+    return {
+        "strategy": (c.strategy in STRATEGIES, f"one of {STRATEGIES}"),
+        "model": (c.model in VARIANTS, f"one of {VARIANTS}"),
+        "max_df": (0 < c.max_df <= 1, "in (0, 1]"),
+        "min_df": (0 <= c.min_df < c.max_df, "in [0, max_df)"),
+        "ngram_lo": (1 <= c.ngram_lo <= c.ngram_hi, "in [1, ngram_hi]"),
+        "correlation_threshold": (0 <= c.correlation_threshold <= 1, "in [0, 1]"),
+        "bts_threshold": (0 <= c.bts_threshold <= 1, "in [0, 1]"),
+        "importance_estimators": (c.importance_estimators >= 1, ">= 1"),
+        "folds": (c.folds >= 2, ">= 2"),
+        "relevance_samples": (
+            c.relevance_samples >= MIN_RELEVANCE_SAMPLES,
+            f">= {MIN_RELEVANCE_SAMPLES}",
+        ),
+    }
 
 
 def _is_file_name(path: str | None) -> bool:
@@ -159,14 +140,9 @@ def _is_file_name(path: str | None) -> bool:
 
 def config_from_json(path) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        raw = json.loads(read_text(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return PipelineConfig().with_overrides(raw)
@@ -415,16 +391,28 @@ def _check_kept_columns(fp: FittedPipeline) -> None:
         raise ConfigError("kept columns must list the textual ones first, as fitting does")
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory,
+    so that a failed write leaves neither a partial file nor the temporary."""
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lexcat-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
+
+
 def save_pipeline(fp: FittedPipeline, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pipeline_to_json(fp))
+    write_atomic(path, pipeline_to_json(fp))
 
 
 def load_pipeline(path) -> FittedPipeline:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return pipeline_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"model file is not UTF-8 text: {exc.reason}") from None
+    return pipeline_from_json(read_text(path, ConfigError, "model file"))

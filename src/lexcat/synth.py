@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import DataError, check_fields
 from .corpus import Corpus, Judgement, LabelAssignment, SUBSTANTIVE_ORDERS
 
 # document share of label-set sizes 1/2/3
@@ -67,29 +67,16 @@ class SynthSpec:
     tokens_hi: int = 80
 
     def __post_init__(self) -> None:
-        # field -> (type, least value, greatest value or None); a float field
-        # takes an int, and no field takes a bool
-        rules = {
-            "n_docs": (int, 1, None),
-            "n_classes": (int, 2, None),
-            "seed": (int, 0, None),
-            "noise": (float, 0, 1),
-            "contamination": (float, 0, 1),
-            "keywords_per_class": (int, 1, None),
-            "tokens_lo": (int, 1, None),
-            "tokens_hi": (int, self.tokens_lo, None),
-        }
-        for name, (kind, low, high) in rules.items():
-            value = getattr(self, name)
-            typed = isinstance(value, (int, float) if kind is float else int)
-            if (
-                isinstance(value, bool)
-                or not typed
-                or not (low <= value and (high is None or value <= high))
-            ):
-                what = "a number" if kind is float else "an integer"
-                span = f">= {low}" if high is None else f"in [{low}, {high}]"
-                raise SynthError(f"{name!r} must be {what} {span}, got {value!r}")
+        check_fields(self, SynthError, lambda spec: {
+            "n_docs": (spec.n_docs >= 1, ">= 1"),
+            "n_classes": (spec.n_classes >= 2, ">= 2"),
+            "seed": (spec.seed >= 0, ">= 0"),
+            "noise": (0 <= spec.noise <= 1, "in [0, 1]"),
+            "contamination": (0 <= spec.contamination <= 1, "in [0, 1]"),
+            "keywords_per_class": (spec.keywords_per_class >= 1, ">= 1"),
+            "tokens_lo": (spec.tokens_lo >= 1, ">= 1"),
+            "tokens_hi": (spec.tokens_hi >= spec.tokens_lo, ">= tokens_lo"),
+        })
 
 
 def _pseudo_word(rng: np.random.Generator, used: set[str]) -> str:

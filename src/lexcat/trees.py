@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DataError
+from . import DataError, check_fields
 from .corpus import LabelAssignment
 from .labels import (
     ClassCatalog,
@@ -90,23 +90,16 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         # every message starts with the quoted field name
-        choices = {"class_weight": (None, "balanced"), "criterion": CRITERIA, "splitter": SPLITTERS}
-        for name, allowed in choices.items():
-            if getattr(self, name) not in allowed:
-                raise ModelError(f"{name!r} must be one of {allowed}, got {getattr(self, name)!r}")
-        least = {
-            "max_depth": 0,
-            "min_samples_split": 2,
-            "min_samples_leaf": 1,
-            "n_estimators": 1,
-            "seed": 0,
-        }
-        for name, low in least.items():
-            value = getattr(self, name)
-            if name == "max_depth" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ModelError(f"{name!r} must be an integer >= {low}, got {value!r}")
+        check_fields(self, ModelError, lambda hp: {
+            "class_weight": (hp.class_weight in (None, "balanced"), "one of (None, 'balanced')"),
+            "criterion": (hp.criterion in CRITERIA, f"one of {CRITERIA}"),
+            "splitter": (hp.splitter in SPLITTERS, f"one of {SPLITTERS}"),
+            "max_depth": (hp.max_depth is None or hp.max_depth >= 0, ">= 0"),
+            "min_samples_split": (hp.min_samples_split >= 2, ">= 2"),
+            "min_samples_leaf": (hp.min_samples_leaf >= 1, ">= 1"),
+            "n_estimators": (hp.n_estimators >= 1, ">= 1"),
+            "seed": (hp.seed >= 0, ">= 0"),
+        })
 
 
 def impurity(class_counts, criterion: str) -> float:

@@ -11,7 +11,7 @@ from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.explain import class_display_names
 from lexcat.lexica import default_data_dir
-from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline
+from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline, save_pipeline
 from lexcat.trees import Hyperparams, ModelError, fit_ensemble
 
 from test_trees import (
@@ -565,6 +565,25 @@ def test_input_file_that_is_not_utf8_is_data_error(kind, synth_corpus_path, tmp_
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+# a file that opens but fails to read (EIO at offset 0), even for root, whom
+# file permissions do not stop
+UNREADABLE = "/proc/self/mem"
+
+
+@pytest.mark.skipif(not os.path.exists(UNREADABLE), reason=f"no {UNREADABLE}")
+@pytest.mark.parametrize("kind", ["corpus", "lexicon"])
+def test_input_file_that_cannot_be_read_is_data_error(kind, synth_corpus_path, tmp_path, capsys):
+    corpus, lexica = UNREADABLE, default_data_dir()
+    if kind == "lexicon":
+        corpus, lexica = str(synth_corpus_path), tmp_path / "lexica"
+        shutil.copytree(default_data_dir(), lexica)
+        (lexica / "courts.txt").unlink()
+        (lexica / "courts.txt").symlink_to(UNREADABLE)
+    argv = ["entities", "--corpus", corpus, "--lexica-dir", str(lexica)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"cannot read {kind} file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["\ud800x", "a\0b"], ids=["lone_surrogate", "nul"])
 @pytest.mark.parametrize("field", ["corpus", "lexica_dir", "out"])
 def test_config_path_that_is_not_a_file_name_is_data_error(
@@ -607,6 +626,13 @@ def test_unwritable_output_is_data_error(
         assert main(argv) == EXIT_DATA, argv
         assert "cannot write output file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
+
+
+def test_save_pipeline_into_a_missing_directory_is_config_error(dt_model_path, tmp_path):
+    fitted = load_pipeline(dt_model_path)
+    with pytest.raises(ConfigError, match="cannot write output file"):
+        save_pipeline(fitted, tmp_path / "missing" / "model.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 # Mutations of a trained pipeline file that used to escape as IndexError or
