@@ -4,10 +4,12 @@ binary/multi-class transformation strategies over tree ensembles, and
 natural-language plus graph explanations.
 
 Each input rule is stated once, here: `read_text` reads every file lexcat
-is given, and `check_fields` checks every settings dataclass."""
+is given, `parse_json` parses every JSON text in them, and `check_fields`
+checks every settings dataclass."""
 
 import dataclasses
 import functools
+import json
 import types
 import typing
 
@@ -30,6 +32,15 @@ def read_text(path, error: type[DataError], what: str) -> str:
         raise error(f"cannot read {what}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8 text: {exc.reason}") from None
+
+
+def parse_json(text: str, error: type[DataError], what: str):
+    """text parsed as JSON; text that is not JSON, or that nests deeper than
+    the parser can follow, raises error with `what` before the reason."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 def has_type(value, hint) -> bool:

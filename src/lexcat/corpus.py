@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from . import DataError, read_text
+from . import DataError, parse_json, read_text
 
 SUBSTANTIVE_ORDERS = (
     "penal",
@@ -160,10 +160,7 @@ def load_corpus(path) -> Corpus:
     for lineno, line in enumerate(read_text(path, CorpusError, "corpus file").split("\n"), 1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: not a valid record: {exc}") from None
+        raw = parse_json(line, CorpusError, f"line {lineno}: not a valid record")
         try:
             doc = _judgement_from_record(raw)
         except CorpusError as exc:

@@ -129,44 +129,43 @@ class Lexica:
     anonymiser: AnonymiserLexica
 
 
-def load_text_resources(data_dir: Path | None = None) -> TextResources:
-    d = Path(data_dir) if data_dir else default_data_dir()
-    stop = frozenset(_lines(d / "stopwords.txt"))
+def load_text_resources(data_dir: Path) -> TextResources:
+    stop = frozenset(_lines(data_dir / "stopwords.txt"))
     lemmas = {}
-    for form, lemma in _pairs(d / "lemmas.tsv"):
+    for form, lemma in _pairs(data_dir / "lemmas.tsv"):
         if any(ch.isspace() for ch in form + lemma):
             raise ConfigurationError(f"lemma entries must be single tokens: {form!r}")
         lemmas[form] = lemma
     return TextResources(stop, lemmas)
 
 
-def load_entity_lexica(data_dir: Path | None = None) -> EntityLexica:
-    d = Path(data_dir) if data_dir else default_data_dir()
+def load_entity_lexica(data_dir: Path) -> EntityLexica:
     case_types = tuple(
-        CaseTypeEntry(name, juris) for name, juris in _optional_pairs(d / "case_types.tsv")
+        CaseTypeEntry(name, juris) for name, juris in _optional_pairs(data_dir / "case_types.tsv")
     )
-    courts = tuple(_lines(d / "courts.txt"))
-    decisions = tuple(_lines(d / "decisions.txt"))
-    divisions = dict(_pairs(d / "divisions.tsv"))
-    gin_map = dict(_pairs(d / "gin_jurisdiction.tsv"))
+    courts = tuple(_lines(data_dir / "courts.txt"))
+    decisions = tuple(_lines(data_dir / "decisions.txt"))
+    divisions = dict(_pairs(data_dir / "divisions.tsv"))
+    gin_map = dict(_pairs(data_dir / "gin_jurisdiction.tsv"))
     return EntityLexica(case_types, courts, decisions, divisions, gin_map)
 
 
-def load_anonymiser_lexica(data_dir: Path | None = None) -> AnonymiserLexica:
-    d = Path(data_dir) if data_dir else default_data_dir()
-    titles = _tagged(d / "titles.tsv")
-    implicit = _tagged(d / "implicit_refs.tsv")
-    forms = tuple(_lines(d / "corporate_forms.txt"))
-    first = frozenset(n.casefold() for n in _lines(d / "first_names.txt"))
-    last = frozenset(n.casefold() for n in _lines(d / "surnames.txt"))
-    registry_path = d / "roles.tsv"
+def load_anonymiser_lexica(data_dir: Path) -> AnonymiserLexica:
+    titles = _tagged(data_dir / "titles.tsv")
+    implicit = _tagged(data_dir / "implicit_refs.tsv")
+    forms = tuple(_lines(data_dir / "corporate_forms.txt"))
+    first = frozenset(n.casefold() for n in _lines(data_dir / "first_names.txt"))
+    last = frozenset(n.casefold() for n in _lines(data_dir / "surnames.txt"))
+    registry_path = data_dir / "roles.tsv"
     registry = _tagged(registry_path) if registry_path.is_file() else {}
     return AnonymiserLexica(titles, implicit, forms, first, last, registry)
 
 
 def load_lexica(data_dir: Path | None = None) -> Lexica:
+    """The lexica in data_dir, else the bundled set."""
+    d = Path(data_dir) if data_dir else default_data_dir()
     return Lexica(
-        text=load_text_resources(data_dir),
-        entities=load_entity_lexica(data_dir),
-        anonymiser=load_anonymiser_lexica(data_dir),
+        text=load_text_resources(d),
+        entities=load_entity_lexica(d),
+        anonymiser=load_anonymiser_lexica(d),
     )

@@ -6,13 +6,14 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import DataError, check_fields, read_text
+from . import DataError, check_fields, parse_json, read_text
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
 from .explain import MIN_RELEVANCE_SAMPLES
@@ -139,10 +140,8 @@ def _is_file_name(path: str | None) -> bool:
 
 
 def config_from_json(path) -> PipelineConfig:
-    try:
-        raw = json.loads(read_text(path, ConfigError, "config file"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    text = read_text(path, ConfigError, "config file")
+    raw = parse_json(text, ConfigError, "config file is not valid JSON")
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return PipelineConfig().with_overrides(raw)
@@ -315,10 +314,7 @@ def pipeline_to_json(fp: FittedPipeline) -> str:
 
 
 def pipeline_from_json(text: str) -> FittedPipeline:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"pipeline file is not JSON: {exc}") from None
+    obj = parse_json(text, ConfigError, "pipeline file is not JSON")
     if not isinstance(obj, dict):
         raise ConfigError("pipeline file must hold a JSON object")
     if obj.get("format") != _PIPELINE_FORMAT:
@@ -393,7 +389,9 @@ def _check_kept_columns(fp: FittedPipeline) -> None:
 
 def write_atomic(path, text: str) -> None:
     """Write text to path through a temporary file in the same directory,
-    so that a failed write leaves neither a partial file nor the temporary."""
+    so that a failed write leaves neither a partial file nor the temporary.
+    The file keeps the mode of the file it replaces; a new file gets the
+    mode open() would create it with under the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -401,6 +399,7 @@ def write_atomic(path, text: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                os.fchmod(fd, _mode_for(path))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -408,6 +407,17 @@ def write_atomic(path, text: str) -> None:
             raise
     except OSError as exc:  # a missing directory, a directory, no permission
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
+
+
+def _mode_for(path: str) -> int:
+    """The permission bits of the file at path, or, when there is none,
+    those open() gives a new file: 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def save_pipeline(fp: FittedPipeline, path) -> None:

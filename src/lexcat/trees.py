@@ -17,8 +17,10 @@ Thresholds are midpoints between present values, as a sorted search would
 place them. A bootstrap sample is grown as (distinct row, multiplicity)
 pairs, so the histograms are weighted counts of whole samples, and the
 'best' splitter gives up at once on a node too small to split. What is the
-same for every tree of a forest is built once per forest: the binned matrix,
-the one check of its class weights and the weight table of their sums.
+same for every tree of a forest is built and checked once per forest, as its
+Grower: the binned matrix, the labels, the class weights and the weight table
+of their sums. fit_ensemble is the only way to grow a tree: fit_tree grows
+each tree of a forest from its Grower, and find_split searches each node.
 
 A model stores each forest once, as one flat node table (ForestTable) that
 _pack_forest builds and checks; model.trees are views of it. Prediction first
@@ -55,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DataError, check_fields
+from . import DataError, check_fields, parse_json
 from .corpus import LabelAssignment
 from .labels import (
     ClassCatalog,
@@ -180,24 +182,47 @@ def weight_table(class_weights: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+class Grower(NamedTuple):
+    """What every tree of one forest grows from, built and checked once by
+    Grower.build: fit_tree grows each tree from it, find_split searches each
+    node with it."""
+
+    X: np.ndarray  # the finite training matrix
+    bins: Bins  # bin_columns(X)
+    y: np.ndarray  # int32 labels, one per row of X
+    n_classes: int
+    weights: np.ndarray  # the checked class weights
+    table: np.ndarray  # weight_table(weights, len(y)): every tree's sample holds len(y) samples
+    hp: Hyperparams
+    max_features: int | None  # candidate columns drawn per node; None for every column
+
+    @classmethod
+    def build(cls, X, bins, y, n_classes, class_weights, hp, max_features) -> Grower:
+        """The state of a forest grown on X, binned as bins, and labels y in
+        0..n_classes-1; refused unless X is a nonempty matrix with one label
+        per row and _checked_class_weights accepts the class weights."""
+        y = np.asarray(y, dtype=np.int32)
+        if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
+            raise ModelError("training data must be a nonempty matrix with one label per row")
+        weights = _checked_class_weights(class_weights, y, n_classes)
+        return cls(X, bins, y, n_classes, weights, weight_table(weights, len(y)), hp, max_features)
+
+
 def find_split(
-    bins: Bins,
+    grower: Grower,
     cands: np.ndarray,
     rows: np.ndarray,
     y: np.ndarray,
     weight: np.ndarray,
-    hyperparams: Hyperparams,
     rng: np.random.Generator,
-    table: np.ndarray,
-    n_classes: int,
 ):
     """Best (column, threshold) over the candidate columns of one node, or
     None.
 
-    bins is bin_columns' binning of the forest's matrix; cands the sorted
-    candidate columns; rows the node's distinct rows, y their int32 labels
-    and weight their multiplicities (how often a bootstrap sample drew each
-    row), so the node holds weight.sum() samples. table is weight_table's.
+    grower is the forest's state; cands the sorted candidate columns; rows
+    the node's distinct rows, y their int32 labels and weight their
+    multiplicities (how often a bootstrap sample drew each row), so the node
+    holds weight.sum() samples.
     Each candidate gets as many bins as it has distinct values, so one
     weighted bincount over (column, bin, class) gives every column's class
     histogram in whole sample counts. A split may fall after any bin present
@@ -210,9 +235,10 @@ def find_split(
     after the last present value at or below it. Both splitters share one
     scoring step; ties break on the lowest column, then the lowest threshold.
     """
+    bins, n_classes, table, hp = grower.bins, grower.n_classes, grower.table, grower.hp
     n = int(weight.sum())
-    leaf = hyperparams.min_samples_leaf
-    if hyperparams.splitter == "best" and n < 2 * leaf:
+    leaf = hp.min_samples_leaf
+    if hp.splitter == "best" and n < 2 * leaf:
         return None
     widths = bins.widths.take(cands)
     m, r = len(cands), len(rows)
@@ -235,7 +261,7 @@ def find_split(
     feasible = present & (sizes >= leaf) & (n - sizes >= leaf)
     # histogram bin i of candidate k holds the value bins.values[i + shift[k]]
     shift = bins.starts.take(cands) - starts
-    if hyperparams.splitter == "random":
+    if hp.splitter == "random":
         values = bins.values.take(np.arange(n_bins) + shift.repeat(widths))
         lo = np.minimum.reduceat(np.where(present, values, np.inf), starts)
         hi = np.maximum.reduceat(np.where(present, values, -np.inf), starts)
@@ -262,12 +288,12 @@ def find_split(
     wr = total_w - wl
     # wl, wr > 0: each child keeps min_samples_leaf >= 1 samples, and
     # _checked_class_weights refuses weights that leave a class in y at 0 or below
-    imp = _impurity_rows(scored, hyperparams.criterion)
+    imp = _impurity_rows(scored, hp.criterion)
     il, ir = imp[1:].reshape(2, -1)
     dec = imp[0] - (wl / total_w) * il - (wr / total_w) * ir
     b = int(at[int(np.argmax(dec))])
     f = int(column[b])
-    if hyperparams.splitter == "random":
+    if hp.splitter == "random":
         return int(cands[f]), float(thr[f])
     # b is feasible, so a later present bin of the same column exists
     nxt = b + 1 + int(np.argmax(present[b + 1 :]))
@@ -288,51 +314,25 @@ class Tree:
         return len(self.feature)
 
 
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    hyperparams: Hyperparams,
-    rng: np.random.Generator | None = None,
-    n_classes: int | None = None,
-    class_weights: np.ndarray | None = None,
-    max_features: int | None = None,
-    rows: np.ndarray | None = None,
-    bins: Bins | None = None,
-    table: np.ndarray | None = None,
-) -> Tree:
-    """Grow one tree on integer class labels, over the given rows of X and
-    y (repeats allowed, as in a bootstrap sample; every row once by default).
+def fit_tree(grower: Grower, rng: np.random.Generator, rows: np.ndarray | None) -> Tree:
+    """Grow one tree of grower's forest over the given rows of its matrix
+    (repeats allowed, as in a bootstrap sample; None for every row once),
+    drawing its candidate columns and random thresholds from rng.
 
     The sample is carried as its distinct rows, sorted, with how often each
     was drawn: node sizes, min_samples_split, min_samples_leaf and the class
     counts stored in Tree.counts all count a row as often as it was drawn.
-    bins is bin_columns(X) and table the weight_table of the checked class
-    weights over the sample's size; a forest builds both once for all its
-    trees, and a tree grown alone builds them here (class_weights is read
-    only when table is not given).
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int32)
-    if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
-        raise ModelError("training data must be a nonempty matrix with one label per row")
-    if rng is None:
-        rng = np.random.default_rng(hyperparams.seed)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    X, y, n_classes, max_features = grower.X, grower.y, grower.n_classes, grower.max_features
     drawn = np.ones(len(X)) if rows is None else np.bincount(rows, minlength=len(X)).astype(float)
     (root,) = np.nonzero(drawn)
-    bins = bin_columns(X) if bins is None else bins
-    if table is None:
-        if class_weights is None:
-            class_weights = compute_class_weights(y, n_classes, hyperparams.class_weight)
-        table = weight_table(_checked_class_weights(class_weights, y, n_classes), int(drawn.sum()))
     d = X.shape[1]
     every = np.arange(d)
     sampled = max_features is not None and max_features < d
-    max_depth = math.inf if hyperparams.max_depth is None else hyperparams.max_depth
-    min_split = hyperparams.min_samples_split
+    max_depth = math.inf if grower.hp.max_depth is None else grower.hp.max_depth
+    min_split = grower.hp.min_samples_split
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -367,7 +367,7 @@ def fit_tree(
         ):
             continue
         cands = np.sort(rng.choice(d, size=max_features, replace=False)) if sampled else every
-        split = find_split(bins, cands, idx, y_node, weight, hyperparams, rng, table, n_classes)
+        split = find_split(grower, cands, idx, y_node, weight, rng)
         if split is None:
             continue
         f, thr = split
@@ -504,40 +504,15 @@ def _variant_knobs(variant: str, hp: Hyperparams, d: int):
     return hp, bootstrap, max_features, hp.n_estimators if ensemble else 1
 
 
-def _fit_forest(
-    X: np.ndarray,
-    bins: Bins,
-    y: np.ndarray,
-    n_classes: int,
-    hp: Hyperparams,
-    n_trees: int,
-    bootstrap: bool,
-    max_features: int | None,
-    tree_offset: int,
-) -> ForestTable:
-    y = np.asarray(y, dtype=np.int32)
-    weights = compute_class_weights(y, n_classes, hp.class_weight)
-    # every tree's sample holds len(y) samples, so one table serves them all
-    table = weight_table(_checked_class_weights(weights, y, n_classes), len(y))
+def _fit_forest(grower: Grower, n_trees: int, bootstrap: bool, tree_offset: int) -> ForestTable:
+    n = len(grower.y)
     forest = []
     for t in range(n_trees):
-        rng = np.random.default_rng(hp.seed + tree_offset + t)
+        rng = np.random.default_rng(grower.hp.seed + tree_offset + t)
         # a bootstrap sample is grown as rows of X, so X is never copied
-        rows = rng.integers(0, len(y), size=len(y)) if bootstrap else None
-        forest.append(
-            fit_tree(
-                X,
-                y,
-                hp,
-                rng=rng,
-                n_classes=n_classes,
-                max_features=max_features,
-                rows=rows,
-                bins=bins,
-                table=table,
-            )
-        )
-    return _pack_forest(forest, weights, X.shape[1])
+        rows = rng.integers(0, n, size=n) if bootstrap else None
+        forest.append(fit_tree(grower, rng, rows))
+    return _pack_forest(forest, grower.weights, grower.X.shape[1])
 
 
 def fit_ensemble(
@@ -569,7 +544,7 @@ def fit_ensemble(
     mts_catalog, alphas = mts_encode(label_sets)
 
     # (labels, output width) of each forest; bts labels are views of beta,
-    # which _fit_forest copies to int32 only while it grows that forest
+    # which Grower.build copies to int32 only while that forest grows
     if strategy == "mts":
         targets = [(np.asarray(alphas, dtype=np.int32) - 1, mts_catalog.p)]
     else:
@@ -577,6 +552,10 @@ def fit_ensemble(
         targets = [(beta[:, j], 2) for j in range(class_catalog.m)]
     # every forest grows on the same matrix, so it is binned once
     bins = bin_columns(X)
+    growers = (
+        Grower.build(X, bins, y, n, compute_class_weights(y, n, hp.class_weight), hp, mf)
+        for y, n in targets
+    )
     return EnsembleModel(
         variant=variant,
         strategy=strategy,
@@ -584,10 +563,7 @@ def fit_ensemble(
         feature_names=feature_names,
         class_catalog=class_catalog,
         mts_catalog=mts_catalog,
-        forests=[
-            _fit_forest(X, bins, y, n_classes, hp, n_trees, boot, mf, j * n_trees)
-            for j, (y, n_classes) in enumerate(targets)
-        ],
+        forests=[_fit_forest(g, n_trees, boot, j * n_trees) for j, g in enumerate(growers)],
     )
 
 
@@ -807,10 +783,7 @@ def model_to_json(model: EnsembleModel) -> str:
 
 
 def model_from_json(text: str) -> EnsembleModel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file is not JSON: {exc}") from None
+    obj = parse_json(text, ModelError, "model file is not JSON")
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != _FORMAT:
         raise ModelError(f"unsupported model format: {fmt!r}")

@@ -29,7 +29,6 @@ from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.trees import (
     Hyperparams,
     fit_ensemble,
-    fit_tree,
     impurity,
     model_to_json,
     predict_batch,
@@ -39,7 +38,7 @@ from lexcat.trees import (
 from test_evaluation import oracle_all, random_instance
 from test_explain import LISTING_EXPECTED, reference_explanation
 from test_features import spearman_oracle
-from test_trees import reference_apply
+from test_trees import grown_tree, reference_apply
 
 
 def _assignments(m):
@@ -133,7 +132,7 @@ def test_criterion_04_tree_correctness():
     rng = np.random.default_rng(20240104)
     X = rng.uniform(-1, 1, size=(200, 2))
     y = np.where(X[:, 0] < 0, 0, np.where(X[:, 1] < 0, 1, 2))
-    tree = fit_tree(X, y, Hyperparams(max_depth=None, seed=0))
+    tree = grown_tree(X, y, Hyperparams(max_depth=None, seed=0))
     leaves = reference_apply(tree, X)
     assert (tree.counts[leaves].argmax(axis=1) == y).all()
 

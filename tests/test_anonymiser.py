@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lexcat import anonymiser
 from lexcat.anonymiser import ReferenceSpan, anonymize, jaro, unify_names
-from lexcat.lexica import AnonymiserLexica, default_data_dir, load_anonymiser_lexica
+from lexcat.lexica import AnonymiserLexica, default_data_dir, load_anonymiser_lexica, load_lexica
 
 
 def jaro_oracle(a, b):
@@ -272,7 +272,7 @@ _SCAN_LEXICA = AnonymiserLexica(
     surnames=frozenset({"pérez", "garcía", "vega"}),
     role_registry={},
 )
-_BUNDLED = load_anonymiser_lexica()
+_BUNDLED = load_lexica().anonymiser
 _OTHER_TOKENS = {
     "name": ["Juan", "María", "Pérez", "García", "Vega", "Construcciones", "Hijos"],
     # a name that ends with periods, in capitals, or not capitalised

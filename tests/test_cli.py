@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -628,6 +629,29 @@ def test_unwritable_output_is_data_error(
     assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
 
 
+def _synth_under_umask(out, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["synth", "--docs", "5", "--classes", "2", "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    return stat.S_IMODE(out.stat().st_mode)
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_new_output_file_takes_the_umask_mode(umask, mode, tmp_path):
+    # the temporary file an output is written through was left at 0600
+    assert _synth_under_umask(tmp_path / "c.jsonl", umask) == mode
+
+
+def test_overwritten_output_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "c.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert _synth_under_umask(out, 0o077) == 0o640
+    assert out.read_text(encoding="utf-8") != "old\n"
+
+
 def test_save_pipeline_into_a_missing_directory_is_config_error(dt_model_path, tmp_path):
     fitted = load_pipeline(dt_model_path)
     with pytest.raises(ConfigError, match="cannot write output file"):
@@ -788,6 +812,8 @@ def _write(path, text):
     return str(path)
 
 
+DEEP = "[" * 200_000
+
 # Refusals of an input no other case reaches: the arguments, given a scratch
 # directory, the 80-document corpus and the fast config, and the message
 INPUT_REFUSALS = {
@@ -802,6 +828,19 @@ INPUT_REFUSALS = {
     "model_file_unreadable": (
         lambda tmp, corpus, cfg: ["export-tree", "--model-file", str(tmp / "missing.json")],
         "cannot read model file",
+    ),
+    # JSON nested deeper than the parser follows raised RecursionError: exit 3
+    "config_nests_too_deep": (
+        lambda tmp, corpus, cfg: ["evaluate", "--config", _write(tmp / "c.json", DEEP)],
+        "config file is not valid JSON: maximum recursion depth exceeded",
+    ),
+    "corpus_line_nests_too_deep": (
+        lambda tmp, corpus, cfg: ["entities", "--corpus", _write(tmp / "c.jsonl", DEEP)],
+        "line 1: not a valid record: maximum recursion depth exceeded",
+    ),
+    "model_file_nests_too_deep": (
+        lambda tmp, corpus, cfg: ["export-tree", "--model-file", _write(tmp / "m.json", DEEP)],
+        "pipeline file is not JSON: maximum recursion depth exceeded",
     ),
     "empty_grid": (
         lambda tmp, corpus, cfg: [

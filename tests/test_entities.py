@@ -25,7 +25,7 @@ from lexcat.entities import (
     parse_gin,
     split_sections,
 )
-from lexcat.lexica import CaseTypeEntry, load_entity_lexica
+from lexcat.lexica import CaseTypeEntry, load_lexica
 
 
 def test_parse_gin_positions():
@@ -283,7 +283,7 @@ def _ref_detect_resolution_type(heading_tail):
     return best if best is not None else UNKNOWN
 
 
-_BUNDLED = load_entity_lexica()
+_BUNDLED = load_lexica().entities
 _PHRASES = sorted(
     {e.name for e in _BUNDLED.case_types}
     | set(_BUNDLED.courts)

@@ -19,18 +19,19 @@ ALLOWED = {"impurity"}
 
 
 def _public_definitions():
-    """(module:qualified name, name) of each public def and class, methods
-    included; nested functions are private to their enclosing body."""
+    """(module:qualified name, node, whether it is a method) of each public
+    def and class, methods included; nested functions are private to their
+    enclosing body."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield f"{path.stem}:{node.name}", node.name
+            yield f"{path.stem}:{node.name}", node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}:{node.name}.{item.name}", item.name
+                        yield f"{path.stem}:{node.name}.{item.name}", item, True
 
 
 def _referenced_names(paths) -> set[str]:
@@ -55,7 +56,52 @@ def _referenced_names(paths) -> set[str]:
 
 def test_every_public_name_has_a_program_caller():
     used = _referenced_names(PROGRAM)
-    unused = [qual for qual, name in _public_definitions() if name not in used | ALLOWED]
+    unused = [qual for qual, node, _ in _public_definitions() if node.name not in used | ALLOWED]
+    assert unused == []
+
+
+def _defaulted_parameters(node: ast.FunctionDef, method: bool):
+    """(name, position) of each defaulted parameter of a def, the position
+    counted among the arguments a call passes (after a method's self or
+    cls), None for a keyword-only parameter."""
+    positional = [*node.args.posonlyargs, *node.args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    for i, arg in enumerate(positional[len(positional) - len(node.args.defaults) :]):
+        yield arg.arg, len(positional) - len(node.args.defaults) + i - skip
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _leaves_out(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call leaves a parameter to its default; a call that passes
+    *args or **kwargs counts as leaving out every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return True
+    passed = position is not None and position < len(call.args)
+    return not passed and name not in {k.arg for k in call.keywords}
+
+
+def test_every_default_is_used_by_a_program_call():
+    """A defaulted parameter that every program call passes is a default
+    kept only for tests; calls are matched to a def by its name."""
+    calls = {}
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unused = [
+        f"{qual}({param})"
+        for qual, node, method in _public_definitions()
+        if isinstance(node, ast.FunctionDef)
+        for param, position in _defaulted_parameters(node, method)
+        if not any(_leaves_out(call, param, position) for call in calls.get(node.name, []))
+    ]
     assert unused == []
 
 

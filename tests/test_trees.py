@@ -20,6 +20,7 @@ from lexcat.trees import (
     STRATEGIES,
     VARIANTS,
     EnsembleModel,
+    Grower,
     Hyperparams,
     ModelError,
     Tree,
@@ -77,19 +78,35 @@ def test_hyperparams_validation():
         Hyperparams(class_weight="auto")
 
 
+def grower_of(X, y, hyperparams, n_classes=None, class_weights=None, max_features=None):
+    """The state fit_ensemble builds for a forest on X and y, with the class
+    count taken from y and the class weights from the hyperparameters unless
+    given."""
+    X = np.asarray(X, dtype=float)
+    if n_classes is None:
+        n_classes = int(np.max(y)) + 1
+    if class_weights is None:
+        class_weights = compute_class_weights(np.asarray(y), n_classes, hyperparams.class_weight)
+    return Grower.build(X, bin_columns(X), y, n_classes, class_weights, hyperparams, max_features)
+
+
 def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None, weight=None):
     """find_split over every column of X at a node holding every row once,
-    or weight[i] times."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int32)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    or weight[i] times; the class weights are 1 unless given."""
     if class_weights is None:
-        class_weights = np.ones(n_classes)
+        class_weights = np.ones(int(np.max(y)) + 1 if n_classes is None else n_classes)
+    grower = grower_of(X, y, hyperparams, n_classes, class_weights)
     weight = np.ones(len(y)) if weight is None else np.asarray(weight, dtype=float)
-    table = weight_table(class_weights, int(weight.sum()))
-    every = np.arange(X.shape[1]), np.arange(len(y))
-    return find_split(bin_columns(X), *every, y, weight, hyperparams, rng, table, n_classes)
+    grower = grower._replace(table=weight_table(grower.weights, int(weight.sum())))
+    every = np.arange(grower.X.shape[1]), np.arange(len(y))
+    return find_split(grower, *every, grower.y, weight, rng)
+
+
+def grown_tree(X, y, hyperparams):
+    """The one tree fit_tree grows on every row of X, its generator seeded
+    from the hyperparameters."""
+    rng = np.random.default_rng(hyperparams.seed)
+    return fit_tree(grower_of(X, y, hyperparams), rng, None)
 
 
 def test_find_split_separable():
@@ -360,16 +377,16 @@ def test_non_finite_training_matrix_rejected(bad):
     with within_seconds(5), pytest.raises(ModelError, match="finite"):
         fit_ensemble(X, _label_sets_for(y, las(2)), Hyperparams(), "dt", "mts")
     with within_seconds(5), pytest.raises(ModelError, match="finite"):
-        fit_tree(X, y, Hyperparams())
+        bin_columns(X)
 
 
 @pytest.mark.parametrize("variant", ["rf", "eetc"])
 def test_fit_tree_passes_only_candidate_columns(variant, monkeypatch):
     widths = []
 
-    def counting_find_split(bins, cands, *args, **kwargs):
+    def counting_find_split(grower, cands, *args, **kwargs):
         widths.append(len(cands))
-        return find_split(bins, cands, *args, **kwargs)
+        return find_split(grower, cands, *args, **kwargs)
 
     monkeypatch.setattr(trees, "find_split", counting_find_split)
     rng = np.random.default_rng(1)
@@ -388,7 +405,7 @@ def _separable_data(n=120, seed=0):
 
 def test_fit_tree_fits_separable_data():
     X, y = _separable_data()
-    tree = fit_tree(X, y, Hyperparams(max_depth=None, seed=1))
+    tree = grown_tree(X, y, Hyperparams(max_depth=None, seed=1))
     leaves = reference_apply(tree, X)
     preds = tree.counts[leaves].argmax(axis=1)
     assert (preds == y).all()
@@ -396,7 +413,7 @@ def test_fit_tree_fits_separable_data():
 
 def test_fit_tree_depth_zero_is_majority_leaf():
     X, y = _separable_data()
-    tree = fit_tree(X, y, Hyperparams(max_depth=0))
+    tree = grown_tree(X, y, Hyperparams(max_depth=0))
     assert tree.n_nodes == 1
     assert tree.feature[0] == -1
     assert tree.counts[0].argmax() == np.bincount(y).argmax()
@@ -405,8 +422,8 @@ def test_fit_tree_depth_zero_is_majority_leaf():
 def test_fit_tree_deterministic():
     X, y = _separable_data()
     hp = Hyperparams(splitter="random", seed=9)
-    t1 = fit_tree(X, y, hp, rng=np.random.default_rng(9))
-    t2 = fit_tree(X, y, hp, rng=np.random.default_rng(9))
+    t1 = fit_tree(grower_of(X, y, hp), np.random.default_rng(9), None)
+    t2 = fit_tree(grower_of(X, y, hp), np.random.default_rng(9), None)
     assert (t1.feature == t2.feature).all()
     assert (t1.threshold[t1.feature >= 0] == t2.threshold[t2.feature >= 0]).all()
 
@@ -414,8 +431,8 @@ def test_fit_tree_deterministic():
 def test_fit_tree_invariant_to_document_order():
     X, y = _separable_data()
     perm = np.random.default_rng(3).permutation(len(y))
-    t1 = fit_tree(X, y, Hyperparams(seed=0))
-    t2 = fit_tree(X[perm], y[perm], Hyperparams(seed=0))
+    t1 = grown_tree(X, y, Hyperparams(seed=0))
+    t2 = grown_tree(X[perm], y[perm], Hyperparams(seed=0))
     assert (t1.feature == t2.feature).all()
     assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
     assert (t1.counts == t2.counts).all()
@@ -448,7 +465,7 @@ def test_fit_tree_on_rows_equals_fit_on_copied_rows(splitter):
         )
         weights = compute_class_weights(y, 3, class_weight)
         on_rows, on_copy = (
-            fit_tree(*data, hp, np.random.default_rng(2), 3, weights, max_features=2, rows=r)
+            fit_tree(grower_of(*data, hp, 3, weights, max_features=2), np.random.default_rng(2), r)
             for data, r in (((X, y), rows), ((X[rows], y[rows]), None))
         )
         assert on_rows.n_nodes > 1, case
@@ -541,6 +558,7 @@ def reference_fit_tree(
     (root,) = np.nonzero(drawn)
     bins = bin_columns(X) if bins is None else bins
     table = weight_table(class_weights, int(drawn.sum()))
+    state = Grower(X, bins, y, n_classes, class_weights, table, hyperparams, max_features)
     d = X.shape[1]
 
     feature: list[int] = []
@@ -578,7 +596,7 @@ def reference_fit_tree(
         cands = np.arange(d)
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
-        split = find_split(bins, cands, idx, y_node, weight, hyperparams, rng, table, n_classes)
+        split = find_split(state, cands, idx, y_node, weight, rng)
         if split is None:
             continue
         f, thr = split
@@ -642,17 +660,16 @@ def test_fit_tree_equals_the_reference_grower(case, data):
                                                    max_size=2 * n).map(np.array)))
     weights = compute_class_weights(y, n_classes, hp.class_weight)
 
-    def grow(grower, **state):
-        rng = np.random.default_rng(hp.seed)
-        return grower(X, y, hp, rng, n_classes, weights, max_features, rows, **state)
-
-    want = grow(reference_fit_tree)
-    # alone, and as a forest grows it: binned once, with one weight table
-    table = weight_table(weights, n if rows is None else len(rows))
-    for got in (grow(fit_tree), grow(fit_tree, bins=bin_columns(X), table=table)):
-        for f in dataclasses.fields(Tree):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    want = reference_fit_tree(
+        X, y, hp, np.random.default_rng(hp.seed), n_classes, weights, max_features, rows
+    )
+    # as a forest grows it, from one state; a drawn sample may outgrow len(y)
+    grower = grower_of(X, y, hp, n_classes, weights, max_features)
+    grower = grower._replace(table=weight_table(weights, n if rows is None else len(rows)))
+    got = fit_tree(grower, np.random.default_rng(hp.seed), rows)
+    for f in dataclasses.fields(Tree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 @settings(max_examples=150, deadline=None)
@@ -665,8 +682,9 @@ def test_find_split_equals_the_per_feature_reference(case, seed):
 
 
 def test_fit_tree_empty_errors():
-    with pytest.raises(ModelError):
-        fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), Hyperparams())
+    X = np.zeros((0, 2))
+    with pytest.raises(ModelError, match="nonempty matrix"):
+        Grower.build(X, bin_columns(X), np.zeros(0, dtype=int), 2, np.ones(2), Hyperparams(), None)
 
 
 @pytest.mark.parametrize(
@@ -679,7 +697,7 @@ def test_fit_tree_refuses_class_weights_find_split_cannot_score(weights):
     # impurity decrease, and that split chosen through np.argmax
     X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
     with pytest.raises(ModelError, match="class weights"):
-        fit_tree(X, y, Hyperparams(), class_weights=np.array(weights), n_classes=len(weights))
+        grower_of(X, y, Hyperparams(), len(weights), np.array(weights))
 
 
 @pytest.mark.parametrize("n_classes,weights", [(3, [1.0, 1.0]), (2, [1.0, 1.0, 1.0])],
@@ -688,12 +706,13 @@ def test_fit_tree_refuses_class_weights_not_one_per_class(n_classes, weights):
     # too few escaped as a bare IndexError, too many were accepted
     X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
     with pytest.raises(ModelError, match=f"need {n_classes} class weights"):
-        fit_tree(X, y, Hyperparams(), class_weights=np.array(weights), n_classes=n_classes)
+        grower_of(X, y, Hyperparams(), n_classes, np.array(weights))
 
 
 def test_fit_tree_accepts_zero_weight_for_an_absent_class():
     X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 1, 1, 1])
-    tree = fit_tree(X, y, Hyperparams(), class_weights=np.array([1.0, 1.0, 0.0]), n_classes=3)
+    grower = grower_of(X, y, Hyperparams(), 3, np.array([1.0, 1.0, 0.0]))
+    tree = fit_tree(grower, np.random.default_rng(0), None)
     assert tree.counts[0].tolist() == [1.0, 3.0, 0.0]
 
 
@@ -718,7 +737,7 @@ def test_fit_ensemble_rf_reduces_to_dt():
     # rf's recipe with its bootstrap and column sampling switched off
     rf_hp, bootstrap, max_features, n_trees = trees._variant_knobs("rf", hp, X.shape[1])
     assert (bootstrap, max_features, n_trees) == (True, 1, 1)
-    table = trees._fit_forest(X, bin_columns(X), y, 3, rf_hp, n_trees, False, None, 0)
+    table = trees._fit_forest(grower_of(X, y, rf_hp, 3), n_trees, False, 0)
     rf = dataclasses.replace(dt, variant="rf", hyperparams=rf_hp, forests=[table])
     assert model_to_json(rf).replace('"variant":"rf"', '"variant":"dt"') == model_to_json(dt)
 
@@ -1096,7 +1115,7 @@ def test_predict_proba_batch_refuses_classes_it_has_no_output_for(strategy, clas
 
 def test_predict_proba_nan_goes_right():
     X = np.array([[0.0], [1.0]])
-    tree = fit_tree(X, np.array([0, 1]), Hyperparams(seed=0))
+    tree = grown_tree(X, np.array([0, 1]), Hyperparams(seed=0))
     probs = predict_proba_batch(_one_tree_model(tree), np.array([[np.nan], [0.0], [np.inf]]))
     assert probs.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
@@ -1264,7 +1283,7 @@ def test_same_seed_same_serialized_model():
 def test_split_semantics_left_is_lte():
     X = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
-    tree = fit_tree(X, y, Hyperparams(seed=0))
+    tree = grown_tree(X, y, Hyperparams(seed=0))
     thr = tree.threshold[0]
     assert tree.feature[0] == 0
     left_leaf = tree.left[0]
