@@ -14,13 +14,15 @@ counts. Each column takes as many bins as it has values: a layout padded to
 the widest column measured 1.14x on cv_headline's split search against this
 ragged one's 1.09x, but it widens every candidate to the widest column.
 Thresholds are midpoints between present values, as a sorted search would
-place them. A bootstrap sample is grown as (distinct row, multiplicity)
-pairs, so the histograms are weighted counts of whole samples, and the
-'best' splitter gives up at once on a node too small to split. What is the
-same for every tree of a forest is built and checked once per forest, as its
-Grower: the binned matrix, the labels, the class weights and the weight table
-of their sums. fit_ensemble is the only way to grow a tree: fit_tree grows
-each tree of a forest from its Grower, and find_split searches each node.
+place them, or the lower value where the midpoint of two adjacent floats
+rounds up to the upper. A bootstrap sample is grown as (distinct row,
+multiplicity) pairs, so the histograms are weighted counts of whole samples,
+and the 'best' splitter gives up at once on a node too small to split. What
+is the same for every tree of a forest is built and checked once per forest,
+as its Grower: the binned matrix, the labels, the class weights and the
+weight table of their sums. fit_ensemble is the only way to grow a tree:
+fit_tree grows each tree of a forest from its Grower, and find_split
+searches each node.
 
 A model stores each forest once, as one flat node table (ForestTable) that
 _pack_forest builds and checks; model.trees are views of it. Prediction first
@@ -229,7 +231,8 @@ def find_split(
     in the node when both children keep min_samples_leaf samples; the 'best'
     splitter returns None at once when the node holds fewer than 2 *
     min_samples_leaf. 'best' scores every feasible split at the midpoint to
-    the next present value; 'random' draws one uniform threshold per
+    the next present value (the lower value when that rounds up to the
+    next); 'random' draws one uniform threshold per
     non-constant column, in column order (also in nodes too small to split,
     so the draws never depend on the leaf size), and scores only the split
     after the last present value at or below it. Both splitters share one
@@ -297,7 +300,11 @@ def find_split(
         return int(cands[f]), float(thr[f])
     # b is feasible, so a later present bin of the same column exists
     nxt = b + 1 + int(np.argmax(present[b + 1 :]))
-    return int(cands[f]), float((bins.values[b + shift[f]] + bins.values[nxt + shift[f]]) / 2.0)
+    below, above = bins.values[b + shift[f]], bins.values[nxt + shift[f]]
+    mid = (below + above) / 2.0
+    # the midpoint of two adjacent floats can round up to above, a split that
+    # sends every row left and is found again in that child, without end
+    return int(cands[f]), float(mid if mid < above else below)
 
 
 @dataclass

@@ -199,7 +199,8 @@ def reference_find_split(X, y, hyperparams, rng, sample_weight=None, n_classes=N
             k = int(np.argmax(dec))
             if dec[k] > best_dec:
                 best_dec = float(dec[k])
-                best = (f, float((sv[pos[k]] + sv[pos[k] + 1]) / 2.0))
+                mid = (sv[pos[k]] + sv[pos[k] + 1]) / 2.0
+                best = (f, float(mid if mid < sv[pos[k] + 1] else sv[pos[k]]))
         else:
             lo, hi = v.min(), v.max()
             if lo == hi:
@@ -1294,6 +1295,20 @@ def test_split_semantics_left_is_lte():
 
 class DeadlineExceeded(BaseException):
     """Not an Exception, so no handler under test can swallow it."""
+
+
+@pytest.mark.parametrize("below", [1.0000000000000002, 5e-324], ids=["normal", "subnormal"])
+def test_best_split_between_adjacent_floats_separates_them(below):
+    # the midpoint of these two values rounds up to the larger: as a
+    # threshold it sent both rows left, and the same split was grown again
+    # in that child, without end under max_depth None
+    above = np.nextafter(below, np.inf)
+    assert (below + above) / 2.0 == above
+    X, y = np.array([[below], [above]]), np.array([0, 1])
+    with within_seconds(5):
+        tree = grown_tree(X, y, Hyperparams(max_depth=None, seed=0))
+    assert tree.n_nodes == 3 and tree.threshold[0] == below
+    assert tree.counts[tree.left[0]].tolist() == [1.0, 0.0]
 
 
 @contextmanager
