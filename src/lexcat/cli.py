@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import DataError, evaluation
 from .anonymiser import anonymize
@@ -52,34 +53,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the argparse settings of the override flags whose value is an int or a choice
+_INT = {"type": int}
+_TYPED = {"seed": _INT, "folds": _INT,
+          "strategy": {"choices": STRATEGIES}, "model": {"choices": VARIANTS}}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lexcat", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        # exact flags only: a command lacking --model would read it as --model-file
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--corpus", help="corpus file (overrides config)")
-        p.add_argument("--lexica-dir", help="lexica directory (overrides config)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--strategy", choices=STRATEGIES)
-        p.add_argument("--model", choices=VARIANTS)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--out", help="output path")
-        if name == "explain":
-            p.add_argument("--sample", required=True, help="document id to explain")
-            p.add_argument("--model-file", help="trained pipeline artifact")
-            p.add_argument("--graph", help="also write a DOT graph of one tree here")
-            p.add_argument("--graph-depth", type=int, default=3)
-            p.add_argument("--tree", type=int, default=0)
-        if name == "export-tree":
-            p.add_argument("--model-file", required=True)
-            p.add_argument("--tree", type=int, default=0)
-            p.add_argument("--max-depth", type=int, default=None)
-        if name == "train":
-            p.add_argument("--model-file", help="where to write the pipeline artifact")
-        if name == "synth":
-            p.add_argument("--docs", type=int)
-            p.add_argument("--classes", type=int)
+        for field in command.fields:
+            flag = "--" + field.replace("_", "-")
+            p.add_argument(flag, help=f"overrides config field {field!r}", **_TYPED.get(field, {}))
+        for flag, settings in command.flags.items():
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -87,7 +78,7 @@ def _load_config(args) -> PipelineConfig:
     config = config_from_json(args.config) if args.config else PipelineConfig()
     overrides = {
         name: getattr(args, name)
-        for name in ("corpus", "lexica_dir", "seed", "strategy", "model", "folds", "out")
+        for name in COMMANDS[args.command].fields
         if getattr(args, name) not in (None, "")
     }
     return config.with_overrides(overrides)
@@ -212,22 +203,14 @@ def _cmd_gridsearch(config: PipelineConfig, args) -> int:
 def _cmd_explain(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
-    if args.model_file:
-        fitted = load_pipeline(args.model_file)
-    else:
-        fitted = fit_pipeline(corpus, config, lexica)
-    matches = [d for d in corpus.documents if d.id == args.sample]
-    if not matches:
+    fitted = load_pipeline(args.model_file)
+    doc = next((d for d in corpus.documents if d.id == args.sample), None)
+    if doc is None:
         raise CorpusError(f"document id not found in corpus: {args.sample!r}")
-    doc = matches[0]
-    explanation = build_explanation(fitted, doc, lexica)
-    text = render_explanation(explanation)
+    text = render_explanation(build_explanation(fitted, doc, lexica))
     if config.out:
         write_atomic(config.out, text)
     print(text, end="")
-    if args.graph:
-        write_atomic(args.graph, _tree_graph(fitted.model, args.tree, args.graph_depth))
-        print(f"wrote tree graph to {args.graph}")
     return EXIT_OK
 
 
@@ -255,14 +238,10 @@ def _cmd_export_tree(config: PipelineConfig, args) -> int:
 
 
 def _cmd_synth(config: PipelineConfig, args) -> int:
-    params = dict(config.synth)
-    if args.docs is not None:
-        params["n_docs"] = args.docs
-    if args.classes is not None:
-        params["n_classes"] = args.classes
-    params.setdefault("seed", config.seed)
-    try:
-        spec = SynthSpec(**params)
+    given = {"n_docs": args.docs, "n_classes": args.classes}
+    params = {**config.synth, **{k: v for k, v in given.items() if v is not None}}
+    try:  # --seed or the config's seed is the one seed: a synth "seed" key is refused
+        spec = SynthSpec(**params, seed=config.seed)
     except (TypeError, SynthError) as exc:
         raise ConfigError(f"bad synth parameters: {exc}") from None
     corpus = generate_corpus(spec)
@@ -276,17 +255,34 @@ def _cmd_synth(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+class Command(NamedTuple):
+    run: Callable[[PipelineConfig, argparse.Namespace], int]
+    fields: tuple[str, ...]  # the config fields its override flags set
+    flags: dict = {}  # its other flags, each with its argparse settings
+
+
+_FILES = ("corpus", "lexica_dir", "out")
+_FIT = (*_FILES, "seed", "strategy", "model")
+_MODEL_FILE = {"required": True, "help": "trained pipeline artifact"}
+
 COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "anonymize": _cmd_anonymize,
-    "entities": _cmd_entities,
-    "featurize": _cmd_featurize,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "gridsearch": _cmd_gridsearch,
-    "explain": _cmd_explain,
-    "export-tree": _cmd_export_tree,
-    "synth": _cmd_synth,
+    "preprocess": Command(_cmd_preprocess, _FILES),
+    "anonymize": Command(_cmd_anonymize, _FILES),
+    "entities": Command(_cmd_entities, _FILES),
+    "featurize": Command(_cmd_featurize, _FILES),
+    "train": Command(_cmd_train, _FIT, {"--model-file": {"help": "where to write the pipeline"}}),
+    "evaluate": Command(_cmd_evaluate, (*_FIT, "folds")),
+    "gridsearch": Command(_cmd_gridsearch, (*_FIT, "folds")),
+    "explain": Command(_cmd_explain, _FILES, {
+        "--sample": {"required": True, "help": "document id to explain"},
+        "--model-file": _MODEL_FILE,
+    }),
+    "export-tree": Command(_cmd_export_tree, ("out",), {
+        "--model-file": _MODEL_FILE,
+        "--tree": {"type": int, "default": 0},
+        "--max-depth": {"type": int},
+    }),
+    "synth": Command(_cmd_synth, ("seed", "out"), {"--docs": _INT, "--classes": _INT}),
 }
 
 
@@ -294,9 +290,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("missing command")
-        return COMMANDS[args.command](_load_config(args), args)
+        return COMMANDS[args.command].run(_load_config(args), args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

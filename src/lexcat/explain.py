@@ -125,9 +125,10 @@ def _surrogate_coefficients(
     return coefs / len(class_indices)
 
 
-# the fewest perturbed copies a surrogate is fitted on; PipelineConfig
-# refuses a smaller relevance_samples by this bound too
-MIN_RELEVANCE_SAMPLES = 10
+# the fewest and the most perturbed copies a surrogate is fitted on;
+# PipelineConfig bounds relevance_samples by them, the most keeping the
+# copies' matrices in memory
+MIN_RELEVANCE_SAMPLES, MAX_RELEVANCE_SAMPLES = 10, 10_000
 
 
 def signed_relevance(

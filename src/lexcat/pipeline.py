@@ -16,7 +16,7 @@ import numpy as np
 from . import DataError, check_fields, parse_json, read_text
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
-from .explain import MIN_RELEVANCE_SAMPLES
+from .explain import MAX_RELEVANCE_SAMPLES, MIN_RELEVANCE_SAMPLES
 from .features import (
     CategoricalEncoder,
     FeatureError,
@@ -34,6 +34,7 @@ from .textproc import TokenStream, to_token_stream
 from .trees import (
     EnsembleModel,
     Hyperparams,
+    MAX_ESTIMATORS,
     ModelError,
     STRATEGIES,
     VARIANTS,
@@ -119,11 +120,13 @@ def _config_rules(c: PipelineConfig) -> dict:
         "ngram_lo": (1 <= c.ngram_lo <= c.ngram_hi, "in [1, ngram_hi]"),
         "correlation_threshold": (0 <= c.correlation_threshold <= 1, "in [0, 1]"),
         "bts_threshold": (0 <= c.bts_threshold <= 1, "in [0, 1]"),
-        "importance_estimators": (c.importance_estimators >= 1, ">= 1"),
+        "importance_estimators": (
+            1 <= c.importance_estimators <= MAX_ESTIMATORS, f"in [1, {MAX_ESTIMATORS}]"
+        ),
         "folds": (c.folds >= 2, ">= 2"),
         "relevance_samples": (
-            c.relevance_samples >= MIN_RELEVANCE_SAMPLES,
-            f">= {MIN_RELEVANCE_SAMPLES}",
+            MIN_RELEVANCE_SAMPLES <= c.relevance_samples <= MAX_RELEVANCE_SAMPLES,
+            f"in [{MIN_RELEVANCE_SAMPLES}, {MAX_RELEVANCE_SAMPLES}]",
         ),
     }
 

@@ -75,6 +75,8 @@ VARIANTS = ("dt", "etc", "eetc", "rf")
 CRITERIA = ("gini", "entropy")
 SPLITTERS = ("best", "random")
 STRATEGIES = ("bts", "mts")
+# the most trees a forest may ask for: a mistyped count is refused, not run for days
+MAX_ESTIMATORS = 10_000
 
 
 class ModelError(DataError):
@@ -101,7 +103,7 @@ class Hyperparams:
             "max_depth": (hp.max_depth is None or hp.max_depth >= 0, ">= 0"),
             "min_samples_split": (hp.min_samples_split >= 2, ">= 2"),
             "min_samples_leaf": (hp.min_samples_leaf >= 1, ">= 1"),
-            "n_estimators": (hp.n_estimators >= 1, ">= 1"),
+            "n_estimators": (1 <= hp.n_estimators <= MAX_ESTIMATORS, f"in [1, {MAX_ESTIMATORS}]"),
             "seed": (hp.seed >= 0, ">= 0"),
         })
 

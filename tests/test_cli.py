@@ -1,11 +1,20 @@
+import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import re
 import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcat import cli
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -57,6 +66,65 @@ def test_unknown_command_usage_exit():
     assert main([]) == EXIT_USAGE
 
 
+def _explain(corpus, cfg, model):
+    return ["explain", "--config", cfg, "--sample", "synth-00003", "--model-file", model]
+
+
+# A flag each command used to accept and ignore, or that chose a deleted
+# path: the command's arguments, given the 80-document corpus, the fast
+# config and the dt model file, then the flag
+UNREAD_FLAGS = {
+    "synth_folds": (lambda *_: ["synth", "--docs", "5", "--classes", "2"], ["--folds", "3"]),
+    "export_tree_corpus": (lambda corpus, cfg, model: ["export-tree", "--model-file", model],
+                           ["--corpus", "nope.jsonl"]),
+    "explain_strategy": (_explain, ["--strategy", "bts"]),
+    # a prefix of --model-file, which an abbreviating parser would read as it
+    "explain_model": (_explain, ["--model", "dt"]),
+    "explain_graph": (_explain, ["--graph", "t.dot"]),
+    "preprocess_seed": (lambda corpus, cfg, model: ["preprocess", "--corpus", corpus],
+                        ["--seed", "3"]),
+    "train_folds": (lambda corpus, cfg, model: ["train", "--config", cfg], ["--folds", "3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_FLAGS))
+def test_flag_the_command_does_not_read_is_usage_error(
+    synth_corpus_path, fast_config_path, dt_model_path, tmp_path, capsys, name
+):
+    argv, flag = UNREAD_FLAGS[name]
+    argv = argv(str(synth_corpus_path), str(fast_config_path), str(dt_model_path))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main([*argv, *flag, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_explain_without_model_file_is_usage_error(fast_config_path, capsys):
+    rc = main(["explain", "--config", str(fast_config_path), "--sample", "synth-00003"])
+    assert rc == EXIT_USAGE
+    assert "the following arguments are required: --model-file" in capsys.readouterr().err
+
+
+def _readme_flag_table():
+    """The README's command -> flags table, each command's flags sorted."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for row in re.findall(r"^\| (`[a-z-]+`.*?) \| (`--.*?) \|$", readme, re.M):
+        commands, flags = (re.findall(r"`([a-z-]+)`", cell) for cell in row)
+        table.update({command: sorted(flags) for command in commands})
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: sorted(flag for action in parser._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help"))
+        for name, parser in sub.choices.items()
+    }
+    assert _readme_flag_table() == parsed
+    assert sum(map(len, parsed.values())) == 56
+
+
 def test_missing_corpus_is_data_error(tmp_path):
     assert main(["entities", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_DATA
     assert main(["entities"]) == EXIT_DATA
@@ -73,7 +141,8 @@ def test_bad_config_is_data_error(tmp_path):
 @pytest.mark.parametrize(
     "bad,command",
     [
-        ({"relevance_samples": 5}, ["explain", "--sample", "synth-00000"]),
+        # the config is refused before the model file is read
+        ({"relevance_samples": 5}, ["explain", "--sample", "synth-0", "--model-file", "m.json"]),
         ({"bts_threshold": "x"}, ["evaluate", "--strategy", "bts"]),
         ({"seed": "abc"}, ["train"]),
         # value ranges, rejected when the config is built, before any corpus is read
@@ -84,6 +153,10 @@ def test_bad_config_is_data_error(tmp_path):
         ({"ngram_lo": 0}, ["train"]),
         ({"n_estimators": 0}, ["train"]),
         ({"importance_estimators": 0}, ["train"]),
+        # counts of work past the most a run may ask for; 10**40 trees ran until killed
+        ({"n_estimators": 10**40}, ["train"]),
+        ({"importance_estimators": 10_001}, ["train"]),
+        ({"relevance_samples": 10_001}, ["train"]),
         ({"seed": -1}, ["train"]),
         ({"ngram_range": 5}, ["train"]),
         ({"bogus": 1}, ["train"]),
@@ -100,6 +173,9 @@ def test_bad_config_is_data_error(tmp_path):
         "ngram_lo_range",
         "n_estimators_range",
         "importance_estimators_range",
+        "huge_n_estimators",
+        "importance_estimators_above_max",
+        "relevance_samples_above_max",
         "seed_range",
         "ngram_range_not_a_pair",
         "unknown_field",
@@ -228,7 +304,6 @@ def test_train_evaluate_explain_export(fast_config_path, synth_corpus_path, tmp_
     assert len(lines[1].split("\t")) == 12
 
     out_text = tmp_path / "expl.txt"
-    graph = tmp_path / "tree.dot"
     rc = main(
         [
             "explain",
@@ -236,14 +311,12 @@ def test_train_evaluate_explain_export(fast_config_path, synth_corpus_path, tmp_
             "--sample", "synth-00003",
             "--model-file", str(model_file),
             "--out", str(out_text),
-            "--graph", str(graph),
         ]
     )
     assert rc == EXIT_OK
     text = out_text.read_text(encoding="utf-8")
     assert text.startswith("For sample synth-00003 ")
     assert "confidence of" in text
-    assert graph.read_text(encoding="utf-8").startswith("digraph")
 
     dot = tmp_path / "t.dot"
     rc = main(["export-tree", "--model-file", str(model_file), "--tree", "0", "--out", str(dot)])
@@ -332,7 +405,7 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
         ([], {"n_docs": "x"}, "n_docs"),
         ([], {"noise": "x"}, "noise"),
         ([], {"contamination": 2}, "contamination"),
-        ([], {"seed": -1}, "seed"),
+        (["--seed", "-1"], {}, "seed"),
         ([], {"keywords_per_class": 0}, "keywords_per_class"),
         ([], {"tokens_hi": 3}, "tokens_hi"),
     ],
@@ -353,6 +426,29 @@ def test_bad_synth_spec_is_data_error(tmp_path, capsys, args, synth, field):
     rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl"), *args])
     assert rc == EXIT_DATA
     assert repr(field) in capsys.readouterr().err
+
+
+def test_synth_seed_is_the_flag_or_the_config_seed(tmp_path, capsys):
+    outs = {}
+    for name, cfg, argv in [
+        ("flag", {}, ["--seed", "5"]),
+        ("config", {"seed": 5}, []),
+        ("flag_over_config", {"seed": 1}, ["--seed", "5"]),
+        ("other", {}, ["--seed", "9"]),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**cfg, "synth": {"n_docs": 20}}), encoding="utf-8")
+        outs[name] = tmp_path / f"{name}.jsonl"
+        assert main(["synth", "--config", str(path), "--out", str(outs[name]), *argv]) == EXIT_OK
+    texts = {name: out.read_bytes() for name, out in outs.items()}
+    assert texts["flag"] == texts["config"] == texts["flag_over_config"] != texts["other"]
+    # a second seed in the synth object used to win over --seed
+    path = tmp_path / "synth_seed.json"
+    path.write_text(json.dumps({"synth": {"n_docs": 20, "seed": 1}}), encoding="utf-8")
+    rc = main(["synth", "--config", str(path), "--seed", "5", "--out", str(outs["flag"])])
+    assert rc == EXIT_DATA
+    assert "'seed'" in capsys.readouterr().err
+    assert outs["flag"].read_bytes() == texts["flag"]
 
 
 def test_evaluate_deterministic_artifacts(fast_config_path, tmp_path):
@@ -418,16 +514,6 @@ def test_export_tree_leaves_name_the_class_weighted_vote():
     assert [labels[str(node)] for node in leaves] == [names[k] for k in voted]
     # the raw majority names another class at some leaf
     assert (tree.counts[leaves].argmax(axis=1) != voted).any()
-
-
-def test_explain_without_model_file_equals_train_then_explain(fast_config_path, tmp_path):
-    model_file, fitted, loaded = (tmp_path / name for name in ("m.json", "a.txt", "b.txt"))
-    explain = ["explain", "--config", str(fast_config_path), "--sample", "synth-00003"]
-    assert main([*explain, "--out", str(fitted)]) == EXIT_OK
-    train = ["train", "--config", str(fast_config_path), "--model-file", str(model_file)]
-    assert main(train) == EXIT_OK
-    assert main([*explain, "--model-file", str(model_file), "--out", str(loaded)]) == EXIT_OK
-    assert fitted.read_bytes() == loaded.read_bytes()
 
 
 def test_ngram_range_beyond_every_document_explains_in_bounded_time(
@@ -620,7 +706,7 @@ def test_unwritable_output_is_data_error(
         ["entities", "--corpus", str(synth_corpus_path), "--out", path],
         ["export-tree", "--model-file", model, "--out", path],
         ["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
-         "--model-file", model, "--graph", path],
+         "--model-file", model, "--out", path],
         ["train", "--config", str(fast_config_path), "--model-file", path],
     ]
     for argv in runs:
@@ -695,6 +781,9 @@ PIPELINE_MALFORMATIONS = {
     "fractional_min_samples_split": _set(("model", "hyperparams", "min_samples_split"), 2.5),
     "fractional_min_samples_leaf": _set(("model", "hyperparams", "min_samples_leaf"), 1.5),
     "fractional_seed": _set(("model", "hyperparams", "seed"), 5.5),
+    # explaining with it escaped as ValueError (exit 3)
+    "huge_relevance_samples": _set(("config", "relevance_samples"), 10**40),
+    "huge_n_estimators": _set(("model", "hyperparams", "n_estimators"), 10**40),
     "negative_class_weight": _set(("model", "class_weight_vectors", 0, 0), -1.0),
     "infinite_class_weight": _set(("model", "class_weight_vectors", 0, 0), float("inf")),
     "zero_class_weights": lambda obj: [
@@ -864,3 +953,82 @@ def test_input_refusal_names_its_fault(synth_corpus_path, fast_config_path, tmp_
                "--out", str(tmp_path / "out")])
     assert rc == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+# A mutated value of a JSON input: another type, a huge integer, the value
+# nested this deep, or the input's text cut short
+OTHER_TYPES = (None, True, 0, 1.5, "x", [], {})
+HUGE_INTEGERS = (10**40, -(10**40), 2**63)
+NEST_DEPTH = 100_000
+_NEST = "nest here"
+
+
+def _value_paths(value, path=()):
+    """The path of every value below a parsed JSON document's root."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield (*path, key)
+        yield from _value_paths(item, (*path, key))
+
+
+@st.composite
+def mutated_json(draw, obj):
+    """The JSON text of obj with one value mutated, or cut short."""
+    kind = draw(st.sampled_from(["type", "huge", "nest", "truncate"]))
+    text = json.dumps(obj)
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    path = draw(st.sampled_from(list(_value_paths(obj))))
+    obj = copy.deepcopy(obj)
+    old = functools.reduce(operator.getitem, path, obj)
+    new = {
+        "type": st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]),
+        "huge": st.sampled_from(HUGE_INTEGERS),
+        "nest": st.just(_NEST),
+    }[kind]
+    _set(path, draw(new))(obj)
+    nested = "[" * NEST_DEPTH + json.dumps(old) + "]" * NEST_DEPTH
+    return json.dumps(obj).replace(json.dumps(_NEST), nested)
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(synth_corpus_path, fast_config_path, dt_model_path, tmp_path_factory):
+    """Each mutated input's parsed JSON, and the runs that read it, given
+    its mutated text."""
+    tmp = tmp_path_factory.mktemp("mutated")
+    first_line, *other_lines = synth_corpus_path.read_text(encoding="utf-8").splitlines()
+
+    def pipeline_runs(text):
+        model = _write(tmp / "m.json", text)
+        return [
+            [*_explain(None, str(fast_config_path), model), "--out", str(tmp / "e.txt")],
+            ["export-tree", "--model-file", model, "--out", str(tmp / "t.dot")],
+        ]
+
+    return {
+        "config": (json.loads(fast_config_path.read_text(encoding="utf-8")), lambda text: [
+            ["train", "--config", _write(tmp / "c.json", text), "--out", str(tmp / "out.json")],
+        ]),
+        # the mutated line in the place of the corpus's first
+        "corpus_line": (json.loads(first_line), lambda text: [
+            ["entities", "--corpus", _write(tmp / "c.jsonl", "\n".join([text, *other_lines, ""])),
+             "--out", str(tmp / "e.tsv")],
+        ]),
+        "pipeline": (json.loads(dt_model_path.read_text(encoding="utf-8")), pipeline_runs),
+    }
+
+
+@pytest.mark.parametrize("name", ["config", "corpus_line", "pipeline"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_0_or_2_in_bounded_time(mutation_inputs, name, data):
+    obj, runs = mutation_inputs[name]
+    for argv in runs(data.draw(mutated_json(obj))):
+        err = io.StringIO()
+        with within_seconds(10), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_DATA), (argv[0], err.getvalue())
+        assert "internal error" not in err.getvalue()
