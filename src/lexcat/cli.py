@@ -157,7 +157,7 @@ def _cmd_train(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     fitted = fit_pipeline(corpus, config, lexica)
-    path = args.model_file or _out_path(config, "model.json")
+    path = _out_path(config, "model.json")
     save_pipeline(fitted, path)
     n_trees = len(fitted.model.trees)
     print(f"trained {config.strategy}/{config.model} ({n_trees} trees) -> {path}")
@@ -270,7 +270,7 @@ COMMANDS = {
     "anonymize": Command(_cmd_anonymize, _FILES),
     "entities": Command(_cmd_entities, _FILES),
     "featurize": Command(_cmd_featurize, _FILES),
-    "train": Command(_cmd_train, _FIT, {"--model-file": {"help": "where to write the pipeline"}}),
+    "train": Command(_cmd_train, _FIT),
     "evaluate": Command(_cmd_evaluate, (*_FIT, "folds")),
     "gridsearch": Command(_cmd_gridsearch, (*_FIT, "folds")),
     "explain": Command(_cmd_explain, _FILES, {

@@ -223,7 +223,7 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     record = extract_entities(doc, lexica.entities)
     row = fitted.row_for(stream, record)
     model = fitted.model
-    n_text = fitted.kept_kinds.count("textual")
+    n_text = len(fitted.vectorizer.vocabulary)
 
     signed, decision = signed_relevance(
         model, row, n_text, config.relevance_samples, config.seed, config.bts_threshold

@@ -20,17 +20,13 @@ class FeatureError(DataError):
 
 @dataclass(frozen=True)
 class VectorizerModel:
+    """An n-gram vocabulary numbered 0..n-1 in column order, as fit_vectorizer
+    builds it and FittedPipeline.vectorizer derives it from a model."""
+
     vocabulary: dict[str, int]
     max_df: float
     min_df: float
     ngram_range: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        _ngram_bounds(self.ngram_range)
-        _df_bounds(self.min_df, self.max_df)
-        indices = sorted(i for i in self.vocabulary.values() if type(i) is int)
-        if indices != list(range(len(self.vocabulary))):
-            raise FeatureError("vocabulary indices must be 0..n-1, each used once")
 
     @property
     def names(self) -> list[str]:

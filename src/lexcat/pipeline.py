@@ -19,7 +19,6 @@ from .entities import CATEGORICAL_FIELDS, extract_entities
 from .explain import MAX_RELEVANCE_SAMPLES, MIN_RELEVANCE_SAMPLES
 from .features import (
     CategoricalEncoder,
-    FeatureError,
     NgramCounts,
     VectorizerModel,
     count_ngrams,
@@ -181,26 +180,32 @@ def preprocess_corpus(corpus: Corpus, lexica: Lexica) -> PreparedCorpus:
 
 @dataclass
 class FittedPipeline:
+    """A fitted pipeline. The model's feature names are the one record of
+    the columns a document is turned into: the kept n-grams, then the kept
+    entity fields."""
+
     config: PipelineConfig
-    vectorizer: VectorizerModel
     encoder: CategoricalEncoder
-    kept_names: list[str]
-    kept_kinds: list[str]
     model: EnsembleModel
 
+    @property
+    def kept_names(self) -> list[str]:
+        return list(self.model.feature_names)
+
     @functools.cached_property
-    def _kept_layout(self) -> tuple[VectorizerModel, list[int]]:
-        """The vectorizer of the kept n-grams, numbered in kept order, and
-        the encoder columns of the kept entity fields. The textual columns
-        come first, so transform with these writes the kept matrix directly."""
-        n_text = self.kept_kinds.count("textual")
-        kept = {name: i for i, name in enumerate(self.kept_names[:n_text])}
-        fields = [CATEGORICAL_FIELDS.index(name) for name in self.kept_names[n_text:]]
-        return replace(self.vectorizer, vocabulary=kept), fields
+    def vectorizer(self) -> VectorizerModel:
+        """The vectorizer of the kept n-grams, numbered in column order: the
+        leading feature names that are not entity fields. fit_vectorizer
+        keeps no n-gram spelled like a field, so the split is exact."""
+        names, c = self.model.feature_names, self.config
+        n_text = next((i for i, n in enumerate(names) if n in CATEGORICAL_FIELDS), len(names))
+        vocabulary = {name: i for i, name in enumerate(names[:n_text])}
+        return VectorizerModel(vocabulary, c.max_df, c.min_df, (c.ngram_lo, c.ngram_hi))
 
     def _matrix_for(self, grams: NgramCounts, rows, records) -> np.ndarray:
-        vectorizer, fields = self._kept_layout
-        return transform(vectorizer, grams, rows, self.encoder.transform(records)[:, fields])
+        n_text = len(self.vectorizer.vocabulary)
+        fields = [CATEGORICAL_FIELDS.index(name) for name in self.model.feature_names[n_text:]]
+        return transform(self.vectorizer, grams, rows, self.encoder.transform(records)[:, fields])
 
     def row_for(self, stream: TokenStream, record) -> np.ndarray:
         grams = count_ngrams([stream], self.vectorizer.ngram_range)
@@ -254,9 +259,6 @@ def fit_pipeline(
     # rebinding frees the full matrix before the forest fit
     X = X[:, kept]
     names = [*vectorizer.names, *CATEGORICAL_FIELDS]
-    kept_names = [names[i] for i in kept]
-    n_kept_text = sum(i < n_text for i in kept)
-    kept_kinds = ["textual"] * n_kept_text + ["categorical"] * (len(kept) - n_kept_text)
 
     model = fit_ensemble(
         X,
@@ -264,16 +266,9 @@ def fit_pipeline(
         config.hyperparams(),
         variant=config.model,
         strategy=config.strategy,
-        feature_names=kept_names,
+        feature_names=[names[i] for i in kept],
     )
-    return FittedPipeline(
-        config=config,
-        vectorizer=vectorizer,
-        encoder=encoder,
-        kept_names=kept_names,
-        kept_kinds=kept_kinds,
-        model=model,
-    )
+    return FittedPipeline(config=config, encoder=encoder, model=model)
 
 
 def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConfig) -> list[int]:
@@ -300,17 +295,14 @@ def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConf
     return kept or list(range(n_text))
 
 
-_PIPELINE_FORMAT = "lexcat-pipeline-v1"
+_PIPELINE_FORMAT = "lexcat-pipeline-v2"
 
 
 def pipeline_to_json(fp: FittedPipeline) -> str:
     obj = {
         "format": _PIPELINE_FORMAT,
         "config": asdict(fp.config),
-        "vectorizer": asdict(fp.vectorizer),
         "encoder": fp.encoder.tables,
-        "kept_names": fp.kept_names,
-        "kept_kinds": fp.kept_kinds,
         "model": model_to_obj(fp.model),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -324,70 +316,33 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         raise ConfigError(f"unsupported pipeline format: {obj.get('format')!r}")
     try:
         _check_envelope(obj)
-        vec = obj["vectorizer"]
         fitted = FittedPipeline(
-            config=PipelineConfig().with_overrides(obj["config"]),
-            vectorizer=VectorizerModel(
-                vocabulary=vec["vocabulary"],
-                max_df=vec["max_df"],
-                min_df=vec["min_df"],
-                ngram_range=tuple(vec["ngram_range"]),
-            ),
-            encoder=CategoricalEncoder(tables=obj["encoder"]),
-            kept_names=obj["kept_names"],
-            kept_kinds=obj["kept_kinds"],
-            model=model_from_json(json.dumps(obj["model"])),
+            PipelineConfig().with_overrides(obj["config"]),
+            CategoricalEncoder(tables=obj["encoder"]),
+            model_from_json(json.dumps(obj["model"])),
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None
-    except FeatureError as exc:
-        raise ConfigError(f"malformed vectorizer: {exc}") from None
-    _check_kept_columns(fitted)
+    # the columns are distinct, the n-grams before the entity fields, as fitting lists them
+    names = fitted.model.feature_names
+    if len(set(names)) != len(names):
+        raise ConfigError("pipeline model columns must be distinct")
+    if not set(names[len(fitted.vectorizer.vocabulary):]) <= set(CATEGORICAL_FIELDS):
+        raise ConfigError("pipeline model columns must list the n-grams first, as fitting does")
     return fitted
 
 
 def _check_envelope(obj: dict) -> None:
-    """The pipeline file's parts outside the model have the JSON types the
-    constructors take; the constructors check their values."""
-    vec, tables = obj["vectorizer"], obj["encoder"]
-    shapes = {
-        "config": isinstance(obj["config"], dict),
-        "vectorizer": isinstance(vec, dict)
-        and isinstance(vec["vocabulary"], dict)
-        and isinstance(vec["ngram_range"], list),
-        # one table of integer codes per entity field
-        "encoder": isinstance(tables, dict)
-        and set(tables) == set(CATEGORICAL_FIELDS)
-        and all(
-            isinstance(t, dict) and all(type(code) is int for code in t.values())
-            for t in tables.values()
-        ),
-        "kept_names": _strings(obj["kept_names"]),
-        "kept_kinds": _strings(obj["kept_kinds"]),
-    }
-    for name, ok in shapes.items():
-        if not ok:
-            raise ConfigError(f"malformed pipeline field {name!r}")
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _check_kept_columns(fp: FittedPipeline) -> None:
-    """The kept columns are the model's, each a vocabulary n-gram of kind
-    textual or an entity field of kind categorical, the textual ones first."""
-    if fp.kept_names != list(fp.model.feature_names) or len(fp.kept_kinds) != len(fp.kept_names):
-        raise ConfigError("pipeline kept_names and kept_kinds must match the model's columns")
-    known = {"textual": fp.vectorizer.vocabulary, "categorical": CATEGORICAL_FIELDS}
-    for name, kind in zip(fp.kept_names, fp.kept_kinds):
-        if kind not in known:
-            raise ConfigError(f"unknown kept column kind: {kind!r}")
-        if name not in known[kind]:
-            raise ConfigError(f"kept column {name!r} is not a {kind} feature")
-    n_text = fp.kept_kinds.count("textual")
-    if "categorical" in fp.kept_kinds[:n_text]:
-        raise ConfigError("kept columns must list the textual ones first, as fitting does")
+    """The config is a JSON object and the encoder one table of integer
+    codes per entity field; the constructors check their values."""
+    tables = obj["encoder"]
+    if not isinstance(obj["config"], dict):
+        raise ConfigError("malformed pipeline field 'config'")
+    if not (isinstance(tables, dict) and set(tables) == set(CATEGORICAL_FIELDS) and all(
+        isinstance(t, dict) and all(type(code) is int for code in t.values())
+        for t in tables.values()
+    )):
+        raise ConfigError("malformed pipeline field 'encoder'")
 
 
 def write_atomic(path, text: str) -> None:

@@ -4,6 +4,7 @@ observed 68/26/7 percent split (mean cardinality ~1.39)."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,16 @@ _NOISE_WORDS = (
 )
 
 
+# the distinct pseudo-words: a consonant-vowel syllable two or three times
+# over, less the noise words spelled so
+WORD_POOL = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (2, 3)) - sum(
+    bool(re.fullmatch(f"([{_CONSONANTS}][{_VOWELS}]){{2,3}}", w)) for w in _NOISE_WORDS
+)
+MAX_DOCS = 1_000_000
+MAX_CLASSES = 1_000
+MAX_TOKENS = 10**8  # n_docs * tokens_hi, the corpus's most tokens
+
+
 class SynthError(DataError):
     pass
 
@@ -68,14 +79,23 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, SynthError, lambda spec: {
-            "n_docs": (spec.n_docs >= 1, ">= 1"),
-            "n_classes": (spec.n_classes >= 2, ">= 2"),
+            "n_docs": (1 <= spec.n_docs <= MAX_DOCS, f"in [1, {MAX_DOCS}]"),
+            "n_classes": (2 <= spec.n_classes <= MAX_CLASSES, f"in [2, {MAX_CLASSES}]"),
             "seed": (spec.seed >= 0, ">= 0"),
             "noise": (0 <= spec.noise <= 1, "in [0, 1]"),
             "contamination": (0 <= spec.contamination <= 1, "in [0, 1]"),
-            "keywords_per_class": (spec.keywords_per_class >= 1, ">= 1"),
+            # every pseudo-word is distinct: 3 law categories for each of at
+            # most n_classes + 6 base assignments, then the classes' keywords
+            "keywords_per_class": (
+                1 <= spec.keywords_per_class
+                and spec.n_classes * (spec.keywords_per_class + 3) + 18 <= WORD_POOL,
+                f">= 1, with n_classes * (keywords_per_class + 3) + 18 <= {WORD_POOL}",
+            ),
             "tokens_lo": (spec.tokens_lo >= 1, ">= 1"),
-            "tokens_hi": (spec.tokens_hi >= spec.tokens_lo, ">= tokens_lo"),
+            "tokens_hi": (
+                spec.tokens_lo <= spec.tokens_hi and spec.n_docs * spec.tokens_hi <= MAX_TOKENS,
+                f">= tokens_lo, with n_docs * tokens_hi <= {MAX_TOKENS}",
+            ),
         })
 
 

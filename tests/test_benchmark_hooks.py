@@ -97,13 +97,18 @@ def test_workload_runs_once_at_tiny_size(name, tmp_path, monkeypatch):
 def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
     # a refactor that routes around a wrapped name would zero its per-layer
     # figure without failing anything else
-    vocab_sizes = []
+    vocab_sizes, kept_columns = [], []
     fitted_nodes = []
-    original = pipeline.fit_pipeline
+    original_features, original_pipeline = pipeline.fit_features, pipeline.fit_pipeline
 
-    def recording(*args, **kwargs):
-        fitted = original(*args, **kwargs)
-        vocab_sizes.append(len(fitted.vectorizer.vocabulary))
+    def recording_features(*args, **kwargs):
+        vectorizer, encoder, X = original_features(*args, **kwargs)
+        vocab_sizes.append(len(vectorizer.vocabulary))
+        return vectorizer, encoder, X
+
+    def recording_pipeline(*args, **kwargs):
+        fitted = original_pipeline(*args, **kwargs)
+        kept_columns.append(len(fitted.model.feature_names))
         return fitted
 
     def counting_nodes(fit):
@@ -115,7 +120,8 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
 
         return fit_and_count
 
-    monkeypatch.setattr(pipeline, "fit_pipeline", recording)
+    monkeypatch.setattr(pipeline, "fit_features", recording_features)
+    monkeypatch.setattr(pipeline, "fit_pipeline", recording_pipeline)
     for module in (pipeline, features):
         monkeypatch.setattr(module, "fit_ensemble", counting_nodes(module.fit_ensemble))
     corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=5))
@@ -127,8 +133,10 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
     spans = ("features.fit_vectorizer", "features.transform", "trees.fit_tree", "trees.find_split")
     for span in spans:
         assert tracer.calls[span] > 0, span
-    assert len(vocab_sizes) == 2
+    assert len(vocab_sizes) == len(kept_columns) == 2
     metrics = tracer.metrics()
     assert metrics["features.vocab_size"] == (sum(vocab_sizes), "count")
+    # the tracer counts kept columns through FittedPipeline.kept_names
+    assert metrics["features.kept_columns"] == (sum(kept_columns), "count")
     assert metrics["trees.fit_tree.calls"] == (len(fitted_nodes), "count")
     assert metrics["trees.nodes"] == (sum(fitted_nodes), "count")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from lexcat import cli
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
+from lexcat.entities import CATEGORICAL_FIELDS
 from lexcat.explain import class_display_names
 from lexcat.lexica import default_data_dir
 from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline, save_pipeline
@@ -84,6 +85,9 @@ UNREAD_FLAGS = {
     "preprocess_seed": (lambda corpus, cfg, model: ["preprocess", "--corpus", corpus],
                         ["--seed", "3"]),
     "train_folds": (lambda corpus, cfg, model: ["train", "--config", cfg], ["--folds", "3"]),
+    # train writes its pipeline only to --out
+    "train_model_file": (lambda corpus, cfg, model: ["train", "--config", cfg],
+                         ["--model-file", "m.json"]),
 }
 
 
@@ -122,7 +126,7 @@ def test_readme_flag_table_matches_the_parser():
         for name, parser in sub.choices.items()
     }
     assert _readme_flag_table() == parsed
-    assert sum(map(len, parsed.values())) == 56
+    assert sum(map(len, parsed.values())) == 55
 
 
 def test_missing_corpus_is_data_error(tmp_path):
@@ -225,7 +229,7 @@ def test_ngram_spelled_like_entity_field_trains(tmp_path, word):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpus": str(corpus), "n_estimators": 5}), encoding="utf-8")
     model_file = tmp_path / "model.json"
-    assert main(["train", "--config", str(cfg), "--model-file", str(model_file)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--out", str(model_file)]) == EXIT_OK
     fitted = load_pipeline(model_file)
     assert word not in fitted.vectorizer.vocabulary
     assert fitted.kept_names.count(word) <= 1
@@ -291,7 +295,7 @@ def test_unknown_anonymiser_tag_is_data_error(table, tmp_path, capsys):
 
 def test_train_evaluate_explain_export(fast_config_path, synth_corpus_path, tmp_path):
     model_file = tmp_path / "model.json"
-    rc = main(["train", "--config", str(fast_config_path), "--model-file", str(model_file)])
+    rc = main(["train", "--config", str(fast_config_path), "--out", str(model_file)])
     assert rc == EXIT_OK
     assert model_file.is_file()
 
@@ -408,6 +412,12 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
         (["--seed", "-1"], {}, "seed"),
         ([], {"keywords_per_class": 0}, "keywords_per_class"),
         ([], {"tokens_hi": 3}, "tokens_hi"),
+        # each used to run until killed, loop forever or exit 3
+        (["--docs", str(10**20)], {}, "n_docs"),
+        ([], {"n_classes": 10**40}, "n_classes"),
+        ([], {"tokens_hi": 10**40}, "tokens_hi"),
+        # 8 classes of 40,000 keywords: more words than the pseudo-word pool holds
+        ([], {"keywords_per_class": 40_000}, "keywords_per_class"),
     ],
     ids=[
         "zero_docs",
@@ -418,12 +428,17 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
         "negative_seed",
         "no_keywords",
         "tokens_hi_below_tokens_lo",
+        "huge_docs",
+        "huge_classes",
+        "huge_tokens_hi",
+        "keywords_beyond_word_pool",
     ],
 )
 def test_bad_synth_spec_is_data_error(tmp_path, capsys, args, synth, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"synth": synth}), encoding="utf-8")
-    rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl"), *args])
+    with within_seconds(10):
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl"), *args])
     assert rc == EXIT_DATA
     assert repr(field) in capsys.readouterr().err
 
@@ -463,17 +478,19 @@ def test_evaluate_deterministic_artifacts(fast_config_path, tmp_path):
 
 
 def test_train_twice_byte_identical(fast_config_path, tmp_path):
-    m1 = tmp_path / "m1.json"
-    m2 = tmp_path / "m2.json"
-    assert main(["train", "--config", str(fast_config_path), "--model-file", str(m1)]) == EXIT_OK
-    assert main(["train", "--config", str(fast_config_path), "--model-file", str(m2)]) == EXIT_OK
-    assert m1.read_bytes() == m2.read_bytes()
+    # one path for both runs: the file's config records its --out
+    model_file = tmp_path / "m.json"
+    argv = ["train", "--config", str(fast_config_path), "--out", str(model_file)]
+    assert main(argv) == EXIT_OK
+    first = model_file.read_bytes()
+    assert main(argv) == EXIT_OK
+    assert model_file.read_bytes() == first
 
 
 def test_export_tree_bts_labels_follow_forest(fast_config_path, tmp_path):
     model_file = tmp_path / "bts.json"
     rc = main(["train", "--config", str(fast_config_path), "--strategy", "bts",
-               "--model-file", str(model_file)])
+               "--out", str(model_file)])
     assert rc == EXIT_OK
     model = load_pipeline(model_file).model
     assert [len(table.roots) for table in model.forests] == [5, 5, 5]
@@ -521,11 +538,11 @@ def test_ngram_range_beyond_every_document_explains_in_bounded_time(
 ):
     # no document is 100000 tokens long, so the explanation is the [1, 2] one
     model_file = tmp_path / "m.json"
-    train = ["train", "--config", str(fast_config_path), "--model-file", str(model_file)]
+    train = ["train", "--config", str(fast_config_path), "--out", str(model_file)]
     assert main(train) == EXIT_OK
     obj = json.loads(model_file.read_text(encoding="utf-8"))
-    assert obj["vectorizer"]["ngram_range"] == [1, 2]
-    obj["vectorizer"]["ngram_range"] = [1, 100_000]
+    assert (obj["config"]["ngram_lo"], obj["config"]["ngram_hi"]) == (1, 2)
+    obj["config"]["ngram_hi"] = 100_000
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps(obj), encoding="utf-8")
     outs = []
@@ -606,7 +623,7 @@ def test_lexicon_line_error_is_data_error(
 def dt_model_path(tmp_path_factory, fast_config_path):
     path = tmp_path_factory.mktemp("cli") / "dt.json"
     rc = main(["train", "--config", str(fast_config_path), "--model", "dt",
-               "--model-file", str(path)])
+               "--out", str(path)])
     assert rc == EXIT_OK
     return path
 
@@ -624,8 +641,8 @@ def test_malformed_model_file_is_data_error(dt_model_path, tmp_path, name):
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", '{"format": "lexcat-pipeline-v1"}', "[]"],
-    ids=["not_json", "missing_vectorizer", "not_an_object"],
+    ["not json", '{"format": "lexcat-pipeline-v2"}', "[]"],
+    ids=["not_json", "missing_fields", "not_an_object"],
 )
 def test_malformed_pipeline_file_is_data_error(tmp_path, content):
     bad = tmp_path / "bad.json"
@@ -707,7 +724,7 @@ def test_unwritable_output_is_data_error(
         ["export-tree", "--model-file", model, "--out", path],
         ["explain", "--config", str(fast_config_path), "--sample", "synth-00003",
          "--model-file", model, "--out", path],
-        ["train", "--config", str(fast_config_path), "--model-file", path],
+        ["train", "--config", str(fast_config_path), "--out", path],
     ]
     for argv in runs:
         assert main(argv) == EXIT_DATA, argv
@@ -751,13 +768,8 @@ PIPELINE_MALFORMATIONS = {
     "combos_index_out_of_range": _set(("model", "combos", 0, 0), 10_000),
     "combos_entry_not_a_list": _set(("model", "combos", 0), 0),
     "one_element_class_entry": _set(("model", "classes", 0), ["civil"]),
-    "kept_name_not_in_vocabulary": _set(("kept_names", 0), "no such ngram"),
-    "model_column_not_in_vocabulary": lambda obj: [
-        _set(path, "no such ngram")(obj)
-        for path in (("kept_names", 0), ("model", "feature_names", 0))
-    ],
-    "unknown_kept_kind": _set(("kept_kinds", 0), "visual"),
-    "entity_field_before_ngrams": lambda obj: _last_kept_column_first(obj),
+    "duplicated_model_column": lambda obj: _duplicate_first_column(obj["model"]),
+    "entity_field_before_ngrams": lambda obj: _last_column_first(obj["model"]),
     # node 1 is the root's left child, at depth 1
     "child_depth_not_parent_plus_one": _set(("model", "forests", 0, 0, "depth", 1), 2),
     "unknown_variant": _set(("model", "variant"), "xyz"),
@@ -767,14 +779,11 @@ PIPELINE_MALFORMATIONS = {
     "forest_narrower_than_combos": lambda obj: _drop_last_output(obj["model"]),
     # an mts forest read as bts, which needs one 2-output forest per class
     "mts_forest_read_as_bts": _set(("model", "strategy"), "bts"),
-    "vocabulary_index_out_of_range": lambda obj: _set(
-        ("vectorizer", "vocabulary", min(obj["vectorizer"]["vocabulary"])), 1_000_000
-    )(obj),
-    "reversed_ngram_range": _set(("vectorizer", "ngram_range"), [2, 1]),
-    "three_ngram_bounds": _set(("vectorizer", "ngram_range"), [1, 2, 3]),
-    "fractional_ngram_bound": _set(("vectorizer", "ngram_range"), [1.5, 2]),
-    "boolean_ngram_bound": _set(("vectorizer", "ngram_range"), [True, 2]),
-    "boolean_vocabulary_index": lambda obj: _boolean_vocabulary_index(obj),
+    # the n-gram range is the config's
+    "reversed_ngram_range": lambda obj: obj["config"].update(ngram_lo=2, ngram_hi=1),
+    "three_ngram_bounds": _set(("config", "ngram_range"), [1, 2, 3]),
+    "fractional_ngram_bound": _set(("config", "ngram_lo"), 1.5),
+    "boolean_ngram_bound": _set(("config", "ngram_lo"), True),
     # values no fitted model holds, which used to load and explain (exit 0)
     "fractional_n_estimators": _set(("model", "hyperparams", "n_estimators"), 2.5),
     "fractional_max_depth": _set(("model", "hyperparams", "max_depth"), 1.5),
@@ -792,12 +801,9 @@ PIPELINE_MALFORMATIONS = {
     ],
     # the envelope outside the model, which used to escape as TypeError
     # (exit 3) or load and fail only when a row was encoded
-    "kept_names_not_a_list": _set(("kept_names",), 5),
-    "kept_kind_not_a_string": _set(("kept_kinds", 0), [1]),
     "config_not_an_object": _set(("config",), [1]),
-    "vocabulary_not_an_object": _set(("vectorizer", "vocabulary"), [1, 2]),
-    "ngram_range_not_a_list": _set(("vectorizer", "ngram_range"), 5),
-    "max_df_not_a_number": _set(("vectorizer", "max_df"), "x"),
+    "ngram_range_not_a_list": _set(("config", "ngram_range"), 5),
+    "max_df_not_a_number": _set(("config", "max_df"), "x"),
     "encoder_not_an_object": _set(("encoder",), 5),
     "encoder_table_not_an_object": _set(("encoder", "court"), 5),
     "encoder_code_not_an_integer": _set(("encoder", "court", "x"), "1"),
@@ -806,31 +812,33 @@ PIPELINE_MALFORMATIONS = {
     # IndexError (exit 3) when explaining
     "no_feature_columns": lambda obj: _no_feature_columns(obj),
     "wrong_pipeline_format": _set(("format",), "lexcat-pipeline-v0"),
+    # the format before the model's feature names became the one record of
+    # the columns; such a file must be retrained
+    "v1_pipeline_format": _set(("format",), "lexcat-pipeline-v1"),
 }
 
 
-def _boolean_vocabulary_index(obj):
-    """The n-gram at index 0 indexed by false, which a check that took a
-    boolean for an integer read as 0."""
-    vocabulary = obj["vectorizer"]["vocabulary"]
-    (first,) = [gram for gram, index in vocabulary.items() if index == 0]
-    vocabulary[first] = False
-
-
 def _no_feature_columns(obj):
-    """No kept column, and every tree a single leaf with its root's counts."""
-    obj["kept_names"], obj["kept_kinds"], obj["model"]["feature_names"] = [], [], []
+    """No column, and every tree a single leaf with its root's counts."""
+    obj["model"]["feature_names"] = []
     for forest in obj["model"]["forests"]:
         for tree in forest:
             tree.update(feature=[-1], threshold=[float("nan")], left=[-1], right=[-1], depth=[0],
                         counts=tree["counts"][:1])
 
 
-def _last_kept_column_first(obj):
-    """Move the last kept column, an entity field, before the n-grams."""
-    assert obj["kept_kinds"][-1] == "categorical" and obj["kept_kinds"][0] == "textual"
-    for names in (obj["kept_names"], obj["kept_kinds"], obj["model"]["feature_names"]):
-        names.insert(0, names.pop())
+def _last_column_first(model):
+    """Move the last column, an entity field, before the n-grams."""
+    names = model["feature_names"]
+    assert names[-1] in CATEGORICAL_FIELDS and names[0] not in CATEGORICAL_FIELDS
+    names.insert(0, names.pop())
+
+
+def _duplicate_first_column(model):
+    """The first n-gram in the place of the second, which is an n-gram too."""
+    names = model["feature_names"]
+    assert not {names[0], names[1]} & set(CATEGORICAL_FIELDS)
+    names[1] = names[0]
 
 
 def _drop_last_output(model):
@@ -878,6 +886,9 @@ FILE_REFUSAL_MESSAGES = {
     "repeated_class": "catalog classes must be distinct",
     "repeated_combination": "combos must be pairwise distinct",
     "wrong_pipeline_format": "unsupported pipeline format: 'lexcat-pipeline-v0'",
+    "v1_pipeline_format": "unsupported pipeline format: 'lexcat-pipeline-v1'",
+    "duplicated_model_column": "pipeline model columns must be distinct",
+    "entity_field_before_ngrams": "must list the n-grams first",
 }
 
 
@@ -1018,10 +1029,20 @@ def mutation_inputs(synth_corpus_path, fast_config_path, dt_model_path, tmp_path
              "--out", str(tmp / "e.tsv")],
         ]),
         "pipeline": (json.loads(dt_model_path.read_text(encoding="utf-8")), pipeline_runs),
+        "synth": (SYNTH_CONFIG, lambda text: [
+            ["synth", "--config", _write(tmp / "s.json", text), "--out", str(tmp / "s.jsonl")],
+        ]),
     }
 
 
-@pytest.mark.parametrize("name", ["config", "corpus_line", "pipeline"])
+# a config that synth reads, its every spec field given
+SYNTH_CONFIG = {"seed": 1, "synth": {
+    "n_docs": 20, "n_classes": 3, "noise": 0.2, "contamination": 0.05,
+    "keywords_per_class": 8, "tokens_lo": 40, "tokens_hi": 80,
+}}
+
+
+@pytest.mark.parametrize("name", ["config", "corpus_line", "pipeline", "synth"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_input_exits_0_or_2_in_bounded_time(mutation_inputs, name, data):

@@ -409,7 +409,7 @@ def test_build_explanation_forest_evaluations(lexica, monkeypatch, strategy):
     # the surrogate batch holds each distinct perturbation of the row once
     stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
     row = fitted.row_for(stream, extract_entities(doc, lexica.entities))
-    k = np.count_nonzero(row[: fitted.kept_kinds.count("textual")])
+    k = np.count_nonzero(row[: len(fitted.vectorizer.vocabulary)])
     keep = np.random.default_rng(config.seed).random((60, k)) >= 0.5
     assert calls == [1, len(np.unique(keep, axis=0))]
 
@@ -422,7 +422,7 @@ def test_build_explanation_ranks_terms_as_the_decision_paths(lexica, strategy):
     )
     fitted = fit_pipeline(corpus, config, lexica)
     model = fitted.model
-    textual = fitted.kept_names[: fitted.kept_kinds.count("textual")]
+    textual = fitted.kept_names[: len(fitted.vectorizer.vocabulary)]
     assert len(textual) < len(model.feature_names)  # entity columns are split on too
     for doc in corpus.documents[:6]:
         e = build_explanation(fitted, doc, lexica)
@@ -479,7 +479,7 @@ def test_signed_relevance_bytes_equal_under_reference_forest(lexica, monkeypatch
     corpus = generate_corpus(SynthSpec(n_docs=120, n_classes=3, seed=31))
     config = PipelineConfig(strategy=strategy, n_estimators=10, min_samples_leaf=1, seed=31)
     fitted = fit_pipeline(corpus, config, lexica)
-    n_text = fitted.kept_kinds.count("textual")
+    n_text = len(fitted.vectorizer.vocabulary)
     rows = [
         fitted.row_for(
             to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas),
@@ -535,7 +535,7 @@ def test_deleting_the_top_terms_lowers_the_explained_class_more_than_random_term
     )
     fitted = fit_pipeline(train, config, lexica)
     model = fitted.model
-    n_text = fitted.kept_kinds.count("textual")
+    n_text = len(fitted.vectorizer.vocabulary)
     rng = np.random.default_rng(0)
     held_out = corpus.documents[320:380]
     beats = 0

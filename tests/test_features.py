@@ -499,13 +499,14 @@ def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
     prep = pipeline.preprocess_corpus(corpus, lexica)
     codes = fitted.encoder.transform(prep.records)
     rows = range(corpus.n)
-    full = transform(fitted.vectorizer, prep.ngrams(fitted.vectorizer.ngram_range), rows, codes)
+    vec, _, _ = pipeline.fit_features(prep, fitted.config, rows)
+    full = transform(vec, prep.ngrams(vec.ngram_range), rows, codes)
     assert textual.base.shape == full.shape and textual.base.tobytes() == full.tobytes()
-    n_text = len(fitted.vectorizer.vocabulary)
+    n_text = len(vec.vocabulary)
     assert textual.tobytes() == full[:, :n_text].tobytes()
     assert categorical.tobytes() == full[:, n_text:].tobytes()
-    n_kept_text = fitted.kept_kinds.count("textual")
-    assert set(fitted.kept_names[:n_kept_text]) <= set(fitted.vectorizer.names)
+    n_kept_text = len(fitted.vectorizer.vocabulary)
+    assert set(fitted.kept_names[:n_kept_text]) <= set(vec.names)
     assert set(fitted.kept_names[n_kept_text:]) <= set(CATEGORICAL_FIELDS)
 
 
@@ -518,7 +519,7 @@ def test_one_document_path_matches_batch_and_string_reference(lexica):
     config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1)
     fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(70))
     held_out = list(range(70, 90))
-    vec = fitted.vectorizer
+    vec, _, _ = pipeline.fit_features(prep, config, range(70))
     counts = reference_transform(vec, [prep.streams[i] for i in held_out])
     codes = fitted.encoder.transform([prep.records[i] for i in held_out])
     names = [*vec.names, *CATEGORICAL_FIELDS]
@@ -531,6 +532,26 @@ def test_one_document_path_matches_batch_and_string_reference(lexica):
         assert fitted.predict_document(corpus.documents[i], lexica) == batch[k]
 
 
+def test_loaded_pipeline_derives_the_fitted_columns(lexica):
+    # a pipeline file holds the model's column names once; the vectorizer
+    # of the kept n-grams is derived from them, with the config's range
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
+    prep = pipeline.preprocess_corpus(corpus, lexica)
+    config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1, ngram_hi=3)
+    fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(45))
+    text = pipeline.pipeline_to_json(fitted)
+    assert sorted(json.loads(text)) == ["config", "encoder", "format", "model"]
+    loaded = pipeline.pipeline_from_json(text)
+    assert loaded.vectorizer == fitted.vectorizer
+    assert loaded.vectorizer.ngram_range == (1, 3)
+    assert loaded.kept_names == fitted.kept_names == list(fitted.model.feature_names)
+    n_text = len(loaded.vectorizer.vocabulary)
+    assert 0 < n_text < len(loaded.kept_names)  # n-grams, then entity fields
+    assert set(loaded.kept_names[n_text:]) <= set(CATEGORICAL_FIELDS)
+    held_out = range(45, 60)
+    assert loaded.predict_prepared(prep, held_out) == fitted.predict_prepared(prep, held_out)
+
+
 def test_fit_pipeline_on_one_label_set_warns_and_keeps_every_ngram(lexica):
     corpus = generate_corpus(SynthSpec(n_docs=30, n_classes=3, seed=3))
     only = corpus.documents[0].annotations
@@ -539,6 +560,6 @@ def test_fit_pipeline_on_one_label_set_warns_and_keeps_every_ngram(lexica):
     with pytest.warns(UserWarning, match="single-class corpus: feature selection skipped"):
         fitted = pipeline.fit_pipeline(corpus, config, lexica)
     # neither selection stage runs: every n-gram stays, and no entity field
-    assert fitted.kept_names == fitted.vectorizer.names
-    assert fitted.kept_kinds == ["textual"] * len(fitted.kept_names)
+    vec, _, _ = pipeline.fit_features(pipeline.preprocess_corpus(corpus, lexica), config, range(30))
+    assert fitted.kept_names == vec.names
     assert fitted.model.mts_catalog.combos == (only,)

@@ -32,7 +32,7 @@ MODEL_DIGESTS = {
     ("mts", "etc"): "96f09ac4ba0efc6bcfbd78a2a6dbd8670b85a0ed093bfa029d02299297214eb0",
     ("bts", "etc"): "a3e871f8fc1fc6a3e1ecf2dc88c76b12173456cae366999c03db306c9e6fdf9a",
 }
-PIPELINE_DIGEST = "b55b17f194caa0c830796c2aa615a0bfa46532c447fd0e5908dd9846e0085e16"
+PIPELINE_DIGEST = "24cc4f48dfc6bf921e9660494378e146a884a5e94128da4785039674757f766d"
 # document 4: two assignments under both strategies, BTS confidence is the
 # mean over two classes (88); document 11: MTS confidence below 100 (75)
 EXPLANATION_DIGESTS = {
