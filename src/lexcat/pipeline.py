@@ -301,7 +301,8 @@ _PIPELINE_FORMAT = "lexcat-pipeline-v2"
 def pipeline_to_json(fp: FittedPipeline) -> str:
     obj = {
         "format": _PIPELINE_FORMAT,
-        "config": asdict(fp.config),
+        # no reader uses out, so where a file is written does not change it
+        "config": asdict(replace(fp.config, out=None)),
         "encoder": fp.encoder.tables,
         "model": model_to_obj(fp.model),
     }

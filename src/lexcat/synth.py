@@ -57,9 +57,10 @@ _NOISE_WORDS = (
 WORD_POOL = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (2, 3)) - sum(
     bool(re.fullmatch(f"([{_CONSONANTS}][{_VOWELS}]){{2,3}}", w)) for w in _NOISE_WORDS
 )
-MAX_DOCS = 1_000_000
+MAX_DOCS = 20_000  # with the bounds below, the largest spec admitted runs in about 10 s
 MAX_CLASSES = 1_000
-MAX_TOKENS = 10**8  # n_docs * tokens_hi, the corpus's most tokens
+MAX_TOKENS = 1_000_000  # n_docs * tokens_hi, the corpus's most tokens
+MAX_WORDS = WORD_POOL // 2  # drawing distinct words by rejection slows as the pool runs out
 
 
 class SynthError(DataError):
@@ -88,8 +89,8 @@ class SynthSpec:
             # most n_classes + 6 base assignments, then the classes' keywords
             "keywords_per_class": (
                 1 <= spec.keywords_per_class
-                and spec.n_classes * (spec.keywords_per_class + 3) + 18 <= WORD_POOL,
-                f">= 1, with n_classes * (keywords_per_class + 3) + 18 <= {WORD_POOL}",
+                and spec.n_classes * (spec.keywords_per_class + 3) + 18 <= MAX_WORDS,
+                f">= 1, with n_classes * (keywords_per_class + 3) + 18 <= {MAX_WORDS}",
             ),
             "tokens_lo": (spec.tokens_lo >= 1, ">= 1"),
             "tokens_hi": (

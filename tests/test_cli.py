@@ -418,6 +418,10 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
         ([], {"tokens_hi": 10**40}, "tokens_hi"),
         # 8 classes of 40,000 keywords: more words than the pseudo-word pool holds
         ([], {"keywords_per_class": 40_000}, "keywords_per_class"),
+        # each one past a bound: the largest specs admitted run in about 10 s
+        (["--docs", "20001"], {}, "n_docs"),
+        ([], {"n_docs": 20_000, "tokens_hi": 51}, "tokens_hi"),
+        ([], {"keywords_per_class": 17_423}, "keywords_per_class"),
     ],
     ids=[
         "zero_docs",
@@ -432,6 +436,9 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
         "huge_classes",
         "huge_tokens_hi",
         "keywords_beyond_word_pool",
+        "docs_above_max",
+        "tokens_above_max",
+        "keywords_beyond_half_word_pool",
     ],
 )
 def test_bad_synth_spec_is_data_error(tmp_path, capsys, args, synth, field):
@@ -478,13 +485,11 @@ def test_evaluate_deterministic_artifacts(fast_config_path, tmp_path):
 
 
 def test_train_twice_byte_identical(fast_config_path, tmp_path):
-    # one path for both runs: the file's config records its --out
-    model_file = tmp_path / "m.json"
-    argv = ["train", "--config", str(fast_config_path), "--out", str(model_file)]
-    assert main(argv) == EXIT_OK
-    first = model_file.read_bytes()
-    assert main(argv) == EXIT_OK
-    assert model_file.read_bytes() == first
+    m1 = tmp_path / "m1.json"
+    m2 = tmp_path / "m2.json"
+    assert main(["train", "--config", str(fast_config_path), "--out", str(m1)]) == EXIT_OK
+    assert main(["train", "--config", str(fast_config_path), "--out", str(m2)]) == EXIT_OK
+    assert m1.read_bytes() == m2.read_bytes()
 
 
 def test_export_tree_bts_labels_follow_forest(fast_config_path, tmp_path):
