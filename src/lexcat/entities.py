@@ -1,7 +1,8 @@
 """Rule-based extraction of the seven judicial features from raw judgement text.
 
 Detectors operate on NFC-normalised text, match case-insensitively and are
-pure functions of (text, lexica), compiling each lexicon's patterns once.
+pure functions of (text, lexica), compiling each lexicon's patterns once. A
+pattern is tried only where the text's case fold holds that of its first word.
 Section markers: the heading ends at the first pleas-of-fact marker, the
 decision section starts after the last ruling marker.
 """
@@ -29,6 +30,8 @@ _HEADING_END = re.compile(r"ANTECEDENTES\s+DE\s+HECHO", re.IGNORECASE)
 _DECISION_START = re.compile(r"\b(?:FALLAMOS|FALLO|PARTE\s+DISPOSITIVA)\b", re.IGNORECASE)
 # one group per resolution keyword; whole keywords never overlap
 _RESOLUTION = re.compile(r"\b(?:(" + ")|(".join(RESOLUTION_TYPES) + r"))\b", re.IGNORECASE)
+# the fold of the word each marker match starts with
+_HEADING_KEY, _DECISION_KEYS = "antecedentes", ("fallamos", "fallo", "parte")
 
 # Spanish display forms shown in the rendered explanation.
 SPANISH_DISPLAY = {
@@ -95,29 +98,91 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+# Sets of lowercase letters that re.IGNORECASE equates though str.lower keeps
+# them apart (those of one uppercase; CPython's re/_casefix.py). _fold writes
+# each set's first letter for all of it.
+_SAME_UPPER = ("iı sſ µμ ι\u0345\u1fbe \u0390\u1fd3 \u03b0\u1fe3 βϐ εϵ θϑ κϰ πϖ ρϱ ςσ φϕ вᲀ дᲁ оᲂ"
+               " сᲃ тᲄᲅ ъᲆ ѣᲇ ꙋᲈ ṡẛ ﬅﬆ").split()
+_LEADS = tuple((odd, group[0]) for group in _SAME_UPPER for odd in group[1:])
+
+
+def _fold(text: str) -> str:
+    """text with each character replaced by one that stands for every
+    character re.IGNORECASE equates with it, at the same offset: str.lower
+    keeps the length of every character but 'İ', which re lowercases to 'i'."""
+    folded = text.replace("\u0130", "i").lower()
+    for odd, lead in _LEADS:
+        folded = folded.replace(odd, lead)
+    return folded
+
+
+class _Folded(str):
+    """NFC text that carries its fold. split_sections returns these, so the
+    detectors extract_entities hands them normalise and fold a text once."""
+
+    folded: str
+
+    def __new__(cls, nfc: str, folded: str) -> _Folded:
+        doc = super().__new__(cls, nfc)
+        doc.folded = folded
+        return doc
+
+
+def _prepare(text: str) -> _Folded:
+    if isinstance(text, _Folded):
+        return text
+    nfc = _nfc(text)
+    return _Folded(nfc, _fold(nfc))
+
+
+def _search(pattern: re.Pattern, key: str, doc: _Folded) -> re.Match | None:
+    """pattern.search(doc), tried only where doc's fold holds key, which the
+    fold of every match starts with."""
+    pos = doc.folded.find(key)
+    while pos >= 0 and not (m := pattern.match(doc, pos)):
+        pos = doc.folded.find(key, pos + 1)
+    return m if pos >= 0 else None
+
+
+def _last(pattern: re.Pattern, keys: tuple[str, ...], doc: _Folded) -> re.Match | None:
+    """The match of pattern that starts last, which is finditer's last as no
+    two of its matches overlap: the latest of each key's last match, tried
+    from the end where doc's fold holds the key."""
+    lasts = []
+    for key in keys:
+        pos = doc.folded.rfind(key)
+        while pos >= 0 and not (m := pattern.match(doc, pos)):
+            pos = doc.folded.rfind(key, 0, pos + len(key) - 1)
+        if pos >= 0:
+            lasts.append(m)
+    return max(lasts, key=re.Match.start, default=None)
+
+
 @functools.cache
-def _patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, ...], re.Pattern]:
+def _patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, ...], dict[str, list[int]]]:
     """One pattern per phrase (its words apart by any whitespace, whole words,
-    any case) and their alternation, which finds where the first one starts;
-    for an empty lexicon that is "(?!)", which never matches."""
-    sources = [r"\b" + r"\s+".join(map(re.escape, p.split())) + r"\b" for p in phrases]
-    patterns = tuple(re.compile(s, re.IGNORECASE) for s in sources)
-    return patterns, re.compile("|".join(sources) or "(?!)", re.IGNORECASE)
+    any case) and the first-word index: the fold of a phrase's first word ->
+    the positions of the phrases that start with it."""
+    patterns, index = [], {}
+    for i, words in enumerate(p.split() for p in phrases):
+        source = r"\b" + r"\s+".join(map(re.escape, words)) + r"\b"
+        patterns.append(re.compile(source, re.IGNORECASE))
+        index.setdefault(_fold(words[0]) if words else "", []).append(i)
+    return tuple(patterns), index
+
+
+def _hits(doc: _Folded, phrases: tuple[str, ...]) -> list[tuple[int, re.Match]]:
+    """(position, earliest match) of each phrase found in doc."""
+    patterns, index = _patterns(phrases)
+    return [(i, m) for key, members in index.items() if key in doc.folded
+            for i in members if (m := _search(patterns[i], key, doc))]
 
 
 def _first_match(text: str, phrases: tuple[str, ...]) -> str | None:
     """Earliest occurrence wins; at equal position the longest phrase wins;
     remaining ties go to lexicon order."""
-    patterns, any_phrase = _patterns(phrases)
-    first = any_phrase.search(text)
-    if first is None:
-        return None
-    best_end, best = -1, None
-    for phrase, pattern in zip(phrases, patterns):
-        m = pattern.match(text, first.start())
-        if m is not None and m.end() > best_end:
-            best_end, best = m.end(), phrase
-    return best
+    hits = [(m.start(), -m.end(), i) for i, m in _hits(_prepare(text), phrases)]
+    return phrases[min(hits)[2]] if hits else None
 
 
 def detect_case_type(text: str, lexicon) -> str:
@@ -126,21 +191,20 @@ def detect_case_type(text: str, lexicon) -> str:
     The case number pattern that usually trails the type name (digits and a
     /year suffix) is irrelevant to the match and simply ignored.
     """
-    hit = _first_match(_nfc(text), tuple(e.name for e in lexicon))
+    hit = _first_match(text, tuple(e.name for e in lexicon))
     return hit if hit is not None else UNKNOWN
 
 
 def detect_court(text: str, court_lexicon) -> str:
-    hit = _first_match(_nfc(text), tuple(court_lexicon))
+    hit = _first_match(text, tuple(court_lexicon))
     return hit if hit is not None else UNKNOWN
 
 
 def detect_decision(decision_section: str, decision_lexicon) -> str:
     """Exactly one keyword in the ruling section names the decision; two or
     more distinct keywords make it a multiple decision."""
-    text = _nfc(decision_section)
     keywords = tuple(decision_lexicon)
-    found = {kw for kw, p in zip(keywords, _patterns(keywords)[0]) if p.search(text)}
+    found = {keywords[i] for i, _ in _hits(_prepare(decision_section), keywords)}
     if not found:
         return UNKNOWN
     if len(found) > 1:
@@ -165,7 +229,7 @@ def detect_jurisdiction(text: str, gin: str | None, lexica: EntityLexica, case_t
     """Three detection routes in decreasing reliability: judicial-division
     phrase, GIN jurisdiction digit, case-type lexicon mapping. The last
     route maps case_type, the case type detect_case_type found in text."""
-    hit = _first_match(_nfc(text), tuple(lexica.divisions))
+    hit = _first_match(text, tuple(lexica.divisions))
     if hit is not None:
         return lexica.divisions[hit]
     if gin is not None:
@@ -185,18 +249,15 @@ def detect_resolution_type(heading_tail: str) -> str:
     A second pass on the whitespace-collapsed tail catches the letter-spaced
     style used in judgement headings (S E N T E N C I A).
     """
-    text = _nfc(heading_tail)
-    matches = list(_RESOLUTION.finditer(text))
-    if matches:
-        return RESOLUTION_TYPES[matches[-1].lastindex - 1]
-    best_end, best = -1, None
-    compact = re.sub(r"\s+", "", text).casefold()
-    for kw in RESOLUTION_TYPES:
-        pos = compact.rfind(kw)
-        if pos >= 0 and pos + len(kw) > best_end:
-            best_end = pos + len(kw)
-            best = kw
-    return best if best is not None else UNKNOWN
+    text = _prepare(heading_tail)
+    m = _last(_RESOLUTION, RESOLUTION_TYPES, text)
+    if m:
+        return RESOLUTION_TYPES[m.lastindex - 1]
+    # str.split drops exactly the characters \s matches; no keyword ends
+    # another, so no two end at one place
+    compact = "".join(text.split()).casefold()
+    ends = {compact.rfind(kw) + len(kw): kw for kw in RESOLUTION_TYPES if kw in compact}
+    return ends[max(ends)] if ends else UNKNOWN
 
 
 def split_sections(text: str) -> tuple[str, str]:
@@ -206,12 +267,10 @@ def split_sections(text: str) -> tuple[str, str]:
     absent). Decision section: everything after the last ruling marker
     (empty if absent).
     """
-    nfc_text = _nfc(text)
-    m = _HEADING_END.search(nfc_text)
-    heading = nfc_text[: m.start()] if m else nfc_text
-    starts = [m.end() for m in _DECISION_START.finditer(nfc_text)]
-    decision = nfc_text[starts[-1] :] if starts else ""
-    return heading, decision
+    doc = _prepare(text)
+    end = m.start() if (m := _search(_HEADING_END, _HEADING_KEY, doc)) else len(doc)
+    start = m.end() if (m := _last(_DECISION_START, _DECISION_KEYS, doc)) else len(doc)
+    return _Folded(doc[:end], doc.folded[:end]), _Folded(doc[start:], doc.folded[start:])
 
 
 def extract_entities(judgement, lexica: EntityLexica) -> EntityRecord:

@@ -13,7 +13,7 @@ import numpy as np
 from lexcat import evaluation as ev
 from lexcat.anonymiser import anonymize, jaro
 from lexcat.corpus import Judgement, LabelAssignment, SUBSTANTIVE_ORDERS
-from lexcat.entities import extract_entities, parse_gin
+from lexcat.entities import RESOLUTION_TYPES, extract_entities, parse_gin
 from lexcat.explain import decide, extract_path, render_explanation
 from lexcat.features import spearman
 from lexcat.labels import (
@@ -35,6 +35,7 @@ from lexcat.trees import (
     predict_proba_batch,
 )
 
+from test_entities import _ref_extract_entities, _ref_first_match
 from test_evaluation import oracle_all, random_instance
 from test_explain import LISTING_EXPECTED, reference_explanation
 from test_features import spearman_oracle
@@ -295,6 +296,42 @@ def test_criterion_09_entity_detection(lexica):
         "social",
         "sentencia",
     )
+
+
+def test_criterion_09_entity_round_trip(lexica):
+    """Every case type, court, division and decision keyword of the bundled
+    lexica, written into a judgement in random case and with random
+    whitespace runs, comes back from extract_entities, and so does the
+    jurisdiction the division maps to. A court written before the division
+    may itself be a division phrase; the jurisdiction is then the per-phrase
+    oracle's."""
+    lx = lexica.entities
+    divisions = list(lx.divisions)
+    runs = (" ", "  ", "\n", "\t ", "\u00a0", " \u2028 ")
+    rng = np.random.default_rng(20240129)
+
+    def write(phrase):
+        words = ["".join(c.upper() if rng.random() < 0.5 else c for c in w) for w in phrase.split()]
+        return "".join(w + runs[rng.integers(len(runs))] for w in words)
+
+    n = max(len(lx.case_types), len(lx.courts), len(divisions), len(lx.decisions))
+    for i in range(2 * n):
+        case_type = lx.case_types[i % len(lx.case_types)].name
+        court, division = lx.courts[i % len(lx.courts)], divisions[i % len(divisions)]
+        decision, resolution = lx.decisions[i % len(lx.decisions)], RESOLUTION_TYPES[i % 3]
+        heading = write(court) + write(division) + write(case_type) + "7/2021 " + write(resolution)
+        text = (heading + write("antecedentes de hecho") + "Primero. La parte actora demandó.\n"
+                + write("fallo") + "Que debemos declarar y declaramos " + write(decision))
+        doc = Judgement(id=f"d{i}", raw_text=text,
+                        annotations=(LabelAssignment("social", ("a", "b", "c")),))
+        record = extract_entities(doc, lx)
+        assert (record.case_type, record.court, record.decision, record.resolution_type) == (
+            case_type, court, decision, resolution)
+        first_division = _ref_first_match(heading, divisions)
+        assert record.jurisdiction == lx.divisions[first_division]
+        if _ref_first_match(write(court), divisions) is None:
+            assert first_division == division
+        assert record == _ref_extract_entities(text, lx)
 
 
 def test_criterion_10_rendering_byte_exact():

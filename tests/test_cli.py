@@ -21,10 +21,11 @@ from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.entities import CATEGORICAL_FIELDS
 from lexcat.explain import class_display_names
-from lexcat.lexica import default_data_dir
+from lexcat.lexica import default_data_dir, load_lexica
 from lexcat.pipeline import ConfigError, PipelineConfig, load_pipeline, save_pipeline
 from lexcat.trees import Hyperparams, ModelError, fit_ensemble
 
+from test_entities import _ref_extract_entities
 from test_trees import (
     MALFORMATIONS,
     _label_sets_for,
@@ -622,6 +623,45 @@ def test_lexicon_line_error_is_data_error(
     argv = ["entities", "--corpus", str(synth_corpus_path), "--lexica-dir", str(lexica_dir)]
     assert main([*argv, "--out", str(tmp_path / "e")]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+# entries that start with punctuation, hold a hyphen-only word, or differ
+# from another entry only in case
+USER_LEXICON_LINES = {
+    "courts.txt": ["(Juzgado Decano", "tribunal supremo", "Audiencia - Nacional", "-"],
+    "case_types.tsv": ["¿recurso de queja\tcivil", "RECURSO DE SUPLICACIÓN\tpenal", "- juicio"],
+    "decisions.txt": ["-estimatorio", "Desestimatorio", "(archivo)"],
+    "divisions.tsv": ["(sala de lo militar\tpenal", "Sala De Lo Social\tcivil", "sala - quinta\tsocial"],
+}
+USER_LEXICON_TEXTS = [
+    "x(JUZGADO DECANO de Vigo y TRIBUNAL SUPREMO\nrecurso de suplicación 1/2020 SENTENCIA\n"
+    "ANTECEDENTES DE HECHO la parte actora\nFALLO: x-estimatorio y desestimatorio",
+    "Audiencia - Nacional\nauto(Sala de lo Militar¿Recurso de queja 3/2019\n"
+    "ORDEN\nANTECEDENTES DE HECHO\nFALLAMOS que a(archivo)x es firme",
+    "a-b Tribunal Supremo, Sala de lo Social ante- juicio\nD E C R E T O\n"
+    "antecedentes de hecho nada\nParte Dispositiva: se estima-estimatorio",
+    "sin cabecera ni marcadores: Juzgado de lo Penal",
+]
+
+
+def test_entities_command_with_user_lexica_writes_the_oracle_records(tmp_path):
+    lexica_dir = tmp_path / "lexica"
+    shutil.copytree(default_data_dir(), lexica_dir)
+    for name, lines in USER_LEXICON_LINES.items():
+        with open(lexica_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    corpus = tmp_path / "c.jsonl"
+    records = [{**_GOOD_RECORD, "id": f"d{i}", "text": t} for i, t in enumerate(USER_LEXICON_TEXTS)]
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                      encoding="utf-8")
+    out = tmp_path / "entities.tsv"
+    argv = ["entities", "--corpus", str(corpus), "--lexica-dir", str(lexica_dir), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    lexica = load_lexica(lexica_dir).entities
+    expected = [
+        "\t".join((r["id"],) + _ref_extract_entities(r["text"], lexica).values()) for r in records
+    ]
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import re
+import sys
 import unicodedata
 from dataclasses import astuple
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from lexcat import entities
 from lexcat.corpus import Judgement, LabelAssignment
 from lexcat.entities import (
+    DECISION_TYPES,
     EntityRecord,
     GinParseError,
     MULTIPLE_DECISION,
     RESOLUTION_TYPES,
     UNKNOWN,
     _first_match,
+    _fold,
     derive_instance_type,
     detect_case_type,
     detect_court,
@@ -25,7 +28,7 @@ from lexcat.entities import (
     parse_gin,
     split_sections,
 )
-from lexcat.lexica import CaseTypeEntry, load_lexica
+from lexcat.lexica import CaseTypeEntry, EntityLexica, load_lexica
 
 
 def test_parse_gin_positions():
@@ -283,6 +286,47 @@ def _ref_detect_resolution_type(heading_tail):
     return best if best is not None else UNKNOWN
 
 
+def _ref_split_sections(text):
+    nfc_text = unicodedata.normalize("NFC", text)
+    m = re.search(r"ANTECEDENTES\s+DE\s+HECHO", nfc_text, re.IGNORECASE)
+    heading = nfc_text[: m.start()] if m else nfc_text
+    ruling = r"\b(?:FALLAMOS|FALLO|PARTE\s+DISPOSITIVA)\b"
+    starts = [m.end() for m in re.finditer(ruling, nfc_text, re.IGNORECASE)]
+    decision = nfc_text[starts[-1] :] if starts else ""
+    return heading, decision
+
+
+def _ref_extract_entities(text, lexica):
+    """extract_entities of a document without GIN, composed of the oracles
+    above; each detector normalised its own text."""
+    heading, decision_section = _ref_split_sections(text)
+    heading = unicodedata.normalize("NFC", heading)
+
+    def first(phrases):
+        hit = _ref_first_match(heading, list(phrases))
+        return UNKNOWN if hit is None else hit
+
+    case_type = first(e.name for e in lexica.case_types)
+    division = _ref_first_match(heading, list(lexica.divisions))
+    mapped = [e.jurisdiction for e in lexica.case_types if e.name == case_type and e.jurisdiction]
+    if division is not None:
+        jurisdiction = lexica.divisions[division]
+    elif case_type != UNKNOWN and mapped:
+        jurisdiction = mapped[0]
+    else:
+        jurisdiction = UNKNOWN
+    resolution = _ref_detect_resolution_type(heading)
+    return EntityRecord(
+        case_type,
+        first(lexica.courts),
+        _ref_detect_decision(decision_section, lexica.decisions),
+        DECISION_TYPES.get(resolution, UNKNOWN),
+        UNKNOWN if case_type == UNKNOWN else derive_instance_type(case_type),
+        jurisdiction,
+        resolution,
+    )
+
+
 _BUNDLED = load_lexica().entities
 _PHRASES = sorted(
     {e.name for e in _BUNDLED.case_types}
@@ -290,13 +334,34 @@ _PHRASES = sorted(
     | set(_BUNDLED.decisions)
     | set(_BUNDLED.divisions)
     | {"parcialmente estimatorio", "sala", "de lo"}
+    # the section markers, and words holding the letters of _SPECIAL
+    | {"antecedentes de hecho", "fallamos", "fallo", "parte dispositiva", "kılıç", "straße"}
+    | {"ångström", "sakkara"}
 )
 _WORDS = sorted({w for p in _PHRASES for w in re.split(r"[\s-]+", p)} | set(RESOLUTION_TYPES))
-_CASES = (str.lower, str.upper, str.title, str.swapcase, lambda w: w)
-_SEPARATORS = (" ", "  ", "\n", "\t", "-", "", ", ", ". ", "ſ", " ſ", "s ")
+# letters re.IGNORECASE equates with a lowercase one that str.casefold,
+# str.upper or a Latin-1 fold keeps apart: the Kelvin and Angstrom signs,
+# capital sharp s, dotless i and long s
+_SPECIAL = str.maketrans({"k": "\u212a", "å": "\u212b", "ß": "\u1e9e", "i": "ı", "s": "ſ"})
+_CASES = (
+    str.lower,
+    str.upper,
+    str.title,
+    str.swapcase,
+    lambda w: w,
+    lambda w: w.translate(_SPECIAL),
+    lambda w: w.upper().replace("I", "\u0130"),  # dotted capital I, two characters lowercased
+    lambda w: unicodedata.normalize("NFD", w),  # accents as combining marks
+)
+_SEPARATORS = (" ", "  ", "\n", "\t", "-", "", ", ", ". ", "ſ", " ſ", "s ", "\u00a0", "\u2028",
+               " (", "(", ") ")
 
 _cased = st.builds(lambda f, w: f(w), st.sampled_from(_CASES), st.sampled_from(_WORDS))
-_spaced = st.sampled_from(RESOLUTION_TYPES).map(lambda kw: " ".join(kw.upper()))
+_spaced = st.builds(
+    lambda kw, sep: sep.join(kw.upper()),
+    st.sampled_from(RESOLUTION_TYPES),
+    st.sampled_from((" ", "\u00a0", "\u2028", "\t ")),
+)
 _texts = st.lists(
     st.tuples(st.one_of(_cased, _cased, _spaced), st.sampled_from(_SEPARATORS)), max_size=30
 ).map(lambda parts: "".join(w + sep for w, sep in parts))
@@ -311,20 +376,83 @@ _headings = st.lists(
     ),
     max_size=12,
 ).map(lambda parts: "".join(w + sep for w, sep in parts))
+# phrases as a user lexicon may hold them: any case, and some starting with
+# punctuation, a hyphen or a hyphen-only word
 _lexicons = st.lists(
-    st.builds(lambda f, p: f(p), st.sampled_from(_CASES), st.sampled_from(_PHRASES)), max_size=8
+    st.builds(
+        lambda prefix, f, p: prefix + f(p),
+        st.sampled_from(("", "", "", "(", "-", "- ", "¿")),
+        st.sampled_from(_CASES),
+        st.sampled_from(_PHRASES),
+    ),
+    max_size=8,
 ).map(tuple)
 
 
+def _texts_holding(lexicon):
+    """(text, lexicon): _texts whose words may also be whole phrases of the
+    lexicon, in any of _CASES."""
+    held = st.builds(lambda f, p: f(p), st.sampled_from(_CASES), st.sampled_from(lexicon or ("",)))
+    return st.tuples(
+        st.lists(
+            st.tuples(st.one_of(_cased, _spaced, held), st.sampled_from(_SEPARATORS)), max_size=30
+        ).map(lambda parts: "".join(w + sep for w, sep in parts)),
+        st.just(lexicon),
+    )
+
+
+_lexicon_texts = _lexicons.flatmap(_texts_holding)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_texts, _lexicons)
-def test_first_match_equals_per_phrase_search(text, lexicon):
-    assert _first_match(text, lexicon) == _ref_first_match(text, lexicon)
+@given(_lexicon_texts)
+def test_first_match_equals_per_phrase_search(text_lexicon):
+    text, lexicon = text_lexicon
+    assert _first_match(text, lexicon) == _ref_first_match(unicodedata.normalize("NFC", text), lexicon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_split_sections_equals_marker_scan(text):
+    assert split_sections(text) == _ref_split_sections(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lexicon_texts, _lexicons)
+def test_extract_entities_equals_per_phrase_search(text_phrases, keywords):
+    text, phrases = text_phrases
+    lexica = EntityLexica(
+        case_types=tuple(CaseTypeEntry(p, "civil" if len(p) % 2 else None) for p in phrases),
+        courts=phrases[::-1],
+        decisions=keywords,
+        divisions={p: f"j{len(p)}" for p in keywords},
+        gin_jurisdiction={},
+    )
+    for lx in (lexica, _BUNDLED):
+        assert extract_entities(_doc(text), lx) == _ref_extract_entities(text, lx)
+
+
+def test_fold_equates_what_ignorecase_equates():
+    """_fold keeps every offset and gives one value to any two characters
+    re.IGNORECASE matches to each other, over all of Unicode, so a search of
+    the fold for a phrase's first word finds every place its pattern can
+    match. Also: str.split splits at exactly the characters \\s matches."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    folded = _fold(every)
+    assert len(folded) == len(every)
+    # only cased characters and their lowercase forms match another character
+    cased = {c for c in every if c.lower() != c or c.upper() != c}
+    text = "".join(sorted(cased | {c.lower()[0] for c in cased}))
+    for y in text:
+        for m in re.finditer(re.escape(y), text, re.IGNORECASE):
+            assert folded[ord(m.group())] == folded[ord(y)], (y, m.group())
+    assert "".join(every.split()) == re.sub(r"\s", "", every)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_texts, _lexicons)
-def test_detect_decision_equals_per_keyword_search(text, lexicon):
+@given(_lexicon_texts)
+def test_detect_decision_equals_per_keyword_search(text_lexicon):
+    text, lexicon = text_lexicon
     assert detect_decision(text, lexicon) == _ref_detect_decision(text, lexicon)
 
 
