@@ -30,6 +30,8 @@ _HEADING_END = re.compile(r"ANTECEDENTES\s+DE\s+HECHO", re.IGNORECASE)
 _DECISION_START = re.compile(r"\b(?:FALLAMOS|FALLO|PARTE\s+DISPOSITIVA)\b", re.IGNORECASE)
 # one group per resolution keyword; whole keywords never overlap
 _RESOLUTION = re.compile(r"\b(?:(" + ")|(".join(RESOLUTION_TYPES) + r"))\b", re.IGNORECASE)
+# one word character, as \b reads them
+_WORD = re.compile(r"\w")
 # the fold of the word each marker match starts with
 _HEADING_KEY, _DECISION_KEYS = "antecedentes", ("fallamos", "fallo", "parte")
 
@@ -160,12 +162,15 @@ def _last(pattern: re.Pattern, keys: tuple[str, ...], doc: _Folded) -> re.Match 
 
 @functools.cache
 def _patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, ...], dict[str, list[int]]]:
-    """One pattern per phrase (its words apart by any whitespace, whole words,
-    any case) and the first-word index: the fold of a phrase's first word ->
-    the positions of the phrases that start with it."""
+    """One pattern per phrase (its words apart by any whitespace, any case,
+    whole words at an end that is a word character: a phrase led by '(' is
+    found after a space) and the first-word index: the fold of a phrase's
+    first word -> the positions of the phrases that start with it."""
     patterns, index = [], {}
     for i, words in enumerate(p.split() for p in phrases):
-        source = r"\b" + r"\s+".join(map(re.escape, words)) + r"\b"
+        phrase = " ".join(words)
+        head, tail = (r"\b" if _WORD.match(end) else "" for end in (phrase[:1], phrase[-1:]))
+        source = head + r"\s+".join(map(re.escape, words)) + tail
         patterns.append(re.compile(source, re.IGNORECASE))
         index.setdefault(_fold(words[0]) if words else "", []).append(i)
     return tuple(patterns), index

@@ -7,6 +7,7 @@ directory; any directory with the same file names can replace it.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
@@ -147,6 +148,15 @@ def load_entity_lexica(data_dir: Path) -> EntityLexica:
     decisions = tuple(_lines(data_dir / "decisions.txt"))
     divisions = dict(_pairs(data_dir / "divisions.tsv"))
     gin_map = dict(_pairs(data_dir / "gin_jurisdiction.tsv"))
+    searched = {"case_types.tsv": [e.name for e in case_types], "courts.txt": courts,
+                "decisions.txt": decisions, "divisions.tsv": divisions}
+    # the detectors match a phrase as whole words only at an end that is a
+    # word character, so one of punctuation alone ('-') would match inside words
+    for name, phrases in searched.items():
+        for phrase in phrases:
+            if not re.search(r"\w", phrase):
+                path = data_dir / name
+                raise ConfigurationError(f"{path}: entry without a word character: {phrase!r}")
     return EntityLexica(case_types, courts, decisions, divisions, gin_map)
 
 

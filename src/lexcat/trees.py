@@ -10,19 +10,20 @@ to its distinct values once (bin_columns, codes stored column-major so a node
 gathers its candidate columns as contiguous rows, and each column's offset
 into the values, so a node reads only its candidates' values), and each node
 scores its candidate columns from one histogram of (column, bin, class)
-counts. Each column takes as many bins as it has values: a layout padded to
-the widest column measured 1.14x on cv_headline's split search against this
-ragged one's 1.09x, but it widens every candidate to the widest column.
-Thresholds are midpoints between present values, as a sorted search would
-place them, or the lower value where the midpoint of two adjacent floats
-rounds up to the upper. A bootstrap sample is grown as (distinct row,
-multiplicity) pairs, so the histograms are weighted counts of whole samples,
-and the 'best' splitter gives up at once on a node too small to split. What
-is the same for every tree of a forest is built and checked once per forest,
-as its Grower: the binned matrix, the labels, the class weights and the
-weight table of their sums. fit_ensemble is the only way to grow a tree:
-fit_tree grows each tree of a forest from its Grower, and find_split
-searches each node.
+counts, the only count a searched node takes. Each column takes as many bins
+as it has values: a layout padded to the widest column measured 1.14x on
+cv_headline's split search against this ragged one's 1.09x. Thresholds are
+midpoints between present values, as a sorted search would place them, or
+the lower value where the midpoint of two adjacent floats rounds up to the
+upper. A child's class counts are carried from its parent's split, a node's
+rows are split on their bin codes, and a child its counts make a leaf gets
+no rows. A bootstrap sample is grown as (distinct row, multiplicity) pairs,
+so the histograms are weighted counts of whole samples, and the 'best'
+splitter gives up at once on a node too small to split. What is the same for
+every tree of a forest is built and checked once per forest, as its Grower:
+the binned matrix, the labels, the class weights and the weight table of
+their sums. fit_ensemble is the only way to grow a tree: fit_tree grows each
+tree of a forest from its Grower, and find_split searches each node.
 
 A model stores each forest once, as one flat node table (ForestTable) that
 _pack_forest builds and checks; model.trees are views of it. Prediction first
@@ -119,9 +120,10 @@ def impurity(class_counts, criterion: str) -> float:
     return float(_impurity_rows(counts[None, :], criterion)[0])
 
 
-def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of a (k, n_classes) weighted count matrix."""
-    totals = counts.sum(axis=1)
+def _impurity_rows(counts: np.ndarray, criterion: str, totals=None) -> np.ndarray:
+    """Impurity of each row of a (k, n_classes) weighted count matrix, whose
+    row sums are totals when the caller has them."""
+    totals = counts.sum(axis=1) if totals is None else totals
     p = counts / totals[:, None]
     if criterion == "gini":
         return 1.0 - (p * p).sum(axis=1)
@@ -216,57 +218,65 @@ def find_split(
     grower: Grower,
     cands: np.ndarray,
     rows: np.ndarray,
-    y: np.ndarray,
     weight: np.ndarray,
+    counts: np.ndarray,
     rng: np.random.Generator,
 ):
-    """Best (column, threshold) over the candidate columns of one node, or
-    None.
+    """Best (column, threshold, code, left counts) over the candidate columns
+    of one node, or None.
 
     grower is the forest's state; cands the sorted candidate columns; rows
-    the node's distinct rows, y their int32 labels and weight their
-    multiplicities (how often a bootstrap sample drew each row), so the node
-    holds weight.sum() samples.
-    Each candidate gets as many bins as it has distinct values, so one
-    weighted bincount over (column, bin, class) gives every column's class
-    histogram in whole sample counts. A split may fall after any bin present
-    in the node when both children keep min_samples_leaf samples; the 'best'
-    splitter returns None at once when the node holds fewer than 2 *
-    min_samples_leaf. 'best' scores every feasible split at the midpoint to
-    the next present value (the lower value when that rounds up to the
-    next); 'random' draws one uniform threshold per
-    non-constant column, in column order (also in nodes too small to split,
-    so the draws never depend on the leaf size), and scores only the split
-    after the last present value at or below it. Both splitters share one
-    scoring step; ties break on the lowest column, then the lowest threshold.
+    the node's distinct rows, weight their multiplicities (how often a
+    bootstrap sample drew each row) and counts the node's class counts, so
+    the node holds counts.sum() samples. Each candidate gets as many bins as
+    it has distinct values, so one weighted bincount over (column, bin,
+    class) gives every column's class histogram in whole sample counts, and
+    its running sums the left child's class counts after each bin. A split
+    may fall after any bin present in the node when both children keep
+    min_samples_leaf samples; the 'best' splitter returns None at once when
+    the node holds fewer than 2 * min_samples_leaf. 'best' scores every
+    feasible split at the midpoint to the next present value (the lower
+    value when that rounds up to the next); 'random' draws one uniform
+    threshold per non-constant column, in column order (also in nodes too
+    small to split, so the draws never depend on the leaf size), and scores
+    only the split after the last present value at or below it. Both
+    splitters share one scoring step; ties break on the lowest column, then
+    the lowest threshold. The left child holds the rows whose code in the
+    column is at most code, which are those whose value is at most the
+    threshold, as no value of the node lies between them; left counts are
+    its class counts, as floats.
     """
     bins, n_classes, table, hp = grower.bins, grower.n_classes, grower.table, grower.hp
-    n = int(weight.sum())
+    n = int(counts.sum())
     leaf = hp.min_samples_leaf
     if hp.splitter == "best" and n < 2 * leaf:
         return None
     widths = bins.widths.take(cands)
-    m, r = len(cands), len(rows)
-    starts = np.cumsum(widths) - widths  # of each candidate's bins in the histogram
-    column = np.repeat(np.arange(m), widths)  # candidate of each bin
-    n_bins = len(column)
-    key = (bins.codes.take(cands, 0).take(rows, 1) + starts.astype(np.int32)[:, None]) * n_classes + y
-    tiled = np.empty((m, r))
+    starts = widths.cumsum() - widths  # of each candidate's bins in the histogram
+    n_bins = int(widths.sum())
+    key = bins.codes.take(cands, 0).take(rows, 1) + starts.astype(np.int32)[:, None]
+    key = key * n_classes + grower.y.take(rows)
+    tiled = np.empty(key.shape)
     tiled[:] = weight
     hist = np.bincount(key.ravel(), tiled.ravel(), n_bins * n_classes)
     hist = hist.astype(np.intp).reshape(n_bins, n_classes)
-    present = hist.any(axis=1)
+    # every column holds the node's counts, so taking them off the first bin
+    # of each column but the first restarts the running counts there: cum
+    # holds the left child's class counts after each bin, sizes its samples
+    node = counts.astype(np.intp)
+    np.subtract.at(hist, starts[1:], node)
     cum = hist.cumsum(axis=0)
-    # samples left of a split after each bin; every column holds all n
-    # samples, so the running sum restarts at each column by subtracting the
-    # samples of the columns before it
-    sizes = cum.sum(axis=1) - column * n
-    # present only trims the bins scored: an absent bin repeats the split
-    # after the present bin before it, which the argmax below takes first
-    feasible = present & (sizes >= leaf) & (n - sizes >= leaf)
-    # histogram bin i of candidate k holds the value bins.values[i + shift[k]]
-    shift = bins.starts.take(cands) - starts
+    sizes = cum.sum(axis=1)
+    # a bin absent from the node repeats the split after the present bin
+    # before it, which the argmax below takes first, so it is scored as well
+    feasible = (sizes >= leaf) & (sizes <= n - leaf)
     if hp.splitter == "random":
+        # a bin is present where its column's running size grows
+        present = np.diff(sizes, prepend=0) > 0
+        present[starts] = sizes.take(starts) > 0
+        column = np.repeat(np.arange(len(cands)), widths)  # candidate of each bin
+        # histogram bin i of candidate k holds the value bins.values[i + shift[k]]
+        shift = bins.starts.take(cands) - starts
         values = bins.values.take(np.arange(n_bins) + shift.repeat(widths))
         lo = np.minimum.reduceat(np.where(present, values, np.inf), starts)
         hi = np.maximum.reduceat(np.where(present, values, -np.inf), starts)
@@ -275,38 +285,41 @@ def find_split(
         thr[varies] = rng.uniform(lo[varies], hi[varies])
         below = np.maximum.reduceat(np.where(values <= thr[column], sizes, 0), starts)
         feasible &= sizes == below[column]
-    (at,) = np.nonzero(feasible)  # lowest column, then lowest threshold
+    (at,) = feasible.nonzero()  # lowest column, then lowest threshold
     if at.size == 0:
         return None
 
-    counts = cum[widths[0] - 1]  # the node's class counts: all of the first column
-    classes = np.arange(n_classes)
+    lc = cum.take(at, 0)  # the left child's class counts at each feasible split
     k = len(at)
-    # the parent, the left and the right children, scored by one impurity call
+    # the parent, the left and the right children, weighed by lookups in the
+    # flattened weight table and scored by one impurity call
+    row_of = np.arange(0, table.size, table.shape[1])
     scored = np.empty((2 * k + 1, n_classes))
     base, left, right = scored[0], scored[1 : k + 1], scored[k + 1 :]
-    base[:] = table[classes, counts]
-    left[:] = table[classes, cum[at] - column[at, None] * counts]
+    base[:] = table.take(node + row_of)
+    left[:] = table.take(lc + row_of)
     np.subtract(base, left, out=right)
-    total_w = base.sum()
-    wl = left.sum(axis=1)
-    wr = total_w - wl
-    # wl, wr > 0: each child keeps min_samples_leaf >= 1 samples, and
-    # _checked_class_weights refuses weights that leave a class in y at 0 or below
-    imp = _impurity_rows(scored, hp.criterion)
-    il, ir = imp[1:].reshape(2, -1)
-    dec = imp[0] - (wl / total_w) * il - (wr / total_w) * ir
-    b = int(at[int(np.argmax(dec))])
-    f = int(column[b])
+    weights = scored.sum(axis=1)
+    imp = _impurity_rows(scored, hp.criterion, weights)
+    # each child's impurity times its share of the node's weight, the right's
+    # taken as the node's less the left's; both > 0: each child keeps >= 1 sample,
+    # and _checked_class_weights refuses weights that leave a class in y at 0
+    np.subtract(weights[0], weights[1 : k + 1], out=weights[k + 1 :])
+    imp *= weights / weights[0]
+    i = int((imp[0] - imp[1 : k + 1] - imp[k + 1 :]).argmax())
+    b = int(at[i])
+    f = int(starts.searchsorted(b, "right")) - 1
+    code, left_counts = b - int(starts[f]), lc[i].astype(float)
     if hp.splitter == "random":
-        return int(cands[f]), float(thr[f])
+        return int(cands[f]), float(thr[f]), code, left_counts
     # b is feasible, so a later present bin of the same column exists
-    nxt = b + 1 + int(np.argmax(present[b + 1 :]))
-    below, above = bins.values[b + shift[f]], bins.values[nxt + shift[f]]
+    gap = 1 + int((sizes[b + 1 :] > sizes[b]).argmax())  # to the next present bin
+    at_b = int(bins.starts[cands[f]]) + code  # b's value in bins.values
+    below, above = bins.values[at_b], bins.values[at_b + gap]
     mid = (below + above) / 2.0
     # the midpoint of two adjacent floats can round up to above, a split that
     # sends every row left and is found again in that child, without end
-    return int(cands[f]), float(mid if mid < above else below)
+    return int(cands[f]), float(mid if mid < above else below), code, left_counts
 
 
 @dataclass
@@ -331,17 +344,27 @@ def fit_tree(grower: Grower, rng: np.random.Generator, rows: np.ndarray | None) 
     The sample is carried as its distinct rows, sorted, with how often each
     was drawn: node sizes, min_samples_split, min_samples_leaf and the class
     counts stored in Tree.counts all count a row as often as it was drawn.
+    Only the root's class counts are counted: find_split gives the left
+    child's and the bin code its rows are split at, the right's are the
+    node's less the left's. A child its counts make a leaf (pure, at
+    max_depth, below min_samples_split) gets no rows.
     Nodes are created in preorder, which fixes both the node ids and the
     order of random draws, so the same seed always yields the same tree.
     """
-    X, y, n_classes, max_features = grower.X, grower.y, grower.n_classes, grower.max_features
-    drawn = np.ones(len(X)) if rows is None else np.bincount(rows, minlength=len(X)).astype(float)
+    y, n_classes, max_features = grower.y, grower.n_classes, grower.max_features
+    n_rows, d = grower.X.shape
+    drawn = np.ones(n_rows) if rows is None else np.bincount(rows, minlength=n_rows).astype(float)
     (root,) = np.nonzero(drawn)
-    d = X.shape[1]
     every = np.arange(d)
     sampled = max_features is not None and max_features < d
     max_depth = math.inf if grower.hp.max_depth is None else grower.hp.max_depth
     min_split = grower.hp.min_samples_split
+
+    def is_leaf(counts: np.ndarray, depth: int) -> bool:
+        # a node holding two classes holds at least 2 samples, so its size
+        # needs summing only for a min_samples_split above 2
+        small = min_split > 2 and counts.sum() < min_split
+        return small or depth >= max_depth or np.count_nonzero(counts) <= 1
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -350,44 +373,41 @@ def fit_tree(grower: Grower, rng: np.random.Generator, rows: np.ndarray | None) 
     depth_arr: list[int] = []
     counts_arr: list[np.ndarray] = []
 
-    # frames: (distinct rows, their multiplicities, depth, the node whose
-    # right child this is, else -1); a left child is always the next node
-    stack = [(root, drawn[root], 0, -1)]
+    # frames: (class counts, depth, the node whose right child this is, else -1,
+    # (distinct rows, multiplicities) or None at a leaf); a left child is the next node
+    counts = np.bincount(y.take(root), drawn[root], n_classes)
+    stack = [(counts, 0, -1, None if is_leaf(counts, 0) else (root, drawn[root]))]
     while stack:
-        idx, weight, depth, parent = stack.pop()
+        counts, depth, parent, sample = stack.pop()
         node_id = len(feature)
         if parent >= 0:
             right[parent] = node_id
-        y_node = y.take(idx)
-        counts = np.bincount(y_node, weights=weight, minlength=n_classes)
         feature.append(-1)
         threshold.append(float("nan"))
         left.append(-1)
         right.append(-1)
         depth_arr.append(depth)
         counts_arr.append(counts)
-
-        # a node holding two classes holds at least 2 samples, so its size
-        # needs summing only for a min_samples_split above 2
-        if (
-            depth >= max_depth
-            or np.count_nonzero(counts) <= 1
-            or (min_split > 2 and counts.sum() < min_split)
-        ):
+        if sample is None:
             continue
+        idx, weight = sample
         cands = np.sort(rng.choice(d, size=max_features, replace=False)) if sampled else every
-        split = find_split(grower, cands, idx, y_node, weight, rng)
+        split = find_split(grower, cands, idx, weight, counts, rng)
         if split is None:
             continue
-        f, thr = split
+        f, threshold[node_id], code, left_counts = split
         feature[node_id] = f
-        threshold[node_id] = thr
         left[node_id] = node_id + 1
-        goes_left = X[idx, f] <= thr
-        goes_right = ~goes_left
+        goes_left = None
         # right pushed first so the left subtree is built (and numbered) first
-        stack.append((idx.compress(goes_right), weight.compress(goes_right), depth + 1, node_id))
-        stack.append((idx.compress(goes_left), weight.compress(goes_left), depth + 1, -1))
+        for child, right_of in ((counts - left_counts, node_id), (left_counts, -1)):
+            sample = None
+            if not is_leaf(child, depth + 1):
+                if goes_left is None:
+                    goes_left = grower.bins.codes[f].take(idx) <= code
+                keep = goes_left if right_of < 0 else ~goes_left
+                sample = idx.compress(keep), weight.compress(keep)
+            stack.append((child, depth + 1, right_of, sample))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -703,7 +723,7 @@ def feature_importances(model: EnsembleModel) -> np.ndarray:
         weighted = table.counts * table.weights
         # positive at every node, or _pack_forest would have refused the model
         node_w = weighted.sum(axis=1)
-        imp = node_w * _impurity_rows(weighted, model.hyperparams.criterion)
+        imp = node_w * _impurity_rows(weighted, model.hyperparams.criterion, node_w)
         (split,) = np.nonzero(~table.leaf)
         gain = imp[split] - imp[table.children[2 * split + 1]] - imp[table.children[2 * split]]
         # one bincount adds each (tree, feature)'s gains in node order

@@ -98,7 +98,7 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
     # a refactor that routes around a wrapped name would zero its per-layer
     # figure without failing anything else
     vocab_sizes, kept_columns = [], []
-    fitted_nodes = []
+    fitted_nodes, fitted_splits = [], []
     original_features, original_pipeline = pipeline.fit_features, pipeline.fit_pipeline
 
     def recording_features(*args, **kwargs):
@@ -116,6 +116,7 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
         def fit_and_count(*args, **kwargs):
             model = fit(*args, **kwargs)
             fitted_nodes.extend(tree.n_nodes for tree in model.trees)
+            fitted_splits.extend(int((tree.feature >= 0).sum()) for tree in model.trees)
             return model
 
         return fit_and_count
@@ -140,3 +141,5 @@ def test_tracer_spans_see_a_cross_validation(lexica, monkeypatch):
     assert metrics["features.kept_columns"] == (sum(kept_columns), "count")
     assert metrics["trees.fit_tree.calls"] == (len(fitted_nodes), "count")
     assert metrics["trees.nodes"] == (sum(fitted_nodes), "count")
+    # every split node was found by a traced find_split call
+    assert tracer.counts["trees.find_split.hits"] == sum(fitted_splits)

@@ -611,6 +611,8 @@ def test_corpus_record_shape_error_names_its_line(record, message, tmp_path, cap
         ("gin_jurisdiction.tsv", "12\t\tcivil", "expected 'key<TAB>value'"),
         ("lemmas.tsv", "dos palabras\tuna", "lemma entries must be single tokens: 'dos palabras'"),
         ("case_types.tsv", "\tcivil", "empty entry name in '\\tcivil'"),
+        ("courts.txt", "-", "courts.txt: entry without a word character: '-'"),
+        ("divisions.tsv", "¿ -\tcivil", "divisions.tsv: entry without a word character: '¿ -'"),
     ],
 )
 def test_lexicon_line_error_is_data_error(
@@ -628,7 +630,7 @@ def test_lexicon_line_error_is_data_error(
 # entries that start with punctuation, hold a hyphen-only word, or differ
 # from another entry only in case
 USER_LEXICON_LINES = {
-    "courts.txt": ["(Juzgado Decano", "tribunal supremo", "Audiencia - Nacional", "-"],
+    "courts.txt": ["(Juzgado Decano", "tribunal supremo", "Audiencia - Nacional"],
     "case_types.tsv": ["¿recurso de queja\tcivil", "RECURSO DE SUPLICACIÓN\tpenal", "- juicio"],
     "decisions.txt": ["-estimatorio", "Desestimatorio", "(archivo)"],
     "divisions.tsv": ["(sala de lo militar\tpenal", "Sala De Lo Social\tcivil", "sala - quinta\tsocial"],
@@ -641,6 +643,7 @@ USER_LEXICON_TEXTS = [
     "a-b Tribunal Supremo, Sala de lo Social ante- juicio\nD E C R E T O\n"
     "antecedentes de hecho nada\nParte Dispositiva: se estima-estimatorio",
     "sin cabecera ni marcadores: Juzgado de lo Penal",
+    "(juzgado decano de Lugo y ¿RECURSO DE QUEJA 5/2021\nFALLO: (archivo)",
 ]
 
 

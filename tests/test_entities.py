@@ -86,6 +86,15 @@ def test_detect_court(lexica):
     assert detect_court(two, lx) == "Juzgado de lo Social"
 
 
+def test_phrase_led_by_punctuation_is_found_after_a_space_and_at_a_line_start():
+    courts = ("(Juzgado Decano", "Tribunal Supremo")
+    for text in ("ante el (JUZGADO DECANO de Vigo", "(juzgado decano de Vigo",
+                 "auto\n(Juzgado  Decano", "auto(Juzgado Decano"):
+        assert detect_court(text, courts) == "(Juzgado Decano", text
+    # an end that is a word character still ends a whole word
+    assert detect_court("(Juzgado Decanos", courts) == UNKNOWN
+
+
 def test_detect_decision(lexica):
     lx = lexica.entities.decisions
     assert detect_decision("el fallo es desestimatorio", lx) == "desestimatorio"
@@ -238,8 +247,12 @@ def test_entity_record_rejects_contradicting_decision_type():
 # The matchers as they were when every call compiled one regex per phrase,
 # kept only as an oracle for the compiled-once versions.
 def _ref_phrase_pattern(phrase):
-    words = [re.escape(w) for w in phrase.split()]
-    return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
+    words = phrase.split()
+    # no word character right before a phrase that starts with one, or right
+    # after a phrase that ends with one
+    head = r"(?<!\w)" if words and re.match(r"\w", words[0][0]) else ""
+    tail = r"(?!\w)" if words and re.match(r"\w", words[-1][-1]) else ""
+    return re.compile(head + r"\s+".join(map(re.escape, words)) + tail, re.IGNORECASE)
 
 
 def _ref_first_match(text, phrases):

@@ -91,15 +91,26 @@ def grower_of(X, y, hyperparams, n_classes=None, class_weights=None, max_feature
 
 
 def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None, weight=None):
-    """find_split over every column of X at a node holding every row once,
-    or weight[i] times; the class weights are 1 unless given."""
+    """(column, threshold) of find_split over every column of X at a node
+    holding every row once, or weight[i] times; the class weights are 1
+    unless given. The split's code and left counts are checked against the
+    rows whose value is at most the threshold."""
     if class_weights is None:
         class_weights = np.ones(int(np.max(y)) + 1 if n_classes is None else n_classes)
     grower = grower_of(X, y, hyperparams, n_classes, class_weights)
     weight = np.ones(len(y)) if weight is None else np.asarray(weight, dtype=float)
     grower = grower._replace(table=weight_table(grower.weights, int(weight.sum())))
+    counts = np.bincount(grower.y, weight, grower.n_classes)
     every = np.arange(grower.X.shape[1]), np.arange(len(y))
-    return find_split(grower, *every, grower.y, weight, rng)
+    split = find_split(grower, *every, weight, counts, rng)
+    if split is None:
+        return None
+    f, thr, code, left_counts = split
+    goes_left = grower.X[:, f] <= thr
+    assert ((grower.bins.codes[f] <= code) == goes_left).all()
+    recount = np.bincount(grower.y[goes_left], weight[goes_left], grower.n_classes)
+    assert (left_counts.dtype, left_counts.tobytes()) == (recount.dtype, recount.tobytes())
+    return f, thr
 
 
 def grown_tree(X, y, hyperparams):
@@ -597,10 +608,10 @@ def reference_fit_tree(
         cands = np.arange(d)
         if max_features is not None and max_features < d:
             cands = np.sort(rng.choice(d, size=max_features, replace=False))
-        split = find_split(state, cands, idx, y_node, weight, rng)
+        split = find_split(state, cands, idx, weight, counts, rng)
         if split is None:
             continue
-        f, thr = split
+        f, thr, _, _ = split
         feature[node_id] = f
         threshold[node_id] = thr
         mask = X[idx, f] <= thr
@@ -671,6 +682,40 @@ def test_fit_tree_equals_the_reference_grower(case, data):
     for f in dataclasses.fields(Tree):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grower_cases(), data=st.data())
+def test_fit_tree_counts_are_recounts_of_the_rows_reaching_each_node(case, data):
+    """fit_tree counts only the root and carries each child's class counts
+    from its parent's split: every node's stored counts must still equal the
+    multiplicity-weighted recount of the drawn rows whose path, value <=
+    threshold going left, reaches it."""
+    X, y, n_classes = case
+    n, d = X.shape
+    hp = Hyperparams(
+        min_samples_split=data.draw(st.integers(2, 4)),
+        min_samples_leaf=data.draw(st.integers(1, 3)),
+        criterion=data.draw(st.sampled_from(CRITERIA)),
+        splitter=data.draw(st.sampled_from(trees.SPLITTERS)),
+    )
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]),
+                                          min_size=n_classes, max_size=n_classes)))
+    grower = grower_of(X, y, hp, n_classes, weights, data.draw(st.integers(1, d)))
+    grower = grower._replace(table=weight_table(weights, len(rows)))
+    tree = fit_tree(grower, np.random.default_rng(data.draw(st.integers(0, 2**32))), rows)
+    drawn = np.bincount(rows, minlength=n).astype(float)
+    reaches = {0: drawn > 0}
+    for node in range(tree.n_nodes):
+        reach = reaches.pop(node)
+        recount = np.bincount(y[reach], drawn[reach], n_classes)
+        assert tree.counts[node].tobytes() == recount.tobytes(), node
+        if tree.feature[node] >= 0:
+            goes_left = X[:, tree.feature[node]] <= tree.threshold[node]
+            reaches[tree.left[node]] = reach & goes_left
+            reaches[tree.right[node]] = reach & ~goes_left
+    assert not reaches
 
 
 @settings(max_examples=150, deadline=None)
