@@ -12,9 +12,9 @@ Trigger logic:
   * capitalised tokens from the name lexicon are swallowed by adjacent
     spans, or become standalone @Person spans.
 
-`anonymize` makes one pass over a document. `_tokens` splits the text at
-whitespace runs in one call and strips and casefolds each token once; a
-token's offsets are computed only where a span starts, ends or grows.
+`anonymize` makes one pass over a document's NFC form. `_tokens` splits
+the text at whitespace runs in one call, strips and casefolds each token
+once, and computes a token's offsets only where a span starts, ends or grows.
 `_scan_triggers` visits only the tokens that start a title or implicit
 reference (trying widths from the widest such phrase down, as indexed by
 `AnonymiserLexica.widest_for`) or are a corporate form; `_expand_names`
@@ -304,8 +304,10 @@ def anonymize(text: str, lexica: AnonymiserLexica) -> tuple[str, AnonymisationRe
     """Replace every detected reference span with its role tag.
 
     Standalone @Person spans preceded by a role noun are upgraded to its
-    role; the local role registry overrides tags per verified name.
+    role; the local role registry overrides tags per verified name. The
+    text is read and returned in its NFC form, the form of the lexica.
     """
+    text = unicodedata.normalize("NFC", text)
     toks = _tokens(text)
     spans, context = _scan_triggers(toks, lexica)
     spans = _expand_names(toks, spans, lexica)

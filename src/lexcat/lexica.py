@@ -2,7 +2,8 @@
 
 All files are plain UTF-8, one entry per line. Two-column files are
 tab-separated. A bundled default set lives in the package's data/
-directory; any directory with the same file names can replace it.
+directory; any directory with the same file names can replace it. Each
+stop-word and lemma form must be one token of textproc.clean.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import DataError, read_text
+from .textproc import clean
 
 
 # replacement tags of the anonymiser, in precedence order
@@ -130,13 +132,23 @@ class Lexica:
     anonymiser: AnonymiserLexica
 
 
+def _one_token(path: Path, entry: str) -> str:
+    """entry, refused unless clean turns it into itself as one token: no
+    other entry could ever match a token of a cleaned text."""
+    if clean(entry).split() != [entry]:
+        raise ConfigurationError(f"{path}: entry is not one clean token: {entry!r}")
+    return entry
+
+
 def load_text_resources(data_dir: Path) -> TextResources:
-    stop = frozenset(_lines(data_dir / "stopwords.txt"))
+    stop_path, lemma_path = data_dir / "stopwords.txt", data_dir / "lemmas.tsv"
+    stop = frozenset(_one_token(stop_path, word) for word in _lines(stop_path))
     lemmas = {}
-    for form, lemma in _pairs(data_dir / "lemmas.tsv"):
+    for form, lemma in _pairs(lemma_path):
         if any(ch.isspace() for ch in form + lemma):
-            raise ConfigurationError(f"lemma entries must be single tokens: {form!r}")
-        lemmas[form] = lemma
+            message = f"lemma entries must be single tokens: {form!r}"
+            raise ConfigurationError(f"{lemma_path}: {message}")
+        lemmas[_one_token(lemma_path, form)] = lemma
     return TextResources(stop, lemmas)
 
 

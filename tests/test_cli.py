@@ -610,6 +610,8 @@ def test_corpus_record_shape_error_names_its_line(record, message, tmp_path, cap
         ("divisions.tsv", "sin tabulador", "expected 'key<TAB>value', got 'sin tabulador'"),
         ("gin_jurisdiction.tsv", "12\t\tcivil", "expected 'key<TAB>value'"),
         ("lemmas.tsv", "dos palabras\tuna", "lemma entries must be single tokens: 'dos palabras'"),
+        ("stopwords.txt", "El", "stopwords.txt: entry is not one clean token: 'El'"),
+        ("lemmas.tsv", "art.\tartículo", "lemmas.tsv: entry is not one clean token: 'art.'"),
         ("case_types.tsv", "\tcivil", "empty entry name in '\\tcivil'"),
         ("courts.txt", "-", "courts.txt: entry without a word character: '-'"),
         ("divisions.tsv", "¿ -\tcivil", "divisions.tsv: entry without a word character: '¿ -'"),
