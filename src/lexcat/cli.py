@@ -230,6 +230,8 @@ def _tree_graph(model, index: int, max_depth: int | None) -> str:
 
 
 def _cmd_export_tree(config: PipelineConfig, args) -> int:
+    if args.max_depth is not None and args.max_depth < 0:  # as Hyperparams refuses one
+        raise ConfigError(f"--max-depth must be >= 0, got {args.max_depth}")
     dot = _tree_graph(load_pipeline(args.model_file).model, args.tree, args.max_depth)
     path = _out_path(config, "tree.dot")
     write_atomic(path, dot)

@@ -24,8 +24,6 @@ class VectorizerModel:
     builds it and FittedPipeline.vectorizer derives it from a model."""
 
     vocabulary: dict[str, int]
-    max_df: float
-    min_df: float
     ngram_range: tuple[int, int]
 
     @property
@@ -122,7 +120,7 @@ def fit_vectorizer(grams: NgramCounts, rows, max_df: float, min_df: float) -> Ve
     kept = [g for g in names if g not in CATEGORICAL_FIELDS]
     if not kept:
         raise FeatureError("vocabulary is empty after document-frequency pruning")
-    return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, grams.ngram_range)
+    return VectorizerModel({g: i for i, g in enumerate(kept)}, grams.ngram_range)
 
 
 def transform(

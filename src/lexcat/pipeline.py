@@ -200,7 +200,7 @@ class FittedPipeline:
         names, c = self.model.feature_names, self.config
         n_text = next((i for i, n in enumerate(names) if n in CATEGORICAL_FIELDS), len(names))
         vocabulary = {name: i for i, name in enumerate(names[:n_text])}
-        return VectorizerModel(vocabulary, c.max_df, c.min_df, (c.ngram_lo, c.ngram_hi))
+        return VectorizerModel(vocabulary, (c.ngram_lo, c.ngram_hi))
 
     def _matrix_for(self, grams: NgramCounts, rows, records) -> np.ndarray:
         n_text = len(self.vectorizer.vocabulary)

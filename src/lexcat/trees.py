@@ -26,7 +26,8 @@ their sums. fit_ensemble is the only way to grow a tree: fit_tree grows each
 tree of a forest from its Grower, and find_split searches each node.
 
 A model stores each forest once, as one flat node table (ForestTable) that
-_pack_forest builds and checks; model.trees are views of it. Prediction first
+_pack_forest builds and checks, from a fit's trees or a model file's arrays;
+model.trees are views of it. Prediction first
 settles on the table every split that all rows of the batch take the same
 way, so all rows of a tree start on one node. It takes the first step from
 those shared starts for every tree at once, with one gather of the split
@@ -443,14 +444,13 @@ class ForestTable(NamedTuple):
         return [Tree(*arrays) for arrays in zip(*columns)]
 
 
-def _pack_forest(forest: list[Tree], weights: np.ndarray, n_features: int) -> ForestTable:
-    """One forest's node table, refusing any node value fit_tree could not
-    produce on n_features columns. Ids are checked before the int32 cast."""
-    sizes = np.array([tree.n_nodes for tree in forest])
+def _pack_forest(sizes, nodes, weights, n_features: int) -> ForestTable:
+    """One forest's node table from its trees' node counts (sizes) and the
+    six Tree arrays of all its nodes, tree after tree (nodes), refusing any
+    node value fit_tree could not produce on n_features columns. Ids are
+    checked before the int32 cast."""
     roots = np.cumsum(sizes) - sizes
-    feature, threshold, left, right, depth, counts = (
-        np.concatenate([getattr(tree, f.name) for tree in forest]) for f in fields(Tree)
-    )
+    feature, threshold, left, right, depth, counts = nodes
     leaf = feature < 0
     own = np.arange(len(feature))
     offset = np.repeat(roots, sizes)  # of each node's tree root
@@ -541,7 +541,9 @@ def _fit_forest(grower: Grower, n_trees: int, bootstrap: bool, tree_offset: int)
         # a bootstrap sample is grown as rows of X, so X is never copied
         rows = rng.integers(0, n, size=n) if bootstrap else None
         forest.append(fit_tree(grower, rng, rows))
-    return _pack_forest(forest, grower.weights, grower.X.shape[1])
+    nodes = [np.concatenate([getattr(tree, f.name) for tree in forest]) for f in fields(Tree)]
+    sizes = np.array([tree.n_nodes for tree in forest])
+    return _pack_forest(sizes, nodes, grower.weights, grower.X.shape[1])
 
 
 def fit_ensemble(
@@ -738,7 +740,7 @@ def feature_importances(model: EnsembleModel) -> np.ndarray:
 
 # --- serialization ---------------------------------------------------------
 
-_FORMAT = "lexcat-model-v1"
+_FORMAT = "lexcat-model-v2"
 
 
 def _assignment_to_obj(a: LabelAssignment) -> list:
@@ -749,10 +751,6 @@ def _assignment_from_obj(obj) -> LabelAssignment:
     if not (isinstance(obj, list) and len(obj) == 2 and isinstance(obj[1], list)):
         raise ModelError(f"malformed class: expected [order, [categories]], got {obj!r}")
     return LabelAssignment(obj[0], tuple(obj[1]))
-
-
-def _tree_to_obj(tree: Tree) -> dict:
-    return {f.name: getattr(tree, f.name).tolist() for f in fields(Tree)}
 
 
 def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
@@ -770,27 +768,33 @@ def _numbers(value, what: str, integral: bool = False) -> np.ndarray:
     return array if integral else array.astype(float)
 
 
-def _tree_from_obj(obj, n_outputs: int) -> Tree:
-    """One tree as a model file stores it, checked only for its JSON shape;
-    _pack_forest checks the values."""
+def _forest_from_obj(obj, n_outputs: int, n_features: int) -> ForestTable:
+    """One forest as a model file stores it, checked for its JSON shape;
+    _pack_forest checks the values. Each size is checked to lie in [1, node
+    count] before they are summed, so no sum can overflow."""
     if not isinstance(obj, dict):
-        raise ModelError("malformed tree: an object of node arrays expected")
+        raise ModelError("malformed forest: an object of node arrays expected")
     keys = ("feature", "left", "right", "depth")
-    ids = _numbers([obj.get(key) for key in keys], "tree node ids", integral=True)
-    threshold = _numbers(obj.get("threshold"), "tree threshold")
-    counts = _numbers(obj.get("counts"), "tree counts")
+    ids = _numbers([obj.get(key) for key in keys], "forest node ids", integral=True)
+    threshold = _numbers(obj.get("threshold"), "forest threshold")
+    counts = _numbers(obj.get("counts"), "forest counts")
+    sizes = _numbers(obj.get("sizes"), "forest sizes", integral=True)
+    weights = _numbers(obj.get("weights"), "class-weight vector")
     n = ids.shape[1] if ids.ndim == 2 else 0
     if n == 0 or threshold.shape != (n,):
-        raise ModelError("malformed tree: node arrays must be nonempty and of equal length")
-    if counts.shape != (n, n_outputs):
-        raise ModelError(f"malformed tree: counts must have shape ({n}, {n_outputs})")
+        raise ModelError("malformed forest: node arrays must be nonempty and of equal length")
+    if counts.shape != (n, n_outputs) or weights.shape != (n_outputs,):
+        raise ModelError(f"malformed forest: need ({n}, {n_outputs}) counts, {n_outputs} weights")
+    if sizes.ndim != 1 or not ((1 <= sizes) & (sizes <= n)).all() or sizes.sum() != n:
+        raise ModelError(f"malformed forest: sizes must be tree node counts adding up to {n}")
     feature, left, right, depth = ids
-    return Tree(feature, threshold, left, right, depth, counts)
+    return _pack_forest(sizes, (feature, threshold, left, right, depth, counts), weights, n_features)
 
 
 def model_to_obj(model: EnsembleModel) -> dict:
     """The JSON object of a model, as model_to_json writes it and pipeline
-    files embed it."""
+    files embed it: each forest as its table's node arrays, its trees' node
+    counts (sizes) and its class weights."""
     return {
         "format": _FORMAT,
         "variant": model.variant,
@@ -802,8 +806,14 @@ def model_to_obj(model: EnsembleModel) -> dict:
             [model.class_catalog.index(a) for a in combo]
             for combo in model.mts_catalog.combos
         ],
-        "class_weight_vectors": [table.weights.tolist() for table in model.forests],
-        "forests": [[_tree_to_obj(t) for t in table.trees()] for table in model.forests],
+        "forests": [
+            {
+                **{f.name: getattr(table, f.name).tolist() for f in fields(Tree)},
+                "sizes": np.diff(table.roots, append=len(table.leaf)).tolist(),
+                "weights": table.weights.tolist(),
+            }
+            for table in model.forests
+        ],
     }
 
 
@@ -816,7 +826,7 @@ def model_from_json(text: str) -> EnsembleModel:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != _FORMAT:
         raise ModelError(f"unsupported model format: {fmt!r}")
-    for key in ("feature_names", "classes", "combos", "class_weight_vectors", "forests"):
+    for key in ("feature_names", "classes", "combos", "forests"):
         if not isinstance(obj.get(key), list):
             raise ModelError(f"model field {key!r} must be a list")
     if not all(isinstance(name, str) for name in obj["feature_names"]):
@@ -838,19 +848,10 @@ def model_from_json(text: str) -> EnsembleModel:
         raise ModelError(f"malformed hyperparams: {exc}") from None
     # mts: one forest over the combinations; bts: one 2-output forest per class
     widths = [len(combos)] if strategy == "mts" else [2] * len(classes)
-    weight_vectors = [_numbers(w, "class-weight vector") for w in obj["class_weight_vectors"]]
     forests = obj["forests"]
-    if (
-        not forests
-        or not all(isinstance(forest, list) and forest for forest in forests)
-        or not all(widths)
-        or len(forests) != len(widths)
-        or [w.shape for w in weight_vectors] != [(k,) for k in widths]
-    ):
-        raise ModelError(
-            f"a {strategy} model needs nonempty forests of output widths {widths}, "
-            "each with its class-weight vector"
-        )
+    if not forests or not all(widths) or len(forests) != len(widths):
+        raise ModelError(f"a {strategy} model needs nonempty forests of output widths {widths}")
+    n_features = len(obj["feature_names"])
     return EnsembleModel(
         variant=variant,
         strategy=strategy,
@@ -858,8 +859,5 @@ def model_from_json(text: str) -> EnsembleModel:
         feature_names=tuple(obj["feature_names"]),
         class_catalog=class_catalog,
         mts_catalog=MtsCatalog(combos),
-        forests=[
-            _pack_forest([_tree_from_obj(t, len(w)) for t in forest], w, len(obj["feature_names"]))
-            for forest, w in zip(forests, weight_vectors)
-        ],
+        forests=[_forest_from_obj(f, k, n_features) for f, k in zip(forests, widths)],
     )

@@ -689,6 +689,16 @@ def test_malformed_model_file_is_data_error(dt_model_path, tmp_path, name):
     assert rc == EXIT_DATA
 
 
+def test_export_tree_refuses_a_negative_max_depth(dt_model_path, tmp_path, capsys):
+    # it used to write the one-node graph of depth 0
+    out = tmp_path / "t.dot"
+    for depth, rc in (("0", EXIT_OK), ("-3", EXIT_DATA)):
+        argv = ["export-tree", "--model-file", str(dt_model_path), "--max-depth", depth]
+        assert main([*argv, "--out", str(out)]) == rc
+    assert "--max-depth must be >= 0, got -3" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8").count("[label=") == 1  # the depth-0 graph stays
+
+
 @pytest.mark.parametrize(
     "content",
     ["not json", '{"format": "lexcat-pipeline-v2"}', "[]"],
@@ -821,7 +831,7 @@ PIPELINE_MALFORMATIONS = {
     "duplicated_model_column": lambda obj: _duplicate_first_column(obj["model"]),
     "entity_field_before_ngrams": lambda obj: _last_column_first(obj["model"]),
     # node 1 is the root's left child, at depth 1
-    "child_depth_not_parent_plus_one": _set(("model", "forests", 0, 0, "depth", 1), 2),
+    "child_depth_not_parent_plus_one": _set(("model", "forests", 0, "depth", 1), 2),
     "unknown_variant": _set(("model", "variant"), "xyz"),
     "unknown_strategy": _set(("model", "strategy"), "xyz"),
     "unknown_hyperparam": _set(("model", "hyperparams", "bogus"), 1),
@@ -843,11 +853,11 @@ PIPELINE_MALFORMATIONS = {
     # explaining with it escaped as ValueError (exit 3)
     "huge_relevance_samples": _set(("config", "relevance_samples"), 10**40),
     "huge_n_estimators": _set(("model", "hyperparams", "n_estimators"), 10**40),
-    "negative_class_weight": _set(("model", "class_weight_vectors", 0, 0), -1.0),
-    "infinite_class_weight": _set(("model", "class_weight_vectors", 0, 0), float("inf")),
+    "negative_class_weight": _set(("model", "forests", 0, "weights", 0), -1.0),
+    "infinite_class_weight": _set(("model", "forests", 0, "weights", 0), float("inf")),
     "zero_class_weights": lambda obj: [
-        _set(("model", "class_weight_vectors", 0, i), 0.0)(obj)
-        for i in range(len(obj["model"]["class_weight_vectors"][0]))
+        _set(("model", "forests", 0, "weights", i), 0.0)(obj)
+        for i in range(len(obj["model"]["forests"][0]["weights"]))
     ],
     # the envelope outside the model, which used to escape as TypeError
     # (exit 3) or load and fail only when a row was encoded
@@ -869,12 +879,11 @@ PIPELINE_MALFORMATIONS = {
 
 
 def _no_feature_columns(obj):
-    """No column, and every tree a single leaf with its root's counts."""
+    """No column, and every forest a single leaf with its first root's counts."""
     obj["model"]["feature_names"] = []
     for forest in obj["model"]["forests"]:
-        for tree in forest:
-            tree.update(feature=[-1], threshold=[float("nan")], left=[-1], right=[-1], depth=[0],
-                        counts=tree["counts"][:1])
+        forest.update(feature=[-1], threshold=[float("nan")], left=[-1], right=[-1], depth=[0],
+                      counts=forest["counts"][:1], sizes=[1])
 
 
 def _last_column_first(model):
@@ -893,16 +902,16 @@ def _duplicate_first_column(model):
 
 def _drop_last_output(model):
     """One output fewer in the first forest's weights and leaf counts."""
-    model["class_weight_vectors"][0].pop()
-    for tree in model["forests"][0]:
-        for row in tree["counts"]:
-            row.pop()
+    forest = model["forests"][0]
+    forest["weights"].pop()
+    for row in forest["counts"]:
+        row.pop()
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_MALFORMATIONS))
 def test_malformed_pipeline_rejected_at_load(dt_model_path, fast_config_path, tmp_path, name):
     obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
-    assert len(obj["model"]["forests"][0][0]["feature"]) > 1
+    assert obj["model"]["forests"][0]["sizes"][0] > 1
     PIPELINE_MALFORMATIONS[name](obj)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj), encoding="utf-8")
@@ -928,8 +937,10 @@ CATALOG_MALFORMATIONS = {
 # check only by its exit code or error type
 FILE_REFUSAL_MESSAGES = {
     "wrong_model_format": "unsupported model format: 'lexcat-model-v0'",
-    "tree_not_an_object": "malformed tree: an object of node arrays expected",
-    "unequal_node_arrays": "malformed tree: node arrays must be nonempty and of equal length",
+    "forest_not_an_object": "malformed forest: an object of node arrays expected",
+    "unequal_node_arrays": "malformed forest: node arrays must be nonempty and of equal length",
+    "zero_size": "malformed forest: sizes must be tree node counts adding up to",
+    "v1_model": "unsupported model format: 'lexcat-model-v1'",
     "root_depth_not_zero": "malformed tree: the root must have depth 0",
     "feature_name_not_a_string": "feature_names must be strings",
     "classes_out_of_order": "catalog classes must be sorted",

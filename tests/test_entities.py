@@ -516,3 +516,53 @@ def test_first_match_hits():
     assert detect_decision("parcialmente estimatorio", nested) == MULTIPLE_DECISION
     assert detect_decision("ESTIMATORIO", ("estimatorio", "Estimatorio")) == MULTIPLE_DECISION
     assert detect_decision("estimatorio", ()) == UNKNOWN
+
+
+class _CountedPattern:
+    """A compiled pattern that counts the match attempts made through it."""
+
+    def __init__(self, pattern, attempts: list):
+        self.pattern, self.attempts = pattern, attempts
+
+    def match(self, *args):
+        self.attempts.append(None)
+        return self.pattern.match(*args)
+
+
+def _match_attempts(monkeypatch, lexica, text: str) -> int:
+    """The pattern match attempts extract_entities makes on one judgement:
+    those of every lexicon phrase and of the section and resolution markers."""
+    attempts = []
+    patterns = entities._patterns
+
+    def counted(phrases):
+        compiled, index = patterns(phrases)
+        return tuple(_CountedPattern(p, attempts) for p in compiled), index
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entities, "_patterns", counted)
+        for name in ("_RESOLUTION", "_HEADING_END", "_DECISION_START"):
+            patch.setattr(entities, name, _CountedPattern(getattr(entities, name), attempts))
+        extract_entities(_doc(text), lexica.entities)
+    return len(attempts)
+
+
+# pieces that start pattern match attempts at each repeat and match
+# nowhere: the first word of ten bundled courts, and near misses of the
+# heading end, a resolution keyword and the ruling markers, each of which
+# is tried from each place its first word's fold holds
+SCALING_PIECES = {
+    "court_first_word": "juzgado ",
+    "near_miss_markers": "Sentencias, antecedentes, fallos y partes. ",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_PIECES))
+def test_entity_match_attempts_grow_linearly_in_the_text(monkeypatch, lexica, name):
+    # a tripwire counted in work, not time: 4x the text may cost 4x the
+    # attempts plus a constant, never more
+    piece = SCALING_PIECES[name]
+    n = 500
+    small, large = (_match_attempts(monkeypatch, lexica, piece * k) for k in (n, 4 * n))
+    assert small >= n  # every repeat is tried
+    assert large <= 4 * small + 100, (small, large)

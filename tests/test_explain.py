@@ -39,6 +39,7 @@ from test_trees import (
     _label_sets_for,
     column_values,
     las,
+    pack_trees,
     reference_apply,
     reference_predict_proba,
     small_model,
@@ -218,7 +219,7 @@ def test_confidence_values():
             feature_names=("f0",),
             class_catalog=catalog,
             mts_catalog=combos,
-            forests=[trees._pack_forest([leaf_tree(c) for c in counts_list], np.ones(2), 1)],
+            forests=[pack_trees([leaf_tree(c) for c in counts_list], np.ones(2), 1)],
         )
 
     assert decide(model_with([[7.0, 0.0]]), np.zeros(1), 0.5).confidence == 100
@@ -363,7 +364,7 @@ def test_class_display_names_mts_semantics():
         feature_names=("f0",),
         class_catalog=ClassCatalog((penal,)),
         mts_catalog=catalog,
-        forests=[trees._pack_forest([leaf_tree([1.0])], np.ones(1), 1)],
+        forests=[pack_trees([leaf_tree([1.0])], np.ones(1), 1)],
     )
     assert class_display_names(model, 0) == [
         "penal; crimes against collective security; tort law; road traffic law"
@@ -569,9 +570,9 @@ def test_loaded_pipeline_packs_each_forest_once(lexica, monkeypatch, tmp_path):
     packed = []
     pack_forest = trees._pack_forest
 
-    def counting(forest, weights, n_features):
-        packed.append(len(forest))
-        return pack_forest(forest, weights, n_features)
+    def counting(sizes, nodes, weights, n_features):
+        packed.append(len(sizes))
+        return pack_forest(sizes, nodes, weights, n_features)
 
     monkeypatch.setattr(trees, "_pack_forest", counting)
     fitted = load_pipeline(tmp_path / "pipeline.json")

@@ -85,7 +85,7 @@ def reference_fit_vectorizer(streams, max_df, min_df, ngram_range):
     )
     if not kept:
         raise FeatureError("vocabulary is empty after document-frequency pruning")
-    return VectorizerModel({g: i for i, g in enumerate(kept)}, max_df, min_df, (lo, hi))
+    return VectorizerModel({g: i for i, g in enumerate(kept)}, (lo, hi))
 
 
 def reference_transform(vectorizer, streams):

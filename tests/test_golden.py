@@ -20,8 +20,13 @@ from lexcat.corpus import corpus_to_text
 from lexcat.explain import build_explanation, render_explanation
 from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, preprocess_corpus
 from lexcat.synth import SynthSpec, generate_corpus
-from lexcat.trees import STRATEGIES, VARIANTS, model_to_json
+from lexcat.trees import STRATEGIES, VARIANTS, model_from_json, model_to_json
 
+from test_trees import v1_model_json, v1_model_obj
+
+# The model and pipeline files as the v1 oracle writes them, each tree an
+# object of its own: pinned before model files stored each forest as one
+# node table, they show that the change of layout left every fit as it was
 MODEL_DIGESTS = {
     ("mts", "dt"): "1c42538577c83e48d545240b24390296b885230bcd23a0fa9692152ccfea124b",
     ("mts", "eetc"): "dd425f493cf8894b566c3c5417f68a26fb02405540e4a49c6ab778b837798b26",
@@ -33,6 +38,18 @@ MODEL_DIGESTS = {
     ("bts", "etc"): "a3e871f8fc1fc6a3e1ecf2dc88c76b12173456cae366999c03db306c9e6fdf9a",
 }
 PIPELINE_DIGEST = "24cc4f48dfc6bf921e9660494378e146a884a5e94128da4785039674757f766d"
+# the files as lexcat writes them, in lexcat-model-v2
+MODEL_V2_DIGESTS = {
+    ("mts", "dt"): "53ced00ecbe923ce9d93d9a227218acd81743da5a0634b0ff1f4d3aafdec3e71",
+    ("mts", "eetc"): "abe76d0d7d9d4f51b2375133b1f42e2d6a50ed5f7c5286c070463dad72523375",
+    ("mts", "rf"): "f05d869278d99de7a63e189b6983cc0e5b11bab7764010c977911d7132b39bcf",
+    ("bts", "dt"): "a4916eb3a49b17b6cbbea886e37bbce2f8400fc19b6f05c9db07e92e08287d51",
+    ("bts", "eetc"): "e8ed20d516429ee427be3d14d12e0fdf1085d273f672b49020b54da1b02a8a2b",
+    ("bts", "rf"): "694ce62938c6b69e3c492ece02d3846b8ded6c8202a3948e1f6edfb380656551",
+    ("mts", "etc"): "8c4a3395aa123b952573e011c111f678fd0c48c460c5904de0acf768bfa9d231",
+    ("bts", "etc"): "606e64a7d2eabc48644e0065813544c6aec1dea3bbe9b831a0395f04141f322c",
+}
+PIPELINE_V2_DIGEST = "3849f88ffd07b7b9f2014d7b6076f3cba3796c3f189e8f0c37ac8f35f7fa3dab"
 # document 4: two assignments under both strategies, BTS confidence is the
 # mean over two classes (88); document 11: MTS confidence below 100 (75)
 EXPLANATION_DIGESTS = {
@@ -70,11 +87,16 @@ def _fit(setting, lexica, strategy, model):
 @pytest.mark.parametrize("strategy,model", sorted(MODEL_DIGESTS))
 def test_model_digest(setting, lexica, strategy, model):
     fitted = _fit(setting, lexica, strategy, model)
-    assert _sha(model_to_json(fitted.model)) == MODEL_DIGESTS[(strategy, model)]
+    assert _sha(model_to_json(fitted.model)) == MODEL_V2_DIGESTS[(strategy, model)]
+    assert _sha(v1_model_json(fitted.model)) == MODEL_DIGESTS[(strategy, model)]
 
 
 def test_pipeline_digest(setting, lexica):
-    assert _sha(pipeline_to_json(_fit(setting, lexica, "mts", "rf"))) == PIPELINE_DIGEST
+    text = pipeline_to_json(_fit(setting, lexica, "mts", "rf"))
+    assert _sha(text) == PIPELINE_V2_DIGEST
+    obj = json.loads(text)
+    obj["model"] = v1_model_obj(model_from_json(json.dumps(obj["model"])))
+    assert _sha(json.dumps(obj, sort_keys=True, separators=(",", ":"))) == PIPELINE_DIGEST
 
 
 @pytest.mark.parametrize("strategy", ["bts", "mts"])

@@ -481,9 +481,7 @@ def test_fit_tree_on_rows_equals_fit_on_copied_rows(splitter):
             for data, r in (((X, y), rows), ((X[rows], y[rows]), None))
         )
         assert on_rows.n_nodes > 1, case
-        assert json.dumps(trees._tree_to_obj(on_rows)) == json.dumps(
-            trees._tree_to_obj(on_copy)
-        ), case
+        assert json.dumps(tree_lists(on_rows)) == json.dumps(tree_lists(on_copy)), case
 
 
 def test_random_splitter_draws_in_nodes_too_small_to_split():
@@ -1039,6 +1037,13 @@ def test_predict_proba_batch_rows_do_not_depend_on_their_batch(kind, data):
     assert got.tobytes() == whole[idx].tobytes()
 
 
+def pack_trees(forest, weights, n_features):
+    """One forest's node table packed from hand-built trees, concatenated
+    tree after tree as a fit's are."""
+    nodes = [np.concatenate([getattr(t, f.name) for t in forest]) for f in dataclasses.fields(Tree)]
+    return trees._pack_forest([t.n_nodes for t in forest], nodes, weights, n_features)
+
+
 def _forest_model(forest, n_features=None):
     """An mts dt model of the given trees, with unit class weights and, by
     default, as many columns as the trees split on."""
@@ -1052,7 +1057,7 @@ def _forest_model(forest, n_features=None):
         feature_names=tuple(f"f{i}" for i in range(n_features)),
         class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
         mts_catalog=MtsCatalog(tuple((c,) for c in classes)),
-        forests=[trees._pack_forest(forest, np.ones(len(classes)), n_features)],
+        forests=[pack_trees(forest, np.ones(len(classes)), n_features)],
     )
 
 
@@ -1083,8 +1088,8 @@ def fitted_models(draw):
     model = fit_ensemble(X.reshape(n, d), _label_sets_for(y, las(4)), hp, variant, strategy)
     if draw(st.booleans()):
         obj = json.loads(model_to_json(model))
-        for tree in itertools.chain.from_iterable(obj["forests"]):
-            tree["counts"] = [[-0.0 if c == 0 else c for c in row] for row in tree["counts"]]
+        for forest in obj["forests"]:
+            forest["counts"] = [[-0.0 if c == 0 else c for c in row] for row in forest["counts"]]
         model = model_from_json(json.dumps(obj))
     return model
 
@@ -1194,7 +1199,7 @@ def test_predict_proba_two_trees_mean():
         feature_names=("f0",),
         class_catalog=ClassCatalog(tuple(sorted(classes, key=lambda a: a.key()))),
         mts_catalog=MtsCatalog(((classes[0],), (classes[1],))),
-        forests=[trees._pack_forest([t1, t2], np.ones(2), 1)],
+        forests=[pack_trees([t1, t2], np.ones(2), 1)],
     )
     probs = predict_proba_batch(model, np.array([[0.0]]))[0]
     assert probs.tolist() == [0.5, 0.5]
@@ -1301,18 +1306,58 @@ def test_feature_importances():
     assert feature_importances(single).tolist() == [1.0]
 
 
-def test_serialization_round_trip(tmp_path):
+def tree_lists(tree: Tree) -> dict:
+    """A tree's node arrays as lists, keyed by field name."""
+    return {f.name: getattr(tree, f.name).tolist() for f in dataclasses.fields(Tree)}
+
+
+def v1_model_obj(model: EnsembleModel) -> dict:
+    """The model as format lexcat-model-v1 wrote it, before a model file
+    held each forest as one node table: every tree an object of its node
+    arrays, and each forest's class weights in a list of their own. It is
+    the oracle that the change of layout left every fit as it was."""
+    return {
+        "format": "lexcat-model-v1",
+        "variant": model.variant,
+        "strategy": model.strategy,
+        "hyperparams": dataclasses.asdict(model.hyperparams),
+        "feature_names": list(model.feature_names),
+        "classes": [
+            [a.substantive_order, list(a.law_categories)] for a in model.class_catalog.classes
+        ],
+        "combos": [
+            [model.class_catalog.index(a) for a in combo] for combo in model.mts_catalog.combos
+        ],
+        "class_weight_vectors": [table.weights.tolist() for table in model.forests],
+        "forests": [[tree_lists(t) for t in table.trees()] for table in model.forests],
+    }
+
+
+def v1_model_json(model: EnsembleModel) -> str:
+    return json.dumps(v1_model_obj(model), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_serialization_round_trip(tmp_path, variant, strategy):
     X, y = _separable_data(70)
     sets = _label_sets_for(y, las(3))
-    model = fit_ensemble(X, sets, Hyperparams(n_estimators=3, seed=5), "eetc", "mts")
+    hp = Hyperparams(class_weight="balanced", n_estimators=3, seed=5)
+    model = fit_ensemble(X, sets, hp, variant, strategy)
     text = model_to_json(model)
-    again = model_to_json(model_from_json(text))
-    assert text == again
+    assert [sorted(forest) for forest in json.loads(text)["forests"]] == [
+        sorted([*(f.name for f in dataclasses.fields(Tree)), "sizes", "weights"])
+    ] * len(model.forests)
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")
     loaded = model_from_json(path.read_text(encoding="utf-8"))
     assert model_to_json(loaded) == text
-    assert (predict_proba_batch(loaded, X[:1]) == predict_proba_batch(model, X[:1])).all()
+    for fitted, read in zip(model.forests, loaded.forests, strict=True):
+        for name, a in fitted._asdict().items():
+            b = getattr(read, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert np.isnan(model.forests[0].threshold).any()  # leaves' NaN thresholds kept as bytes
+    assert predict_proba_batch(loaded, X).tobytes() == predict_proba_batch(model, X).tobytes()
 
 
 def test_same_seed_same_serialized_model():
@@ -1381,40 +1426,65 @@ def _set(path, value):
     return mutate
 
 
-TREE = ("forests", 0, 0)  # the first tree of a parsed model
+FOREST = ("forests", 0)  # the first forest of a parsed model
+
+
+def _sizes(model) -> list:
+    return model["forests"][0]["sizes"]
+
 
 # Mutations of a serialized model. Left unchecked, "cycle" makes prediction
 # loop forever, the out-of-range ids escape as IndexError, a null (NaN)
 # threshold sends every row right and the strings and the non-list escape
-# as ValueError or TypeError.
+# as ValueError or TypeError. Sizes that wrap around to the node count when
+# summed, as four more of 2**62 do, would reach np.repeat.
 MALFORMATIONS = {
-    "cycle": _set((*TREE, "left", 0), 0),
-    "null_threshold": _set((*TREE, "threshold", 0), None),
-    "infinite_threshold": _set((*TREE, "threshold", 0), float("inf")),
-    "child_out_of_range": _set((*TREE, "right", 0), 10_000),
-    "feature_out_of_range": _set((*TREE, "feature", 0), 99),
-    "short_depth": lambda model: model["forests"][0][0]["depth"].pop(),
-    "missing_counts_row": lambda model: model["forests"][0][0]["counts"].pop(),
-    "counts_width": lambda model: [row.append(0.0) for row in model["forests"][0][0]["counts"]],
-    "string_threshold": _set((*TREE, "threshold", 0), "x"),
-    "string_count": _set((*TREE, "counts", 0, 0), "x"),
-    "negative_count": _set((*TREE, "counts", 0, 0), -1.0),
-    "string_class_weight": _set(("class_weight_vectors", 0, 0), "x"),
+    "cycle": _set((*FOREST, "left", 0), 0),
+    "null_threshold": _set((*FOREST, "threshold", 0), None),
+    "infinite_threshold": _set((*FOREST, "threshold", 0), float("inf")),
+    "child_out_of_range": _set((*FOREST, "right", 0), 10_000),
+    "feature_out_of_range": _set((*FOREST, "feature", 0), 99),
+    "short_depth": lambda model: model["forests"][0]["depth"].pop(),
+    "missing_counts_row": lambda model: model["forests"][0]["counts"].pop(),
+    "counts_width": lambda model: [row.append(0.0) for row in model["forests"][0]["counts"]],
+    "string_threshold": _set((*FOREST, "threshold", 0), "x"),
+    "string_count": _set((*FOREST, "counts", 0, 0), "x"),
+    "negative_count": _set((*FOREST, "counts", 0, 0), -1.0),
+    "string_class_weight": _set((*FOREST, "weights", 0), "x"),
     "feature_names_not_a_list": _set(("feature_names",), 5),
     "wrong_model_format": _set(("format",), "lexcat-model-v0"),
-    "tree_not_an_object": _set(TREE, 5),
-    "unequal_node_arrays": lambda model: model["forests"][0][0]["threshold"].pop(),
-    "root_depth_not_zero": _set((*TREE, "depth", 0), 1),
+    "forest_not_an_object": _set(FOREST, 5),
+    "unequal_node_arrays": lambda model: model["forests"][0]["threshold"].pop(),
+    "root_depth_not_zero": _set((*FOREST, "depth", 0), 1),
     "feature_name_not_a_string": _set(("feature_names", 0), 5),
     # numpy reads a boolean among numbers as 0 or 1, so these used to load
-    "boolean_count": _set((*TREE, "counts", 0, 0), True),
-    "boolean_child_id": _set((*TREE, "left", 0), True),  # node 1 is the root's left child
-    "boolean_class_weight": _set(("class_weight_vectors", 0, 0), True),
+    "boolean_count": _set((*FOREST, "counts", 0, 0), True),
+    "boolean_child_id": _set((*FOREST, "left", 0), True),  # node 1 is the root's left child
+    "boolean_class_weight": _set((*FOREST, "weights", 0), True),
     # missing keys, which used to escape as KeyError
-    "tree_without_counts": lambda model: model["forests"][0][0].pop("counts"),
+    "tree_without_counts": lambda model: model["forests"][0].pop("counts"),
     "model_without_variant": lambda model: model.pop("variant"),
     "model_without_forests": lambda model: model.pop("forests"),
+    # a forest's trees are the node counts in its sizes, tree after tree
+    "sizes_not_adding_up": lambda model: _sizes(model).append(1),
+    "zero_size": lambda model: _sizes(model).insert(0, 0),
+    "size_above_node_count": lambda model: model["forests"][0].update(
+        sizes=[sum(_sizes(model)) + 1, -1]
+    ),
+    "huge_size": _set((*FOREST, "sizes", 0), 2**63),
+    "wrapping_sizes": lambda model: _sizes(model).extend([2**62] * 4),
+    "weights_of_wrong_length": lambda model: model["forests"][0]["weights"].append(1.0),
+    # the format before each forest was stored as one node table; such a
+    # model must be retrained
+    "v1_model": lambda model: _to_v1(model),
 }
+
+
+def _to_v1(model: dict) -> None:
+    """A parsed model, rewritten in place as the v1 oracle writes it."""
+    v1 = v1_model_obj(model_from_json(json.dumps(model)))
+    model.clear()
+    model.update(v1)
 
 
 def malformed_model_obj(obj: dict, name: str) -> dict:
@@ -1490,7 +1560,7 @@ def test_model_without_feature_columns_is_rejected():
         depth=np.array([0], dtype=np.int32),
         counts=model.trees[0].counts[:1],
     )
-    table = trees._pack_forest([leaf], model.forests[0].weights, 0)
+    table = pack_trees([leaf], model.forests[0].weights, 0)
     obj = json.loads(model_to_json(dataclasses.replace(model, forests=[table])))
     obj["feature_names"] = []
     with pytest.raises(ModelError, match="at least one feature column"):
@@ -1558,8 +1628,8 @@ def test_model_file_with_one_corrupted_number_is_refused_or_predicts(variant, da
     text, paths, X = small_model_file(variant)
     obj = json.loads(text)
     path = data.draw(st.sampled_from(paths))
-    # n: the node count of the entry's tree, or the model's column count
-    n = len(obj[path[0]][path[1]][path[2]]["feature"]) if path[0] == "forests" else X.shape[1]
+    # n: the node count of the entry's forest, or the model's column count
+    n = len(obj["forests"][path[1]]["feature"]) if path[0] == "forests" else X.shape[1]
     pool = [-1, 0, n, 2**31, 2**63, -0.0, math.nan, math.inf, -math.inf, "x", None, True, False]
     _set(path, data.draw(st.sampled_from(pool)))(obj)
     with within_seconds(5):
