@@ -159,7 +159,7 @@ def _cmd_train(config: PipelineConfig, args) -> int:
     fitted = fit_pipeline(corpus, config, lexica)
     path = _out_path(config, "model.json")
     save_pipeline(fitted, path)
-    n_trees = len(fitted.model.trees)
+    n_trees = sum(len(table.roots) for table in fitted.model.forests)
     print(f"trained {config.strategy}/{config.model} ({n_trees} trees) -> {path}")
     return EXIT_OK
 
@@ -222,11 +222,12 @@ def _tree_graph(model, index: int, max_depth: int | None) -> str:
     for forest_index, table in enumerate(model.forests):
         if 0 <= offset < len(table.roots):
             names = class_display_names(model, forest_index)
-            tree = table.trees()[offset]
+            tree = table.tree(offset)
             tree = dataclasses.replace(tree, counts=tree.counts * table.weights)
             return export_tree_graph(tree, max_depth, model.feature_names, names)
         offset -= len(table.roots)
-    raise ConfigError(f"tree index out of range [0,{len(model.trees)}): {index}")
+    n_trees = sum(len(table.roots) for table in model.forests)
+    raise ConfigError(f"tree index out of range [0,{n_trees}): {index}")
 
 
 def _cmd_export_tree(config: PipelineConfig, args) -> int:

@@ -39,7 +39,7 @@ from .trees import (
     VARIANTS,
     fit_ensemble,
     model_from_json,
-    model_to_obj,
+    model_to_json,
     predict_batch,
 )
 
@@ -295,32 +295,36 @@ def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConf
     return kept or list(range(n_text))
 
 
-_PIPELINE_FORMAT = "lexcat-pipeline-v2"
+_PIPELINE_FORMAT = "lexcat-pipeline-v3"
 
 
 def pipeline_to_json(fp: FittedPipeline) -> str:
-    obj = {
+    """Two lines, so a reader parses each byte once: the envelope, then the model's JSON."""
+    envelope = {
         "format": _PIPELINE_FORMAT,
         # no reader uses out, so where a file is written does not change it
         "config": asdict(replace(fp.config, out=None)),
         "encoder": fp.encoder.tables,
-        "model": model_to_obj(fp.model),
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    head = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return head + "\n" + model_to_json(fp.model)
 
 
 def pipeline_from_json(text: str) -> FittedPipeline:
-    obj = parse_json(text, ConfigError, "pipeline file is not JSON")
+    head, newline, model_text = text.partition("\n")
+    obj = parse_json(head, ConfigError, "pipeline file is not JSON")
     if not isinstance(obj, dict):
         raise ConfigError("pipeline file must hold a JSON object")
     if obj.get("format") != _PIPELINE_FORMAT:
         raise ConfigError(f"unsupported pipeline format: {obj.get('format')!r}")
+    if not newline:
+        raise ConfigError("pipeline file lacks its model line")
     try:
         _check_envelope(obj)
         fitted = FittedPipeline(
             PipelineConfig().with_overrides(obj["config"]),
             CategoricalEncoder(tables=obj["encoder"]),
-            model_from_json(json.dumps(obj["model"])),
+            model_from_json(model_text),
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None

@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import chain
 from typing import NamedTuple
 
@@ -438,10 +438,14 @@ class ForestTable(NamedTuple):
     children: np.ndarray  # table offsets: node i's right child at 2i, left at 2i + 1
     dist: np.ndarray  # (nodes, outputs) normalised class-weighted counts
 
+    def tree(self, i: int) -> Tree:
+        """Tree i of the forest, its arrays views of the table's."""
+        span = slice(self.roots[i], self.roots[i + 1] if i + 1 < len(self.roots) else None)
+        return Tree(self.feature[span], self.threshold[span], self.left[span], self.right[span],
+                    self.depth[span], self.counts[span])
+
     def trees(self) -> list[Tree]:
-        """Each tree of the forest, its arrays views of the table's."""
-        columns = [np.split(getattr(self, f.name), self.roots[1:]) for f in fields(Tree)]
-        return [Tree(*arrays) for arrays in zip(*columns)]
+        return [self.tree(i) for i in range(len(self.roots))]
 
 
 def _pack_forest(sizes, nodes, weights, n_features: int) -> ForestTable:
@@ -743,10 +747,6 @@ def feature_importances(model: EnsembleModel) -> np.ndarray:
 _FORMAT = "lexcat-model-v2"
 
 
-def _assignment_to_obj(a: LabelAssignment) -> list:
-    return [a.substantive_order, list(a.law_categories)]
-
-
 def _assignment_from_obj(obj) -> LabelAssignment:
     if not (isinstance(obj, list) and len(obj) == 2 and isinstance(obj[1], list)):
         raise ModelError(f"malformed class: expected [order, [categories]], got {obj!r}")
@@ -791,21 +791,18 @@ def _forest_from_obj(obj, n_outputs: int, n_features: int) -> ForestTable:
     return _pack_forest(sizes, (feature, threshold, left, right, depth, counts), weights, n_features)
 
 
-def model_to_obj(model: EnsembleModel) -> dict:
-    """The JSON object of a model, as model_to_json writes it and pipeline
-    files embed it: each forest as its table's node arrays, its trees' node
-    counts (sizes) and its class weights."""
-    return {
+def model_to_json(model: EnsembleModel) -> str:
+    """The JSON text of a model, as a pipeline file's model line holds it:
+    each forest as its table's node arrays, its trees' node counts (sizes)
+    and its class weights."""
+    obj = {
         "format": _FORMAT,
         "variant": model.variant,
         "strategy": model.strategy,
         "hyperparams": asdict(model.hyperparams),
         "feature_names": list(model.feature_names),
-        "classes": [_assignment_to_obj(a) for a in model.class_catalog.classes],
-        "combos": [
-            [model.class_catalog.index(a) for a in combo]
-            for combo in model.mts_catalog.combos
-        ],
+        "classes": [astuple(a) for a in model.class_catalog.classes],
+        "combos": [[model.class_catalog.index(a) for a in c] for c in model.mts_catalog.combos],
         "forests": [
             {
                 **{f.name: getattr(table, f.name).tolist() for f in fields(Tree)},
@@ -815,10 +812,7 @@ def model_to_obj(model: EnsembleModel) -> dict:
             for table in model.forests
         ],
     }
-
-
-def model_to_json(model: EnsembleModel) -> str:
-    return json.dumps(model_to_obj(model), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def model_from_json(text: str) -> EnsembleModel:

@@ -32,6 +32,8 @@ from test_trees import (
     _set,
     las,
     malformed_model_obj,
+    pipeline_obj,
+    pipeline_text,
     within_seconds,
 )
 
@@ -546,11 +548,11 @@ def test_ngram_range_beyond_every_document_explains_in_bounded_time(
     model_file = tmp_path / "m.json"
     train = ["train", "--config", str(fast_config_path), "--out", str(model_file)]
     assert main(train) == EXIT_OK
-    obj = json.loads(model_file.read_text(encoding="utf-8"))
+    obj = pipeline_obj(model_file.read_text(encoding="utf-8"))
     assert (obj["config"]["ngram_lo"], obj["config"]["ngram_hi"]) == (1, 2)
     obj["config"]["ngram_hi"] = 100_000
     wide = tmp_path / "wide.json"
-    wide.write_text(json.dumps(obj), encoding="utf-8")
+    wide.write_text(pipeline_text(obj), encoding="utf-8")
     outs = []
     for path in (model_file, wide):
         outs.append(tmp_path / f"{path.stem}.txt")
@@ -680,10 +682,10 @@ def dt_model_path(tmp_path_factory, fast_config_path):
 
 @pytest.mark.parametrize("name", sorted(MALFORMATIONS))
 def test_malformed_model_file_is_data_error(dt_model_path, tmp_path, name):
-    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
+    obj = pipeline_obj(dt_model_path.read_text(encoding="utf-8"))
     obj["model"] = malformed_model_obj(obj["model"], name)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj), encoding="utf-8")
+    bad.write_text(pipeline_text(obj), encoding="utf-8")
     with within_seconds(10):
         rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
     assert rc == EXIT_DATA
@@ -701,7 +703,7 @@ def test_export_tree_refuses_a_negative_max_depth(dt_model_path, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", '{"format": "lexcat-pipeline-v2"}', "[]"],
+    ["not json", '{"format": "lexcat-pipeline-v3"}\n{}', "[]"],
     ids=["not_json", "missing_fields", "not_an_object"],
 )
 def test_malformed_pipeline_file_is_data_error(tmp_path, content):
@@ -875,7 +877,34 @@ PIPELINE_MALFORMATIONS = {
     # the format before the model's feature names became the one record of
     # the columns; such a file must be retrained
     "v1_pipeline_format": _set(("format",), "lexcat-pipeline-v1"),
+    # pipeline_text writes no model line for an object without a model
+    "no_model_line": lambda obj: obj.pop("model"),
 }
+
+# Faults of a pipeline file's layout, which no edit of its object makes:
+# each turns the object into the faulty text
+PIPELINE_LAYOUT_FAULTS = {
+    # the format before the model had a line of its own; such a file must
+    # be retrained
+    "v2_pipeline_file": lambda obj: json.dumps(
+        {**obj, "format": "lexcat-pipeline-v2"}, sort_keys=True, separators=(",", ":")
+    ),
+    "text_after_the_model": lambda obj: pipeline_text(obj) + "\n{}",
+    "model_line_nests_too_deep": lambda obj: pipeline_text(obj).split("\n")[0] + "\n" + DEEP,
+}
+
+
+def _faulty_pipeline_text(path, name) -> str:
+    """The pipeline file at path with the fault `name`, of its layout, of
+    its object or of its model, written through pipeline_text."""
+    obj = pipeline_obj(path.read_text(encoding="utf-8"))
+    if name in PIPELINE_LAYOUT_FAULTS:
+        return PIPELINE_LAYOUT_FAULTS[name](obj)
+    if name in PIPELINE_MALFORMATIONS:
+        PIPELINE_MALFORMATIONS[name](obj)
+    else:
+        {**MALFORMATIONS, **CATALOG_MALFORMATIONS}[name](obj["model"])
+    return pipeline_text(obj)
 
 
 def _no_feature_columns(obj):
@@ -908,13 +937,28 @@ def _drop_last_output(model):
         row.pop()
 
 
-@pytest.mark.parametrize("name", sorted(PIPELINE_MALFORMATIONS))
+def test_unmutated_pipeline_object_loads_explains_and_exports(
+    dt_model_path, fast_config_path, tmp_path
+):
+    # the faults are written through pipeline_text, so a file it laid out
+    # wrongly would be refused for its layout, whatever its fault
+    text = dt_model_path.read_text(encoding="utf-8")
+    assert pipeline_text(pipeline_obj(text)) == text
+    same = tmp_path / "same.json"
+    same.write_text(pipeline_text(pipeline_obj(text)), encoding="utf-8")
+    load_pipeline(same)
+    rc = main([*_explain(None, str(fast_config_path), str(same)), "--out", str(tmp_path / "e.txt")])
+    assert rc == EXIT_OK
+    rc = main(["export-tree", "--model-file", str(same), "--out", str(tmp_path / "t.dot")])
+    assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("name", sorted({**PIPELINE_MALFORMATIONS, **PIPELINE_LAYOUT_FAULTS}))
 def test_malformed_pipeline_rejected_at_load(dt_model_path, fast_config_path, tmp_path, name):
-    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
-    assert obj["model"]["forests"][0]["sizes"][0] > 1
-    PIPELINE_MALFORMATIONS[name](obj)
+    model = pipeline_obj(dt_model_path.read_text(encoding="utf-8"))["model"]
+    assert model["forests"][0]["sizes"][0] > 1
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj), encoding="utf-8")
+    bad.write_text(_faulty_pipeline_text(dt_model_path, name), encoding="utf-8")
     with pytest.raises((ConfigError, ModelError)):
         load_pipeline(bad)
     with within_seconds(10):
@@ -950,19 +994,19 @@ FILE_REFUSAL_MESSAGES = {
     "v1_pipeline_format": "unsupported pipeline format: 'lexcat-pipeline-v1'",
     "duplicated_model_column": "pipeline model columns must be distinct",
     "entity_field_before_ngrams": "must list the n-grams first",
+    "v2_pipeline_file": "unsupported pipeline format: 'lexcat-pipeline-v2'",
+    "no_model_line": "pipeline file lacks its model line",
+    "text_after_the_model": "model file is not JSON: Extra data",
+    "model_line_nests_too_deep": "model file is not JSON: maximum recursion depth exceeded",
 }
 
 
 @pytest.mark.parametrize("name", sorted(FILE_REFUSAL_MESSAGES))
 def test_malformed_file_refusal_names_its_fault(dt_model_path, tmp_path, capsys, name):
-    obj = json.loads(dt_model_path.read_text(encoding="utf-8"))
-    assert len(obj["model"]["classes"]) >= 2 and len(obj["model"]["combos"]) == 3
-    if name in PIPELINE_MALFORMATIONS:
-        PIPELINE_MALFORMATIONS[name](obj)
-    else:
-        {**MALFORMATIONS, **CATALOG_MALFORMATIONS}[name](obj["model"])
+    model = pipeline_obj(dt_model_path.read_text(encoding="utf-8"))["model"]
+    assert len(model["classes"]) >= 2 and len(model["combos"]) == 3
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj), encoding="utf-8")
+    bad.write_text(_faulty_pipeline_text(dt_model_path, name), encoding="utf-8")
     rc = main(["export-tree", "--model-file", str(bad), "--out", str(tmp_path / "t.dot")])
     assert rc == EXIT_DATA
     assert FILE_REFUSAL_MESSAGES[name] in capsys.readouterr().err
@@ -1047,10 +1091,10 @@ def _value_paths(value, path=()):
 
 
 @st.composite
-def mutated_json(draw, obj):
-    """The JSON text of obj with one value mutated, or cut short."""
+def mutated_json(draw, obj, write):
+    """The text write(obj) of obj with one value mutated, or cut short."""
     kind = draw(st.sampled_from(["type", "huge", "nest", "truncate"]))
-    text = json.dumps(obj)
+    text = write(obj)
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     path = draw(st.sampled_from(list(_value_paths(obj))))
@@ -1063,13 +1107,13 @@ def mutated_json(draw, obj):
     }[kind]
     _set(path, draw(new))(obj)
     nested = "[" * NEST_DEPTH + json.dumps(old) + "]" * NEST_DEPTH
-    return json.dumps(obj).replace(json.dumps(_NEST), nested)
+    return write(obj).replace(json.dumps(_NEST), nested)
 
 
 @pytest.fixture(scope="module")
 def mutation_inputs(synth_corpus_path, fast_config_path, dt_model_path, tmp_path_factory):
-    """Each mutated input's parsed JSON, and the runs that read it, given
-    its mutated text."""
+    """Each mutated input's parsed JSON, the writer of its text, and the
+    runs that read it, given its mutated text."""
     tmp = tmp_path_factory.mktemp("mutated")
     first_line, *other_lines = synth_corpus_path.read_text(encoding="utf-8").splitlines()
 
@@ -1081,16 +1125,21 @@ def mutation_inputs(synth_corpus_path, fast_config_path, dt_model_path, tmp_path
         ]
 
     return {
-        "config": (json.loads(fast_config_path.read_text(encoding="utf-8")), lambda text: [
-            ["train", "--config", _write(tmp / "c.json", text), "--out", str(tmp / "out.json")],
-        ]),
+        "config": (
+            json.loads(fast_config_path.read_text(encoding="utf-8")), json.dumps, lambda text: [
+                ["train", "--config", _write(tmp / "c.json", text), "--out", str(tmp / "out.json")],
+            ]
+        ),
         # the mutated line in the place of the corpus's first
-        "corpus_line": (json.loads(first_line), lambda text: [
+        "corpus_line": (json.loads(first_line), json.dumps, lambda text: [
             ["entities", "--corpus", _write(tmp / "c.jsonl", "\n".join([text, *other_lines, ""])),
              "--out", str(tmp / "e.tsv")],
         ]),
-        "pipeline": (json.loads(dt_model_path.read_text(encoding="utf-8")), pipeline_runs),
-        "synth": (SYNTH_CONFIG, lambda text: [
+        # a value of either line mutated, or the two lines cut short
+        "pipeline": (
+            pipeline_obj(dt_model_path.read_text(encoding="utf-8")), pipeline_text, pipeline_runs
+        ),
+        "synth": (SYNTH_CONFIG, json.dumps, lambda text: [
             ["synth", "--config", _write(tmp / "s.json", text), "--out", str(tmp / "s.jsonl")],
         ]),
     }
@@ -1107,8 +1156,8 @@ SYNTH_CONFIG = {"seed": 1, "synth": {
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_input_exits_0_or_2_in_bounded_time(mutation_inputs, name, data):
-    obj, runs = mutation_inputs[name]
-    for argv in runs(data.draw(mutated_json(obj))):
+    obj, write, runs = mutation_inputs[name]
+    for argv in runs(data.draw(mutated_json(obj, write))):
         err = io.StringIO()
         with within_seconds(10), contextlib.redirect_stderr(err):
             rc = main(argv)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcat import features, pipeline
+import lexcat
+from lexcat import features, pipeline, trees
 from lexcat.corpus import Corpus, LabelAssignment
 from lexcat.entities import EntityRecord, UNKNOWN
 from lexcat.features import (
@@ -30,7 +31,7 @@ from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import TokenStream
 from lexcat.trees import predict_batch
 
-from test_trees import within_seconds
+from test_trees import pipeline_obj, within_seconds
 
 
 def ts(*tokens):
@@ -540,7 +541,7 @@ def test_loaded_pipeline_derives_the_fitted_columns(lexica):
     config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1, ngram_hi=3)
     fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(45))
     text = pipeline.pipeline_to_json(fitted)
-    assert sorted(json.loads(text)) == ["config", "encoder", "format", "model"]
+    assert sorted(pipeline_obj(text)) == ["config", "encoder", "format", "model"]
     loaded = pipeline.pipeline_from_json(text)
     assert loaded.vectorizer == fitted.vectorizer
     assert loaded.vectorizer.ngram_range == (1, 3)
@@ -550,6 +551,32 @@ def test_loaded_pipeline_derives_the_fitted_columns(lexica):
     assert set(loaded.kept_names[n_text:]) <= set(CATEGORICAL_FIELDS)
     held_out = range(45, 60)
     assert loaded.predict_prepared(prep, held_out) == fitted.predict_prepared(prep, held_out)
+
+
+def test_loading_a_pipeline_parses_each_byte_once(lexica, tmp_path, monkeypatch):
+    # the loader used to write the parsed model back to JSON and parse it again
+    corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
+    config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1)
+    path = tmp_path / "p.json"
+    pipeline.save_pipeline(pipeline.fit_pipeline(corpus, config, lexica), path)
+    parsed, dumped = [], []
+    parse_json, dumps = lexcat.parse_json, json.dumps
+
+    def counted_parse(text, *args):
+        parsed.append(len(text))
+        return parse_json(text, *args)
+
+    def counted_dumps(*args, **kwargs):
+        dumped.append(args)
+        return dumps(*args, **kwargs)
+
+    for module in (pipeline, trees):
+        monkeypatch.setattr(module, "parse_json", counted_parse)
+        monkeypatch.setattr(module.json, "dumps", counted_dumps)
+    pipeline.load_pipeline(path)
+    assert dumped == []
+    assert len(parsed) == 2
+    assert sum(parsed) == len(path.read_text(encoding="utf-8")) - 1  # all but the newline
 
 
 def test_fit_pipeline_on_one_label_set_warns_and_keeps_every_ngram(lexica):

@@ -22,7 +22,7 @@ from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, prep
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.trees import STRATEGIES, VARIANTS, model_from_json, model_to_json
 
-from test_trees import v1_model_json, v1_model_obj
+from test_trees import pipeline_obj, v1_model_json, v1_model_obj
 
 # The model and pipeline files as the v1 oracle writes them, each tree an
 # object of its own: pinned before model files stored each forest as one
@@ -50,6 +50,8 @@ MODEL_V2_DIGESTS = {
     ("bts", "etc"): "606e64a7d2eabc48644e0065813544c6aec1dea3bbe9b831a0395f04141f322c",
 }
 PIPELINE_V2_DIGEST = "3849f88ffd07b7b9f2014d7b6076f3cba3796c3f189e8f0c37ac8f35f7fa3dab"
+# lexcat-pipeline-v3: the envelope's line, then the model's as model_to_json writes it
+PIPELINE_V3_DIGEST = "522c17bf3bdfe1e046bd82783683d14102b000ea5e93ae25d6c6387e68f5c90f"
 # document 4: two assignments under both strategies, BTS confidence is the
 # mean over two classes (88); document 11: MTS confidence below 100 (75)
 EXPLANATION_DIGESTS = {
@@ -91,12 +93,23 @@ def test_model_digest(setting, lexica, strategy, model):
     assert _sha(v1_model_json(fitted.model)) == MODEL_DIGESTS[(strategy, model)]
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def test_pipeline_digest(setting, lexica):
-    text = pipeline_to_json(_fit(setting, lexica, "mts", "rf"))
-    assert _sha(text) == PIPELINE_V2_DIGEST
-    obj = json.loads(text)
-    obj["model"] = v1_model_obj(model_from_json(json.dumps(obj["model"])))
-    assert _sha(json.dumps(obj, sort_keys=True, separators=(",", ":"))) == PIPELINE_DIGEST
+    fitted = _fit(setting, lexica, "mts", "rf")
+    text = pipeline_to_json(fitted)
+    assert _sha(text) == PIPELINE_V3_DIGEST
+    model_line = text.split("\n")[1]
+    assert model_line == model_to_json(fitted.model)
+    assert _sha(model_line) == MODEL_V2_DIGESTS[("mts", "rf")]
+    # the same content as the earlier formats wrote it: one object, the
+    # model under its key, in lexcat-model-v2, then in lexcat-model-v1
+    obj = {**pipeline_obj(text), "format": "lexcat-pipeline-v2"}
+    assert _sha(_compact(obj)) == PIPELINE_V2_DIGEST
+    obj["model"] = v1_model_obj(model_from_json(model_line))
+    assert _sha(_compact(obj)) == PIPELINE_DIGEST
 
 
 @pytest.mark.parametrize("strategy", ["bts", "mts"])

@@ -1415,6 +1415,21 @@ def within_seconds(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def pipeline_obj(text: str) -> dict:
+    """A pipeline file's text as one object: its envelope's fields, and its
+    model line parsed, under "model"."""
+    head, model = text.split("\n", 1)
+    return {**json.loads(head), "model": json.loads(model)}
+
+
+def pipeline_text(obj: dict) -> str:
+    """The pipeline file of such an object, laid out as lexcat writes one:
+    the envelope's line, then the model's, none if obj has no "model"."""
+    envelope = {key: value for key, value in obj.items() if key != "model"}
+    lines = [envelope, *([obj["model"]] if "model" in obj else [])]
+    return "\n".join(json.dumps(o, sort_keys=True, separators=(",", ":")) for o in lines)
+
+
 def _set(path, value):
     """A mutation that sets the field at `path` of a parsed model or
     pipeline file."""
