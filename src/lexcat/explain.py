@@ -3,7 +3,7 @@ term relevance, natural-language rendering and tree-graph export."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -181,7 +181,7 @@ class Explanation:
     assignments: tuple[LabelAssignment, ...]
     confidence: int
     top_terms: tuple[tuple[str, float], ...]
-    signed_relevance: dict = field(default_factory=dict)
+    signed_relevance: dict
 
     def __post_init__(self) -> None:
         if len(self.entities) != len(CATEGORICAL_FIELDS):
@@ -218,7 +218,6 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     pipeline: entities, prediction, confidence and the top relevance-bearing
     terms. Terms are ranked by how often the document's decision paths
     split on them across all trees (ties alphabetical)."""
-    config = fitted.config
     stream = to_token_stream(doc.id, doc.raw_text, lexica.text.stopwords, lexica.text.lemmas)
     record = extract_entities(doc, lexica.entities)
     row = fitted.row_for(stream, record)
@@ -226,7 +225,7 @@ def build_explanation(fitted, doc, lexica) -> Explanation:
     n_text = len(fitted.vectorizer.vocabulary)
 
     signed, decision = signed_relevance(
-        model, row, n_text, config.relevance_samples, config.seed, config.bts_threshold
+        model, row, n_text, fitted.relevance_samples, model.hyperparams.seed, fitted.bts_threshold
     )
     relevances = {t: abs(v) for t, v in signed.items()}
     # n-grams split on along the row's decision paths, most often first

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DataError, has_type
+from . import DataError
 from .entities import CATEGORICAL_FIELDS, EntityRecord, UNKNOWN
 from .trees import Hyperparams, feature_importances, fit_ensemble
 
@@ -29,23 +29,6 @@ class VectorizerModel:
     @property
     def names(self) -> list[str]:
         return sorted(self.vocabulary, key=self.vocabulary.get)
-
-
-def _ngram_bounds(ngram_range) -> tuple[int, int]:
-    """The n-gram range as (lo, hi): two integers (not booleans) with
-    1 <= lo <= hi."""
-    bounds = tuple(ngram_range)
-    integers = all(has_type(b, int) for b in bounds)
-    if not (len(bounds) == 2 and integers and 1 <= bounds[0] <= bounds[1]):
-        raise FeatureError(f"need two integers 1 <= lo <= hi in ngram_range, got {bounds}")
-    return bounds
-
-
-def _df_bounds(min_df, max_df) -> None:
-    """Document-frequency bounds are two numbers with 0 <= min_df < max_df <= 1."""
-    numbers = has_type(min_df, float) and has_type(max_df, float)
-    if not (numbers and 0 <= min_df < max_df <= 1):
-        raise FeatureError(f"need numbers 0 <= min_df < max_df <= 1, got ({min_df!r}, {max_df!r})")
 
 
 def _ngrams(tokens, lo: int, hi: int):
@@ -71,7 +54,7 @@ class NgramCounts:
 def count_ngrams(token_streams, ngram_range) -> NgramCounts:
     """Intern every n-gram of the streams once, numbering them in sorted()
     order, and count each document's n-grams by id."""
-    lo, hi = _ngram_bounds(ngram_range)
+    lo, hi = ngram_range
     index: dict[str, int] = {}  # n-gram -> id in order of first occurrence
     # one array per document, after an empty one that starts indptr at 0
     first_ids, counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
@@ -108,7 +91,6 @@ def fit_vectorizer(grams: NgramCounts, rows, max_df: float, min_df: float) -> Ve
     n-gram spelled like a CATEGORICAL_FIELDS name is left out, since columns
     are known by name. Columns are ordered lexicographically.
     """
-    _df_bounds(min_df, max_df)
     n = len(rows)
     if not n:
         raise FeatureError("no documents to fit on")

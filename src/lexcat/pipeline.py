@@ -98,6 +98,9 @@ class PipelineConfig:
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
         overrides = dict(overrides)
         if "ngram_range" in overrides:
+            twice = [k for k in ("ngram_lo", "ngram_hi") if k in overrides]
+            if twice:
+                raise ConfigError(f"config fields 'ngram_range' and {twice[0]!r} both set a bound")
             bounds = overrides.pop("ngram_range")
             if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
                 raise ConfigError(f"config field 'ngram_range' must be [lo, hi], got {bounds!r}")
@@ -180,13 +183,16 @@ def preprocess_corpus(corpus: Corpus, lexica: Lexica) -> PreparedCorpus:
 
 @dataclass
 class FittedPipeline:
-    """A fitted pipeline. The model's feature names are the one record of
+    """A fitted pipeline: its encoder, its model, and the three settings
+    that using it reads. The model's feature names are the one record of
     the columns a document is turned into: the kept n-grams, then the kept
     entity fields."""
 
-    config: PipelineConfig
     encoder: CategoricalEncoder
     model: EnsembleModel
+    ngram_range: tuple[int, int]
+    bts_threshold: float
+    relevance_samples: int
 
     @property
     def kept_names(self) -> list[str]:
@@ -197,10 +203,10 @@ class FittedPipeline:
         """The vectorizer of the kept n-grams, numbered in column order: the
         leading feature names that are not entity fields. fit_vectorizer
         keeps no n-gram spelled like a field, so the split is exact."""
-        names, c = self.model.feature_names, self.config
+        names = self.model.feature_names
         n_text = next((i for i, n in enumerate(names) if n in CATEGORICAL_FIELDS), len(names))
         vocabulary = {name: i for i, name in enumerate(names[:n_text])}
-        return VectorizerModel(vocabulary, (c.ngram_lo, c.ngram_hi))
+        return VectorizerModel(vocabulary, self.ngram_range)
 
     def _matrix_for(self, grams: NgramCounts, rows, records) -> np.ndarray:
         n_text = len(self.vectorizer.vocabulary)
@@ -215,7 +221,7 @@ class FittedPipeline:
         rows = list(indices)
         records = [prep.records[i] for i in rows]
         X = self._matrix_for(prep.ngrams(self.vectorizer.ngram_range), rows, records)
-        return predict_batch(self.model, X, self.config.bts_threshold)
+        return predict_batch(self.model, X, self.bts_threshold)
 
     def predict_document(self, doc: Judgement, lexica: Lexica):
         stream = to_token_stream(
@@ -223,7 +229,7 @@ class FittedPipeline:
         )
         record = extract_entities(doc, lexica.entities)
         row = self.row_for(stream, record)
-        return predict_batch(self.model, row[None, :], self.config.bts_threshold)[0]
+        return predict_batch(self.model, row[None, :], self.bts_threshold)[0]
 
 
 def fit_features(
@@ -268,7 +274,13 @@ def fit_pipeline(
         strategy=config.strategy,
         feature_names=[names[i] for i in kept],
     )
-    return FittedPipeline(config=config, encoder=encoder, model=model)
+    return _fitted(encoder, model, config)
+
+
+def _fitted(encoder, model, config: PipelineConfig) -> FittedPipeline:
+    """The pipeline of encoder and model, under the config's use-time settings."""
+    bounds = (config.ngram_lo, config.ngram_hi)
+    return FittedPipeline(encoder, model, bounds, config.bts_threshold, config.relevance_samples)
 
 
 def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConfig) -> list[int]:
@@ -295,16 +307,17 @@ def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConf
     return kept or list(range(n_text))
 
 
-_PIPELINE_FORMAT = "lexcat-pipeline-v3"
+_PIPELINE_FORMAT = "lexcat-pipeline-v4"
+# the settings a loaded pipeline reads, each checked by PipelineConfig's rule
+_SETTINGS = ("bts_threshold", "ngram_range", "relevance_samples")
 
 
 def pipeline_to_json(fp: FittedPipeline) -> str:
     """Two lines, so a reader parses each byte once: the envelope, then the model's JSON."""
     envelope = {
         "format": _PIPELINE_FORMAT,
-        # no reader uses out, so where a file is written does not change it
-        "config": asdict(replace(fp.config, out=None)),
         "encoder": fp.encoder.tables,
+        "settings": {name: getattr(fp, name) for name in _SETTINGS},
     }
     head = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     return head + "\n" + model_to_json(fp.model)
@@ -321,10 +334,10 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         raise ConfigError("pipeline file lacks its model line")
     try:
         _check_envelope(obj)
-        fitted = FittedPipeline(
-            PipelineConfig().with_overrides(obj["config"]),
+        fitted = _fitted(
             CategoricalEncoder(tables=obj["encoder"]),
             model_from_json(model_text),
+            PipelineConfig().with_overrides(obj["settings"]),
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None
@@ -338,11 +351,15 @@ def pipeline_from_json(text: str) -> FittedPipeline:
 
 
 def _check_envelope(obj: dict) -> None:
-    """The config is a JSON object and the encoder one table of integer
-    codes per entity field; the constructors check their values."""
-    tables = obj["encoder"]
-    if not isinstance(obj["config"], dict):
-        raise ConfigError("malformed pipeline field 'config'")
+    """The settings are an object of exactly _SETTINGS and the encoder one
+    table of integer codes per entity field; the constructors check their values."""
+    tables, settings = obj["encoder"], obj["settings"]
+    if not isinstance(settings, dict):
+        raise ConfigError("malformed pipeline field 'settings'")
+    odd = sorted(set(settings) ^ set(_SETTINGS))
+    if odd:
+        state = "unknown" if odd[0] in settings else "missing"
+        raise ConfigError(f"pipeline setting {odd[0]!r} is {state}")
     if not (isinstance(tables, dict) and set(tables) == set(CATEGORICAL_FIELDS) and all(
         isinstance(t, dict) and all(type(code) is int for code in t.values())
         for t in tables.values()

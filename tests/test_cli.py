@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -158,6 +159,10 @@ def test_bad_config_is_data_error(tmp_path):
         ({"max_df": 0}, ["train"]),
         ({"min_df": 0.6}, ["train"]),
         ({"ngram_lo": 0}, ["train"]),
+        # df and n-gram bounds the vectorizer used to refuse again
+        ({"min_df": 0.5}, ["featurize"]),
+        ({"ngram_lo": 3}, ["featurize"]),
+        ({"ngram_hi": True}, ["featurize"]),
         ({"n_estimators": 0}, ["train"]),
         ({"importance_estimators": 0}, ["train"]),
         # counts of work past the most a run may ask for; 10**40 trees ran until killed
@@ -178,6 +183,9 @@ def test_bad_config_is_data_error(tmp_path):
         "max_df_range",
         "min_df_above_max_df",
         "ngram_lo_range",
+        "min_df_equal_to_max_df",
+        "ngram_lo_above_ngram_hi",
+        "boolean_ngram_hi",
         "n_estimators_range",
         "importance_estimators_range",
         "huge_n_estimators",
@@ -198,6 +206,25 @@ def test_bad_config_value_is_data_error(fast_config_path, tmp_path, capsys, bad,
     assert rc == EXIT_DATA
     field = next(iter(bad))
     assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["ngram_lo", "ngram_hi"])
+def test_ngram_range_and_a_bound_in_one_object_is_data_error(
+    fast_config_path, tmp_path, capsys, bound
+):
+    # {"ngram_range": [1, 3], "ngram_lo": 2, "ngram_hi": 2} used to read as (1, 3)
+    with pytest.raises(ConfigError, match=f"'ngram_range' and {bound!r}"):
+        PipelineConfig().with_overrides({"ngram_range": [1, 3], bound: 2})
+    cfg = json.loads(fast_config_path.read_text(encoding="utf-8"))
+    for command, given in (
+        ("featurize", {"ngram_range": [1, 3], bound: 2}),
+        ("gridsearch", {"grid": {"ngram_range": [[1, 3]], bound: [2]}}),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **given}), encoding="utf-8")
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"config fields 'ngram_range' and {bound!r}" in capsys.readouterr().err
 
 
 def test_config_value_types():
@@ -549,8 +576,8 @@ def test_ngram_range_beyond_every_document_explains_in_bounded_time(
     train = ["train", "--config", str(fast_config_path), "--out", str(model_file)]
     assert main(train) == EXIT_OK
     obj = pipeline_obj(model_file.read_text(encoding="utf-8"))
-    assert (obj["config"]["ngram_lo"], obj["config"]["ngram_hi"]) == (1, 2)
-    obj["config"]["ngram_hi"] = 100_000
+    assert obj["settings"]["ngram_range"] == [1, 2]
+    obj["settings"]["ngram_range"] = [1, 100_000]
     wide = tmp_path / "wide.json"
     wide.write_text(pipeline_text(obj), encoding="utf-8")
     outs = []
@@ -703,7 +730,7 @@ def test_export_tree_refuses_a_negative_max_depth(dt_model_path, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", '{"format": "lexcat-pipeline-v3"}\n{}', "[]"],
+    ["not json", '{"format": "lexcat-pipeline-v4"}\n{}', "[]"],
     ids=["not_json", "missing_fields", "not_an_object"],
 )
 def test_malformed_pipeline_file_is_data_error(tmp_path, content):
@@ -817,6 +844,29 @@ def test_overwritten_output_file_keeps_its_mode(tmp_path):
     assert out.read_text(encoding="utf-8") != "old\n"
 
 
+def test_same_fit_from_other_paths_writes_the_same_pipeline_file(synth_corpus_path, tmp_path):
+    # the file held the whole config, so where the corpus and lexica sat,
+    # and the folds, grid and synth a fit never reads, changed its bytes
+    files = []
+    for place, unread in (
+        ("here", {"folds": 3}),
+        ("elsewhere/there", {"folds": 7, "grid": {"max_df": [0.9]}, "synth": {"n_docs": 9}}),
+    ):
+        where = tmp_path / place
+        shutil.copytree(default_data_dir(), where / "lexica")
+        shutil.copy(synth_corpus_path, where / "a.jsonl")
+        cfg = {"corpus": str(where / "a.jsonl"), "lexica_dir": str(where / "lexica"),
+               "n_estimators": 3, "seed": 2, **unread}
+        (where / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        files.append(where / "model.json")
+        argv = ["train", "--config", str(where / "cfg.json"), "--out", str(files[-1])]
+        assert main(argv) == EXIT_OK
+    assert files[0].read_bytes() == files[1].read_bytes()
+    envelope = json.loads(files[0].read_text(encoding="utf-8").split("\n")[0])
+    assert sorted(envelope) == ["encoder", "format", "settings"]
+    assert sorted(envelope["settings"]) == ["bts_threshold", "ngram_range", "relevance_samples"]
+
+
 def test_save_pipeline_into_a_missing_directory_is_config_error(dt_model_path, tmp_path):
     fitted = load_pipeline(dt_model_path)
     with pytest.raises(ConfigError, match="cannot write output file"):
@@ -841,11 +891,16 @@ PIPELINE_MALFORMATIONS = {
     "forest_narrower_than_combos": lambda obj: _drop_last_output(obj["model"]),
     # an mts forest read as bts, which needs one 2-output forest per class
     "mts_forest_read_as_bts": _set(("model", "strategy"), "bts"),
-    # the n-gram range is the config's
-    "reversed_ngram_range": lambda obj: obj["config"].update(ngram_lo=2, ngram_hi=1),
-    "three_ngram_bounds": _set(("config", "ngram_range"), [1, 2, 3]),
-    "fractional_ngram_bound": _set(("config", "ngram_lo"), 1.5),
-    "boolean_ngram_bound": _set(("config", "ngram_lo"), True),
+    # the settings, each checked by PipelineConfig's rule
+    "reversed_ngram_range": _set(("settings", "ngram_range"), [2, 1]),
+    "three_ngram_bounds": _set(("settings", "ngram_range"), [1, 2, 3]),
+    "fractional_ngram_bound": _set(("settings", "ngram_range"), [1.5, 2]),
+    "boolean_ngram_bound": _set(("settings", "ngram_range"), [True, 2]),
+    "bts_threshold_out_of_range": _set(("settings", "bts_threshold"), 1.5),
+    # a setting left out used to load as its default: a file of trigram
+    # columns read as (1, 2) gave those columns 0 at predict time
+    "missing_setting": lambda obj: obj["settings"].pop("ngram_range"),
+    "unknown_setting": _set(("settings", "corpus"), "a.jsonl"),
     # values no fitted model holds, which used to load and explain (exit 0)
     "fractional_n_estimators": _set(("model", "hyperparams", "n_estimators"), 2.5),
     "fractional_max_depth": _set(("model", "hyperparams", "max_depth"), 1.5),
@@ -853,7 +908,7 @@ PIPELINE_MALFORMATIONS = {
     "fractional_min_samples_leaf": _set(("model", "hyperparams", "min_samples_leaf"), 1.5),
     "fractional_seed": _set(("model", "hyperparams", "seed"), 5.5),
     # explaining with it escaped as ValueError (exit 3)
-    "huge_relevance_samples": _set(("config", "relevance_samples"), 10**40),
+    "huge_relevance_samples": _set(("settings", "relevance_samples"), 10**40),
     "huge_n_estimators": _set(("model", "hyperparams", "n_estimators"), 10**40),
     "negative_class_weight": _set(("model", "forests", 0, "weights", 0), -1.0),
     "infinite_class_weight": _set(("model", "forests", 0, "weights", 0), float("inf")),
@@ -863,9 +918,9 @@ PIPELINE_MALFORMATIONS = {
     ],
     # the envelope outside the model, which used to escape as TypeError
     # (exit 3) or load and fail only when a row was encoded
-    "config_not_an_object": _set(("config",), [1]),
-    "ngram_range_not_a_list": _set(("config", "ngram_range"), 5),
-    "max_df_not_a_number": _set(("config", "max_df"), "x"),
+    "settings_not_an_object": _set(("settings",), [1]),
+    "ngram_range_not_a_list": _set(("settings", "ngram_range"), 5),
+    "bts_threshold_not_a_number": _set(("settings", "bts_threshold"), "x"),
     "encoder_not_an_object": _set(("encoder",), 5),
     "encoder_table_not_an_object": _set(("encoder", "court"), 5),
     "encoder_code_not_an_integer": _set(("encoder", "court", "x"), "1"),
@@ -877,6 +932,9 @@ PIPELINE_MALFORMATIONS = {
     # the format before the model's feature names became the one record of
     # the columns; such a file must be retrained
     "v1_pipeline_format": _set(("format",), "lexcat-pipeline-v1"),
+    # the format whose envelope held the whole config; such a file must be
+    # retrained
+    "v3_pipeline_file": lambda obj: _v3_envelope(obj),
     # pipeline_text writes no model line for an object without a model
     "no_model_line": lambda obj: obj.pop("model"),
 }
@@ -905,6 +963,13 @@ def _faulty_pipeline_text(path, name) -> str:
     else:
         {**MALFORMATIONS, **CATALOG_MALFORMATIONS}[name](obj["model"])
     return pipeline_text(obj)
+
+
+def _v3_envelope(obj):
+    """The envelope as lexcat-pipeline-v3 laid it out: the whole config in
+    the place of the settings."""
+    obj.pop("settings")
+    obj.update(format="lexcat-pipeline-v3", config=dataclasses.asdict(PipelineConfig()))
 
 
 def _no_feature_columns(obj):
@@ -995,6 +1060,18 @@ FILE_REFUSAL_MESSAGES = {
     "duplicated_model_column": "pipeline model columns must be distinct",
     "entity_field_before_ngrams": "must list the n-grams first",
     "v2_pipeline_file": "unsupported pipeline format: 'lexcat-pipeline-v2'",
+    "v3_pipeline_file": "unsupported pipeline format: 'lexcat-pipeline-v3'",
+    "settings_not_an_object": "malformed pipeline field 'settings'",
+    "missing_setting": "pipeline setting 'ngram_range' is missing",
+    "unknown_setting": "pipeline setting 'corpus' is unknown",
+    "reversed_ngram_range": "config field 'ngram_lo' must be in [1, ngram_hi], got 2",
+    "three_ngram_bounds": "config field 'ngram_range' must be [lo, hi], got [1, 2, 3]",
+    "ngram_range_not_a_list": "config field 'ngram_range' must be [lo, hi], got 5",
+    "fractional_ngram_bound": "config field 'ngram_lo' must be int, got 1.5",
+    "boolean_ngram_bound": "config field 'ngram_lo' must be int, got True",
+    "huge_relevance_samples": "config field 'relevance_samples' must be in [10, 10000], got 1",
+    "bts_threshold_out_of_range": "config field 'bts_threshold' must be in [0, 1], got 1.5",
+    "bts_threshold_not_a_number": "config field 'bts_threshold' must be float, got 'x'",
     "no_model_line": "pipeline file lacks its model line",
     "text_after_the_model": "model file is not JSON: Extra data",
     "model_line_nests_too_deep": "model file is not JSON: maximum recursion depth exceeded",

@@ -283,6 +283,7 @@ def reference_explanation():
             ("trabajadores", 0.051),
             ("Estatuto", 0.033),
         ),
+        signed_relevance={},
     )
 
 
@@ -294,7 +295,8 @@ def test_render_deterministic_and_empty_terms():
     e = reference_explanation()
     assert render_explanation(e) == render_explanation(e)
     bare = Explanation(
-        sample_id="1", entities=("x",) * 7, assignments=e.assignments, confidence=50, top_terms=()
+        sample_id="1", entities=("x",) * 7, assignments=e.assignments, confidence=50, top_terms=(),
+        signed_relevance={},
     )
     text = render_explanation(bare)
     assert text.endswith("The most representative terms (ngrams) and their relevance are:\n")

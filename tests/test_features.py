@@ -211,14 +211,10 @@ def test_fit_vectorizer_df_bounds():
 
 
 def test_fit_vectorizer_errors():
-    with pytest.raises(FeatureError):
-        vectorize([ts("a")], max_df=0.5, min_df=0.5, ngram_range=(1, 1))
-    with pytest.raises(FeatureError):
-        vectorize([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(2, 1))
+    # equal df bounds and reversed or boolean n-gram bounds are refused by
+    # PipelineConfig and the pipeline loader, before any count is taken
     with pytest.raises(FeatureError, match="empty"):
         vectorize([ts("a"), ts("a")], max_df=0.4, min_df=0.0, ngram_range=(1, 1))
-    with pytest.raises(FeatureError):  # a bool is not an n-gram size
-        vectorize([ts("a")], max_df=1.0, min_df=0.0, ngram_range=(True, 2))
     with pytest.raises(FeatureError, match="no documents"):
         fit_vectorizer(count_ngrams([ts("a")], (1, 1)), [], 1.0, 0.0)
     with pytest.raises(FeatureError, match="empty"):  # no document has a bigram
@@ -490,7 +486,8 @@ def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, capture)
     corpus = generate_corpus(SynthSpec(n_docs=40, n_classes=3, seed=3))
-    fitted = pipeline.fit_pipeline(corpus, pipeline.PipelineConfig(n_estimators=2), lexica)
+    config = pipeline.PipelineConfig(n_estimators=2)
+    fitted = pipeline.fit_pipeline(corpus, config, lexica)
     categorical, textual = seen["select_by_correlation"], seen["select_by_importance"]
     assert textual.base is not None
     assert categorical.base is textual.base
@@ -500,7 +497,7 @@ def test_fit_pipeline_selects_from_views_of_one_matrix(lexica, monkeypatch):
     prep = pipeline.preprocess_corpus(corpus, lexica)
     codes = fitted.encoder.transform(prep.records)
     rows = range(corpus.n)
-    vec, _, _ = pipeline.fit_features(prep, fitted.config, rows)
+    vec, _, _ = pipeline.fit_features(prep, config, rows)
     full = transform(vec, prep.ngrams(vec.ngram_range), rows, codes)
     assert textual.base.shape == full.shape and textual.base.tobytes() == full.tobytes()
     n_text = len(vec.vocabulary)
@@ -535,13 +532,13 @@ def test_one_document_path_matches_batch_and_string_reference(lexica):
 
 def test_loaded_pipeline_derives_the_fitted_columns(lexica):
     # a pipeline file holds the model's column names once; the vectorizer
-    # of the kept n-grams is derived from them, with the config's range
+    # of the kept n-grams is derived from them, with the settings' range
     corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
     prep = pipeline.preprocess_corpus(corpus, lexica)
     config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1, ngram_hi=3)
     fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(45))
     text = pipeline.pipeline_to_json(fitted)
-    assert sorted(pipeline_obj(text)) == ["config", "encoder", "format", "model"]
+    assert sorted(pipeline_obj(text)) == ["encoder", "format", "model", "settings"]
     loaded = pipeline.pipeline_from_json(text)
     assert loaded.vectorizer == fitted.vectorizer
     assert loaded.vectorizer.ngram_range == (1, 3)

@@ -22,7 +22,7 @@ from lexcat.pipeline import PipelineConfig, fit_pipeline, pipeline_to_json, prep
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.trees import STRATEGIES, VARIANTS, model_from_json, model_to_json
 
-from test_trees import pipeline_obj, v1_model_json, v1_model_obj
+from test_trees import pipeline_obj, v1_model_json, v1_model_obj, v3_pipeline_text
 
 # The model and pipeline files as the v1 oracle writes them, each tree an
 # object of its own: pinned before model files stored each forest as one
@@ -52,6 +52,9 @@ MODEL_V2_DIGESTS = {
 PIPELINE_V2_DIGEST = "3849f88ffd07b7b9f2014d7b6076f3cba3796c3f189e8f0c37ac8f35f7fa3dab"
 # lexcat-pipeline-v3: the envelope's line, then the model's as model_to_json writes it
 PIPELINE_V3_DIGEST = "522c17bf3bdfe1e046bd82783683d14102b000ea5e93ae25d6c6387e68f5c90f"
+# lexcat-pipeline-v4: the envelope holds only the encoder, the format and
+# the three settings a loaded pipeline reads
+PIPELINE_V4_DIGEST = "038997f4c8132301e1f56fff11cb5c04b748f4d2336c2308d811acd4f91d580c"
 # document 4: two assignments under both strategies, BTS confidence is the
 # mean over two classes (88); document 11: MTS confidence below 100 (75)
 EXPLANATION_DIGESTS = {
@@ -98,15 +101,20 @@ def _compact(obj) -> str:
 
 
 def test_pipeline_digest(setting, lexica):
-    fitted = _fit(setting, lexica, "mts", "rf")
+    corpus, prep, base = setting
+    config = base.with_overrides({"strategy": "mts", "model": "rf"})
+    fitted = fit_pipeline(corpus, config, lexica, prep=prep)
     text = pipeline_to_json(fitted)
-    assert _sha(text) == PIPELINE_V3_DIGEST
+    assert _sha(text) == PIPELINE_V4_DIGEST
     model_line = text.split("\n")[1]
     assert model_line == model_to_json(fitted.model)
     assert _sha(model_line) == MODEL_V2_DIGESTS[("mts", "rf")]
-    # the same content as the earlier formats wrote it: one object, the
-    # model under its key, in lexcat-model-v2, then in lexcat-model-v1
-    obj = {**pipeline_obj(text), "format": "lexcat-pipeline-v2"}
+    # the same fit as the earlier formats wrote it: the whole config beside
+    # the encoder; then one object, the model under its key, in
+    # lexcat-model-v2, then in lexcat-model-v1
+    v3_text = v3_pipeline_text(fitted, config)
+    assert _sha(v3_text) == PIPELINE_V3_DIGEST
+    obj = {**pipeline_obj(v3_text), "format": "lexcat-pipeline-v2"}
     assert _sha(_compact(obj)) == PIPELINE_V2_DIGEST
     obj["model"] = v1_model_obj(model_from_json(model_line))
     assert _sha(_compact(obj)) == PIPELINE_DIGEST

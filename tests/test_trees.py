@@ -1337,6 +1337,21 @@ def v1_model_json(model: EnsembleModel) -> str:
     return json.dumps(v1_model_obj(model), sort_keys=True, separators=(",", ":"))
 
 
+def v3_pipeline_text(fitted, config) -> str:
+    """The pipeline file of a fit as format lexcat-pipeline-v3 wrote it,
+    before a file held only the settings a loaded pipeline reads: an
+    envelope of the whole config it was fitted with (`out` left empty), the
+    encoder and the format, then the model's line. It is the oracle that
+    the change of layout left every fit as it was."""
+    envelope = {
+        "config": dataclasses.asdict(dataclasses.replace(config, out=None)),
+        "encoder": fitted.encoder.tables,
+        "format": "lexcat-pipeline-v3",
+    }
+    head = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return head + "\n" + model_to_json(fitted.model)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_serialization_round_trip(tmp_path, variant, strategy):
