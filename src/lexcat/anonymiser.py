@@ -12,31 +12,28 @@ Trigger logic:
   * capitalised tokens from the name lexicon are swallowed by adjacent
     spans, or become standalone @Person spans.
 
-`anonymize` makes one pass over a document's NFC form. `_tokens` splits
-the text at whitespace runs in one call, strips and casefolds each token
-once, and computes a token's offsets only where a span starts, ends or grows.
-`_scan_triggers` visits only the tokens that start a title or implicit
-reference (trying widths from the widest such phrase down, as indexed by
-`AnonymiserLexica.widest_for`) or are a corporate form; `_expand_names`
-looks up only the tokens that fold to a lexicon name or end with a period.
+`anonymize` makes one pass over a document's NFC form. `_tokens` splits it
+and its casefold at whitespace, finds each token's end with one `str.find`,
+and strips the folded tokens; a case-preserving core is cut only where read.
+One pass over the folded cores finds the candidates, the tokens in
+`AnonymiserLexica.candidates` once trailing periods are trimmed: triggers are
+tried only at those that start a phrase (from the widest such phrase down, by
+`widest_for`) or may be a corporate form, and names looked up only at those.
 Spans carry their first and last token index, so neighbours and role nouns
-are found by index. `unify_names` runs `jaro` only where its bound can pass.
+are found by index. `unify_names` runs `jaro` only where its bounds can pass.
 """
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 from .lexica import TAGS, AnonymiserLexica
 
 _PRECEDENCE = {tag: i for i, tag in enumerate(TAGS)}
 
-_SPACE = re.compile(r"(\s+)")
 _LEAD = "(«¡¿[\"'"
 _TRAIL = ",;:)»]\"'"
 
@@ -45,7 +42,7 @@ _CORPORATE_RUN = 4
 _UNIFY_THRESHOLD = 0.9  # Jaro similarity at which two names are one person
 
 
-@dataclass
+@dataclass(slots=True)
 class ReferenceSpan:
     """Characters [start, end) of the text, made of tokens first_token to
     last_token (inclusive) of the text's tokenisation."""
@@ -71,50 +68,63 @@ class AnonymisationReport:
 
 
 class _Tokens(NamedTuple):
-    """A text's whitespace-separated tokens, their offsets, their cores (each
-    token without its leading and trailing punctuation) and folded cores."""
+    """A text's whitespace-separated tokens, the offset where each ends, and
+    their folded cores (casefolded, without leading and trailing punctuation)."""
 
     raw: list[str]
-    starts: list[int]
-    cores: list[str]
+    ends: list[int]
     folded: list[str]
+    scan: list  # the index of the last `candidates` call and its candidates
+
+    def core(self, k: int) -> str:
+        return self.raw[k].lstrip(_LEAD).rstrip(_TRAIL)
+
+    @property
+    def cores(self) -> list[str]:
+        return [self.core(k) for k in range(len(self.raw))]
 
     def core_start(self, k: int) -> int:
-        return self.starts[k] + len(self.raw[k]) - len(self.raw[k].lstrip(_LEAD))
+        return self.ends[k] - len(self.raw[k].lstrip(_LEAD))
 
     def core_end(self, k: int) -> int:
-        return self.core_start(k) + len(self.cores[k])
+        return self.core_start(k) + len(self.core(k))
+
+    def candidates(self, index: dict[str, bool]) -> list[int]:
+        """The tokens whose folded core less trailing periods is in index,
+        found in one pass that the next call with the same index reuses."""
+        if not self.scan or self.scan[0] is not index:
+            self.scan[:] = index, [k for k, w in enumerate(self.folded) if w.rstrip(".") in index]
+        return self.scan[1]
 
 
 def _tokens(text: str) -> _Tokens:
-    parts = _SPACE.split(text)  # token, whitespace run, token, ..., token
-    raw, starts = parts[::2], list(accumulate(map(len, parts), initial=0))[::2]
-    if not raw[-1]:  # the text ends with whitespace, or is empty
-        del raw[-1], starts[-1]
-    if raw and not raw[0]:  # the text starts with whitespace
-        del raw[0], starts[0]
-    cores = [tok.lstrip(_LEAD).rstrip(_TRAIL) for tok in raw]
-    return _Tokens(raw, starts, cores, list(map(str.casefold, cores)))
+    # the casefold's k-th token is the casefold of token k: \s and str.isspace
+    # agree, and casefold never makes or removes whitespace, "." or a
+    # character of _LEAD or _TRAIL
+    raw, find, end = text.split(), text.find, 0
+    ends = [end := find(tok, end) + len(tok) for tok in raw]
+    folded = [word.lstrip(_LEAD).rstrip(_TRAIL) for word in text.casefold().split()]
+    return _Tokens(raw, ends, folded, [])
 
 
 def _name(toks: _Tokens, k: int, names: frozenset[str]) -> tuple[str, int] | None:
     """The lexicon name capitalised token k holds and the offset where that
     name ends (a trailing period is not part of a name), or None."""
-    core = toks.cores[k]
-    if core[:1].isupper():
-        if toks.folded[k] in names:
-            return core, toks.core_end(k)
-        trimmed = core.rstrip(".")
-        if trimmed.casefold() in names:
-            return trimmed, toks.core_start(k) + len(trimmed)
+    word = toks.folded[k]
+    trimmed = word if word in names else word.rstrip(".")
+    if trimmed in names and (core := toks.core(k))[:1].isupper():
+        name = core if trimmed == word else core.rstrip(".")
+        return name, toks.core_start(k) + len(name)
     return None
 
 
 def _role_before(context: dict[int, str], first: int) -> str | None:
     """Role of the nearest role noun that ends at most _CONTEXT_WINDOW tokens
     before token `first`."""
-    window = range(first - 1, first - 1 - _CONTEXT_WINDOW, -1)
-    return next((context[k] for k in window if k in context), None)
+    for k in range(first - 1, first - 1 - _CONTEXT_WINDOW, -1):
+        if k in context:
+            return context[k]
+    return None
 
 
 def _span(toks: _Tokens, first: int, last: int, tag: str) -> ReferenceSpan:
@@ -127,19 +137,21 @@ def _scan_triggers(
     """One left-to-right pass: the trigger spans in text order, and the role
     of each role noun keyed by its last token."""
     titles, implicit, widest_for = lexica.titles, lexica.implicit_refs, lexica.widest_for
-    forms, cores, folded = lexica.forms, toks.cores, toks.folded
+    forms, folded, candidates = lexica.corporate_forms, toks.folded, lexica.candidates
     context: dict[int, str] = {}
     spans: list[ReferenceSpan] = []
     free = 0  # no token from here on belongs to a span
     nxt = 0  # no token before this one can start a trigger
-    # a trigger starts only at a phrase's first word or at a corporate form
-    heads = [k for k, word in enumerate(folded) if word in widest_for or cores[k] in forms]
-    for i in heads:
-        if i < nxt:
+    # a trigger starts only at a phrase's first word or at a corporate form,
+    # and every such token is a candidate; the others hold names
+    for i in toks.candidates(candidates):
+        word = folded[i]
+        form = candidates[word.rstrip(".")]  # the token's core may be a form
+        if i < nxt or not form and word not in widest_for:
             continue
         # titles / implicit references, longest phrase first; only the widths
         # of the phrases that start with this token's word can match
-        for width in range(min(widest_for.get(folded[i], 0), len(cores) - i), 0, -1):
+        for width in range(min(widest_for.get(word, 0), len(folded) - i), 0, -1):
             phrase = " ".join(folded[i : i + width])
             last = i + width - 1
             if phrase in titles:
@@ -159,11 +171,11 @@ def _scan_triggers(
             break
         else:
             # corporate legal form: swallow the capitalised run before it
-            if cores[i] in forms:
+            if form and toks.core(i) in forms:
                 first = i
                 while (
                     first > max(free, i - _CORPORATE_RUN)
-                    and cores[first - 1][:1].isupper()
+                    and toks.core(first - 1)[:1].isupper()
                     and folded[first - 1] not in titles
                     and folded[first - 1] not in implicit
                 ):
@@ -181,10 +193,8 @@ def _expand_names(
     names become standalone @Person spans, added to the list, which is
     returned in text order."""
     names = lexica.names
-    # only a token whose folded core is a name, or ends with a period that
-    # _name may trim, can hold a name
-    found = {k: hit for k, word in enumerate(toks.folded)
-             if (word in names or word[-1:] == ".") and (hit := _name(toks, k, names))}
+    # every token that holds a name is a candidate
+    found = {k: hit for k in toks.candidates(lexica.candidates) if (hit := _name(toks, k, names))}
     claimed = {k for span in spans for k in range(span.first_token, span.last_token + 1)}
 
     def grow(span: ReferenceSpan) -> None:
@@ -225,19 +235,18 @@ def jaro(a: str, b: str) -> float:
     if la == 0 or lb == 0:
         return 0.0
     window = max(max(la, lb) // 2 - 1, 0)
-    match_a = [False] * la
     match_b = [False] * lb
-    m = 0
+    seq_a = []  # a's matched characters, each with the first free one of b in its window
     for i, ch in enumerate(a):
-        for j in range(max(0, i - window), min(lb, i + window + 1)):
-            if not match_b[j] and b[j] == ch:
-                match_a[i] = True
-                match_b[j] = True
-                m += 1
-                break
+        j = b.find(ch, max(0, i - window), i + window + 1)
+        while j >= 0 and match_b[j]:
+            j = b.find(ch, j + 1, i + window + 1)
+        if j >= 0:
+            match_b[j] = True
+            seq_a.append(ch)
+    m = len(seq_a)
     if m == 0:
         return 0.0
-    seq_a = [ch for ch, hit in zip(a, match_a) if hit]
     seq_b = [ch for ch, hit in zip(b, match_b) if hit]
     t = sum(x != y for x, y in zip(seq_a, seq_b)) // 2
     return (m / la + m / lb + (m - t) / m) / 3.0
@@ -251,6 +260,16 @@ def _jaro_bound(m: int, la: int, lb: int) -> float:
     return (m / la + m / lb + 1.0) / 3.0
 
 
+def _bag(key: str) -> set[tuple[str, int]]:
+    """key's characters as (character, copy number) pairs: bags meet as multisets."""
+    copies: dict[str, int] = {}
+    bag = set()
+    for ch in key:
+        copies[ch] = n = copies.get(ch, 0) + 1
+        bag.add((ch, n))
+    return bag
+
+
 def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     """Single-link grouping of names with pairwise Jaro >= threshold.
 
@@ -258,17 +277,19 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     of the same name land in one group. A pair is compared only if Jaro's
     upper bound reaches the threshold: first with as many matches as the
     shorter key has characters, then with the overlap of the two keys'
-    character counts. Canonical member: most frequent, ties broken
+    character multisets. Canonical member: most frequent, ties broken
     lexicographically.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1]: {threshold}")
     freq = Counter(names)
+    if len(freq) < 2:
+        return {name: name for name in freq}
     distinct = sorted(freq)
     k = len(distinct)
     keys = [unicodedata.normalize("NFD", s) for s in distinct]
     lengths = [len(key) for key in keys]
-    chars = [Counter(key) for key in keys]
+    bags: list[set[tuple[str, int]] | None] = [None] * k  # each built when a pair needs it
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -283,8 +304,9 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
             m = min(la, lb)  # 0 only beside the empty key, whose Jaro is 0
             if not m or _jaro_bound(m, la, lb) < threshold:
                 continue
-            m = sum((chars[i] & chars[j]).values())
-            if _jaro_bound(m, la, lb) < threshold:
+            bag_i = bags[i] = bags[i] or _bag(keys[i])
+            bag_j = bags[j] = bags[j] or _bag(keys[j])
+            if _jaro_bound(len(bag_i & bag_j), la, lb) < threshold:
                 continue
             if jaro(keys[i], keys[j]) >= threshold:
                 parent[find(i)] = find(j)
@@ -292,11 +314,9 @@ def unify_names(names: list[str], threshold: float) -> dict[str, str]:
     groups: dict[int, list[str]] = {}
     for i, name in enumerate(distinct):
         groups.setdefault(find(i), []).append(name)
-    mapping = {}
+    mapping: dict[str, str] = {}
     for members in groups.values():
-        canonical = min(members, key=lambda s: (-freq[s], s))
-        for name in members:
-            mapping[name] = canonical
+        mapping.update(dict.fromkeys(members, min(members, key=lambda s: (-freq[s], s))))
     return mapping
 
 

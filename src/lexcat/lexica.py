@@ -109,11 +109,13 @@ class AnonymiserLexica:
     role_registry: dict[str, str]
     # built from the fields above, once: for each first word, the width in
     # tokens (single-space pieces) of the widest title or implicit-reference
-    # phrase that starts with it; the name lexicon; the corporate forms as a
-    # set
+    # phrase that starts with it; the name lexicon; every folded word that
+    # can start a trigger or be a name (the first words, the names and the
+    # casefolded corporate forms) without its trailing periods, mapped to
+    # whether a corporate form folds to it so
     widest_for: dict[str, int] = field(init=False, repr=False, compare=False)
     names: frozenset[str] = field(init=False, repr=False, compare=False)
-    forms: frozenset[str] = field(init=False, repr=False, compare=False)
+    candidates: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         widest_for: dict[str, int] = {}
@@ -122,7 +124,9 @@ class AnonymiserLexica:
             widest_for[words[0]] = max(widest_for.get(words[0], 0), len(words))
         object.__setattr__(self, "widest_for", widest_for)
         object.__setattr__(self, "names", self.first_names | self.surnames)
-        object.__setattr__(self, "forms", frozenset(self.corporate_forms))
+        candidates = dict.fromkeys((word.rstrip(".") for word in (*self.names, *widest_for)), False)
+        candidates.update((form.casefold().rstrip("."), True) for form in self.corporate_forms)
+        object.__setattr__(self, "candidates", candidates)
 
 
 @dataclass(frozen=True)

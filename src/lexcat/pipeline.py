@@ -337,7 +337,7 @@ def pipeline_from_json(text: str) -> FittedPipeline:
         fitted = _fitted(
             CategoricalEncoder(tables=obj["encoder"]),
             model_from_json(model_text),
-            PipelineConfig().with_overrides(obj["settings"]),
+            _settings_config(obj["settings"]),
         )
     except KeyError as exc:
         raise ConfigError(f"pipeline file lacks field {exc}") from None
@@ -365,6 +365,18 @@ def _check_envelope(obj: dict) -> None:
         for t in tables.values()
     )):
         raise ConfigError("malformed pipeline field 'encoder'")
+
+
+def _settings_config(settings: dict) -> PipelineConfig:
+    """The config of a file's settings, given to PipelineConfig's rules one
+    at a time so that a refusal names the file's own key and value."""
+    config = PipelineConfig()
+    for key, value in sorted(settings.items()):
+        try:
+            config = config.with_overrides({key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"pipeline setting {key!r} {value!r} is refused: {exc}") from None
+    return config
 
 
 def write_atomic(path, text: str) -> None:

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import shutil
+import sys
 import unicodedata
 from collections import Counter
 from typing import NamedTuple
@@ -182,6 +183,44 @@ def test_tokens_match_regex_reference(text):
     got = [(core, toks.core_start(k), toks.core_end(k)) for k, core in enumerate(toks.cores)]
     assert got == [tuple(tok) for tok in ref]
     assert toks.folded == [tok.core.casefold() for tok in ref]
+
+
+def test_tokens_invariants_hold_for_every_code_point():
+    """The facts that let `_tokens` split a text and its casefold apart, for
+    every code point: \\s and str.isspace agree, and casefold, one character
+    at a time, neither makes nor removes whitespace, a period or a character
+    of _LEAD or _TRAIL, nor folds a character to nothing."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == list(filter(str.isspace, chars))
+    assert "".join(map(str.casefold, chars)) == chars.casefold()
+    kept = set(anonymiser._LEAD + anonymiser._TRAIL + ".")
+    changed = [(ch, folded) for ch in chars if (folded := ch.casefold()) != ch]
+    assert len(changed) > 1000  # so that the loop below checks something
+    for ch, folded in changed:
+        assert not ch.isspace() and ch not in kept, ch
+        assert folded and not any(c.isspace() or c in kept for c in folded), ch
+
+
+def test_period_ending_words_make_no_name_lookups(lexica, monkeypatch):
+    """A word ending with a period is looked up as a name only where its
+    folded core, periods trimmed, is a candidate: a text of such words that
+    are no lexicon name makes no `_name` call."""
+    calls = Counter()
+    original = anonymiser._name
+
+    def counted(*args):
+        calls["_name"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(anonymiser, "_name", counted)
+    words = ["Sentencia.", "recurso.", "Fallo..", "(hechos.)", "DERECHO."]
+    text = " ".join(words[k % len(words)] for k in range(500))
+    out, report = anonymize(text, lexica.anonymiser)
+    assert (out, report.counts) == (text, {})
+    assert calls["_name"] == 0
+    out, _ = anonymize(text + " declaró Pérez.", lexica.anonymiser)
+    assert out == text + " declaró @Person."
+    assert calls["_name"] == 1
 
 
 def detect_references(text, lexica):

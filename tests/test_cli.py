@@ -1064,14 +1064,23 @@ FILE_REFUSAL_MESSAGES = {
     "settings_not_an_object": "malformed pipeline field 'settings'",
     "missing_setting": "pipeline setting 'ngram_range' is missing",
     "unknown_setting": "pipeline setting 'corpus' is unknown",
-    "reversed_ngram_range": "config field 'ngram_lo' must be in [1, ngram_hi], got 2",
-    "three_ngram_bounds": "config field 'ngram_range' must be [lo, hi], got [1, 2, 3]",
-    "ngram_range_not_a_list": "config field 'ngram_range' must be [lo, hi], got 5",
-    "fractional_ngram_bound": "config field 'ngram_lo' must be int, got 1.5",
-    "boolean_ngram_bound": "config field 'ngram_lo' must be int, got True",
-    "huge_relevance_samples": "config field 'relevance_samples' must be in [10, 10000], got 1",
-    "bts_threshold_out_of_range": "config field 'bts_threshold' must be in [0, 1], got 1.5",
-    "bts_threshold_not_a_number": "config field 'bts_threshold' must be float, got 'x'",
+    # a setting is named as the file holds it, then refused by the config's rule
+    "reversed_ngram_range": "pipeline setting 'ngram_range' [2, 1] is refused: "
+    "config field 'ngram_lo' must be in [1, ngram_hi], got 2",
+    "three_ngram_bounds": "pipeline setting 'ngram_range' [1, 2, 3] is refused: "
+    "config field 'ngram_range' must be [lo, hi], got [1, 2, 3]",
+    "ngram_range_not_a_list": "pipeline setting 'ngram_range' 5 is refused: "
+    "config field 'ngram_range' must be [lo, hi], got 5",
+    "fractional_ngram_bound": "pipeline setting 'ngram_range' [1.5, 2] is refused: "
+    "config field 'ngram_lo' must be int, got 1.5",
+    "boolean_ngram_bound": "pipeline setting 'ngram_range' [True, 2] is refused: "
+    "config field 'ngram_lo' must be int, got True",
+    "huge_relevance_samples": f"pipeline setting 'relevance_samples' {10**40} is refused: "
+    f"config field 'relevance_samples' must be in [10, 10000], got {10**40}",
+    "bts_threshold_out_of_range": "pipeline setting 'bts_threshold' 1.5 is refused: "
+    "config field 'bts_threshold' must be in [0, 1], got 1.5",
+    "bts_threshold_not_a_number": "pipeline setting 'bts_threshold' 'x' is refused: "
+    "config field 'bts_threshold' must be float, got 'x'",
     "no_model_line": "pipeline file lacks its model line",
     "text_after_the_model": "model file is not JSON: Extra data",
     "model_line_nests_too_deep": "model file is not JSON: maximum recursion depth exceeded",
