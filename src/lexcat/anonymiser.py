@@ -16,9 +16,10 @@ Trigger logic:
 and its casefold at whitespace, finds each token's end with one `str.find`,
 and strips the folded tokens; a case-preserving core is cut only where read.
 One pass over the folded cores finds the candidates, the tokens in
-`AnonymiserLexica.candidates` once trailing periods are trimmed: triggers are
-tried only at those that start a phrase (from the widest such phrase down, by
-`widest_for`) or may be a corporate form, and names looked up only at those.
+`AnonymiserLexica.candidates` once trailing periods are trimmed, and both
+stages are handed that list: triggers are tried only at the candidates that
+start a phrase (from the widest such phrase down, by `widest_for`) or may be
+a corporate form, and names looked up only at candidates.
 Spans carry their first and last token index, so neighbours and role nouns
 are found by index. `unify_names` runs `jaro` only where its bounds can pass.
 """
@@ -74,27 +75,15 @@ class _Tokens(NamedTuple):
     raw: list[str]
     ends: list[int]
     folded: list[str]
-    scan: list  # the index of the last `candidates` call and its candidates
 
     def core(self, k: int) -> str:
         return self.raw[k].lstrip(_LEAD).rstrip(_TRAIL)
-
-    @property
-    def cores(self) -> list[str]:
-        return [self.core(k) for k in range(len(self.raw))]
 
     def core_start(self, k: int) -> int:
         return self.ends[k] - len(self.raw[k].lstrip(_LEAD))
 
     def core_end(self, k: int) -> int:
         return self.core_start(k) + len(self.core(k))
-
-    def candidates(self, index: dict[str, bool]) -> list[int]:
-        """The tokens whose folded core less trailing periods is in index,
-        found in one pass that the next call with the same index reuses."""
-        if not self.scan or self.scan[0] is not index:
-            self.scan[:] = index, [k for k, w in enumerate(self.folded) if w.rstrip(".") in index]
-        return self.scan[1]
 
 
 def _tokens(text: str) -> _Tokens:
@@ -104,7 +93,7 @@ def _tokens(text: str) -> _Tokens:
     raw, find, end = text.split(), text.find, 0
     ends = [end := find(tok, end) + len(tok) for tok in raw]
     folded = [word.lstrip(_LEAD).rstrip(_TRAIL) for word in text.casefold().split()]
-    return _Tokens(raw, ends, folded, [])
+    return _Tokens(raw, ends, folded)
 
 
 def _name(toks: _Tokens, k: int, names: frozenset[str]) -> tuple[str, int] | None:
@@ -132,21 +121,21 @@ def _span(toks: _Tokens, first: int, last: int, tag: str) -> ReferenceSpan:
 
 
 def _scan_triggers(
-    toks: _Tokens, lexica: AnonymiserLexica
+    toks: _Tokens, candidates: list[int], lexica: AnonymiserLexica
 ) -> tuple[list[ReferenceSpan], dict[int, str]]:
-    """One left-to-right pass: the trigger spans in text order, and the role
-    of each role noun keyed by its last token."""
+    """One left-to-right pass over the candidate tokens: the trigger spans
+    in text order, and the role of each role noun keyed by its last token."""
     titles, implicit, widest_for = lexica.titles, lexica.implicit_refs, lexica.widest_for
-    forms, folded, candidates = lexica.corporate_forms, toks.folded, lexica.candidates
+    forms, folded, may_be_form = lexica.corporate_forms, toks.folded, lexica.candidates
     context: dict[int, str] = {}
     spans: list[ReferenceSpan] = []
     free = 0  # no token from here on belongs to a span
     nxt = 0  # no token before this one can start a trigger
     # a trigger starts only at a phrase's first word or at a corporate form,
     # and every such token is a candidate; the others hold names
-    for i in toks.candidates(candidates):
+    for i in candidates:
         word = folded[i]
-        form = candidates[word.rstrip(".")]  # the token's core may be a form
+        form = may_be_form[word.rstrip(".")]  # the token's core may be a form
         if i < nxt or not form and word not in widest_for:
             continue
         # titles / implicit references, longest phrase first; only the widths
@@ -186,7 +175,7 @@ def _scan_triggers(
 
 
 def _expand_names(
-    toks: _Tokens, spans: list[ReferenceSpan], lexica: AnonymiserLexica
+    toks: _Tokens, candidates: list[int], spans: list[ReferenceSpan], lexica: AnonymiserLexica
 ) -> list[ReferenceSpan]:
     """Grow each span (given in text order) in place over adjacent
     capitalised lexicon names, rightward then leftward; leftover lexicon
@@ -194,7 +183,7 @@ def _expand_names(
     returned in text order."""
     names = lexica.names
     # every token that holds a name is a candidate
-    found = {k: hit for k in toks.candidates(lexica.candidates) if (hit := _name(toks, k, names))}
+    found = {k: hit for k in candidates if (hit := _name(toks, k, names))}
     claimed = {k for span in spans for k in range(span.first_token, span.last_token + 1)}
 
     def grow(span: ReferenceSpan) -> None:
@@ -228,22 +217,28 @@ def _expand_names(
 
 def jaro(a: str, b: str) -> float:
     """Standard Jaro similarity in [0, 1]: window-limited character matches
-    plus a transposition term."""
+    plus a transposition term, in time linear in the strings' lengths."""
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return 0.0
     window = max(max(la, lb) // 2 - 1, 0)
+    # each character's free positions in b, the leftmost last; windows only
+    # slide right, so a position left of one window is left of every later one
+    free: dict[str, list[int]] = {}
+    for j in range(lb - 1, -1, -1):
+        free.setdefault(b[j], []).append(j)
     match_b = [False] * lb
     seq_a = []  # a's matched characters, each with the first free one of b in its window
     for i, ch in enumerate(a):
-        j = b.find(ch, max(0, i - window), i + window + 1)
-        while j >= 0 and match_b[j]:
-            j = b.find(ch, j + 1, i + window + 1)
-        if j >= 0:
-            match_b[j] = True
-            seq_a.append(ch)
+        stack = free.get(ch)
+        if stack:
+            while stack and stack[-1] < i - window:
+                stack.pop()
+            if stack and stack[-1] <= i + window:
+                match_b[stack.pop()] = True
+                seq_a.append(ch)
     m = len(seq_a)
     if m == 0:
         return 0.0
@@ -329,8 +324,10 @@ def anonymize(text: str, lexica: AnonymiserLexica) -> tuple[str, AnonymisationRe
     """
     text = unicodedata.normalize("NFC", text)
     toks = _tokens(text)
-    spans, context = _scan_triggers(toks, lexica)
-    spans = _expand_names(toks, spans, lexica)
+    # the tokens whose folded core less trailing periods is a candidate
+    candidates = [k for k, w in enumerate(toks.folded) if w.rstrip(".") in lexica.candidates]
+    spans, context = _scan_triggers(toks, candidates, lexica)
+    spans = _expand_names(toks, candidates, spans, lexica)
     for span in spans:
         if span.tag == "@Person":
             role = _role_before(context, span.first_token)

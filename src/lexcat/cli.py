@@ -90,10 +90,6 @@ def _require_corpus(config: PipelineConfig) -> Corpus:
     return load_corpus(config.corpus)
 
 
-def _out_path(config: PipelineConfig, default: str) -> str:
-    return config.out if config.out else default
-
-
 def _cmd_preprocess(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
@@ -102,7 +98,7 @@ def _cmd_preprocess(config: PipelineConfig, args) -> int:
         json.dumps({"id": s.source_id, "tokens": list(s.tokens)}, ensure_ascii=False)
         for s in prep.streams
     ]
-    path = _out_path(config, "tokens.jsonl")
+    path = config.out or "tokens.jsonl"
     write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} token streams to {path}")
     return EXIT_OK
@@ -120,7 +116,7 @@ def _cmd_anonymize(config: PipelineConfig, args) -> int:
         for tag, c in report.counts.items():
             total_counts[tag] = total_counts.get(tag, 0) + c
         pairs.update(report.replaced_names)
-    path = _out_path(config, "anonymized.jsonl")
+    path = config.out or "anonymized.jsonl"
     write_atomic(path, corpus_to_text(Corpus(tuple(out_docs))))
     report_path = path + ".report.tsv"
     lines = [f"{tag}\t{total_counts[tag]}" for tag in sorted(total_counts)]
@@ -137,7 +133,7 @@ def _cmd_entities(config: PipelineConfig, args) -> int:
     for doc in corpus.documents:
         record = extract_entities(doc, lexica.entities)
         lines.append("\t".join((doc.id,) + record.values()))
-    path = _out_path(config, "entities.tsv")
+    path = config.out or "entities.tsv"
     write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {corpus.n} entity records to {path}")
     return EXIT_OK
@@ -147,7 +143,7 @@ def _cmd_featurize(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     vec, _, X = fit_features(preprocess_corpus(corpus, lexica), config, range(corpus.n))
-    path = _out_path(config, "features.tsv")
+    path = config.out or "features.tsv"
     write_atomic(path, feature_matrix_to_text(vec.names, X, [d.id for d in corpus.documents]))
     print(f"wrote {X.shape[0]}x{X.shape[1]} feature matrix to {path}")
     return EXIT_OK
@@ -157,7 +153,7 @@ def _cmd_train(config: PipelineConfig, args) -> int:
     corpus = _require_corpus(config)
     lexica = load_lexica(config.lexica_dir)
     fitted = fit_pipeline(corpus, config, lexica)
-    path = _out_path(config, "model.json")
+    path = config.out or "model.json"
     save_pipeline(fitted, path)
     n_trees = sum(len(table.roots) for table in fitted.model.forests)
     print(f"trained {config.strategy}/{config.model} ({n_trees} trees) -> {path}")
@@ -172,7 +168,7 @@ def _cmd_evaluate(config: PipelineConfig, args) -> int:
     )
     row = evaluation.report_row(config.strategy, config.model, report)
     text = evaluation.REPORT_HEADER + "\n" + row + "\n"
-    path = _out_path(config, "evaluation.tsv")
+    path = config.out or "evaluation.tsv"
     write_atomic(path, text)
     print(text, end="")
     print(f"wrote report to {path}")
@@ -194,7 +190,7 @@ def _cmd_gridsearch(config: PipelineConfig, args) -> int:
     for params, score in result.scores:
         lines.append(f"{json.dumps(params, sort_keys=True)}\t{score:.6f}")
     lines.append(f"best\t{json.dumps(result.best_params, sort_keys=True)}")
-    path = _out_path(config, "gridsearch.tsv")
+    path = config.out or "gridsearch.tsv"
     write_atomic(path, "\n".join(lines) + "\n")
     print(f"best params: {result.best_params} (score {result.best_score:.4f})")
     return EXIT_OK
@@ -234,7 +230,7 @@ def _cmd_export_tree(config: PipelineConfig, args) -> int:
     if args.max_depth is not None and args.max_depth < 0:  # as Hyperparams refuses one
         raise ConfigError(f"--max-depth must be >= 0, got {args.max_depth}")
     dot = _tree_graph(load_pipeline(args.model_file).model, args.tree, args.max_depth)
-    path = _out_path(config, "tree.dot")
+    path = config.out or "tree.dot"
     write_atomic(path, dot)
     print(f"wrote tree graph to {path}")
     return EXIT_OK
@@ -248,7 +244,7 @@ def _cmd_synth(config: PipelineConfig, args) -> int:
     except (TypeError, SynthError) as exc:
         raise ConfigError(f"bad synth parameters: {exc}") from None
     corpus = generate_corpus(spec)
-    path = _out_path(config, "synthetic.jsonl")
+    path = config.out or "synthetic.jsonl"
     write_atomic(path, corpus_to_text(corpus))
     stats = corpus_stats(corpus)
     print(

@@ -21,7 +21,6 @@ from .lexica import EntityLexica
 UNKNOWN = "unknown"
 MULTIPLE_DECISION = "multiple decision"
 
-JURISDICTIONS = ("civil", "contentious-administrative", "penal", "social")
 RESOLUTION_TYPES = ("sentencia", "orden", "decreto")
 # the decision type each resolution type implies
 DECISION_TYPES = {"sentencia": "substantive", "orden": "procedural", "decreto": "procedural"}

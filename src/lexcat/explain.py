@@ -125,12 +125,6 @@ def _surrogate_coefficients(
     return coefs / len(class_indices)
 
 
-# the fewest and the most perturbed copies a surrogate is fitted on;
-# PipelineConfig bounds relevance_samples by them, the most keeping the
-# copies' matrices in memory
-MIN_RELEVANCE_SAMPLES, MAX_RELEVANCE_SAMPLES = 10, 10_000
-
-
 def signed_relevance(
     model: EnsembleModel,
     row,
@@ -143,14 +137,13 @@ def signed_relevance(
     counts, the row's first n_text columns: each nonzero count is zeroed
     with probability 0.5, the explained class probability of every
     perturbed copy is queried, and a proximity-weighted linear surrogate is
-    fitted on presence indicators.
+    fitted on presence indicators, over n_samples copies (a config's
+    relevance_samples, whose range PipelineConfig checks).
 
     Returns the signed surrogate coefficients of the row's active terms, and
     the decision they explain. Under BTS each predicted class is explained
     separately and the coefficients are averaged.
     """
-    if n_samples < MIN_RELEVANCE_SAMPLES:
-        raise ExplainError(f"n_samples must be >= {MIN_RELEVANCE_SAMPLES}")
     row = np.asarray(row, dtype=float)
     active = np.flatnonzero(row[:n_text])
     decision = decide(model, row, threshold)

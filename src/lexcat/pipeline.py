@@ -16,7 +16,6 @@ import numpy as np
 from . import DataError, check_fields, parse_json, read_text
 from .corpus import Corpus, Judgement
 from .entities import CATEGORICAL_FIELDS, extract_entities
-from .explain import MAX_RELEVANCE_SAMPLES, MIN_RELEVANCE_SAMPLES
 from .features import (
     CategoricalEncoder,
     NgramCounts,
@@ -110,6 +109,11 @@ class PipelineConfig:
         if bad:
             raise ConfigError(f"config field {bad[0]!r} is unknown")
         return replace(self, **overrides)
+
+
+# the fewest and the most perturbed copies an explanation's surrogate is
+# fitted on (relevance_samples), the most keeping the copies' matrices in memory
+MIN_RELEVANCE_SAMPLES, MAX_RELEVANCE_SAMPLES = 10, 10_000
 
 
 def _config_rules(c: PipelineConfig) -> dict:

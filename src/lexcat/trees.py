@@ -21,9 +21,10 @@ no rows. A bootstrap sample is grown as (distinct row, multiplicity) pairs,
 so the histograms are weighted counts of whole samples, and the 'best'
 splitter gives up at once on a node too small to split. What is the same for
 every tree of a forest is built and checked once per forest, as its Grower:
-the binned matrix, the labels, the class weights and the weight table of
-their sums. fit_ensemble is the only way to grow a tree: fit_tree grows each
-tree of a forest from its Grower, and find_split searches each node.
+the matrix's bins, the labels, the class weights and the weight table of
+their sums. fit_ensemble checks the matrix itself, where it enters, and is
+the only way to grow a tree: fit_tree grows each tree of a forest from its
+Grower, and find_split searches each node.
 
 A model stores each forest once, as one flat node table (ForestTable) that
 _pack_forest builds and checks, from a fit's trees or a model file's arrays;
@@ -194,9 +195,8 @@ class Grower(NamedTuple):
     Grower.build: fit_tree grows each tree from it, find_split searches each
     node with it."""
 
-    X: np.ndarray  # the finite training matrix
-    bins: Bins  # bin_columns(X)
-    y: np.ndarray  # int32 labels, one per row of X
+    bins: Bins  # bin_columns of the training matrix
+    y: np.ndarray  # int32 labels, one per row of the matrix
     n_classes: int
     weights: np.ndarray  # the checked class weights
     table: np.ndarray  # weight_table(weights, len(y)): every tree's sample holds len(y) samples
@@ -204,15 +204,13 @@ class Grower(NamedTuple):
     max_features: int | None  # candidate columns drawn per node; None for every column
 
     @classmethod
-    def build(cls, X, bins, y, n_classes, class_weights, hp, max_features) -> Grower:
-        """The state of a forest grown on X, binned as bins, and labels y in
-        0..n_classes-1; refused unless X is a nonempty matrix with one label
-        per row and _checked_class_weights accepts the class weights."""
+    def build(cls, bins, y, n_classes, class_weights, hp, max_features) -> Grower:
+        """The state of a forest grown on a matrix binned as bins, and labels
+        y in 0..n_classes-1, one per row; refused unless
+        _checked_class_weights accepts the class weights."""
         y = np.asarray(y, dtype=np.int32)
-        if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
-            raise ModelError("training data must be a nonempty matrix with one label per row")
         weights = _checked_class_weights(class_weights, y, n_classes)
-        return cls(X, bins, y, n_classes, weights, weight_table(weights, len(y)), hp, max_features)
+        return cls(bins, y, n_classes, weights, weight_table(weights, len(y)), hp, max_features)
 
 
 def find_split(
@@ -353,7 +351,7 @@ def fit_tree(grower: Grower, rng: np.random.Generator, rows: np.ndarray | None) 
     order of random draws, so the same seed always yields the same tree.
     """
     y, n_classes, max_features = grower.y, grower.n_classes, grower.max_features
-    n_rows, d = grower.X.shape
+    n_rows, d = len(y), len(grower.bins.widths)
     drawn = np.ones(n_rows) if rows is None else np.bincount(rows, minlength=n_rows).astype(float)
     (root,) = np.nonzero(drawn)
     every = np.arange(d)
@@ -542,12 +540,12 @@ def _fit_forest(grower: Grower, n_trees: int, bootstrap: bool, tree_offset: int)
     forest = []
     for t in range(n_trees):
         rng = np.random.default_rng(grower.hp.seed + tree_offset + t)
-        # a bootstrap sample is grown as rows of X, so X is never copied
+        # a bootstrap sample is grown as rows of the matrix, which is never copied
         rows = rng.integers(0, n, size=n) if bootstrap else None
         forest.append(fit_tree(grower, rng, rows))
     nodes = [np.concatenate([getattr(tree, f.name) for tree in forest]) for f in fields(Tree)]
     sizes = np.array([tree.n_nodes for tree in forest])
-    return _pack_forest(sizes, nodes, grower.weights, grower.X.shape[1])
+    return _pack_forest(sizes, nodes, grower.weights, len(grower.bins.widths))
 
 
 def fit_ensemble(
@@ -562,12 +560,17 @@ def fit_ensemble(
 
     BTS trains one forest per catalog class on its binary indicator column;
     MTS trains a single forest on the integer combination labels. Per-tree
-    seeds are hyperparams.seed + global tree index. A matrix holding NaN or
-    infinity is refused with ModelError.
+    seeds are hyperparams.seed + global tree index. A matrix that is not 2-D
+    and nonempty, with one label set per row, or that holds NaN or infinity,
+    is refused with ModelError.
     """
     X = np.asarray(X, dtype=float)
     if strategy not in STRATEGIES:
         raise ModelError(f"unknown strategy: {strategy!r}")
+    class_catalog = build_class_catalog(label_sets)
+    mts_catalog, alphas = mts_encode(label_sets)
+    if X.ndim != 2 or len(X) == 0 or len(X) != len(alphas):
+        raise ModelError("training data must be a nonempty matrix with one label set per row")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
     feature_names = tuple(feature_names)
@@ -575,8 +578,6 @@ def fit_ensemble(
         raise ModelError("feature_names length must match the matrix width")
 
     hp, boot, mf, n_trees = _variant_knobs(variant, hyperparams, X.shape[1])
-    class_catalog = build_class_catalog(label_sets)
-    mts_catalog, alphas = mts_encode(label_sets)
 
     # (labels, output width) of each forest; bts labels are views of beta,
     # which Grower.build copies to int32 only while that forest grows
@@ -588,7 +589,7 @@ def fit_ensemble(
     # every forest grows on the same matrix, so it is binned once
     bins = bin_columns(X)
     growers = (
-        Grower.build(X, bins, y, n, compute_class_weights(y, n, hp.class_weight), hp, mf)
+        Grower.build(bins, y, n, compute_class_weights(y, n, hp.class_weight), hp, mf)
         for y, n in targets
     )
     return EnsembleModel(

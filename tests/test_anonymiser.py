@@ -3,6 +3,7 @@ import math
 import re
 import shutil
 import sys
+import time
 import unicodedata
 from collections import Counter
 from typing import NamedTuple
@@ -56,6 +57,33 @@ def test_jaro_matches_oracle_and_props(a, b):
     assert 0.0 <= v <= 1.0
     assert math.isclose(v, jaro(b, a), abs_tol=1e-12)
     assert jaro(a, a) == 1.0
+
+
+def name_run(n_chars, shift):
+    """Capitalised bundled first names, joined by spaces and starting at the
+    shift-th, until the run holds n_chars characters."""
+    first = sorted(_BUNDLED.first_names)
+    words, size = [], 0
+    while size < n_chars:
+        words.append(first[(shift + len(words)) % len(first)].capitalize())
+        size += len(words[-1]) + 1
+    return " ".join(words)
+
+
+def test_jaro_matches_oracle_on_runs_of_names():
+    for shift in (0, 1, 7):
+        a, b = name_run(600, 0), name_run(700, shift)
+        assert math.isclose(jaro(a, b), jaro_oracle(a, b), abs_tol=1e-12)
+
+
+def test_jaro_is_linear_on_long_runs_of_names():
+    # each character searched a window of half the longer run, so two runs
+    # of 40k characters took seconds
+    a, b = name_run(40_000, 0), name_run(40_000, 3)
+    start = time.perf_counter()
+    value = jaro(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < value < 1.0
 
 
 def unify_names_unbounded(names, threshold):
@@ -164,6 +192,11 @@ def reference_tokens(text):
     return out
 
 
+def token_cores(toks):
+    """Every token's case-preserving core."""
+    return [toks.core(k) for k in range(len(toks.raw))]
+
+
 # whitespace that str.split and \s agree on but a space-only tokeniser would
 # miss, and tokens that strip to nothing or to their inner punctuation
 _SPACES = [" ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
@@ -180,7 +213,7 @@ _PIECES = ["«", "((", "\"'", "»,", "D.", "Ana", "López.", "(«Juan»)", "S.L.
 def test_tokens_match_regex_reference(text):
     toks = anonymiser._tokens(text)
     ref = reference_tokens(text)
-    got = [(core, toks.core_start(k), toks.core_end(k)) for k, core in enumerate(toks.cores)]
+    got = [(core, toks.core_start(k), toks.core_end(k)) for k, core in enumerate(token_cores(toks))]
     assert got == [tuple(tok) for tok in ref]
     assert toks.folded == [tok.core.casefold() for tok in ref]
 
@@ -223,16 +256,28 @@ def test_period_ending_words_make_no_name_lookups(lexica, monkeypatch):
     assert calls["_name"] == 1
 
 
+def candidates(toks, lexica):
+    """The tokens `anonymize` hands its stages: those whose folded core less
+    trailing periods is in `lexica.candidates`."""
+    return [k for k, w in enumerate(toks.folded) if w.rstrip(".") in lexica.candidates]
+
+
+def scan_triggers(toks, lexica):
+    """`_scan_triggers` over the text's candidate tokens."""
+    return anonymiser._scan_triggers(toks, candidates(toks, lexica), lexica)
+
+
 def detect_references(text, lexica):
     """The trigger spans of `anonymize`'s first stage."""
-    return anonymiser._scan_triggers(anonymiser._tokens(text), lexica.anonymiser)[0]
+    return scan_triggers(anonymiser._tokens(text), lexica.anonymiser)[0]
 
 
 def expand_names(text, lexica):
     """The spans of `anonymize`'s second stage: triggers grown over names."""
     toks = anonymiser._tokens(text)
-    spans, _ = anonymiser._scan_triggers(toks, lexica.anonymiser)
-    return anonymiser._expand_names(toks, spans, lexica.anonymiser)
+    found = candidates(toks, lexica.anonymiser)
+    spans, _ = anonymiser._scan_triggers(toks, found, lexica.anonymiser)
+    return anonymiser._expand_names(toks, found, spans, lexica.anonymiser)
 
 
 def scan_triggers_all_widths(toks, lexica):
@@ -241,7 +286,7 @@ def scan_triggers_all_widths(toks, lexica):
     titles, implicit = lexica.titles, lexica.implicit_refs
     forms = set(lexica.corporate_forms)
     widest = max((key.count(" ") + 1 for key in (*titles, *implicit)), default=0)
-    cores = toks.cores
+    cores = token_cores(toks)
     folded = [core.casefold() for core in cores]
     n = len(cores)
     context = {}
@@ -350,7 +395,7 @@ def _scan_text(draw, lex):
 def test_scan_triggers_matches_all_widths_oracle(lex_text):
     lex, text = lex_text
     toks = anonymiser._tokens(text)
-    assert anonymiser._scan_triggers(toks, lex) == scan_triggers_all_widths(toks, lex)
+    assert scan_triggers(toks, lex) == scan_triggers_all_widths(toks, lex)
 
 
 def reference_name(tok, names):
@@ -412,9 +457,10 @@ def expand_names_per_token(toks, spans, lexica):
 def test_expand_names_matches_per_token_oracle(lex_text):
     lex, text = lex_text
     toks = anonymiser._tokens(text)
-    spans, _ = anonymiser._scan_triggers(toks, lex)
+    found = candidates(toks, lex)
+    spans, _ = anonymiser._scan_triggers(toks, found, lex)
     want = expand_names_per_token(reference_tokens(text), copy.deepcopy(spans), lex)
-    assert anonymiser._expand_names(toks, spans, lex) == want
+    assert anonymiser._expand_names(toks, found, spans, lex) == want
 
 
 def test_scan_triggers_oracle_sees_every_key_shape():
@@ -429,7 +475,7 @@ def test_scan_triggers_oracle_sees_every_key_shape():
     }
     for text, (tag, context) in cases.items():
         toks = anonymiser._tokens(text)
-        spans, ctx = anonymiser._scan_triggers(toks, _SCAN_LEXICA)
+        spans, ctx = scan_triggers(toks, _SCAN_LEXICA)
         assert (spans, ctx) == scan_triggers_all_widths(toks, _SCAN_LEXICA)
         assert spans[-1].tag == tag
         assert ctx == dict(context)

@@ -23,7 +23,7 @@ from lexcat.explain import (
     signed_relevance,
 )
 from lexcat.labels import ClassCatalog, MtsCatalog
-from lexcat.pipeline import PipelineConfig, fit_pipeline, load_pipeline, save_pipeline
+from lexcat.pipeline import ConfigError, PipelineConfig, fit_pipeline, load_pipeline, save_pipeline
 from lexcat.synth import SynthSpec, generate_corpus
 from lexcat.textproc import to_token_stream
 from lexcat.trees import (
@@ -188,8 +188,9 @@ def test_perturbation_relevance_no_active_terms():
     sets = [(classes[0],), (classes[1],), (classes[0],), (classes[1],)]
     model = fit_ensemble(X, sets, Hyperparams(seed=0), "dt", "mts")
     assert _relevance(model, np.zeros(2), n_samples=50, seed=0) == {}
-    with pytest.raises(ExplainError):
-        _relevance(model, np.ones(2), n_samples=5, seed=0)
+    # too few perturbed copies are refused once, by the config that sets them
+    with pytest.raises(ConfigError, match="relevance_samples"):
+        PipelineConfig(relevance_samples=5)
 
 
 def test_select_top_terms():

@@ -87,7 +87,7 @@ def grower_of(X, y, hyperparams, n_classes=None, class_weights=None, max_feature
         n_classes = int(np.max(y)) + 1
     if class_weights is None:
         class_weights = compute_class_weights(np.asarray(y), n_classes, hyperparams.class_weight)
-    return Grower.build(X, bin_columns(X), y, n_classes, class_weights, hyperparams, max_features)
+    return Grower.build(bin_columns(X), y, n_classes, class_weights, hyperparams, max_features)
 
 
 def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None, weight=None):
@@ -101,12 +101,12 @@ def binned_find_split(X, y, hyperparams, rng, class_weights=None, n_classes=None
     weight = np.ones(len(y)) if weight is None else np.asarray(weight, dtype=float)
     grower = grower._replace(table=weight_table(grower.weights, int(weight.sum())))
     counts = np.bincount(grower.y, weight, grower.n_classes)
-    every = np.arange(grower.X.shape[1]), np.arange(len(y))
+    every = np.arange(X.shape[1]), np.arange(len(y))
     split = find_split(grower, *every, weight, counts, rng)
     if split is None:
         return None
     f, thr, code, left_counts = split
-    goes_left = grower.X[:, f] <= thr
+    goes_left = X[:, f] <= thr
     assert ((grower.bins.codes[f] <= code) == goes_left).all()
     recount = np.bincount(grower.y[goes_left], weight[goes_left], grower.n_classes)
     assert (left_counts.dtype, left_counts.tobytes()) == (recount.dtype, recount.tobytes())
@@ -568,7 +568,7 @@ def reference_fit_tree(
     (root,) = np.nonzero(drawn)
     bins = bin_columns(X) if bins is None else bins
     table = weight_table(class_weights, int(drawn.sum()))
-    state = Grower(X, bins, y, n_classes, class_weights, table, hyperparams, max_features)
+    state = Grower(bins, y, n_classes, class_weights, table, hyperparams, max_features)
     d = X.shape[1]
 
     feature: list[int] = []
@@ -726,9 +726,17 @@ def test_find_split_equals_the_per_feature_reference(case, seed):
 
 
 def test_fit_tree_empty_errors():
-    X = np.zeros((0, 2))
     with pytest.raises(ModelError, match="nonempty matrix"):
-        Grower.build(X, bin_columns(X), np.zeros(0, dtype=int), 2, np.ones(2), Hyperparams(), None)
+        fit_ensemble(np.zeros((0, 2)), [], Hyperparams(), "dt", "mts")
+
+
+@pytest.mark.parametrize(
+    "X,rows", [(np.zeros(3), 3), (np.zeros((3, 2)), 2)], ids=["vector", "label_sets_short"]
+)
+def test_fit_ensemble_refuses_a_matrix_it_cannot_grow_on(X, rows):
+    # a 1-D matrix escaped as a bare IndexError at X.shape[1]
+    with pytest.raises(ModelError, match="nonempty matrix with one label set per row"):
+        fit_ensemble(X, [(las(2)[0],)] * rows, Hyperparams(), "dt", "mts")
 
 
 @pytest.mark.parametrize(
