@@ -45,9 +45,15 @@ def parse_json(text: str, error: type[DataError], what: str):
 
 def has_type(value, hint) -> bool:
     """isinstance against a declared type, where an int is a float but a
-    bool is neither an int nor a float."""
+    bool is neither an int nor a float, and a fixed-length tuple[...] is a
+    list or tuple of exactly its members' types."""
     if isinstance(hint, types.UnionType):
         return any(has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        members = typing.get_args(hint)
+        return isinstance(value, (list, tuple)) and len(value) == len(members) and all(
+            map(has_type, value, members)
+        )
     if isinstance(value, bool) and hint is not bool:
         return False
     return isinstance(value, (int, float) if hint is float else hint)

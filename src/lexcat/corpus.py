@@ -27,8 +27,9 @@ def _norm(part: str) -> str:
     return " ".join(part.split()).casefold()
 
 
-def _is_gin(value: str) -> bool:
-    return len(value) == 19 and value.isascii() and value.isdigit()
+def is_gin(value) -> bool:
+    """Whether value is a General Identification Number: 19 ASCII digits."""
+    return isinstance(value, str) and len(value) == 19 and value.isascii() and value.isdigit()
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class Judgement:
         keys = [a.key() for a in anns]
         if len(set(keys)) != len(keys):
             raise CorpusError(f"duplicate annotation in document {self.id!r}")
-        if self.gin is not None and not _is_gin(self.gin):
+        if self.gin is not None and not is_gin(self.gin):
             raise CorpusError(f"gin must be exactly 19 decimal digits: {self.gin!r}")
         object.__setattr__(self, "annotations", anns)
 

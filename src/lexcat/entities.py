@@ -16,6 +16,7 @@ import unicodedata
 from dataclasses import dataclass, fields
 
 from . import DataError
+from .corpus import is_gin
 from .lexica import EntityLexica
 
 UNKNOWN = "unknown"
@@ -61,7 +62,7 @@ class GinFields:
 
 def parse_gin(gin: str) -> GinFields:
     """Slice a 19-digit General Identification Number into its fixed fields."""
-    if not isinstance(gin, str) or not re.fullmatch(r"[0-9]{19}", gin):
+    if not is_gin(gin):
         raise GinParseError(f"gin must be exactly 19 decimal digits: {gin!r}")
     return GinFields(gin[0:5], gin[5:7], gin[7:8], gin[8:12], gin[12:19])
 

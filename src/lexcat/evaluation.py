@@ -205,20 +205,19 @@ def stratified_folds(alphas: list[int], k: int, seed: int) -> list[int]:
     return fold_of
 
 
-def cross_validate(corpus: Corpus, config, lexica, k: int, seed: int) -> MetricsReport:
+def cross_validate(corpus: Corpus, config, lexica, k: int, seed: int, prep=None) -> MetricsReport:
     """Stratified k-fold cross-validation of the full pipeline.
 
     Vectorizer, selection and model are fitted per fold on the training
     split only; cleaning, lemmatisation and entity extraction are
-    deterministic per document and computed once. Metrics use the
-    whole-corpus class catalog so test labels are always in range.
+    deterministic per document and computed once, unless `prep` holds
+    them already. Metrics use the whole-corpus class catalog so test
+    labels are always in range.
     """
-    return _cross_validate(corpus, config, k, seed, lexica, pl.preprocess_corpus(corpus, lexica))
-
-
-def _cross_validate(corpus: Corpus, config, k: int, seed: int, lexica, prep) -> MetricsReport:
     if corpus.n < k:
         raise EvaluationError(f"need at least k={k} documents, corpus has {corpus.n}")
+    if prep is None:
+        prep = pl.preprocess_corpus(corpus, lexica)
     label_sets = prep.label_sets
     _, alphas = mts_encode(label_sets)
     catalog = build_class_catalog(corpus)
@@ -236,7 +235,7 @@ def _cross_validate(corpus: Corpus, config, k: int, seed: int, lexica, prep) -> 
         if missing:
             warnings.warn(
                 f"fold {fold}: {len(missing)} test class(es) absent from training split",
-                stacklevel=3,
+                stacklevel=2,
             )
         t0 = time.perf_counter()
         fitted = pl.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=train_idx)
@@ -258,8 +257,8 @@ class GridSearchResult:
 # fix the corpus, folds and lexica, and a grid over the others would score
 # every point alike
 _UNREAD_BY_CV = ("corpus", "folds", "lexica_dir", "out", "relevance_samples", "synth", "grid")
-# what a grid can vary; ngram_range stands for the ngram_lo, ngram_hi pair
-_GRID_KEYS = {"ngram_range", *(f.name for f in fields(pl.PipelineConfig))} - set(_UNREAD_BY_CV)
+# what a grid can vary
+_GRID_KEYS = {f.name for f in fields(pl.PipelineConfig)} - set(_UNREAD_BY_CV)
 
 
 def grid_search(
@@ -281,18 +280,15 @@ def grid_search(
             )
         if not (isinstance(values, (list, tuple)) and values):
             raise EvaluationError(f"grid values of {name!r} must be a nonempty list: {values!r}")
+    points = [dict(zip(param_grid, values)) for values in itertools.product(*param_grid.values())]
+    # every point's config is built, and so checked, before the first fold
+    configs = [base_config.with_overrides(params) for params in points]
     prep = pl.preprocess_corpus(corpus, lexica)
-    names = list(param_grid)
-    scores: list[tuple[dict, float]] = []
-    best: tuple[dict, float] | None = None
-    for values in itertools.product(*(param_grid[n] for n in names)):
-        params = dict(zip(names, values))
-        config = base_config.with_overrides(params)
-        report = _cross_validate(corpus, config, k, seed, lexica, prep)
-        score = report.means.micro_f
-        scores.append((params, score))
-        if best is None or score > best[1]:
-            best = (params, score)
+    scores = [
+        (params, cross_validate(corpus, config, lexica, k, seed, prep).means.micro_f)
+        for params, config in zip(points, configs)
+    ]
+    best = max(scores, key=lambda point: point[1])  # the first of the best
     return GridSearchResult(best[0], best[1], scores)
 
 

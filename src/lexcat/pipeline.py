@@ -55,8 +55,7 @@ class PipelineConfig:
     # vectorizer (defaults: the optimal grid values)
     max_df: float = 0.5
     min_df: float = 0.01
-    ngram_lo: int = 1
-    ngram_hi: int = 2
+    ngram_range: tuple[int, int] = (1, 2)
     # selection
     correlation_threshold: float = 0.05
     importance_selection: bool = True
@@ -82,6 +81,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # value ranges are checked here, before any corpus is read
         check_fields(self, ConfigError, _config_rules, prefix="config field ")
+        object.__setattr__(self, "ngram_range", tuple(self.ngram_range))
         for name in ("corpus", "lexica_dir", "out"):
             path = getattr(self, name)
             if not _is_file_name(path):
@@ -95,15 +95,6 @@ class PipelineConfig:
             raise ConfigError(f"config field {exc}") from None
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
-        overrides = dict(overrides)
-        if "ngram_range" in overrides:
-            twice = [k for k in ("ngram_lo", "ngram_hi") if k in overrides]
-            if twice:
-                raise ConfigError(f"config fields 'ngram_range' and {twice[0]!r} both set a bound")
-            bounds = overrides.pop("ngram_range")
-            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-                raise ConfigError(f"config field 'ngram_range' must be [lo, hi], got {bounds!r}")
-            overrides["ngram_lo"], overrides["ngram_hi"] = bounds
         known = set(asdict(self))
         bad = [k for k in overrides if k not in known]
         if bad:
@@ -118,12 +109,13 @@ MIN_RELEVANCE_SAMPLES, MAX_RELEVANCE_SAMPLES = 10, 10_000
 
 def _config_rules(c: PipelineConfig) -> dict:
     """The config's own ranges; Hyperparams checks the model fields'."""
+    lo, hi = c.ngram_range
     return {
         "strategy": (c.strategy in STRATEGIES, f"one of {STRATEGIES}"),
         "model": (c.model in VARIANTS, f"one of {VARIANTS}"),
         "max_df": (0 < c.max_df <= 1, "in (0, 1]"),
         "min_df": (0 <= c.min_df < c.max_df, "in [0, max_df)"),
-        "ngram_lo": (1 <= c.ngram_lo <= c.ngram_hi, "in [1, ngram_hi]"),
+        "ngram_range": (1 <= lo <= hi, "[lo, hi] with 1 <= lo <= hi"),
         "correlation_threshold": (0 <= c.correlation_threshold <= 1, "in [0, 1]"),
         "bts_threshold": (0 <= c.bts_threshold <= 1, "in [0, 1]"),
         "importance_estimators": (
@@ -241,7 +233,7 @@ def fit_features(
 ) -> tuple[VectorizerModel, CategoricalEncoder, np.ndarray]:
     """The vectorizer and entity encoder fitted on the documents `rows`, and
     their feature matrix: the n-gram counts, then the entity codes."""
-    grams = prep.ngrams((config.ngram_lo, config.ngram_hi))
+    grams = prep.ngrams(config.ngram_range)
     records = [prep.records[i] for i in rows]
     vectorizer = fit_vectorizer(grams, rows, config.max_df, config.min_df)
     encoder = CategoricalEncoder().fit(records)
@@ -283,8 +275,7 @@ def fit_pipeline(
 
 def _fitted(encoder, model, config: PipelineConfig) -> FittedPipeline:
     """The pipeline of encoder and model, under the config's use-time settings."""
-    bounds = (config.ngram_lo, config.ngram_hi)
-    return FittedPipeline(encoder, model, bounds, config.bts_threshold, config.relevance_samples)
+    return FittedPipeline(encoder, model, **{name: getattr(config, name) for name in _SETTINGS})
 
 
 def _select_columns(X: np.ndarray, n_text: int, label_sets, config: PipelineConfig) -> list[int]:
@@ -372,15 +363,12 @@ def _check_envelope(obj: dict) -> None:
 
 
 def _settings_config(settings: dict) -> PipelineConfig:
-    """The config of a file's settings, given to PipelineConfig's rules one
-    at a time so that a refusal names the file's own key and value."""
-    config = PipelineConfig()
-    for key, value in sorted(settings.items()):
-        try:
-            config = config.with_overrides({key: value})
-        except ConfigError as exc:
-            raise ConfigError(f"pipeline setting {key!r} {value!r} is refused: {exc}") from None
-    return config
+    """The config of a file's settings. Each setting is the config field of
+    its name, so the config's refusal names the file's key and value."""
+    try:
+        return PipelineConfig().with_overrides(settings)
+    except ConfigError as exc:
+        raise ConfigError(f"pipeline settings are refused: {exc}") from None
 
 
 def write_atomic(path, text: str) -> None:

@@ -611,19 +611,47 @@ def test_no_lexicon_name_survives(lexica):
         assert last not in out
 
 
-def test_anonymize_tokenises_and_scans_once(lexica, monkeypatch):
+def count_calls(monkeypatch, *names) -> Counter:
+    """The calls made from here on to each named anonymiser function."""
     calls = Counter()
-    for name in ("_tokens", "_scan_triggers"):
+    for name in names:
 
         def counted(*args, _original=getattr(anonymiser, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(anonymiser, name, counted)
+    return calls
+
+
+def test_anonymize_tokenises_and_scans_once(lexica, monkeypatch):
+    calls = count_calls(monkeypatch, "_tokens", "_scan_triggers")
     text = "el Magistrado D. Juan Pérez y la demandante María García, de Vega, S.A., declaró Luis Romero"
     out, report = anonymize(text, lexica.anonymiser)
     assert out == "el Magistrado @Judge y la @Person, de @Corporate, declaró @Person"
     assert calls == {"_tokens": 1, "_scan_triggers": 1}
+
+
+def test_anonymize_work_grows_with_the_text_not_with_its_repeats(lexica, monkeypatch):
+    # the same references, accent variants among them so that names reach
+    # jaro, repeated n and 4n times: the distinct names are the same, so
+    # jaro is called as often, and each token is looked up as a name once
+    calls = count_calls(monkeypatch, "jaro", "_name")
+    references = (
+        "el Magistrado D. Juan Martínez García,",
+        "el abogado D. Juan Martinez Garcia,",
+        "la demandante María Gómez,",
+        "Dña. Maria Gomez Vega;",
+        "declaró Luis Romero.",
+    )
+    counts = []
+    for repeats in (3, 12):
+        calls.clear()
+        _, report = anonymize(" ".join(references * repeats), lexica.anonymiser)
+        assert ("Juan Martínez García", "Juan Martinez Garcia") in report.replaced_names
+        counts.append(dict(calls))
+    assert counts[0]["jaro"] > 0 and counts[1]["jaro"] == counts[0]["jaro"]
+    assert counts[0]["_name"] > 0 and counts[1]["_name"] == 4 * counts[0]["_name"]
 
 
 def test_title_longer_than_five_words(lexica, tmp_path):

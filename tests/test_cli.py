@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcat import cli
+from lexcat import cli, pipeline
 from lexcat.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexcat.corpus import load_corpus
 from lexcat.entities import CATEGORICAL_FIELDS
@@ -158,11 +158,11 @@ def test_bad_config_is_data_error(tmp_path):
         ({"bts_threshold": 7}, ["evaluate", "--strategy", "bts"]),
         ({"max_df": 0}, ["train"]),
         ({"min_df": 0.6}, ["train"]),
-        ({"ngram_lo": 0}, ["train"]),
+        ({"ngram_range": [0, 2]}, ["train"]),
         # df and n-gram bounds the vectorizer used to refuse again
         ({"min_df": 0.5}, ["featurize"]),
-        ({"ngram_lo": 3}, ["featurize"]),
-        ({"ngram_hi": True}, ["featurize"]),
+        ({"ngram_range": [3, 2]}, ["featurize"]),
+        ({"ngram_range": [1, True]}, ["featurize"]),
         ({"n_estimators": 0}, ["train"]),
         ({"importance_estimators": 0}, ["train"]),
         # counts of work past the most a run may ask for; 10**40 trees ran until killed
@@ -212,19 +212,20 @@ def test_bad_config_value_is_data_error(fast_config_path, tmp_path, capsys, bad,
 def test_ngram_range_and_a_bound_in_one_object_is_data_error(
     fast_config_path, tmp_path, capsys, bound
 ):
-    # {"ngram_range": [1, 3], "ngram_lo": 2, "ngram_hi": 2} used to read as (1, 3)
-    with pytest.raises(ConfigError, match=f"'ngram_range' and {bound!r}"):
+    # the n-gram range has one key, ngram_range; the two bounds it replaced
+    # are refused by name, in a config and in a grid
+    with pytest.raises(ConfigError, match=f"config field {bound!r} is unknown"):
         PipelineConfig().with_overrides({"ngram_range": [1, 3], bound: 2})
     cfg = json.loads(fast_config_path.read_text(encoding="utf-8"))
-    for command, given in (
-        ("featurize", {"ngram_range": [1, 3], bound: 2}),
-        ("gridsearch", {"grid": {"ngram_range": [[1, 3]], bound: [2]}}),
+    for command, given, message in (
+        ("featurize", {"ngram_range": [1, 3], bound: 2}, f"config field {bound!r} is unknown"),
+        ("gridsearch", {"grid": {"ngram_range": [[1, 3]], bound: [2]}}, f"vary {bound!r}"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, **given}), encoding="utf-8")
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
-        assert f"config fields 'ngram_range' and {bound!r}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_config_value_types():
@@ -431,6 +432,43 @@ def test_gridsearch_key_cross_validation_never_reads_is_data_error(
     assert not out.exists()
 
 
+def _counting(monkeypatch, module, name) -> list:
+    """The calls made to module.name from here on, one entry each."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gridsearch_refuses_a_bad_last_point_before_any_fit(
+    fast_config_path, tmp_path, capsys, monkeypatch
+):
+    # every point's config is checked before the first fold is fitted
+    fits = _counting(monkeypatch, pipeline, "fit_pipeline")
+    cfg = json.loads(fast_config_path.read_text(encoding="utf-8"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "grid": {"min_samples_leaf": [1, 2, "x"]}}), "utf-8")
+    out = tmp_path / "grid.tsv"
+    assert main(["gridsearch", "--config", str(path), "--out", str(out)]) == EXIT_DATA
+    assert "config field 'min_samples_leaf' must be int, got 'x'" in capsys.readouterr().err
+    assert fits == [] and not out.exists()
+
+
+def test_evaluate_refuses_more_folds_than_documents_before_preprocessing(
+    fast_config_path, tmp_path, capsys, monkeypatch
+):
+    preps = _counting(monkeypatch, pipeline, "preprocess_corpus")
+    out = tmp_path / "eval.tsv"
+    rc = main(["evaluate", "--config", str(fast_config_path), "--folds", "81", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "need at least k=81 documents, corpus has 80" in capsys.readouterr().err
+    assert preps == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     "args,synth,field",
     [
@@ -599,7 +637,7 @@ def test_ngram_hi_beyond_every_document_featurizes_in_bounded_time(tmp_path):
     for hi in (5, 10**12):  # 5 words in the longest document
         outs.append(tmp_path / f"f{hi}.tsv")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"corpus": str(corpus), "ngram_hi": hi}), encoding="utf-8")
+        cfg.write_text(json.dumps({"corpus": str(corpus), "ngram_range": [1, hi]}), encoding="utf-8")
         with within_seconds(10):
             assert main(["featurize", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
@@ -1064,22 +1102,23 @@ FILE_REFUSAL_MESSAGES = {
     "settings_not_an_object": "malformed pipeline field 'settings'",
     "missing_setting": "pipeline setting 'ngram_range' is missing",
     "unknown_setting": "pipeline setting 'corpus' is unknown",
-    # a setting is named as the file holds it, then refused by the config's rule
-    "reversed_ngram_range": "pipeline setting 'ngram_range' [2, 1] is refused: "
-    "config field 'ngram_lo' must be in [1, ngram_hi], got 2",
-    "three_ngram_bounds": "pipeline setting 'ngram_range' [1, 2, 3] is refused: "
-    "config field 'ngram_range' must be [lo, hi], got [1, 2, 3]",
-    "ngram_range_not_a_list": "pipeline setting 'ngram_range' 5 is refused: "
-    "config field 'ngram_range' must be [lo, hi], got 5",
-    "fractional_ngram_bound": "pipeline setting 'ngram_range' [1.5, 2] is refused: "
-    "config field 'ngram_lo' must be int, got 1.5",
-    "boolean_ngram_bound": "pipeline setting 'ngram_range' [True, 2] is refused: "
-    "config field 'ngram_lo' must be int, got True",
-    "huge_relevance_samples": f"pipeline setting 'relevance_samples' {10**40} is refused: "
+    # a setting is refused by the config's rule, which names it and its
+    # value as the file holds them
+    "reversed_ngram_range": "pipeline settings are refused: "
+    "config field 'ngram_range' must be [lo, hi] with 1 <= lo <= hi, got [2, 1]",
+    "three_ngram_bounds": "pipeline settings are refused: "
+    "config field 'ngram_range' must be tuple[int, int], got [1, 2, 3]",
+    "ngram_range_not_a_list": "pipeline settings are refused: "
+    "config field 'ngram_range' must be tuple[int, int], got 5",
+    "fractional_ngram_bound": "pipeline settings are refused: "
+    "config field 'ngram_range' must be tuple[int, int], got [1.5, 2]",
+    "boolean_ngram_bound": "pipeline settings are refused: "
+    "config field 'ngram_range' must be tuple[int, int], got [True, 2]",
+    "huge_relevance_samples": "pipeline settings are refused: "
     f"config field 'relevance_samples' must be in [10, 10000], got {10**40}",
-    "bts_threshold_out_of_range": "pipeline setting 'bts_threshold' 1.5 is refused: "
+    "bts_threshold_out_of_range": "pipeline settings are refused: "
     "config field 'bts_threshold' must be in [0, 1], got 1.5",
-    "bts_threshold_not_a_number": "pipeline setting 'bts_threshold' 'x' is refused: "
+    "bts_threshold_not_a_number": "pipeline settings are refused: "
     "config field 'bts_threshold' must be float, got 'x'",
     "no_model_line": "pipeline file lacks its model line",
     "text_after_the_model": "model file is not JSON: Extra data",

@@ -535,7 +535,7 @@ def test_loaded_pipeline_derives_the_fitted_columns(lexica):
     # of the kept n-grams is derived from them, with the settings' range
     corpus = generate_corpus(SynthSpec(n_docs=60, n_classes=3, seed=21))
     prep = pipeline.preprocess_corpus(corpus, lexica)
-    config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1, ngram_hi=3)
+    config = pipeline.PipelineConfig(n_estimators=3, min_samples_leaf=1, ngram_range=(1, 3))
     fitted = pipeline.fit_pipeline(corpus, config, lexica, prep=prep, doc_indices=range(45))
     text = pipeline.pipeline_to_json(fitted)
     assert sorted(pipeline_obj(text)) == ["encoder", "format", "model", "settings"]

@@ -3,6 +3,7 @@ field takes neither a bool, a float nor a numpy integer, and a float field
 takes an int but neither a bool nor NaN; each refusal names its field."""
 
 import math
+import types
 import typing
 from dataclasses import fields
 
@@ -23,7 +24,8 @@ def _fields_of(kind):
     for cls in SETTINGS:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            if kind in (hints[f.name], *typing.get_args(hints[f.name])):
+            hint = hints[f.name]
+            if hint is kind or isinstance(hint, types.UnionType) and kind in typing.get_args(hint):
                 cases.append(pytest.param(cls, f.name, f.default, id=f"{cls.__name__}.{f.name}"))
     return cases
 
@@ -43,6 +45,17 @@ def test_int_field_refuses_other_types(cls, name, default, value):
     # refused by type, not by the range an int 1 might miss
     with pytest.raises(DataError, match=f"{name!r} must be int"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("bound", [0, 1], ids=["ngram_lo", "ngram_hi"])
+@pytest.mark.parametrize("value", [True, 1.0, np.int64(1)], ids=["bool", "float", "numpy_int"])
+def test_ngram_range_member_refuses_other_types(bound, value):
+    # each bound of the range is an int field of its own
+    members = [1, 1]
+    members[bound] = value
+    with pytest.raises(DataError, match=r"'ngram_range' must be tuple\[int, int\]"):
+        PipelineConfig(ngram_range=members)
+    assert PipelineConfig(ngram_range=[1, 1]).ngram_range == (1, 1)
 
 
 @pytest.mark.parametrize("cls, name, default", FLOAT_FIELDS)

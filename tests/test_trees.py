@@ -1350,9 +1350,12 @@ def v3_pipeline_text(fitted, config) -> str:
     before a file held only the settings a loaded pipeline reads: an
     envelope of the whole config it was fitted with (`out` left empty), the
     encoder and the format, then the model's line. It is the oracle that
-    the change of layout left every fit as it was."""
+    the change of layout left every fit as it was. That config gave the
+    n-gram range as two fields, ngram_lo and ngram_hi."""
+    fields = dataclasses.asdict(dataclasses.replace(config, out=None))
+    fields["ngram_lo"], fields["ngram_hi"] = fields.pop("ngram_range")
     envelope = {
-        "config": dataclasses.asdict(dataclasses.replace(config, out=None)),
+        "config": fields,
         "encoder": fitted.encoder.tables,
         "format": "lexcat-pipeline-v3",
     }
